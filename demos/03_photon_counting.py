@@ -3,7 +3,8 @@
 
 Each of the 200 iterations draws one Gaussian tilt alpha and four Poisson
 counts behind phase-modulator settings 0, 2*theta, -2*alpha and
-2*(theta - alpha).  The phase-0 count has unit pass probability, so every
+2*(theta - alpha); the run comes back as columns (one alpha array, one
+(200, 4) count array).  The phase-0 count has unit pass probability, so every
 other probability is estimated as a per-iteration ratio against it.
 """
 
@@ -28,17 +29,17 @@ gamma1, gamma2 = 0.05, 0.8
 config = AcquisitionConfig(
     theta=theta, noise=noise, seed=2024, iterations=200, mean_rate=1e4,
 )
-records = run_acquisition(config)
-print(f"acquired {len(records)} iterations at ~{config.expected_counts:.0f} "
+counts = run_acquisition(config)
+print(f"acquired {len(counts)} iterations at ~{config.expected_counts:.0f} "
       "counts per window")
-first = records[0]
-print(f"first iteration: alpha = {first.alpha:+.4f} rad, counts "
-      f"{first.n1p}, {first.n1q}, {first.n2p}, {first.n2q}")
+n1p, n1q, n2p, n2q = counts.counts[0]
+print(f"first iteration: alpha = {counts.alpha[0]:+.4f} rad, counts "
+      f"{n1p}, {n1q}, {n2p}, {n2q}")
 
 analytic = outcome_probabilities(
     ScenarioParams(theta, noise, gamma1, gamma2)
 )
-summary = estimate_ratios(records)
+summary = estimate_ratios(counts)
 
 print("\n== normalized ratios vs closed forms ==")
 rows = [
@@ -55,7 +56,7 @@ for label, est, true in rows:
 print("\n== aggregation over an unknown preparation ==")
 for mode, rng in (("expected", None),
                   ("stochastic", np.random.default_rng(99))):
-    agg = aggregate(records, gamma1, gamma2, rng, mode)
+    agg = aggregate(counts, gamma1, gamma2, rng, mode)
     pull = (agg.q_over_p.value - analytic.q / analytic.p) / (
         agg.q_over_p.std_error
     )

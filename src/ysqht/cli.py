@@ -260,17 +260,17 @@ def cmd_simulate(args: argparse.Namespace) -> int:
         mean_rate=args.rate,
         window_seconds=args.window,
     )
-    records = run_acquisition(config)
-    write_count_log(args.out, config, records)
-    print(f"wrote {len(records)} records to {args.out}")
+    counts = run_acquisition(config)
+    write_count_log(args.out, config, counts)
+    print(f"wrote {len(counts)} records to {args.out}")
     return EXIT_OK
 
 
 def cmd_analyze(args: argparse.Namespace) -> int:
-    manifest, records = read_count_log(args.log)
-    summary = estimate_ratios(records)
+    manifest, counts = read_count_log(args.log)
+    summary = estimate_ratios(counts)
     rng = np.random.default_rng(_resolve_seed(args.seed))
-    agg = aggregate(records, args.gamma1, args.gamma2, rng, args.mode)
+    agg = aggregate(counts, args.gamma1, args.gamma2, rng, args.mode)
 
     if args.json:
         print(json.dumps({
@@ -290,7 +290,7 @@ def cmd_analyze(args: argparse.Namespace) -> int:
         return EXIT_OK
 
     print(
-        f"{len(records)} iterations from {args.log} "
+        f"{len(counts)} iterations from {args.log} "
         f"({summary.excluded} excluded for n1p = 0)"
     )
     _print_estimate("q1/p1", summary.q1_over_p1)

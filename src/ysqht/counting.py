@@ -5,7 +5,8 @@ independent Poisson counts behind the phase-modulator settings 0, 2*theta,
 -2*alpha, and 2*(theta - alpha); a photon passes the final 45-degree
 polarizer with probability (1 + cos(phi))/2.  The count at phase 0 has unit
 pass probability and serves as the per-iteration normalization for all ratio
-estimates.
+estimates.  The counts of a whole acquisition are held as columns
+(``Counts``), and estimation and aggregation work on those columns.
 """
 
 from __future__ import annotations
@@ -79,24 +80,34 @@ class AcquisitionConfig:
         return self.mean_rate * self.window_seconds
 
 
-@dataclass(frozen=True)
-class AcquisitionRecord:
-    """One iteration: the shared tilt draw and the four raw counts."""
+@dataclass(frozen=True, eq=False)
+class Counts:
+    """Counts of one acquisition as columns: row i of ``alpha`` (float64,
+    shape (n,)) and of ``counts`` (int64, shape (n, 4), columns n1p, n1q,
+    n2p, n2q) is iteration i, its shared tilt draw and its four raw counts.
+    Compare two values with ``np.array_equal`` on their columns."""
 
-    iteration: int
-    alpha: float
-    n1p: int
-    n1q: int
-    n2p: int
-    n2q: int
+    alpha: np.ndarray
+    counts: np.ndarray
 
     def __post_init__(self) -> None:
-        for name in ("n1p", "n1q", "n2p", "n2q"):
-            count = getattr(self, name)
-            if not isinstance(count, int) or count < 0:
-                raise ValueError(
-                    f"{name} must be a non-negative integer, got {count!r}"
-                )
+        alpha = np.asarray(self.alpha, dtype=np.float64)
+        counts = np.asarray(self.counts)
+        if counts.dtype.kind not in "iu":
+            raise ValueError(f"counts must be integers, got {counts.dtype}")
+        counts = counts.astype(np.int64, copy=False)
+        if alpha.ndim != 1 or counts.shape != (alpha.size, 4):
+            raise ValueError(
+                f"need alpha of shape (n,) and counts of shape (n, 4), got "
+                f"{alpha.shape} and {counts.shape}"
+            )
+        if (counts < 0).any():
+            raise ValueError("counts must be non-negative")
+        object.__setattr__(self, "alpha", alpha)
+        object.__setattr__(self, "counts", counts)
+
+    def __len__(self) -> int:
+        return self.alpha.size
 
 
 @dataclass(frozen=True)
@@ -143,50 +154,39 @@ def detection_probability(phi: float) -> float:
     return 0.5 * (1.0 + math.cos(_require_finite(phi, "phi")))
 
 
-def sample_alpha(rng: np.random.Generator, noise: NoiseParams) -> float:
-    """One Gaussian preparation tilt: zero mean, standard deviation
-    ``delta_std``."""
-    return float(rng.normal(0.0, noise.delta_std))
-
-
-def acquire_iteration(
-    rng: np.random.Generator, config: AcquisitionConfig, index: int = 0
-) -> AcquisitionRecord:
-    """Four gated counts sharing a single tilt draw.
-
-    Draw order is fixed: alpha, then the Poisson counts at phases 0,
-    2*theta, -2*alpha, 2*(theta - alpha)."""
-    lam = config.expected_counts
-    alpha = sample_alpha(rng, config.noise)
-    theta = config.theta
-    phases = (0.0, 2.0 * theta, -2.0 * alpha, 2.0 * (theta - alpha))
-    counts = [
-        int(rng.poisson(lam * detection_probability(phi))) for phi in phases
-    ]
-    return AcquisitionRecord(index, alpha, *counts)
-
-
-def run_acquisition(config: AcquisitionConfig) -> list[AcquisitionRecord]:
+def run_acquisition(config: AcquisitionConfig) -> Counts:
     """All iterations of one acquisition; bitwise reproducible for a fixed
-    seed."""
+    seed.
+
+    Draw order ("RNG stream 2", count-log schema version 2): all n tilts in
+    one call, ``alpha = normal(0, delta_std, n)``, then all counts in one
+    Poisson call over the row-major (n, 4) phases 0, 2*theta, -2*alpha,
+    2*(theta - alpha)."""
     rng = np.random.default_rng(config.seed)
-    return [
-        acquire_iteration(rng, config, i) for i in range(config.iterations)
-    ]
+    n = config.iterations
+    alpha = rng.normal(0.0, config.noise.delta_std, n)
+    phases = np.zeros((n, 4))
+    phases[:, 1] = 2.0 * config.theta
+    phases[:, 2] = -2.0 * alpha
+    phases[:, 3] = 2.0 * (config.theta - alpha)
+    lam = config.expected_counts * 0.5 * (1.0 + np.cos(phases))
+    return Counts(alpha, rng.poisson(lam))
 
 
-def _usable(
-    records: Sequence[AcquisitionRecord],
-) -> tuple[list[AcquisitionRecord], int]:
-    """Drop iterations whose normalization count vanished."""
-    if not records:
+def _usable(counts: Counts) -> tuple[np.ndarray, int]:
+    """The n1p, n1q, n2p, n2q columns (as contiguous float rows) of the
+    iterations whose normalization count n1p is positive, and how many
+    iterations were dropped."""
+    if not len(counts):
         raise EstimationError("no records to estimate from")
-    kept = [r for r in records if r.n1p > 0]
+    keep = counts.counts[:, 0] > 0
+    kept = int(keep.sum())
     if not kept:
         raise EstimationError(
             "every iteration had n1p = 0; nothing to normalize by"
         )
-    return kept, len(records) - len(kept)
+    columns = np.ascontiguousarray(counts.counts[keep].T, dtype=float)
+    return columns, len(counts) - kept
 
 
 def _mean_estimate(
@@ -223,16 +223,12 @@ def _propagated_ratio(
     return RatioEstimate(value, std_error, num.n_samples, poisson_error)
 
 
-def estimate_ratios(records: Sequence[AcquisitionRecord]) -> RatioSummary:
+def estimate_ratios(counts: Counts) -> RatioSummary:
     """Per-iteration ratio estimates normalized by n1p.
 
     Iterations with n1p = 0 are excluded and counted; estimating from no
     usable iterations raises EstimationError."""
-    kept, excluded = _usable(records)
-    n1p = np.array([r.n1p for r in kept], dtype=float)
-    n1q = np.array([r.n1q for r in kept], dtype=float)
-    n2p = np.array([r.n2p for r in kept], dtype=float)
-    n2q = np.array([r.n2q for r in kept], dtype=float)
+    (n1p, n1q, n2p, n2q), excluded = _usable(counts)
 
     sums = {name: float(arr.sum()) for name, arr in
             (("n1p", n1p), ("n1q", n1q), ("n2p", n2p), ("n2q", n2q))}
@@ -256,7 +252,7 @@ def estimate_ratios(records: Sequence[AcquisitionRecord]) -> RatioSummary:
 
 
 def aggregate(
-    records: Sequence[AcquisitionRecord],
+    counts: Counts,
     gamma1: float,
     gamma2: float,
     rng: np.random.Generator | None = None,
@@ -276,18 +272,13 @@ def aggregate(
         raise ValueError(
             f"mode must be one of {AGGREGATION_MODES}, got {mode!r}"
         )
-    kept, excluded = _usable(records)
-
-    n1p = np.array([r.n1p for r in kept], dtype=float)
-    n1q = np.array([r.n1q for r in kept], dtype=float)
-    n2p = np.array([r.n2p for r in kept], dtype=float)
-    n2q = np.array([r.n2q for r in kept], dtype=float)
+    (n1p, n1q, n2p, n2q), excluded = _usable(counts)
 
     if mode == "stochastic":
         if rng is None:
             raise ValueError("stochastic aggregation needs a random generator")
-        pick_clean_a = rng.random(len(kept)) < gamma1
-        pick_clean_b = rng.random(len(kept)) < gamma2
+        pick_clean_a = rng.random(n1p.size) < gamma1
+        pick_clean_b = rng.random(n1p.size) < gamma2
         numerator_a = np.where(pick_clean_a, n1p, n2p)
         numerator_b = np.where(pick_clean_b, n1q, n2q)
     else:
@@ -306,11 +297,14 @@ def point_seed(base_seed: int, index: int) -> int:
 
 
 def aggregation_seed(acquisition_seed: int, gamma1_index: int = 0) -> int:
-    """Deterministic seed for the Bernoulli mixing draws at one grid point,
-    independent per gamma1 column."""
-    return (
-        acquisition_seed ^ AGGREGATION_SALT ^ (gamma1_index * SEED_STRIDE)
-    ) % _UINT64
+    """Deterministic seed for the Bernoulli mixing draws at one grid point
+    and gamma1 column: a SeedSequence hash of (acquisition seed,
+    AGGREGATION_SALT, column), so distinct points and columns collide only
+    by chance (about 2**-64 per pair)."""
+    entropy = [acquisition_seed, AGGREGATION_SALT, gamma1_index]
+    return int(
+        np.random.SeedSequence(entropy).generate_state(1, np.uint64)[0]
+    )
 
 
 @dataclass(frozen=True)
@@ -357,12 +351,12 @@ def _point_estimates(
     gamma_pairs: Sequence[tuple[float, float]],
     mode: str,
 ) -> tuple[RatioEstimate, tuple[RatioEstimate, ...]]:
-    records = run_acquisition(config)
-    summary = estimate_ratios(records)
+    counts = run_acquisition(config)
+    summary = estimate_ratios(counts)
     ratios = []
     for k, (g1, g2) in enumerate(gamma_pairs):
         rng = np.random.default_rng(aggregation_seed(config.seed, k))
-        ratios.append(aggregate(records, g1, g2, rng, mode).q_over_p)
+        ratios.append(aggregate(counts, g1, g2, rng, mode).q_over_p)
     return summary.q2_over_p2, tuple(ratios)
 
 

@@ -1,8 +1,9 @@
 """Bit-stable file formats: run manifests, count logs, and sweep tables.
 
 Count logs are JSON lines (streamable, append-safe): the first line is the
-run manifest, every following line one acquisition record.  Sweep tables are
-CSV with frozen header names and a companion ``<name>.manifest.json``.
+run manifest, every following line one acquisition record; in memory the
+records are one columnar ``Counts`` value.  Sweep tables are CSV with frozen
+header names and a companion ``<name>.manifest.json``.
 Floats in record lines carry 17 significant digits and CSV cells use the
 shortest round-trip decimal form, so parsing a file back reproduces the
 in-memory values exactly.
@@ -10,6 +11,7 @@ in-memory values exactly.
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
 from dataclasses import asdict, dataclass, field
@@ -17,10 +19,17 @@ from datetime import datetime, timezone
 from pathlib import Path
 from typing import Any, Iterable, Sequence
 
-from .counting import AcquisitionConfig, AcquisitionRecord
+import numpy as np
+
+from .counting import AcquisitionConfig, Counts
 from .version import __version__
 
-SCHEMA_VERSION = 1
+#: Version 2: count logs hold counts drawn by RNG stream 2 (see
+#: ``run_acquisition``) and sweeps use hashed mixing seeds.
+SCHEMA_VERSION = 2
+#: Version 1 files have the same layout; their counts came from the older,
+#: per-iteration interleaved draws and analyse the same way.
+READABLE_SCHEMA_VERSIONS = (1, 2)
 TOOL_NAME = "ysqht"
 
 KIND_COUNT_LOG = "count-log"
@@ -77,10 +86,10 @@ class RunManifest:
     def from_json_dict(cls, payload: dict[str, Any]) -> "RunManifest":
         data = dict(payload)
         schema = data.get("schema_version")
-        if schema != SCHEMA_VERSION:
+        if schema not in READABLE_SCHEMA_VERSIONS:
             raise ManifestVersionError(
                 f"unsupported manifest schema_version {schema!r}; "
-                f"this tool reads version {SCHEMA_VERSION}"
+                f"this tool reads versions {READABLE_SCHEMA_VERSIONS}"
             )
         if "kind" not in data:
             raise ManifestVersionError("manifest is missing its 'kind' field")
@@ -108,32 +117,46 @@ def manifest_for_acquisition(config: AcquisitionConfig) -> RunManifest:
     )
 
 
-def format_record_line(record: AcquisitionRecord) -> str:
+#: Keys of a record line, in the order they are written.
+RECORD_KEYS = ("i", "alpha", "n1p", "n1q", "n2p", "n2q")
+
+#: Record lines parsed per ``json.loads`` call by ``read_count_log``.
+READ_CHUNK_LINES = 4096
+
+
+def format_record_line(
+    index: int, alpha: float, n1p: int, n1q: int, n2p: int, n2q: int
+) -> str:
     """One record as a JSON line with the tilt at 17 significant digits
     (enough to reproduce the double exactly)."""
     return (
-        f'{{"i": {record.iteration}, "alpha": {record.alpha:.17g}, '
-        f'"n1p": {record.n1p}, "n1q": {record.n1q}, '
-        f'"n2p": {record.n2p}, "n2q": {record.n2q}}}'
+        f'{{"i": {index}, "alpha": {alpha:.17g}, "n1p": {n1p}, '
+        f'"n1q": {n1q}, "n2p": {n2p}, "n2q": {n2q}}}'
     )
 
 
 def write_count_log(
     path: str | Path,
     config: AcquisitionConfig,
-    records: Iterable[AcquisitionRecord],
+    counts: Counts,
 ) -> RunManifest:
+    if len(counts) != config.iterations:
+        raise ValueError(
+            f"{len(counts)} records for a run of {config.iterations} "
+            f"iterations"
+        )
     manifest = manifest_for_acquisition(config)
     lines = [manifest.to_json()]
-    lines.extend(format_record_line(r) for r in records)
+    lines.extend(map(format_record_line, range(len(counts)),
+                     counts.alpha.tolist(), *counts.counts.T.tolist()))
     Path(path).write_text("\n".join(lines) + "\n")
     return manifest
 
 
 def _record_from_payload(
     line_number: int, payload: dict[str, Any]
-) -> AcquisitionRecord:
-    expected = {"i", "alpha", "n1p", "n1q", "n2p", "n2q"}
+) -> tuple[int, float, int, int, int, int]:
+    expected = set(RECORD_KEYS)
     if set(payload) != expected:
         raise LogFormatError(
             line_number,
@@ -144,49 +167,90 @@ def _record_from_payload(
     if not isinstance(alpha, (int, float)) or isinstance(alpha, bool) or \
             not math.isfinite(float(alpha)):
         raise LogFormatError(line_number, f"alpha must be finite, got {alpha!r}")
-    counts = {}
     for key in ("i", "n1p", "n1q", "n2p", "n2q"):
         value = payload[key]
-        if not isinstance(value, int) or isinstance(value, bool) or value < 0:
+        if not isinstance(value, int) or isinstance(value, bool) or \
+                not 0 <= value < 2**63:
             raise LogFormatError(
                 line_number,
-                f"{key} must be a non-negative integer, got {value!r}",
+                f"{key} must be a non-negative 64-bit integer, got {value!r}",
             )
-        counts[key] = value
-    return AcquisitionRecord(
-        iteration=counts["i"],
-        alpha=float(alpha),
-        n1p=counts["n1p"],
-        n1q=counts["n1q"],
-        n2p=counts["n2p"],
-        n2q=counts["n2q"],
-    )
+    return tuple(payload[key] for key in RECORD_KEYS)
 
 
-def read_count_log(
-    path: str | Path,
-) -> tuple[RunManifest, list[AcquisitionRecord]]:
-    """Parse a count log back into its manifest and records.
+def _arrays(
+    index: Sequence[int], alpha: Sequence[float], *counts: Sequence[int]
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """i, alpha and the (n, 4) counts as arrays, from the six record
+    columns."""
+    ints = np.array([index, *counts], dtype=np.int64)
+    return ints[0], np.array(alpha, dtype=np.float64), ints[1:].T
 
-    Raises LogFormatError (with the offending line number) on corrupt lines
-    and ManifestVersionError on manifests this version cannot read."""
-    text = Path(path).read_text()
-    lines = text.splitlines()
-    if not lines:
-        raise LogFormatError(1, "empty file, expected a manifest line")
+
+_NO_RECORDS = (
+    np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64), np.empty(0),
+    np.empty((0, 4), dtype=np.int64),
+)
+
+
+def _parse_whole_chunk(
+    lines: list[str],
+) -> tuple[np.ndarray, np.ndarray, np.ndarray] | None:
+    """Columns of a chunk of file lines in which every line is exactly one
+    valid record, parsed with one ``json.loads`` and validated column by
+    column; None if any line is not, and the caller then parses line by
+    line.
+
+    Every line must begin with '{' and end with '}' (a file line holds a
+    newline only as its last character).  Since a valid record holds no nested
+    braces and no strings but its six keys, the parse then yields one object
+    per line only if no line holds two records or half of one."""
+    joined = ",".join(lines)
+    if not (joined.startswith("{") and joined.endswith(("}", "}\n"))
+            and joined.count("}\n,{") == len(lines) - 1):
+        return None
     try:
-        head = json.loads(lines[0])
-    except json.JSONDecodeError as err:
-        raise LogFormatError(1, f"manifest is not valid JSON: {err}") from err
-    if not isinstance(head, dict):
-        raise LogFormatError(1, "manifest line must be a JSON object")
-    manifest = RunManifest.from_json_dict(head)
-    if manifest.kind != KIND_COUNT_LOG:
-        raise LogFormatError(
-            1, f"expected a {KIND_COUNT_LOG!r} manifest, got {manifest.kind!r}"
+        payloads = json.loads("[" + joined + "]")
+    except json.JSONDecodeError:
+        return None
+    if len(payloads) != len(lines) \
+            or set(map(type, payloads)) != {dict} \
+            or set(map(len, payloads)) != {len(RECORD_KEYS)}:
+        return None
+    try:
+        index, alpha, *counts = (
+            [payload[key] for payload in payloads] for key in RECORD_KEYS
         )
-    records = []
-    for line_number, line in enumerate(lines[1:], start=2):
+    except KeyError:
+        return None
+    if not set(map(type, alpha)) <= {int, float} \
+            or any(set(map(type, column)) != {int}
+                   for column in (index, *counts)):
+        return None
+    try:
+        index, alpha, counts = _arrays(index, alpha, *counts)
+    except OverflowError:
+        return None
+    if (index < 0).any() or (counts < 0).any() or \
+            not np.isfinite(alpha).all():
+        return None
+    return index, alpha, counts
+
+
+def _parse_chunk(
+    lines: list[str], first_line: int
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Line numbers, i, alpha and counts of the records in ``lines``, whose
+    first line is ``first_line`` of the file.  Blank lines are skipped; a bad
+    line raises LogFormatError with its number."""
+    whole = _parse_whole_chunk(lines)
+    if whole is not None:
+        numbers = np.arange(first_line, first_line + len(lines))
+        return (numbers, *whole)
+    # Line by line: slower, but it accepts blank and padded lines and names
+    # the first bad one.
+    numbers, records = [], []
+    for line_number, line in enumerate(lines, start=first_line):
         if not line.strip():
             continue
         try:
@@ -198,7 +262,69 @@ def read_count_log(
         if not isinstance(payload, dict):
             raise LogFormatError(line_number, "record line must be a JSON object")
         records.append(_record_from_payload(line_number, payload))
-    return manifest, records
+        numbers.append(line_number)
+    if not records:
+        return _NO_RECORDS
+    return (np.array(numbers), *_arrays(*zip(*records)))
+
+
+def read_count_log(path: str | Path) -> tuple[RunManifest, Counts]:
+    """Parse a count log back into its manifest and counts.
+
+    Raises LogFormatError (with the offending line number) on corrupt lines,
+    and then on logs whose record indices ``i`` do not run 0..n-1 or whose
+    record count differs from the manifest's ``iterations``; raises
+    ManifestVersionError on manifests this version cannot read."""
+    with Path(path).open() as fh:
+        head_line = fh.readline()
+        if not head_line:
+            raise LogFormatError(1, "empty file, expected a manifest line")
+        try:
+            head = json.loads(head_line)
+        except json.JSONDecodeError as err:
+            raise LogFormatError(
+                1, f"manifest is not valid JSON: {err}"
+            ) from err
+        if not isinstance(head, dict):
+            raise LogFormatError(1, "manifest line must be a JSON object")
+        manifest = RunManifest.from_json_dict(head)
+        if manifest.kind != KIND_COUNT_LOG:
+            raise LogFormatError(
+                1,
+                f"expected a {KIND_COUNT_LOG!r} manifest, got {manifest.kind!r}",
+            )
+        iterations = manifest.iterations
+        if not isinstance(iterations, int) or isinstance(iterations, bool) \
+                or iterations < 1:
+            raise LogFormatError(
+                1, f"manifest iterations must be a positive integer, got "
+                   f"{iterations!r}"
+            )
+        parts = [_NO_RECORDS]
+        next_line = 2
+        while chunk := list(itertools.islice(fh, READ_CHUNK_LINES)):
+            parts.append(_parse_chunk(chunk, next_line))
+            next_line += len(chunk)
+    numbers, index, alpha, counts = (np.concatenate(c) for c in zip(*parts))
+
+    out_of_place = np.flatnonzero(index != np.arange(index.size))
+    if out_of_place.size:
+        k = out_of_place[0]
+        raise LogFormatError(
+            int(numbers[k]),
+            f"record index i = {index[k]} where {k} belongs: records are "
+            f"missing, duplicated or out of order",
+        )
+    if index.size != iterations:
+        line_number = (
+            int(numbers[iterations]) if index.size > iterations else next_line
+        )
+        raise LogFormatError(
+            line_number,
+            f"log holds {index.size} records but its manifest promises "
+            f"{iterations}",
+        )
+    return manifest, Counts(alpha, counts)
 
 
 def _gamma1_suffixes(gamma1_values: Sequence[float]) -> list[str]:

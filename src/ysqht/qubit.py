@@ -11,8 +11,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
-from scipy import integrate
-
 #: Tolerated floating-point excursion outside exact physical bounds.
 EPS = 1e-12
 
@@ -200,6 +198,10 @@ def dephase_oracle(
     def integrand(alpha: float) -> float:
         weight = norm * math.exp(-0.5 * (alpha / d) ** 2)
         return weight * born_probability(tilt(state, alpha), analyzer)
+
+    # Imported here: scipy.integrate costs about 50 MB and 0.6 s to import,
+    # and only this cross-check needs it.
+    from scipy import integrate
 
     half_width = ORACLE_WINDOW_SIGMAS * d
     value, abserr = integrate.quad(

@@ -221,9 +221,9 @@ def test_criterion_7_determinism_and_round_trip(tmp_path, capsys):
     config = AcquisitionConfig(
         theta=THETA_B, noise=NoiseParams(DELTA_FIG2), seed=7
     )
-    records = run_acquisition(config)
-    summary = estimate_ratios(records)
-    agg = aggregate(records, 0.1, 0.8, np.random.default_rng(13), "stochastic")
+    counts = run_acquisition(config)
+    summary = estimate_ratios(counts)
+    agg = aggregate(counts, 0.1, 0.8, np.random.default_rng(13), "stochastic")
     round_trip = (
         code == 0
         and reported["q1_over_p1"]["value"] == summary.q1_over_p1.value

@@ -2,10 +2,15 @@
 
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import ysqht
 from ysqht import (
     AcquisitionConfig,
     NoiseParams,
@@ -26,6 +31,18 @@ def run_json(capsys, argv):
     code = main(argv)
     out = capsys.readouterr().out
     return code, json.loads(out)
+
+
+def test_import_leaves_scipy_integrate_unloaded():
+    # scipy.integrate serves only the quadrature cross-check; loading it
+    # with the CLI would add about 50 MB and 0.6 s to every command.
+    env = dict(os.environ, PYTHONPATH=str(Path(ysqht.__file__).parents[1]))
+    probe = "import sys, ysqht.cli; print('scipy.integrate' in sys.modules)"
+    result = subprocess.run(
+        [sys.executable, "-c", probe], capture_output=True, text=True,
+        env=env, check=True,
+    )
+    assert result.stdout.strip() == "False"
 
 
 class TestTheory:
@@ -121,7 +138,7 @@ class TestSimulate:
         head = json.loads(lines[0])
         assert head["kind"] == "count-log"
         assert head["seed"] == 7
-        assert head["schema_version"] == 1
+        assert head["schema_version"] == 2
 
     def test_same_seed_identical_records(self, tmp_path, capsys):
         a = tmp_path / "a.jsonl"
@@ -186,10 +203,10 @@ class TestAnalyze:
         config = AcquisitionConfig(
             theta=THETA_B, noise=NoiseParams(DELTA_FIG2), seed=7
         )
-        records = run_acquisition(config)
-        summary = estimate_ratios(records)
+        counts = run_acquisition(config)
+        summary = estimate_ratios(counts)
         agg = aggregate(
-            records, 0.1, 0.8, np.random.default_rng(13), "stochastic"
+            counts, 0.1, 0.8, np.random.default_rng(13), "stochastic"
         )
         assert report["q1_over_p1"]["value"] == summary.q1_over_p1.value
         assert report["q1_over_p1"]["std_error"] == summary.q1_over_p1.std_error

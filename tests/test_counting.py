@@ -1,6 +1,7 @@
 """Tests for the photon-counting emulator, estimators, and aggregation."""
 
 import math
+import statistics
 import warnings
 
 import numpy as np
@@ -8,16 +9,15 @@ import pytest
 
 from ysqht import (
     AcquisitionConfig,
+    Counts,
     EstimationError,
     NoiseParams,
-    acquire_iteration,
     aggregate,
     aggregation_seed,
     detection_probability,
     estimate_ratios,
     point_seed,
     run_acquisition,
-    sample_alpha,
     simulate_delta_sweep,
     simulate_gamma2_sweep,
 )
@@ -56,14 +56,15 @@ class TestDetectionProbability:
 
 
 class TestSampleAlpha:
+    """The tilt column that run_acquisition draws."""
+
     def test_zero_spread_is_exactly_zero(self):
-        rng = np.random.default_rng(0)
-        assert sample_alpha(rng, NoiseParams(0.0)) == 0.0
+        counts = run_acquisition(config(noise=NoiseParams(0.0), seed=0))
+        assert (counts.alpha == 0.0).all()
 
     def test_moments_match_spread(self):
-        rng = np.random.default_rng(101)
-        noise = NoiseParams(0.5)
-        draws = np.array([sample_alpha(rng, noise) for _ in range(100_000)])
+        cfg = config(noise=NoiseParams(0.5), seed=101, iterations=100_000)
+        draws = run_acquisition(cfg).alpha
         assert abs(draws.mean()) < 0.01            # ~6 standard errors
         assert abs(draws.std(ddof=1) - 0.5) < 0.005
 
@@ -87,68 +88,108 @@ class TestAcquisitionConfig:
 
 
 class TestAcquireIteration:
-    def test_shared_tilt_draw(self):
-        # A scripted generator proves that n2p and n2q see the same alpha
+    """What each iteration of run_acquisition draws."""
+
+    def test_shared_tilt_draw(self, monkeypatch):
+        # A scripted generator proves that n2p and n2q see their row's alpha
         # and that exactly one tilt is drawn per iteration.
         class ScriptedRng:
             def __init__(self, alpha):
                 self.alpha = alpha
-                self.normal_calls = 0
+                self.normal_sizes = []
 
-            def normal(self, loc, scale):
-                self.normal_calls += 1
+            def normal(self, loc, scale, size):
+                self.normal_sizes.append(size)
                 return self.alpha
 
             def poisson(self, lam):
-                return int(round(lam))
+                return np.rint(lam).astype(np.int64)
 
-        alpha = 0.3
+        alpha = np.linspace(-0.5, 0.5, 7)
         rng = ScriptedRng(alpha)
-        cfg = config()
-        record = acquire_iteration(rng, cfg, index=4)
+        monkeypatch.setattr(np.random, "default_rng", lambda seed: rng)
+        cfg = config(iterations=7)
+        counts = run_acquisition(cfg)
         lam = cfg.expected_counts
-        assert rng.normal_calls == 1
-        assert record.iteration == 4
-        assert record.alpha == alpha
-        assert record.n1p == round(lam)
-        assert record.n1q == round(lam * detection_probability(2 * THETA_B))
-        assert record.n2p == round(lam * detection_probability(-2 * alpha))
-        assert record.n2q == round(
-            lam * detection_probability(2 * (THETA_B - alpha))
+        rate = np.vectorize(lambda phi: round(lam * detection_probability(phi)))
+        assert rng.normal_sizes == [7]
+        assert np.array_equal(counts.alpha, alpha)
+        assert np.array_equal(counts.counts[:, 0], np.full(7, round(lam)))
+        assert np.array_equal(
+            counts.counts[:, 1],
+            np.full(7, round(lam * detection_probability(2 * THETA_B))),
         )
+        assert np.array_equal(counts.counts[:, 2], rate(-2 * alpha))
+        assert np.array_equal(counts.counts[:, 3], rate(2 * (THETA_B - alpha)))
+
+    def test_stream_2_draw_order(self):
+        # All tilts in one normal call, then all counts in one Poisson call
+        # over the row-major (n, 4) phases.
+        cfg = config(iterations=50, seed=3)
+        counts = run_acquisition(cfg)
+        rng = np.random.default_rng(cfg.seed)
+        alpha = rng.normal(0.0, cfg.noise.delta_std, 50)
+        phases = np.column_stack([
+            np.zeros(50), np.full(50, 2 * THETA_B), -2 * alpha,
+            2 * (THETA_B - alpha),
+        ])
+        lam = cfg.expected_counts * 0.5 * (1.0 + np.cos(phases))
+        assert np.array_equal(counts.alpha, alpha)
+        assert np.array_equal(counts.counts, rng.poisson(lam))
 
     def test_no_noise_no_tilt_all_counts_equal_rate(self):
-        cfg = config(theta=0.0, noise=NoiseParams(0.0), seed=8)
-        rng = np.random.default_rng(cfg.seed)
-        lam = cfg.expected_counts
-        totals = np.zeros(4)
         n = 300
-        for i in range(n):
-            r = acquire_iteration(rng, cfg, i)
-            totals += (r.n1p, r.n1q, r.n2p, r.n2q)
+        cfg = config(theta=0.0, noise=NoiseParams(0.0), seed=8, iterations=n)
+        lam = cfg.expected_counts
+        totals = run_acquisition(cfg).counts.sum(axis=0)
         # all four settings sit at phase 0, so each total is Poisson(n*lam)
         for total in totals:
             assert abs(total - n * lam) < 6.0 * math.sqrt(n * lam)
 
 
+class TestCounts:
+    def test_columns_and_length(self):
+        counts = Counts([0.1, -0.2], [[1, 2, 3, 4], [5, 6, 7, 8]])
+        assert len(counts) == 2
+        assert counts.alpha.dtype == np.float64
+        assert counts.counts.dtype == np.int64
+
+    def test_rejects_negative_counts(self):
+        with pytest.raises(ValueError, match="non-negative"):
+            Counts([0.0], [[1, -1, 1, 1]])
+
+    def test_rejects_non_integer_counts(self):
+        with pytest.raises(ValueError, match="integers"):
+            Counts([0.0], [[1.5, 1.0, 1.0, 1.0]])
+
+    def test_rejects_mismatched_shapes(self):
+        with pytest.raises(ValueError, match="shape"):
+            Counts([0.0, 0.1], [[1, 1, 1, 1]])
+
+
 class TestRunAcquisition:
     def test_record_count_and_indexing(self):
-        records = run_acquisition(config(iterations=50))
-        assert len(records) == 50
-        assert [r.iteration for r in records] == list(range(50))
+        counts = run_acquisition(config(iterations=50))
+        assert len(counts) == 50
+        assert counts.alpha.shape == (50,)
+        assert counts.counts.shape == (50, 4)
 
     def test_bitwise_reproducible(self):
-        assert run_acquisition(config()) == run_acquisition(config())
+        a = run_acquisition(config())
+        b = run_acquisition(config())
+        assert np.array_equal(a.alpha, b.alpha)
+        assert np.array_equal(a.counts, b.counts)
 
     def test_different_seeds_differ(self):
         a = run_acquisition(config(seed=1))
         b = run_acquisition(config(seed=2))
-        assert a != b
+        assert not np.array_equal(a.alpha, b.alpha)
+        assert not np.array_equal(a.counts, b.counts)
 
     def test_count_bookkeeping(self):
-        records = run_acquisition(config(seed=3))
+        counts = run_acquisition(config(seed=3))
         lam = 1e4
-        total = sum(r.n1p + r.n1q + r.n2p + r.n2q for r in records)
+        total = counts.counts.sum()
         # mean probabilities: 1, q1, p2, q2
         expected = 200 * lam * (1.0 + Q1 + 0.6886384754772271 + Q2_FIG2)
         assert abs(total - expected) / expected < 0.1
@@ -211,11 +252,11 @@ class TestEstimateRatios:
     def test_excludes_vanished_normalization(self):
         with pytest.warns(UserWarning):
             cfg = config(noise=NoiseParams(0.0), seed=12, mean_rate=0.5)
-        records = run_acquisition(cfg)
-        summary = estimate_ratios(records)
+        counts = run_acquisition(cfg)
+        summary = estimate_ratios(counts)
         assert summary.excluded > 0
         assert summary.q1_over_p1.n_samples == 200 - summary.excluded
-        agg = aggregate(records, 0.5, 0.5, mode="expected")
+        agg = aggregate(counts, 0.5, 0.5, mode="expected")
         assert agg.excluded == summary.excluded
         assert agg.p.n_samples == 200 - summary.excluded
 
@@ -229,18 +270,32 @@ class TestEstimateRatios:
 
     def test_empty_records_raise(self):
         with pytest.raises(EstimationError):
-            estimate_ratios([])
+            estimate_ratios(Counts(np.empty(0), np.empty((0, 4), np.int64)))
+
+    def test_matches_per_iteration_loop(self):
+        counts = run_acquisition(config(seed=1))
+        summary = estimate_ratios(counts)
+        rows = counts.counts.tolist()
+        for est, k in ((summary.q1_over_p1, 1), (summary.p2, 2),
+                       (summary.q2, 3)):
+            ratios = [row[k] / row[0] for row in rows]
+            assert est.value == pytest.approx(
+                statistics.fmean(ratios), rel=1e-12
+            )
+            assert est.std_error == pytest.approx(
+                statistics.stdev(ratios) / math.sqrt(len(ratios)), rel=1e-9
+            )
 
 
 class TestAggregate:
     def test_degenerate_weights_reduce_to_clean_ratio(self):
-        records = run_acquisition(config(seed=1))
-        summary = estimate_ratios(records)
+        counts = run_acquisition(config(seed=1))
+        summary = estimate_ratios(counts)
         for mode, rng in (
             ("expected", None),
             ("stochastic", np.random.default_rng(0)),
         ):
-            agg = aggregate(records, 1.0, 1.0, rng, mode)
+            agg = aggregate(counts, 1.0, 1.0, rng, mode)
             assert agg.p.value == 1.0
             assert agg.p.std_error == 0.0
             assert agg.q_over_p.value == summary.q1_over_p1.value
@@ -255,10 +310,10 @@ class TestAggregate:
         )
 
     def test_stochastic_matches_expected_with_more_spread(self):
-        records = run_acquisition(config(noise=NoiseParams(0.7), seed=2))
-        expected = aggregate(records, 0.1, 0.8, mode="expected")
+        counts = run_acquisition(config(noise=NoiseParams(0.7), seed=2))
+        expected = aggregate(counts, 0.1, 0.8, mode="expected")
         stochastic = aggregate(
-            records, 0.1, 0.8, np.random.default_rng(77), "stochastic"
+            counts, 0.1, 0.8, np.random.default_rng(77), "stochastic"
         )
         combined = math.hypot(
             expected.q_over_p.std_error, stochastic.q_over_p.std_error
@@ -272,9 +327,9 @@ class TestAggregate:
         assert stochastic.q_over_p.std_error >= expected.q_over_p.std_error
 
     def test_stochastic_mode_reproducible(self):
-        records = run_acquisition(config(seed=1))
-        a = aggregate(records, 0.1, 0.8, np.random.default_rng(5), "stochastic")
-        b = aggregate(records, 0.1, 0.8, np.random.default_rng(5), "stochastic")
+        counts = run_acquisition(config(seed=1))
+        a = aggregate(counts, 0.1, 0.8, np.random.default_rng(5), "stochastic")
+        b = aggregate(counts, 0.1, 0.8, np.random.default_rng(5), "stochastic")
         assert a == b
 
     def test_expected_mode_unbiased_across_seeds(self):
@@ -288,19 +343,19 @@ class TestAggregate:
         assert abs(values.mean() - Q_OVER_P_AT_0P7) <= 3.0 * standard_error
 
     def test_stochastic_without_rng_rejected(self):
-        records = run_acquisition(config(seed=1))
+        counts = run_acquisition(config(seed=1))
         with pytest.raises(ValueError, match="generator"):
-            aggregate(records, 0.1, 0.8, None, "stochastic")
+            aggregate(counts, 0.1, 0.8, None, "stochastic")
 
     def test_bad_mode_rejected(self):
-        records = run_acquisition(config(seed=1))
+        counts = run_acquisition(config(seed=1))
         with pytest.raises(ValueError, match="mode"):
-            aggregate(records, 0.1, 0.8, None, "weighted")
+            aggregate(counts, 0.1, 0.8, None, "weighted")
 
     def test_bad_weights_rejected(self):
-        records = run_acquisition(config(seed=1))
+        counts = run_acquisition(config(seed=1))
         with pytest.raises(ValueError):
-            aggregate(records, 1.5, 0.5, None, "expected")
+            aggregate(counts, 1.5, 0.5, None, "expected")
 
 
 class TestSweepSeeds:
@@ -314,6 +369,17 @@ class TestSweepSeeds:
     def test_aggregation_seed_differs_from_acquisition(self):
         assert aggregation_seed(1234) != 1234
         assert aggregation_seed(1234, 0) != aggregation_seed(1234, 1)
+
+    @pytest.mark.parametrize("points, columns", [(23, 3), (1000, 8)])
+    def test_mixing_seeds_distinct_over_grid(self, points, columns):
+        # An XOR of point seed, salt and column would be symmetric in the
+        # point and column indices (point i in column k meets point k in
+        # column i); the hashed seeds must not repeat.
+        seeds = {
+            aggregation_seed(point_seed(1, i), k)
+            for i in range(points) for k in range(columns)
+        }
+        assert len(seeds) == points * columns
 
 
 class TestSimulatedSweeps:

@@ -8,7 +8,7 @@ import pytest
 
 from ysqht import (
     AcquisitionConfig,
-    AcquisitionRecord,
+    Counts,
     LogFormatError,
     ManifestVersionError,
     NoiseParams,
@@ -21,6 +21,7 @@ from ysqht import (
     write_count_log,
     write_sweep_csv,
 )
+from ysqht.logio import READ_CHUNK_LINES
 
 THETA_B = 5.0 * math.pi / 36.0
 
@@ -33,17 +34,29 @@ def make_config(**kwargs):
     return AcquisitionConfig(**defaults)
 
 
+def write_log(path, **kwargs):
+    """Simulate a run into ``path``; returns its config and counts."""
+    config = make_config(**kwargs)
+    counts = run_acquisition(config)
+    write_count_log(path, config, counts)
+    return config, counts
+
+
+def assert_same_counts(a, b):
+    assert np.array_equal(a.alpha, b.alpha)
+    assert np.array_equal(a.counts, b.counts)
+
+
 class TestRecordLines:
     def test_alpha_survives_17_digit_round_trip(self):
         rng = np.random.default_rng(1)
         for _ in range(200):
             alpha = float(rng.normal(0.0, 1.0) * 10.0 ** rng.integers(-8, 3))
-            record = AcquisitionRecord(0, alpha, 1, 2, 3, 4)
-            parsed = json.loads(format_record_line(record))
+            parsed = json.loads(format_record_line(0, alpha, 1, 2, 3, 4))
             assert float(parsed["alpha"]) == alpha
 
     def test_line_is_flat_json(self):
-        line = format_record_line(AcquisitionRecord(7, -0.25, 10, 9, 8, 7))
+        line = format_record_line(7, -0.25, 10, 9, 8, 7)
         assert json.loads(line) == {
             "i": 7, "alpha": -0.25, "n1p": 10, "n1q": 9, "n2p": 8, "n2q": 7,
         }
@@ -51,12 +64,11 @@ class TestRecordLines:
 
 class TestCountLogRoundTrip:
     def test_records_round_trip_exactly(self, tmp_path):
-        config = make_config()
-        records = run_acquisition(config)
         path = tmp_path / "run.jsonl"
-        write_count_log(path, config, records)
+        config, counts = write_log(path)
         manifest, loaded = read_count_log(path)
-        assert loaded == records
+        assert_same_counts(loaded, counts)
+        assert manifest.schema_version == 2
         assert manifest.seed == config.seed
         assert manifest.iterations == config.iterations
         assert manifest.theta == config.theta
@@ -64,11 +76,11 @@ class TestCountLogRoundTrip:
 
     def test_rerun_is_identical_except_timestamp(self, tmp_path):
         config = make_config()
-        records = run_acquisition(config)
+        counts = run_acquisition(config)
         first = tmp_path / "a.jsonl"
         second = tmp_path / "b.jsonl"
-        write_count_log(first, config, records)
-        write_count_log(second, config, records)
+        write_count_log(first, config, counts)
+        write_count_log(second, config, counts)
         a_lines = first.read_text().splitlines()
         b_lines = second.read_text().splitlines()
         assert a_lines[1:] == b_lines[1:]
@@ -104,7 +116,7 @@ class TestCountLogRoundTrip:
         write_count_log(path, config, run_acquisition(config))
         lines = path.read_text().splitlines()
         head = json.loads(lines[0])
-        head["schema_version"] = 2
+        head["schema_version"] = 99
         lines[0] = json.dumps(head, sort_keys=True)
         path.write_text("\n".join(lines) + "\n")
         with pytest.raises(ManifestVersionError, match="schema_version"):
@@ -122,6 +134,134 @@ class TestCountLogRoundTrip:
         path.write_text("")
         with pytest.raises(LogFormatError, match="manifest"):
             read_count_log(path)
+
+
+V1_LOG = """\
+{"created": "2026-10-17T21:56:43+00:00", "delta_std": 0.3, "iterations": 3, \
+"kind": "count-log", "mean_rate": 10000.0, "schema_version": 1, "seed": 4, \
+"theta": 0.4363323129985824, "tool": "ysqht", "version": "0.1.0", \
+"window_seconds": 1.0}
+{"i": 0, "alpha": -0.19553734578350687, "n1p": 10003, "n1q": 8059, "n2p": 9588, "n2q": 6426}
+{"i": 1, "alpha": 0.072531563063055388, "n1p": 10153, "n1q": 8196, "n2p": 9843, "n2q": 8791}
+{"i": 2, "alpha": 0.11405672767469752, "n1p": 9873, "n1q": 8212, "n2p": 10124, "n2q": 8916}
+"""
+
+
+class TestCountLogIntegrity:
+    def test_reads_version_1_log(self, tmp_path):
+        # Written by the schema-1 tool (RNG stream 1) with --seed 4.
+        path = tmp_path / "v1.jsonl"
+        path.write_text(V1_LOG)
+        manifest, counts = read_count_log(path)
+        assert manifest.schema_version == 1
+        assert manifest.seed == 4
+        assert counts.alpha.tolist() == [
+            -0.19553734578350687, 0.072531563063055388, 0.11405672767469752,
+        ]
+        assert counts.counts.tolist() == [
+            [10003, 8059, 9588, 6426],
+            [10153, 8196, 9843, 8791],
+            [9873, 8212, 10124, 8916],
+        ]
+
+    def test_log_cut_at_line_boundary_rejected(self, tmp_path):
+        path = tmp_path / "run.jsonl"
+        write_log(path)
+        lines = path.read_text().splitlines()
+        path.write_text("\n".join(lines[:-3]) + "\n")
+        with pytest.raises(LogFormatError, match="17 records") as err:
+            read_count_log(path)
+        assert err.value.line_number == 19
+        assert "promises 20" in str(err.value)
+
+    def test_duplicated_record_rejected(self, tmp_path):
+        path = tmp_path / "run.jsonl"
+        write_log(path)
+        lines = path.read_text().splitlines()
+        lines.insert(6, lines[5])
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(LogFormatError, match="i = 4 where 5") as err:
+            read_count_log(path)
+        assert err.value.line_number == 7
+
+    def test_extra_record_rejected(self, tmp_path):
+        path = tmp_path / "run.jsonl"
+        write_log(path, iterations=3)
+        with path.open("a") as handle:
+            handle.write(format_record_line(3, 0.0, 1, 1, 1, 1) + "\n")
+        with pytest.raises(LogFormatError, match="4 records") as err:
+            read_count_log(path)
+        assert err.value.line_number == 5
+
+    def test_split_record_rejected(self, tmp_path):
+        # Two half-records that are valid JSON only once joined by a comma.
+        path = tmp_path / "run.jsonl"
+        write_log(path)
+        lines = path.read_text().splitlines()
+        head, tail = lines[5].split(', "n2q"')
+        halves = [head, '"n2q"' + tail]
+        assert len(json.loads("[" + ",".join(halves) + "]")) == 1
+        lines[5:6] = halves
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(LogFormatError, match="not valid JSON") as err:
+            read_count_log(path)
+        assert err.value.line_number == 6
+
+    def test_records_shifted_across_lines_rejected(self, tmp_path):
+        # Two records on one line and one record split over two lines: every
+        # record is there once and the joined lines parse to one object per
+        # line, but line 4 is not one record.
+        path = tmp_path / "run.jsonl"
+        write_log(path)
+        lines = path.read_text().splitlines()
+        head, tail = lines[9].split(', "n2q"')
+        lines[9:10] = [head, '"n2q"' + tail]
+        lines[3:5] = [lines[3] + ", " + lines[4]]
+        body = lines[1:]
+        assert len(json.loads("[" + ",".join(body) + "]")) == len(body)
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(LogFormatError, match="line 4"):
+            read_count_log(path)
+
+    def test_blank_padded_and_reordered_lines_read_like_clean(self, tmp_path):
+        path = tmp_path / "run.jsonl"
+        _, counts = write_log(path)
+        lines = path.read_text().splitlines()
+        record = json.loads(lines[4])
+        lines[4] = json.dumps(dict(reversed(list(record.items()))))
+        lines[2] = "  " + lines[2] + " "
+        lines.insert(7, "")
+        path.write_text("\n".join(lines) + "\n\n")
+        _, loaded = read_count_log(path)
+        assert_same_counts(loaded, counts)
+
+    def test_corrupt_line_in_later_chunk_reports_number(self, tmp_path):
+        path = tmp_path / "run.jsonl"
+        n = READ_CHUNK_LINES + 500
+        write_log(path, iterations=n)
+        lines = path.read_text().splitlines()
+        lines[n - 10] = lines[n - 10].replace('"n1q": ', '"n1q": -')
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(LogFormatError, match="n1q") as err:
+            read_count_log(path)
+        assert err.value.line_number == n - 9
+
+    def test_long_log_round_trips(self, tmp_path):
+        path = tmp_path / "run.jsonl"
+        _, counts = write_log(path, iterations=2 * READ_CHUNK_LINES + 7)
+        _, loaded = read_count_log(path)
+        assert_same_counts(loaded, counts)
+
+    def test_manifest_without_iterations_rejected(self, tmp_path):
+        path = tmp_path / "run.jsonl"
+        path.write_text(RunManifest(kind="count-log").to_json() + "\n")
+        with pytest.raises(LogFormatError, match="iterations"):
+            read_count_log(path)
+
+    def test_write_rejects_counts_of_another_run(self, tmp_path):
+        counts = Counts([0.0], [[1, 1, 1, 1]])
+        with pytest.raises(ValueError, match="iterations"):
+            write_count_log(tmp_path / "x.jsonl", make_config(), counts)
 
 
 class TestManifest:
