@@ -37,13 +37,13 @@ print(f"weight pairs exist at this noise: {reversal_pairs_exist(noise, theta)}")
 
 print("\n== the thresholds are where the sweeps cross q/p = 1 ==")
 grid = [0.05 * i for i in range(23)]
-crossing = sweep_delta(theta, 0.1, 0.8, grid).crossings[0]
+crossing = sweep_delta(theta, [0.1], 0.8, grid).crossings[0]
 print(f"noise sweep crossing     : bracket ({crossing.below:.2f}, "
-      f"{crossing.above:.2f}), refined {crossing.refined:.6f} rad")
+      f"{crossing.above:.2f}), exact {crossing.refined:.6f} rad")
 gamma_grid = [0.05 * i for i in range(21)]
 crossing2 = sweep_gamma2(theta, noise, [0.05], gamma_grid).crossings[0]
 print(f"weight sweep crossing    : bracket ({crossing2.below:.2f}, "
-      f"{crossing2.above:.2f}), refined {crossing2.refined:.6f}")
+      f"{crossing2.above:.2f}), exact {crossing2.refined:.6f}")
 
 print("\n== small-angle expansion of the noise threshold ==")
 print(f"{'theta':>8} {'exact':>12} {'1 - 2t^2/gap':>14} {'error':>10}")

@@ -21,12 +21,11 @@ from ysqht import (
     AcquisitionConfig,
     NoiseParams,
     RunManifest,
-    delta_sweep_header,
-    gamma2_sweep_header,
     simulate_delta_sweep,
     simulate_gamma2_sweep,
     sweep_delta,
     sweep_gamma2,
+    sweep_table,
     write_sweep_csv,
 )
 
@@ -37,21 +36,12 @@ out_dir.mkdir(exist_ok=True)
 
 print("== left table: ratios versus noise spread ==")
 grid = [float(d) for d in np.linspace(0.0, 1.1, 23)]
-analytic = sweep_delta(theta, 0.1, 0.8, grid)
+analytic = sweep_delta(theta, [0.1], 0.8, grid)
 base = AcquisitionConfig(theta=theta, noise=NoiseParams(0.0), seed=1)
 sim = simulate_delta_sweep(base, grid, [0.1], 0.8)
-
-rows = []
-for arow, point in zip(analytic.rows, sim.points):
-    rows.append([
-        arow.delta_std, arow.q1_over_p1, arow.q2_over_p2, arow.q_over_p,
-        arow.reversal,
-        point.q2_over_p2.value, point.q2_over_p2.std_error,
-        point.q_over_p[0].value, point.q_over_p[0].std_error,
-    ])
 left = out_dir / "ratios_vs_noise.csv"
 write_sweep_csv(
-    left, delta_sweep_header([0.1], with_sim=True), rows,
+    left, *sweep_table(analytic, sim),
     RunManifest(kind="sweep", theta=theta, gamma1=(0.1,), gamma2=0.8,
                 axis="delta", grid=tuple(grid), with_sim=True, seed=1,
                 iterations=200, mean_rate=1e4, window_seconds=1.0,
@@ -60,26 +50,16 @@ write_sweep_csv(
 crossing = analytic.crossings[0]
 print(f"wrote {left}")
 print(f"q/p crosses 1 between {crossing.below:.2f} and {crossing.above:.2f} "
-      f"rad (refined {crossing.refined:.4f})")
+      f"rad (exactly at {crossing.refined:.4f})")
 
 print("\n== right table: ratios versus gamma2 ==")
 gamma_grid = [float(g) for g in np.linspace(0.0, 1.0, 21)]
 analytic2 = sweep_gamma2(theta, noise, [0.05, 0.4], gamma_grid)
 base2 = AcquisitionConfig(theta=theta, noise=noise, seed=1)
 sim2 = simulate_gamma2_sweep(base2, gamma_grid, [0.05, 0.4])
-
-rows2 = []
-for arow, point in zip(analytic2.rows, sim2.points):
-    row = [arow.gamma2, arow.q1_over_p1, arow.q2_over_p2]
-    row += list(arow.q_over_p)
-    row += list(arow.reversal)
-    row += [point.q2_over_p2.value, point.q2_over_p2.std_error]
-    for est in point.q_over_p:
-        row += [est.value, est.std_error]
-    rows2.append(row)
 right = out_dir / "ratios_vs_gamma2.csv"
 write_sweep_csv(
-    right, gamma2_sweep_header([0.05, 0.4], with_sim=True), rows2,
+    right, *sweep_table(analytic2, sim2),
     RunManifest(kind="sweep", theta=theta, delta_std=noise.delta_std,
                 gamma1=(0.05, 0.4), axis="gamma2", grid=tuple(gamma_grid),
                 with_sim=True, seed=1, iterations=200, mean_rate=1e4,
@@ -88,8 +68,8 @@ write_sweep_csv(
 print(f"wrote {right}")
 crossing2 = analytic2.crossings[0]
 print(f"gamma1 = 0.05: q/p crosses 1 between {crossing2.below:.2f} and "
-      f"{crossing2.above:.2f} (refined {crossing2.refined:.4f})")
+      f"{crossing2.above:.2f} (exactly at {crossing2.refined:.4f})")
 print(f"gamma1 = 0.4 : q/p stays below 1 up to gamma2 = 0.9 "
-      f"({all(r.q_over_p[1] < 1 for r in analytic2.rows if r.gamma2 <= 0.9)})")
+      f"({all(r.q_over_p[1] < 1 for r in analytic2.rows if r.x <= 0.9)})")
 print("\nthe q2/p2 column is identical in every row: the noisy-probe ratio")
 print("does not depend on the aggregation weights")

@@ -15,10 +15,8 @@ from .counting import (
     EstimationError,
     RatioEstimate,
     RatioSummary,
-    SimulatedDeltaPoint,
-    SimulatedDeltaSweep,
-    SimulatedGamma2Point,
-    SimulatedGamma2Sweep,
+    SimulatedPoint,
+    SimulatedSweep,
     aggregate,
     aggregation_seed,
     detection_probability,
@@ -32,10 +30,9 @@ from .logio import (
     LogFormatError,
     ManifestVersionError,
     RunManifest,
-    delta_sweep_header,
     format_record_line,
-    gamma2_sweep_header,
     read_count_log,
+    sweep_table,
     write_count_log,
     write_sweep_csv,
 )
@@ -53,14 +50,12 @@ from .qubit import (
 )
 from .theory import (
     Crossing,
-    DeltaSweep,
-    DeltaSweepRow,
     DeltaThreshold,
-    Gamma2Sweep,
-    Gamma2SweepRow,
     Gamma2Threshold,
     OutcomeProbabilities,
     ScenarioParams,
+    Sweep,
+    SweepRow,
     YsVerdict,
     delta_threshold,
     gamma2_threshold,
@@ -88,14 +83,12 @@ __all__ = [
     "tilt",
     # closed forms and thresholds
     "Crossing",
-    "DeltaSweep",
-    "DeltaSweepRow",
     "DeltaThreshold",
-    "Gamma2Sweep",
-    "Gamma2SweepRow",
     "Gamma2Threshold",
     "OutcomeProbabilities",
     "ScenarioParams",
+    "Sweep",
+    "SweepRow",
     "YsVerdict",
     "delta_threshold",
     "gamma2_threshold",
@@ -112,10 +105,8 @@ __all__ = [
     "EstimationError",
     "RatioEstimate",
     "RatioSummary",
-    "SimulatedDeltaPoint",
-    "SimulatedDeltaSweep",
-    "SimulatedGamma2Point",
-    "SimulatedGamma2Sweep",
+    "SimulatedPoint",
+    "SimulatedSweep",
     "aggregate",
     "aggregation_seed",
     "detection_probability",
@@ -128,10 +119,9 @@ __all__ = [
     "LogFormatError",
     "ManifestVersionError",
     "RunManifest",
-    "delta_sweep_header",
     "format_record_line",
-    "gamma2_sweep_header",
     "read_count_log",
+    "sweep_table",
     "write_count_log",
     "write_sweep_csv",
 ]

@@ -1,8 +1,9 @@
 """Command-line interface: analytic reports, acquisition simulation, count-log
 analysis, and sweep tables.
 
-Exit codes: 0 ok, 2 usage error, 3 reversal present (with --check-reversal),
-4 io error, 5 corrupt log line, 6 incompatible manifest version.
+Exit codes: 0 ok (also when the reader of the output closes it early), 2 usage
+error, 3 reversal present (with --check-reversal), 4 io error, 5 corrupt log
+line, 6 incompatible manifest version.
 """
 
 from __future__ import annotations
@@ -30,9 +31,8 @@ from .logio import (
     LogFormatError,
     ManifestVersionError,
     RunManifest,
-    delta_sweep_header,
-    gamma2_sweep_header,
     read_count_log,
+    sweep_table,
     write_count_log,
     write_sweep_csv,
 )
@@ -303,42 +303,25 @@ def cmd_analyze(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def _sweep_manifest(
-    args: argparse.Namespace,
-    axis: str,
-    grid: Sequence[float],
-    theta: float,
-    delta_std: float | None,
-    gamma1: tuple[float, ...],
-    gamma2: float | None,
-    seed: int | None,
-) -> RunManifest:
-    return RunManifest(
-        kind=KIND_SWEEP,
-        theta=theta,
-        delta_std=delta_std,
-        gamma1=gamma1,
-        gamma2=gamma2,
-        iterations=args.iterations if args.with_sim else None,
-        mean_rate=args.rate if args.with_sim else None,
-        window_seconds=args.window if args.with_sim else None,
-        seed=seed,
-        mode=args.mode if args.with_sim else None,
-        axis=axis,
-        grid=tuple(grid),
-        with_sim=args.with_sim,
-    )
-
-
 def cmd_sweep(args: argparse.Namespace) -> int:
     theta = _angle(args.theta, args.degrees)
     lo, hi, points = args.range
     if args.axis == "delta" and args.degrees:
         lo, hi = math.radians(lo), math.radians(hi)
     grid = [float(v) for v in np.linspace(lo, hi, points)]
-    gamma1_values = args.gamma1
     seed = _resolve_seed(args.seed) if args.with_sim else None
 
+    def base_config(noise: NoiseParams) -> AcquisitionConfig:
+        return AcquisitionConfig(
+            theta=theta,
+            noise=noise,
+            seed=seed,
+            iterations=args.iterations,
+            mean_rate=args.rate,
+            window_seconds=args.window,
+        )
+
+    sim = None
     if args.axis == "delta":
         if args.gamma2 is None:
             raise ValueError("sweep delta needs --gamma2")
@@ -349,39 +332,14 @@ def cmd_sweep(args: argparse.Namespace) -> int:
             )
         if grid[0] < 0.0:
             raise ValueError("delta_std range must be non-negative")
-        sweeps = [
-            sweep_delta(theta, g1, args.gamma2, grid) for g1 in gamma1_values
-        ]
-        sim = None
+        delta_std = None
+        sweep = sweep_delta(theta, args.gamma1, args.gamma2, grid)
         if args.with_sim:
-            base = AcquisitionConfig(
-                theta=theta,
-                noise=NoiseParams(0.0),
-                seed=seed,
-                iterations=args.iterations,
-                mean_rate=args.rate,
-                window_seconds=args.window,
-            )
+            # Every grid point replaces the base noise with its own.
             sim = simulate_delta_sweep(
-                base, grid, gamma1_values, args.gamma2, args.mode
+                base_config(NoiseParams(0.0)), grid, args.gamma1,
+                args.gamma2, args.mode,
             )
-        header = delta_sweep_header(gamma1_values, args.with_sim)
-        rows = []
-        for i, d in enumerate(grid):
-            row: list[Any] = [
-                d, sweeps[0].rows[i].q1_over_p1, sweeps[0].rows[i].q2_over_p2,
-            ]
-            row += [s.rows[i].q_over_p for s in sweeps]
-            row += [s.rows[i].reversal for s in sweeps]
-            if sim is not None:
-                point = sim.points[i]
-                row += [point.q2_over_p2.value, point.q2_over_p2.std_error]
-                for est in point.q_over_p:
-                    row += [est.value, est.std_error]
-            rows.append(row)
-        manifest = _sweep_manifest(
-            args, "delta", grid, theta, None, gamma1_values, args.gamma2, seed
-        )
     else:
         if args.delta_std is None:
             raise ValueError("sweep gamma2 needs --delta-std")
@@ -390,36 +348,29 @@ def cmd_sweep(args: argparse.Namespace) -> int:
                 "sweep gamma2 takes its weights from the range; drop --gamma2"
             )
         noise = NoiseParams(_angle(args.delta_std, args.degrees))
-        analytic = sweep_gamma2(theta, noise, gamma1_values, grid)
-        sim = None
+        delta_std = noise.delta_std
+        sweep = sweep_gamma2(theta, noise, args.gamma1, grid)
         if args.with_sim:
-            base = AcquisitionConfig(
-                theta=theta,
-                noise=noise,
-                seed=seed,
-                iterations=args.iterations,
-                mean_rate=args.rate,
-                window_seconds=args.window,
+            sim = simulate_gamma2_sweep(
+                base_config(noise), grid, args.gamma1, args.mode
             )
-            sim = simulate_gamma2_sweep(base, grid, gamma1_values, args.mode)
-        header = gamma2_sweep_header(gamma1_values, args.with_sim)
-        rows = []
-        for i, g2 in enumerate(grid):
-            arow = analytic.rows[i]
-            row = [g2, arow.q1_over_p1, arow.q2_over_p2]
-            row += list(arow.q_over_p)
-            row += list(arow.reversal)
-            if sim is not None:
-                point = sim.points[i]
-                row += [point.q2_over_p2.value, point.q2_over_p2.std_error]
-                for est in point.q_over_p:
-                    row += [est.value, est.std_error]
-            rows.append(row)
-        manifest = _sweep_manifest(
-            args, "gamma2", grid, theta, noise.delta_std, gamma1_values,
-            None, seed,
-        )
 
+    header, rows = sweep_table(sweep, sim)
+    manifest = RunManifest(
+        kind=KIND_SWEEP,
+        theta=theta,
+        delta_std=delta_std,
+        gamma1=args.gamma1,
+        gamma2=args.gamma2,
+        iterations=args.iterations if args.with_sim else None,
+        mean_rate=args.rate if args.with_sim else None,
+        window_seconds=args.window if args.with_sim else None,
+        seed=seed,
+        mode=args.mode if args.with_sim else None,
+        axis=args.axis,
+        grid=tuple(grid),
+        with_sim=args.with_sim,
+    )
     manifest_path = write_sweep_csv(args.out, header, rows, manifest)
     print(f"wrote {len(rows)} rows to {args.out} (manifest {manifest_path})")
     return EXIT_OK
@@ -516,7 +467,15 @@ def main(argv: Sequence[str] | None = None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.handler(args)
+        code = args.handler(args)
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        # The reader of our output has gone (as in `ysqht ... | head -1`):
+        # stop quietly, and send what is still buffered nowhere so that the
+        # flush at exit cannot fail again.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return EXIT_OK
     except LogFormatError as err:
         print(f"error: {err}", file=sys.stderr)
         return EXIT_CORRUPT

@@ -11,14 +11,20 @@ estimates.  The counts of a whole acquisition are held as columns
 
 from __future__ import annotations
 
+import itertools
 import math
 import warnings
 from dataclasses import dataclass, replace
-from typing import Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
-from .qubit import NoiseParams, _require_finite, _require_probability
+from .qubit import (
+    NoiseParams,
+    _require_distinct_probabilities,
+    _require_finite,
+    _require_probability,
+)
 
 #: Per-grid-point seed stride for sweep runs (odd 64-bit constant), so any
 #: single point can be re-run in isolation: seed_i = base ^ (i * stride).
@@ -308,56 +314,57 @@ def aggregation_seed(acquisition_seed: int, gamma1_index: int = 0) -> int:
 
 
 @dataclass(frozen=True)
-class SimulatedDeltaPoint:
-    delta_std: float
+class SimulatedPoint:
+    """Estimates from the fresh acquisition at one grid point ``x`` of the
+    swept parameter, drawn with ``seed``."""
+
+    x: float
     seed: int
     q2_over_p2: RatioEstimate
     q_over_p: tuple[RatioEstimate, ...]
 
 
 @dataclass(frozen=True)
-class SimulatedDeltaSweep:
-    """Monte Carlo counterpart of the analytic noise sweep; ``q_over_p``
-    entries align with ``gamma1_values``."""
-
-    gamma1_values: tuple[float, ...]
-    gamma2: float
-    mode: str
-    base_seed: int
-    points: tuple[SimulatedDeltaPoint, ...]
-
-
-@dataclass(frozen=True)
-class SimulatedGamma2Point:
-    gamma2: float
-    seed: int
-    q2_over_p2: RatioEstimate
-    q_over_p: tuple[RatioEstimate, ...]
-
-
-@dataclass(frozen=True)
-class SimulatedGamma2Sweep:
-    """Monte Carlo counterpart of the analytic weight sweep; ``q_over_p``
-    entries align with ``gamma1_values``."""
+class SimulatedSweep:
+    """Monte Carlo counterpart of an analytic sweep; ``q_over_p`` entries
+    align with ``gamma1_values``."""
 
     gamma1_values: tuple[float, ...]
     mode: str
     base_seed: int
-    points: tuple[SimulatedGamma2Point, ...]
+    points: tuple[SimulatedPoint, ...]
 
 
-def _point_estimates(
-    config: AcquisitionConfig,
-    gamma_pairs: Sequence[tuple[float, float]],
+def _simulate_sweep(
+    base_config: AcquisitionConfig,
+    grid: Sequence[float],
+    gamma1_values: Sequence[float],
     mode: str,
-) -> tuple[RatioEstimate, tuple[RatioEstimate, ...]]:
-    counts = run_acquisition(config)
-    summary = estimate_ratios(counts)
-    ratios = []
-    for k, (g1, g2) in enumerate(gamma_pairs):
-        rng = np.random.default_rng(aggregation_seed(config.seed, k))
-        ratios.append(aggregate(counts, g1, g2, rng, mode).q_over_p)
-    return summary.q2_over_p2, tuple(ratios)
+    noises: Iterable[NoiseParams],
+    gamma2s: Iterable[float],
+) -> SimulatedSweep:
+    """Fresh acquisition per grid point, with that point's noise from
+    ``noises`` and a seed derived from the base seed and the grid index,
+    estimated once and aggregated once per gamma1 at that point's weight
+    from ``gamma2s``."""
+    gamma1_values = _require_distinct_probabilities(gamma1_values, "gamma1")
+    points = []
+    for i, (x, noise, gamma2) in enumerate(zip(grid, noises, gamma2s)):
+        seed = point_seed(base_config.seed, i)
+        counts = run_acquisition(replace(base_config, noise=noise, seed=seed))
+        ratios = tuple(
+            aggregate(
+                counts, g1, gamma2,
+                np.random.default_rng(aggregation_seed(seed, k)), mode,
+            ).q_over_p
+            for k, g1 in enumerate(gamma1_values)
+        )
+        points.append(SimulatedPoint(
+            float(x), seed, estimate_ratios(counts).q2_over_p2, ratios
+        ))
+    return SimulatedSweep(
+        gamma1_values, mode, base_config.seed, tuple(points)
+    )
 
 
 def simulate_delta_sweep(
@@ -366,23 +373,13 @@ def simulate_delta_sweep(
     gamma1_values: Sequence[float],
     gamma2: float,
     mode: str = "stochastic",
-) -> SimulatedDeltaSweep:
+) -> SimulatedSweep:
     """Fresh acquisition per noise grid point (seed derived from the base
     seed and the grid index), estimated and aggregated once per gamma1."""
-    gamma1_values = tuple(float(g) for g in gamma1_values)
-    pairs = [(g1, float(gamma2)) for g1 in gamma1_values]
-    points = []
-    for i, d in enumerate(delta_grid):
-        seed = point_seed(base_config.seed, i)
-        config = replace(
-            base_config, noise=NoiseParams(float(d)), seed=seed
-        )
-        q2_over_p2, ratios = _point_estimates(config, pairs, mode)
-        points.append(
-            SimulatedDeltaPoint(float(d), seed, q2_over_p2, ratios)
-        )
-    return SimulatedDeltaSweep(
-        gamma1_values, float(gamma2), mode, base_config.seed, tuple(points)
+    return _simulate_sweep(
+        base_config, delta_grid, gamma1_values, mode,
+        (NoiseParams(float(d)) for d in delta_grid),
+        itertools.repeat(float(gamma2)),
     )
 
 
@@ -391,22 +388,14 @@ def simulate_gamma2_sweep(
     gamma2_grid: Sequence[float],
     gamma1_values: Sequence[float],
     mode: str = "stochastic",
-) -> SimulatedGamma2Sweep:
+) -> SimulatedSweep:
     """Fresh acquisition per weight grid point, aggregated once per gamma1.
 
     The counts themselves do not depend on the weights, so each grid point is
     an independent repetition of the same acquisition, exactly like repeated
     lab runs."""
-    gamma1_values = tuple(float(g) for g in gamma1_values)
-    points = []
-    for i, g2 in enumerate(gamma2_grid):
-        seed = point_seed(base_config.seed, i)
-        config = replace(base_config, seed=seed)
-        pairs = [(g1, float(g2)) for g1 in gamma1_values]
-        q2_over_p2, ratios = _point_estimates(config, pairs, mode)
-        points.append(
-            SimulatedGamma2Point(float(g2), seed, q2_over_p2, ratios)
-        )
-    return SimulatedGamma2Sweep(
-        gamma1_values, mode, base_config.seed, tuple(points)
+    return _simulate_sweep(
+        base_config, gamma2_grid, gamma1_values, mode,
+        itertools.repeat(base_config.noise),
+        (float(g2) for g2 in gamma2_grid),
     )

@@ -21,7 +21,8 @@ from typing import Any, Iterable, Sequence
 
 import numpy as np
 
-from .counting import AcquisitionConfig, Counts
+from .counting import AcquisitionConfig, Counts, SimulatedSweep
+from .theory import Sweep
 from .version import __version__
 
 #: Version 2: count logs hold counts drawn by RNG stream 2 (see
@@ -327,40 +328,44 @@ def read_count_log(path: str | Path) -> tuple[RunManifest, Counts]:
     return manifest, Counts(alpha, counts)
 
 
-def _gamma1_suffixes(gamma1_values: Sequence[float]) -> list[str]:
-    if len(gamma1_values) == 1:
-        return [""]
-    return [f"_gamma1_{g!r}" for g in gamma1_values]
+#: Header of the swept-value column of each sweep axis.
+AXIS_COLUMNS = {"delta": "delta_std", "gamma2": "gamma2"}
 
 
-def delta_sweep_header(
-    gamma1_values: Sequence[float], with_sim: bool
-) -> list[str]:
-    """Frozen column names for noise-axis sweep tables."""
-    suffixes = _gamma1_suffixes(gamma1_values)
-    header = ["delta_std", "q1_over_p1", "q2_over_p2"]
+def sweep_table(
+    sweep: Sweep, sim: SimulatedSweep | None = None
+) -> tuple[list[str], list[list[Any]]]:
+    """Frozen column names and the rows of a sweep table: the swept value,
+    q1/p1, q2/p2, then a q/p and a reversal column per gamma1 (suffixed
+    ``_gamma1_<value>`` when there are several), and with ``sim`` the
+    simulated q2/p2 and q/p, each followed by its standard error."""
+    if len(sweep.gamma1_values) == 1:
+        suffixes = [""]
+    else:
+        suffixes = [f"_gamma1_{g!r}" for g in sweep.gamma1_values]
+    header = [AXIS_COLUMNS[sweep.axis], "q1_over_p1", "q2_over_p2"]
     header += [f"q_over_p{s}" for s in suffixes]
     header += [f"reversal{s}" for s in suffixes]
-    if with_sim:
-        header += ["sim_q2_over_p2", "sim_q2_over_p2_err"]
-        for s in suffixes:
-            header += [f"sim_q_over_p{s}", f"sim_q_over_p_err{s}"]
-    return header
-
-
-def gamma2_sweep_header(
-    gamma1_values: Sequence[float], with_sim: bool
-) -> list[str]:
-    """Frozen column names for weight-axis sweep tables."""
-    suffixes = _gamma1_suffixes(gamma1_values)
-    header = ["gamma2", "q1_over_p1", "q2_over_p2"]
-    header += [f"q_over_p{s}" for s in suffixes]
-    header += [f"reversal{s}" for s in suffixes]
-    if with_sim:
-        header += ["sim_q2_over_p2", "sim_q2_over_p2_err"]
-        for s in suffixes:
-            header += [f"sim_q_over_p{s}", f"sim_q_over_p_err{s}"]
-    return header
+    rows = [
+        [row.x, row.q1_over_p1, row.q2_over_p2, *row.q_over_p, *row.reversal]
+        for row in sweep.rows
+    ]
+    if sim is None:
+        return header, rows
+    if sim.gamma1_values != sweep.gamma1_values or \
+            [point.x for point in sim.points] != [row.x for row in sweep.rows]:
+        raise ValueError(
+            "the simulated sweep does not share the analytic sweep's grid "
+            "and gamma1 values"
+        )
+    header += ["sim_q2_over_p2", "sim_q2_over_p2_err"]
+    for s in suffixes:
+        header += [f"sim_q_over_p{s}", f"sim_q_over_p_err{s}"]
+    for row, point in zip(rows, sim.points):
+        row += [point.q2_over_p2.value, point.q2_over_p2.std_error]
+        for estimate in point.q_over_p:
+            row += [estimate.value, estimate.std_error]
+    return header, rows
 
 
 def _format_cell(value: Any) -> str:

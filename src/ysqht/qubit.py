@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from typing import Iterable
 
 #: Tolerated floating-point excursion outside exact physical bounds.
 EPS = 1e-12
@@ -41,6 +42,20 @@ def _require_probability(value: float, name: str) -> float:
     if not 0.0 <= x <= 1.0:
         raise ValueError(f"{name} must be in [0, 1], got {x}")
     return x
+
+
+def _require_distinct_probabilities(
+    values: Iterable[float], name: str
+) -> tuple[float, ...]:
+    """A non-empty tuple of distinct probabilities (a repeated value would
+    name two sweep-table columns alike)."""
+    checked = tuple(_require_probability(v, name) for v in values)
+    if not checked:
+        raise ValueError(f"{name} values must not be empty")
+    for i, value in enumerate(checked):
+        if value in checked[:i]:
+            raise ValueError(f"{name} value {value} is given more than once")
+    return checked
 
 
 def _clamp_probability(p: float, context: str) -> float:
@@ -112,7 +127,13 @@ class NoiseParams:
         d = _require_finite(self.delta_std, "delta_std")
         if d < 0.0:
             raise ValueError(f"delta_std must be non-negative, got {d}")
-        object.__setattr__(self, "smearing", math.exp(-2.0 * d * d))
+        object.__setattr__(self, "smearing", _smearing(d))
+
+
+def _smearing(delta_std: float) -> float:
+    """exp(-2*delta_std**2), evaluated with ``math.exp`` so that every caller
+    gets the same bits for the same spread."""
+    return math.exp(-2.0 * delta_std * delta_std)
 
 
 def pure_state(beta: float) -> QubitState:

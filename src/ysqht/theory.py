@@ -15,10 +15,15 @@ import math
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
-from .qubit import NoiseParams, _require_finite, _require_probability
+import numpy as np
 
-#: Width of the bisection bracket at which crossing refinement stops.
-CROSSING_TOL = 1e-6
+from .qubit import (
+    NoiseParams,
+    _require_distinct_probabilities,
+    _require_finite,
+    _require_probability,
+    _smearing,
+)
 
 
 def _threshold_cos(theta: float) -> float:
@@ -32,6 +37,13 @@ def _threshold_cos(theta: float) -> float:
     return math.cos(2.0 * t)
 
 
+def _require_tilt(theta: float) -> float:
+    t = _require_finite(theta, "theta")
+    if not 0.0 <= t <= math.pi / 2.0:
+        raise ValueError(f"theta must lie in [0, pi/2], got {t}")
+    return t
+
+
 @dataclass(frozen=True)
 class ScenarioParams:
     """One full parameter point: tilt of hypothesis B, preparation noise, and
@@ -43,9 +55,7 @@ class ScenarioParams:
     gamma2: float
 
     def __post_init__(self) -> None:
-        t = _require_finite(self.theta, "theta")
-        if not 0.0 <= t <= math.pi / 2.0:
-            raise ValueError(f"theta must lie in [0, pi/2], got {t}")
+        _require_tilt(self.theta)
         _require_probability(self.gamma1, "gamma1")
         _require_probability(self.gamma2, "gamma2")
 
@@ -89,14 +99,27 @@ def outcome_probabilities(params: ScenarioParams) -> OutcomeProbabilities:
     p1 = 1, q1 = (1+cos 2theta)/2, p2 = (1+delta)/2,
     q2 = (1+delta*cos 2theta)/2 with delta the smearing factor; p and q are
     the gamma1- and gamma2-weighted aggregates."""
-    delta = params.noise.smearing
-    c = math.cos(2.0 * params.theta)
+    return _closed_forms(
+        math.cos(2.0 * params.theta), params.noise.smearing,
+        params.gamma1, params.gamma2,
+    )
+
+
+def _closed_forms(
+    c: float,
+    delta: float | np.ndarray,
+    gamma1: float | np.ndarray,
+    gamma2: float | np.ndarray,
+) -> OutcomeProbabilities:
+    """The six probabilities from c = cos(2 theta), the smearing factor
+    delta and the weights; delta and the weights may be numpy arrays, which
+    broadcast."""
     p1 = 1.0
     q1 = 0.5 * (1.0 + c)
     p2 = 0.5 * (1.0 + delta)
     q2 = 0.5 * (1.0 + delta * c)
-    p = params.gamma1 * p1 + (1.0 - params.gamma1) * p2
-    q = params.gamma2 * q1 + (1.0 - params.gamma2) * q2
+    p = gamma1 * p1 + (1.0 - gamma1) * p2
+    q = gamma2 * q1 + (1.0 - gamma2) * q2
     return OutcomeProbabilities(p1, q1, p2, q2, p, q)
 
 
@@ -200,8 +223,8 @@ def reversal_pairs_exist(noise: NoiseParams, theta: float) -> bool:
 
 @dataclass(frozen=True)
 class Crossing:
-    """Grid bracket inside which the aggregated ratio q/p crosses 1, plus a
-    bisection refinement of the crossing point (bracket width <= 1e-6)."""
+    """Grid bracket inside which the aggregated ratio q/p crosses 1, and the
+    exact crossing point ``refined`` inside it."""
 
     below: float
     above: float
@@ -209,28 +232,12 @@ class Crossing:
 
 
 @dataclass(frozen=True)
-class DeltaSweepRow:
-    delta_std: float
-    q1_over_p1: float
-    q2_over_p2: float
-    q_over_p: float
-    reversal: bool
+class SweepRow:
+    """Closed forms at one grid point ``x`` of the swept parameter;
+    ``q_over_p`` and ``reversal`` entries align with the sweep's
+    ``gamma1_values``."""
 
-
-@dataclass(frozen=True)
-class DeltaSweep:
-    """Analytic curves versus the preparation-noise spread at fixed weights."""
-
-    theta: float
-    gamma1: float
-    gamma2: float
-    rows: tuple[DeltaSweepRow, ...]
-    crossings: tuple[Crossing, ...]
-
-
-@dataclass(frozen=True)
-class Gamma2SweepRow:
-    gamma2: float
+    x: float
     q1_over_p1: float
     q2_over_p2: float
     q_over_p: tuple[float, ...]
@@ -238,92 +245,105 @@ class Gamma2SweepRow:
 
 
 @dataclass(frozen=True)
-class Gamma2Sweep:
-    """Analytic curves versus the hypothesis-B clean weight at fixed noise.
+class Sweep:
+    """Analytic curves along one axis: the noise spread delta_std at a fixed
+    gamma2 (``axis`` "delta"), or the hypothesis-B clean weight gamma2 at a
+    fixed noise (``axis`` "gamma2").
 
-    ``q_over_p`` and ``reversal`` entries are aligned with ``gamma1_values``;
-    crossings hold one entry per gamma1 (None when q/p never crosses 1)."""
+    ``crossings`` holds one entry per gamma1: the first grid interval on
+    which q/p - 1 changes sign, or None when it never does.  In exact
+    arithmetic q - p is linear in the smearing and in gamma2, so q/p crosses
+    1 at most once."""
 
+    axis: str
     theta: float
-    noise: NoiseParams
     gamma1_values: tuple[float, ...]
-    rows: tuple[Gamma2SweepRow, ...]
+    rows: tuple[SweepRow, ...]
     crossings: tuple[Crossing | None, ...]
 
 
-def _bisect_unit_crossing(
-    ratio: Callable[[float], float], lo: float, hi: float
-) -> float:
-    """Bisection root of ratio(x) = 1 on [lo, hi]; assumes a sign change."""
-    f_lo = ratio(lo) - 1.0
-    while hi - lo > CROSSING_TOL:
-        mid = 0.5 * (lo + hi)
-        f_mid = ratio(mid) - 1.0
-        if (f_lo <= 0.0) == (f_mid <= 0.0):
-            lo, f_lo = mid, f_mid
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)
-
-
-def _find_crossings(
-    grid: Sequence[float],
-    ratios: Sequence[float],
-    ratio: Callable[[float], float],
-) -> tuple[Crossing, ...]:
-    crossings = []
-    for i in range(len(grid) - 1):
-        f_here = ratios[i] - 1.0
-        f_next = ratios[i + 1] - 1.0
-        if (f_here <= 0.0) != (f_next <= 0.0):
-            refined = _bisect_unit_crossing(ratio, grid[i], grid[i + 1])
-            crossings.append(Crossing(grid[i], grid[i + 1], refined))
-    return tuple(crossings)
-
-
-def _checked_grid(values: Sequence[float], name: str) -> list[float]:
-    grid = [_require_finite(v, name) for v in values]
-    if any(b < a for a, b in zip(grid, grid[1:])):
+def _checked_grid(values: Sequence[float], name: str) -> np.ndarray:
+    grid = np.array([_require_finite(v, name) for v in values])
+    if (grid[1:] < grid[:-1]).any():
         raise ValueError(f"{name} grid must be sorted ascending")
     return grid
 
 
+def _sweep(
+    axis: str,
+    theta: float,
+    gamma1_values: Sequence[float],
+    grid: np.ndarray,
+    smearing: float | np.ndarray,
+    gamma2: float | np.ndarray,
+    threshold: Callable[[float], float | None],
+) -> Sweep:
+    """The closed forms of ``outcome_probabilities`` on all grid points and
+    gamma1 values at once.  One of ``smearing`` and ``gamma2`` holds a value
+    per grid point, the other is fixed; ``threshold(gamma1)`` is the
+    closed-form crossing of q/p = 1 on the swept axis (None, or ValueError,
+    where the formula does not apply)."""
+    theta = _require_tilt(theta)
+    gamma1_values = _require_distinct_probabilities(gamma1_values, "gamma1")
+    o = _closed_forms(
+        math.cos(2.0 * theta), smearing,
+        np.array(gamma1_values)[:, np.newaxis], gamma2,
+    )
+    shape = (len(gamma1_values), grid.size)
+    q_over_p = np.broadcast_to(o.q / o.p, shape)
+    reversal = np.broadcast_to(
+        (o.p1 > o.q1) & (o.p2 > o.q2) & (o.q > o.p), shape
+    )
+
+    xs = grid.tolist()
+    rows = tuple(map(
+        SweepRow,
+        xs,
+        [o.q1 / o.p1] * grid.size,
+        np.broadcast_to(o.q2 / o.p2, grid.shape).tolist(),
+        map(tuple, q_over_p.T.tolist()),
+        map(tuple, reversal.T.tolist()),
+    ))
+
+    crossings: list[Crossing | None] = []
+    for gamma1, below in zip(gamma1_values, q_over_p - 1.0 <= 0.0):
+        change = np.flatnonzero(below[1:] != below[:-1])
+        if not change.size:
+            crossings.append(None)
+            continue
+        lo, hi = xs[change[0]], xs[change[0] + 1]
+        try:
+            exact = threshold(gamma1)
+        except ValueError:  # theta outside (0, pi/4), or a noiseless probe
+            exact = None
+        # Rounding can put the computed sign change next to the exact root
+        # instead of around it, or make one where q/p is 1 all along.
+        refined = lo if exact is None else min(max(exact, lo), hi)
+        crossings.append(Crossing(lo, hi, refined))
+    return Sweep(axis, theta, gamma1_values, rows, tuple(crossings))
+
+
 def sweep_delta(
     theta: float,
-    gamma1: float,
+    gamma1_values: Sequence[float],
     gamma2: float,
     delta_grid: Sequence[float],
-) -> DeltaSweep:
-    """Evaluate the ratio curves on an ascending grid of noise spreads.
+) -> Sweep:
+    """Evaluate the ratio curves on an ascending grid of noise spreads, one
+    q/p column per gamma1.
 
     Rows are exact closed-form values at the grid points (no interpolation);
-    unit crossings of q/p are reported with their bracketing grid interval
-    and a bisection refinement."""
+    the crossing of q/p = 1 is reported with its bracketing grid interval
+    and the exact critical spread of ``delta_threshold``."""
     grid = _checked_grid(delta_grid, "delta_std")
-    if any(d < 0.0 for d in grid):
+    if (grid < 0.0).any():
         raise ValueError("delta_std grid must be non-negative")
-
-    def ratio(delta_std: float) -> float:
-        o = outcome_probabilities(
-            ScenarioParams(theta, NoiseParams(delta_std), gamma1, gamma2)
-        )
-        return o.q / o.p
-
-    rows = []
-    for d in grid:
-        params = ScenarioParams(theta, NoiseParams(d), gamma1, gamma2)
-        o = outcome_probabilities(params)
-        rows.append(
-            DeltaSweepRow(
-                delta_std=d,
-                q1_over_p1=o.q1 / o.p1,
-                q2_over_p2=o.q2 / o.p2,
-                q_over_p=o.q / o.p,
-                reversal=ys_reversal(params).reversal,
-            )
-        )
-    crossings = _find_crossings(grid, [r.q_over_p for r in rows], ratio)
-    return DeltaSweep(theta, gamma1, gamma2, tuple(rows), crossings)
+    gamma2 = _require_probability(gamma2, "gamma2")
+    smearing = np.array([_smearing(d) for d in grid.tolist()])
+    return _sweep(
+        "delta", theta, gamma1_values, grid, smearing, gamma2,
+        lambda gamma1: delta_threshold(gamma1, gamma2, theta).delta_std,
+    )
 
 
 def sweep_gamma2(
@@ -331,61 +351,17 @@ def sweep_gamma2(
     noise: NoiseParams,
     gamma1_values: Sequence[float],
     gamma2_grid: Sequence[float],
-) -> Gamma2Sweep:
+) -> Sweep:
     """Evaluate the ratio curves on an ascending grid of hypothesis-B clean
     weights, one q/p column per gamma1.
 
-    q2/p2 does not depend on the weights, so that column is constant."""
-    gamma1_values = tuple(
-        _require_probability(g, "gamma1") for g in gamma1_values
-    )
-    if not gamma1_values:
-        raise ValueError("gamma1_values must not be empty")
+    q2/p2 does not depend on the weights, so that column is constant; the
+    crossing of q/p = 1 is reported with its bracketing grid interval and
+    the exact critical weight of ``gamma2_threshold``."""
     grid = _checked_grid(gamma2_grid, "gamma2")
-    for g in grid:
+    for g in grid.tolist():
         _require_probability(g, "gamma2")
-
-    def ratio_for(gamma1: float) -> Callable[[float], float]:
-        def ratio(gamma2: float) -> float:
-            o = outcome_probabilities(
-                ScenarioParams(theta, noise, gamma1, gamma2)
-            )
-            return o.q / o.p
-
-        return ratio
-
-    # the partitioned ratios do not depend on the weights
-    fixed = outcome_probabilities(
-        ScenarioParams(theta, noise, gamma1_values[0], grid[0])
-    )
-    q1_over_p1 = fixed.q1 / fixed.p1
-    q2_over_p2 = fixed.q2 / fixed.p2
-
-    rows = []
-    for g2 in grid:
-        q_over_p = []
-        reversal = []
-        for g1 in gamma1_values:
-            params = ScenarioParams(theta, noise, g1, g2)
-            o = outcome_probabilities(params)
-            q_over_p.append(o.q / o.p)
-            reversal.append(ys_reversal(params).reversal)
-        rows.append(
-            Gamma2SweepRow(
-                gamma2=g2,
-                q1_over_p1=q1_over_p1,
-                q2_over_p2=q2_over_p2,
-                q_over_p=tuple(q_over_p),
-                reversal=tuple(reversal),
-            )
-        )
-
-    crossings: list[Crossing | None] = []
-    for k, g1 in enumerate(gamma1_values):
-        found = _find_crossings(
-            grid, [row.q_over_p[k] for row in rows], ratio_for(g1)
-        )
-        crossings.append(found[0] if found else None)
-    return Gamma2Sweep(
-        theta, noise, gamma1_values, tuple(rows), tuple(crossings)
+    return _sweep(
+        "gamma2", theta, gamma1_values, grid, noise.smearing, grid,
+        lambda gamma1: gamma2_threshold(gamma1, theta, noise).value,
     )

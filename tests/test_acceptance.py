@@ -87,7 +87,7 @@ def test_criterion_3_closed_form_vs_quadrature():
 
 def test_criterion_4_noise_sweep_reproduction():
     grid = [float(d) for d in np.linspace(0.0, 1.1, 23)]
-    analytic = sweep_delta(THETA_B, 0.1, 0.8, grid)
+    analytic = sweep_delta(THETA_B, [0.1], 0.8, grid)
     base = AcquisitionConfig(
         theta=THETA_B, noise=NoiseParams(0.0), seed=FIGURE_SEED,
         iterations=200, mean_rate=1e4,
@@ -101,7 +101,7 @@ def test_criterion_4_noise_sweep_reproduction():
             / point.q2_over_p2.std_error
         )
         pulls.append(
-            abs(point.q_over_p[0].value - arow.q_over_p)
+            abs(point.q_over_p[0].value - arow.q_over_p[0])
             / point.q_over_p[0].std_error
         )
     pulls = np.array(pulls)
@@ -109,7 +109,7 @@ def test_criterion_4_noise_sweep_reproduction():
     coverage_2 = float((pulls <= 2.0).mean())
 
     flips = [
-        (analytic.rows[i].delta_std, analytic.rows[i + 1].delta_std)
+        (analytic.rows[i].x, analytic.rows[i + 1].x)
         for i in range(len(grid) - 1)
         if analytic.rows[i].reversal != analytic.rows[i + 1].reversal
     ]
@@ -149,7 +149,7 @@ def test_criterion_5_weight_sweep_reproduction():
         and crossing.below <= GAMMA2_THRESHOLD <= crossing.above
     )
     below_one_ok = all(
-        row.q_over_p[1] < 1.0 for row in analytic.rows if row.gamma2 <= 0.9
+        row.q_over_p[1] < 1.0 for row in analytic.rows if row.x <= 0.9
     )
     ok = noisy_column_ok and agg_ok and crossing_ok and below_one_ok
     report(

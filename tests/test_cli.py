@@ -45,6 +45,56 @@ def test_import_leaves_scipy_integrate_unloaded():
     assert result.stdout.strip() == "False"
 
 
+class TestBrokenPipe:
+    """A reader that stops early (``ysqht ... | head -1``) ends the command
+    quietly with exit 0."""
+
+    ENV = dict(os.environ, PYTHONPATH=str(Path(ysqht.__file__).parents[1]))
+    CLI = [sys.executable, "-m", "ysqht.cli"]
+
+    @pytest.mark.parametrize("unbuffered", ["", "1"])
+    def test_closed_pipe_before_any_output(self, unbuffered):
+        # Buffered, the report is written by the flush at exit; unbuffered,
+        # by the print itself.
+        env = {k: v for k, v in self.ENV.items() if k != "PYTHONUNBUFFERED"}
+        if unbuffered:
+            env["PYTHONUNBUFFERED"] = unbuffered
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        try:
+            result = subprocess.run(
+                self.CLI + ["theory", "--theta", THETA_FLAG, "--gamma1",
+                            "0.1", "--gamma2", "0.8", "--json"],
+                stdout=write_end, stderr=subprocess.PIPE, env=env,
+                timeout=60,
+            )
+        finally:
+            os.close(write_end)
+        assert result.returncode == 0
+        assert result.stderr == b""
+
+    def test_reader_closes_pipe_mid_table(self, tmp_path):
+        # The table goes into a named pipe, as `--out /dev/stdout | head -1`
+        # sends it into an anonymous one.  20000 rows are far more than a
+        # pipe buffer holds, so the table is still being written when the
+        # reader goes.
+        fifo = tmp_path / "table.csv"
+        os.mkfifo(fifo)
+        with subprocess.Popen(
+            self.CLI + ["sweep", "gamma2", "0:1:20000", "--theta", THETA_FLAG,
+                        "--delta-std", DELTA_FLAG, "--gamma1", "0.05",
+                        "--out", str(fifo)],
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=self.ENV,
+        ) as proc:
+            with fifo.open("rb") as reader:
+                first = reader.readline()
+            _, stderr = proc.communicate(timeout=60)
+        assert first.startswith(b"gamma2,q1_over_p1,")
+        assert proc.returncode == 0
+        assert stderr == b""
+        assert not (tmp_path / "table.csv.manifest.json").exists()
+
+
 class TestTheory:
     def test_fig2_right_report(self, capsys):
         code, report = run_json(capsys, [
@@ -353,6 +403,17 @@ class TestSweep:
         ])
         assert code == 2
         assert "gamma2" in capsys.readouterr().err
+
+    def test_duplicate_gamma1_exit_2(self, tmp_path, capsys):
+        out = tmp_path / "dup.csv"
+        code = main([
+            "sweep", "gamma2", "0:1:5", "--theta", THETA_FLAG,
+            "--delta-std", DELTA_FLAG, "--gamma1", "0.1,0.10",
+            "--out", str(out),
+        ])
+        assert code == 2
+        assert "gamma1 value 0.1" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_gamma2_axis_needs_delta_std(self, tmp_path, capsys):
         code = main([

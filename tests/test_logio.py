@@ -13,11 +13,14 @@ from ysqht import (
     ManifestVersionError,
     NoiseParams,
     RunManifest,
-    delta_sweep_header,
     format_record_line,
-    gamma2_sweep_header,
     read_count_log,
     run_acquisition,
+    simulate_delta_sweep,
+    simulate_gamma2_sweep,
+    sweep_delta,
+    sweep_gamma2,
+    sweep_table,
     write_count_log,
     write_sweep_csv,
 )
@@ -311,20 +314,40 @@ class TestManifest:
 
 
 class TestSweepHeaders:
+    DELTA_GRID = [0.0, 0.7]
+    GAMMA2_GRID = [0.2, 0.9]
+
+    def delta_sweeps(self):
+        base = make_config(noise=NoiseParams(0.0))
+        return (
+            sweep_delta(THETA_B, [0.1], 0.8, self.DELTA_GRID),
+            simulate_delta_sweep(base, self.DELTA_GRID, [0.1], 0.8),
+        )
+
+    def gamma2_sweeps(self):
+        noise = NoiseParams(0.7)
+        return (
+            sweep_gamma2(THETA_B, noise, [0.05, 0.4], self.GAMMA2_GRID),
+            simulate_gamma2_sweep(
+                make_config(noise=noise), self.GAMMA2_GRID, [0.05, 0.4]
+            ),
+        )
+
     def test_delta_axis_single_weight(self):
-        assert delta_sweep_header([0.1], with_sim=False) == [
+        analytic, _ = self.delta_sweeps()
+        assert sweep_table(analytic)[0] == [
             "delta_std", "q1_over_p1", "q2_over_p2", "q_over_p", "reversal",
         ]
 
     def test_delta_axis_single_weight_with_sim(self):
-        assert delta_sweep_header([0.1], with_sim=True) == [
+        assert sweep_table(*self.delta_sweeps())[0] == [
             "delta_std", "q1_over_p1", "q2_over_p2", "q_over_p", "reversal",
             "sim_q2_over_p2", "sim_q2_over_p2_err",
             "sim_q_over_p", "sim_q_over_p_err",
         ]
 
     def test_gamma2_axis_two_weights_with_sim(self):
-        assert gamma2_sweep_header([0.05, 0.4], with_sim=True) == [
+        assert sweep_table(*self.gamma2_sweeps())[0] == [
             "gamma2", "q1_over_p1", "q2_over_p2",
             "q_over_p_gamma1_0.05", "q_over_p_gamma1_0.4",
             "reversal_gamma1_0.05", "reversal_gamma1_0.4",
@@ -332,6 +355,27 @@ class TestSweepHeaders:
             "sim_q_over_p_gamma1_0.05", "sim_q_over_p_err_gamma1_0.05",
             "sim_q_over_p_gamma1_0.4", "sim_q_over_p_err_gamma1_0.4",
         ]
+
+    def test_rows_follow_the_header(self):
+        analytic, sim = self.gamma2_sweeps()
+        _, rows = sweep_table(analytic, sim)
+        assert len(rows) == len(self.GAMMA2_GRID)
+        for row, arow, point in zip(rows, analytic.rows, sim.points):
+            est = point.q_over_p
+            assert row == [
+                arow.x, arow.q1_over_p1, arow.q2_over_p2, *arow.q_over_p,
+                *arow.reversal,
+                point.q2_over_p2.value, point.q2_over_p2.std_error,
+                est[0].value, est[0].std_error, est[1].value, est[1].std_error,
+            ]
+
+    def test_simulation_on_another_grid_rejected(self):
+        analytic, _ = self.delta_sweeps()
+        sim = simulate_delta_sweep(
+            make_config(noise=NoiseParams(0.0)), [0.0, 0.6], [0.1], 0.8
+        )
+        with pytest.raises(ValueError, match="grid"):
+            sweep_table(analytic, sim)
 
 
 class TestSweepCsv:

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from ysqht import (
+    AcquisitionConfig,
     Analyzer,
     NoiseParams,
     ScenarioParams,
@@ -17,6 +18,8 @@ from ysqht import (
     outcome_probabilities,
     pure_state,
     reversal_pairs_exist,
+    simulate_delta_sweep,
+    simulate_gamma2_sweep,
     small_angle_threshold,
     sweep_delta,
     sweep_gamma2,
@@ -42,6 +45,10 @@ SMEARING_THRESHOLD_SMALL_TILT = 0.9716849443326497  # theta 0.1 rad
 #: |approx - exact| <= C * theta^4 / (gamma2 - gamma1), fitted once over the
 #: grid below (weight gaps >= 0.3) and padded ~10%.
 SMALL_ANGLE_C = 11.0
+
+ACQUISITION = AcquisitionConfig(
+    theta=THETA_B, noise=NoiseParams(DELTA_FIG2), seed=1, iterations=10
+)
 
 
 def scenario(theta=THETA_B, delta_std=DELTA_FIG2, gamma1=0.1, gamma2=0.8):
@@ -297,34 +304,35 @@ class TestSweepDelta:
     GRID = [round(0.05 * i, 10) for i in range(23)]   # 0 .. 1.1
 
     def test_noisy_ratio_monotone_in_noise(self):
-        sweep = sweep_delta(THETA_B, 0.1, 0.8, self.GRID)
+        sweep = sweep_delta(THETA_B, [0.1], 0.8, self.GRID)
         ratios = [row.q2_over_p2 for row in sweep.rows]
         assert all(b >= a for a, b in zip(ratios, ratios[1:]))
 
     def test_noiseless_row_cannot_reverse(self):
-        sweep = sweep_delta(THETA_B, 0.1, 0.8, self.GRID)
+        sweep = sweep_delta(THETA_B, [0.1], 0.8, self.GRID)
         first = sweep.rows[0]
-        assert first.delta_std == 0.0
-        assert first.q_over_p < 1.0
-        assert not first.reversal
+        assert first.x == 0.0
+        assert first.q_over_p[0] < 1.0
+        assert not first.reversal[0]
 
     def test_crossing_brackets_the_threshold(self):
-        sweep = sweep_delta(THETA_B, 0.1, 0.8, self.GRID)
+        sweep = sweep_delta(THETA_B, [0.1], 0.8, self.GRID)
         assert len(sweep.crossings) == 1
         crossing = sweep.crossings[0]
+        assert crossing is not None
         assert crossing.below <= DELTA_STD_THRESHOLD_FIG2 <= crossing.above
         assert crossing.refined == pytest.approx(
-            DELTA_STD_THRESHOLD_FIG2, abs=2e-6
+            DELTA_STD_THRESHOLD_FIG2, rel=1e-12
         )
 
     def test_reversal_flag_matches_ratio(self):
-        sweep = sweep_delta(THETA_B, 0.1, 0.8, self.GRID)
+        sweep = sweep_delta(THETA_B, [0.1], 0.8, self.GRID)
         for row in sweep.rows:
-            assert row.reversal == (row.q_over_p > 1.0 and row.delta_std > 0)
+            assert row.reversal[0] == (row.q_over_p[0] > 1.0 and row.x > 0)
 
     def test_rejects_unsorted_grid(self):
         with pytest.raises(ValueError, match="sorted"):
-            sweep_delta(THETA_B, 0.1, 0.8, [0.2, 0.1])
+            sweep_delta(THETA_B, [0.1], 0.8, [0.2, 0.1])
 
 
 class TestSweepGamma2:
@@ -348,7 +356,7 @@ class TestSweepGamma2:
         assert crossing is not None
         assert crossing.below <= GAMMA2_THRESHOLD_FIG2 <= crossing.above
         assert crossing.refined == pytest.approx(
-            GAMMA2_THRESHOLD_FIG2, abs=2e-6
+            GAMMA2_THRESHOLD_FIG2, rel=1e-12
         )
 
     def test_aggregated_ratio_strictly_increasing(self):
@@ -361,3 +369,16 @@ class TestSweepGamma2:
     def test_rejects_empty_gamma1(self):
         with pytest.raises(ValueError, match="gamma1"):
             sweep_gamma2(THETA_B, NoiseParams(DELTA_FIG2), [], self.GRID)
+
+
+@pytest.mark.parametrize("sweep", [
+    lambda g1: sweep_delta(THETA_B, g1, 0.8, [0.0, 0.5]),
+    lambda g1: sweep_gamma2(THETA_B, NoiseParams(DELTA_FIG2), g1, [0.0, 0.5]),
+    lambda g1: simulate_delta_sweep(ACQUISITION, [0.0, 0.5], g1, 0.8),
+    lambda g1: simulate_gamma2_sweep(ACQUISITION, [0.0, 0.5], g1),
+], ids=["sweep_delta", "sweep_gamma2", "simulate_delta_sweep",
+        "simulate_gamma2_sweep"])
+def test_duplicate_gamma1_rejected(sweep):
+    # 0.1 and 0.10 are one weight: their columns would share a name.
+    with pytest.raises(ValueError, match="gamma1 value 0.1 is given more"):
+        sweep([0.05, 0.1, 0.10])
