@@ -262,7 +262,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     )
     counts = run_acquisition(config)
     write_count_log(args.out, config, counts)
-    print(f"wrote {len(counts)} records to {args.out}")
+    print(f"wrote {len(counts)} records to {args.out}", file=sys.stderr)
     return EXIT_OK
 
 
@@ -372,7 +372,8 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         with_sim=args.with_sim,
     )
     manifest_path = write_sweep_csv(args.out, header, rows, manifest)
-    print(f"wrote {len(rows)} rows to {args.out} (manifest {manifest_path})")
+    companion = f" (manifest {manifest_path})" if manifest_path else ""
+    print(f"wrote {len(rows)} rows to {args.out}{companion}", file=sys.stderr)
     return EXIT_OK
 
 

@@ -14,6 +14,7 @@ from __future__ import annotations
 import itertools
 import json
 import math
+import stat
 from dataclasses import asdict, dataclass, field
 from datetime import datetime, timezone
 from pathlib import Path
@@ -154,69 +155,13 @@ def write_count_log(
     return manifest
 
 
-def _record_from_payload(
-    line_number: int, payload: dict[str, Any]
-) -> tuple[int, float, int, int, int, int]:
-    expected = set(RECORD_KEYS)
-    if set(payload) != expected:
-        raise LogFormatError(
-            line_number,
-            f"record must have exactly the keys {sorted(expected)}, "
-            f"got {sorted(payload)}",
-        )
-    alpha = payload["alpha"]
-    if not isinstance(alpha, (int, float)) or isinstance(alpha, bool) or \
-            not math.isfinite(float(alpha)):
-        raise LogFormatError(line_number, f"alpha must be finite, got {alpha!r}")
-    for key in ("i", "n1p", "n1q", "n2p", "n2q"):
-        value = payload[key]
-        if not isinstance(value, int) or isinstance(value, bool) or \
-                not 0 <= value < 2**63:
-            raise LogFormatError(
-                line_number,
-                f"{key} must be a non-negative 64-bit integer, got {value!r}",
-            )
-    return tuple(payload[key] for key in RECORD_KEYS)
-
-
-def _arrays(
-    index: Sequence[int], alpha: Sequence[float], *counts: Sequence[int]
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """i, alpha and the (n, 4) counts as arrays, from the six record
-    columns."""
-    ints = np.array([index, *counts], dtype=np.int64)
-    return ints[0], np.array(alpha, dtype=np.float64), ints[1:].T
-
-
-_NO_RECORDS = (
-    np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64), np.empty(0),
-    np.empty((0, 4), dtype=np.int64),
-)
-
-
-def _parse_whole_chunk(
-    lines: list[str],
+def _columns(
+    payloads: list[Any], n: int
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray] | None:
-    """Columns of a chunk of file lines in which every line is exactly one
-    valid record, parsed with one ``json.loads`` and validated column by
-    column; None if any line is not, and the caller then parses line by
-    line.
-
-    Every line must begin with '{' and end with '}' (a file line holds a
-    newline only as its last character).  Since a valid record holds no nested
-    braces and no strings but its six keys, the parse then yields one object
-    per line only if no line holds two records or half of one."""
-    joined = ",".join(lines)
-    if not (joined.startswith("{") and joined.endswith(("}", "}\n"))
-            and joined.count("}\n,{") == len(lines) - 1):
-        return None
-    try:
-        payloads = json.loads("[" + joined + "]")
-    except json.JSONDecodeError:
-        return None
-    if len(payloads) != len(lines) \
-            or set(map(type, payloads)) != {dict} \
-            or set(map(len, payloads)) != {len(RECORD_KEYS)}:
+    """i, alpha and the (n, 4) counts of ``n`` record payloads, validated
+    column by column; None unless every payload is a valid record."""
+    if len(payloads) != n or not set(map(type, payloads)) <= {dict} \
+            or not set(map(len, payloads)) <= {len(RECORD_KEYS)}:
         return None
     try:
         index, alpha, *counts = (
@@ -225,48 +170,74 @@ def _parse_whole_chunk(
     except KeyError:
         return None
     if not set(map(type, alpha)) <= {int, float} \
-            or any(set(map(type, column)) != {int}
-                   for column in (index, *counts)):
+            or not set(map(type, itertools.chain(index, *counts))) <= {int}:
         return None
     try:
-        index, alpha, counts = _arrays(index, alpha, *counts)
+        ints = np.array([index, *counts], dtype=np.int64)
+        alpha = np.array(alpha, dtype=np.float64)
     except OverflowError:
         return None
-    if (index < 0).any() or (counts < 0).any() or \
-            not np.isfinite(alpha).all():
+    if (ints < 0).any() or not np.isfinite(alpha).all():
         return None
-    return index, alpha, counts
+    return ints[0], alpha, ints[1:].T
+
+
+def _fault(payload: Any) -> str | None:
+    """Why a parsed record line is not a valid record; None if it is one."""
+    if not isinstance(payload, dict):
+        return "record line must be a JSON object"
+    if set(payload) != set(RECORD_KEYS):
+        return (f"record must have exactly the keys {sorted(RECORD_KEYS)}, "
+                f"got {sorted(payload)}")
+    alpha = payload["alpha"]
+    try:
+        finite = type(alpha) in (int, float) and math.isfinite(alpha)
+    except OverflowError:  # an integer beyond the float range
+        finite = False
+    if not finite:
+        return f"alpha must be finite, got {alpha!r}"
+    for key in ("i", "n1p", "n1q", "n2p", "n2q"):
+        value = payload[key]
+        if type(value) is not int or not 0 <= value < 2**63:
+            return f"{key} must be a non-negative 64-bit integer, got {value!r}"
+    return None
 
 
 def _parse_chunk(
     lines: list[str], first_line: int
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Line numbers, i, alpha and counts of the records in ``lines``, whose
-    first line is ``first_line`` of the file.  Blank lines are skipped; a bad
-    line raises LogFormatError with its number."""
-    whole = _parse_whole_chunk(lines)
-    if whole is not None:
-        numbers = np.arange(first_line, first_line + len(lines))
-        return (numbers, *whole)
-    # Line by line: slower, but it accepts blank and padded lines and names
-    # the first bad one.
-    numbers, records = [], []
-    for line_number, line in enumerate(lines, start=first_line):
-        if not line.strip():
-            continue
+    first line is ``first_line`` of the file.  Blank lines are skipped and
+    surrounding whitespace is ignored; a bad line raises LogFormatError with
+    its number.
+
+    One ``json.loads`` parses the chunk when every line begins with '{' and
+    ends with '}'.  A valid record nests nothing, so when that gives one
+    valid record per line, no line holds two records or half of one."""
+    records = {number: text for number, line in enumerate(lines, first_line)
+               if (text := line.strip())}
+    joined = "\n,".join(records.values())
+    columns = None
+    # No stripped line holds a newline, so "}\n,{" occurs only between lines.
+    if joined.startswith("{") and joined.endswith("}") \
+            and joined.count("}\n,{") == len(records) - 1:
         try:
-            payload = json.loads(line)
-        except json.JSONDecodeError as err:
-            raise LogFormatError(
-                line_number, f"not valid JSON: {err}"
-            ) from err
-        if not isinstance(payload, dict):
-            raise LogFormatError(line_number, "record line must be a JSON object")
-        records.append(_record_from_payload(line_number, payload))
-        numbers.append(line_number)
-    if not records:
-        return _NO_RECORDS
-    return (np.array(numbers), *_arrays(*zip(*records)))
+            columns = _columns(json.loads("[" + joined + "]"), len(records))
+        except ValueError:  # also an integer of too many digits
+            pass
+    if columns is None:  # parse line by line to name the first bad one
+        payloads = []
+        for line_number, record in records.items():
+            try:
+                payloads.append(json.loads(record))
+            except ValueError as err:  # also an integer of too many digits
+                raise LogFormatError(
+                    line_number, f"not valid JSON: {err}"
+                ) from err
+            if (fault := _fault(payloads[-1])) is not None:
+                raise LogFormatError(line_number, fault)
+        columns = _columns(payloads, len(records))
+    return (np.array(list(records), dtype=np.int64), *columns)
 
 
 def read_count_log(path: str | Path) -> tuple[RunManifest, Counts]:
@@ -301,7 +272,7 @@ def read_count_log(path: str | Path) -> tuple[RunManifest, Counts]:
                 1, f"manifest iterations must be a positive integer, got "
                    f"{iterations!r}"
             )
-        parts = [_NO_RECORDS]
+        parts = [_parse_chunk([], 2)]  # so that a log of no records concatenates
         next_line = 2
         while chunk := list(itertools.islice(fh, READ_CHUNK_LINES)):
             parts.append(_parse_chunk(chunk, next_line))
@@ -383,8 +354,10 @@ def write_sweep_csv(
     header: Sequence[str],
     rows: Iterable[Sequence[Any]],
     manifest: RunManifest,
-) -> Path:
-    """Write a sweep table and its companion ``<path>.manifest.json``."""
+) -> Path | None:
+    """Write a sweep table and, when ``path`` is a regular file, its
+    companion ``<path>.manifest.json``; returns the manifest's path, or None
+    for a stream such as a pipe or ``/dev/stdout`` (a link, not a file)."""
     out = Path(path)
     lines = [",".join(header)]
     for row in rows:
@@ -395,6 +368,8 @@ def write_sweep_csv(
             )
         lines.append(",".join(cells))
     out.write_text("\n".join(lines) + "\n")
+    if not stat.S_ISREG(out.lstat().st_mode):
+        return None
     manifest_path = out.with_name(out.name + ".manifest.json")
     manifest_path.write_text(manifest.to_json() + "\n")
     return manifest_path

@@ -3,6 +3,7 @@
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -93,6 +94,66 @@ class TestBrokenPipe:
         assert proc.returncode == 0
         assert stderr == b""
         assert not (tmp_path / "table.csv.manifest.json").exists()
+
+
+class TestStreamOutputs:
+    """Status lines go to stderr, so a log or table can be written to
+    /dev/stdout, and a stream gets no companion manifest."""
+
+    ENV = TestBrokenPipe.ENV
+    CLI = TestBrokenPipe.CLI
+    SIMULATE = ["simulate", "--theta", THETA_FLAG, "--delta-std", DELTA_FLAG,
+                "--iterations", "3", "--seed", "5", "--out", "/dev/stdout"]
+
+    def test_simulate_into_redirected_stdout(self, tmp_path):
+        log = tmp_path / "s.jsonl"
+        with log.open("wb") as out:
+            result = subprocess.run(
+                self.CLI + self.SIMULATE, stdout=out, stderr=subprocess.PIPE,
+                env=self.ENV, timeout=60,
+            )
+        assert result.returncode == 0
+        assert b"wrote 3 records to /dev/stdout" in result.stderr
+        manifest, counts = ysqht.read_count_log(log)
+        assert manifest.seed == 5
+        assert len(counts) == 3
+
+    def test_simulate_piped_into_analyze(self):
+        with subprocess.Popen(
+            self.CLI + self.SIMULATE, stdout=subprocess.PIPE,
+            stderr=subprocess.DEVNULL, env=self.ENV,
+        ) as simulate:
+            analyze = subprocess.run(
+                self.CLI + ["analyze", "/dev/stdin", "--gamma1", "0.1",
+                            "--gamma2", "0.8", "--json"],
+                stdin=simulate.stdout, capture_output=True, env=self.ENV,
+                timeout=60,
+            )
+            simulate.stdout.close()
+            assert simulate.wait(timeout=60) == 0
+        assert analyze.returncode == 0, analyze.stderr
+        report = json.loads(analyze.stdout)
+        assert report["log_seed"] == 5
+        assert report["q1_over_p1"]["n_samples"] + report["excluded"] == 3
+
+    def test_sweep_into_a_pipe_writes_no_manifest(self, tmp_path):
+        fifo = tmp_path / "table.csv"
+        os.mkfifo(fifo)
+        with subprocess.Popen(
+            self.CLI + ["sweep", "gamma2", "0:1:5", "--theta", THETA_FLAG,
+                        "--delta-std", DELTA_FLAG, "--gamma1", "0.05",
+                        "--out", str(fifo)],
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=self.ENV,
+        ) as proc:
+            with fifo.open("rb") as reader:
+                table = reader.read().splitlines()
+            stdout, stderr = proc.communicate(timeout=60)
+        assert proc.returncode == 0
+        assert table[0].startswith(b"gamma2,q1_over_p1,")
+        assert len(table) == 6
+        assert not (tmp_path / "table.csv.manifest.json").exists()
+        assert stdout == b""
+        assert stderr == f"wrote 5 rows to {fifo}\n".encode()
 
 
 class TestTheory:
@@ -289,6 +350,20 @@ class TestAnalyze:
         log = self.write_log(tmp_path)
         lines = log.read_text().splitlines()
         lines[3] = "not json at all"
+        log.write_text("\n".join(lines) + "\n")
+        code = main([
+            "analyze", str(log), "--gamma1", "0.1", "--gamma2", "0.8",
+        ])
+        assert code == 5
+        assert "line 4" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("key, digits", [("alpha", 401), ("n1p", 5001)])
+    def test_huge_number_exit_5(self, tmp_path, capsys, key, digits):
+        # Too large for a float, or too many digits for the JSON parser.
+        log = self.write_log(tmp_path)
+        lines = log.read_text().splitlines()
+        lines[3] = re.sub(rf'"{key}": [^,]+', f'"{key}": 1{"0" * (digits - 1)}',
+                          lines[3])
         log.write_text("\n".join(lines) + "\n")
         code = main([
             "analyze", str(log), "--gamma1", "0.1", "--gamma2", "0.8",

@@ -2,6 +2,8 @@
 
 import json
 import math
+import re
+import sys
 
 import numpy as np
 import pytest
@@ -24,6 +26,7 @@ from ysqht import (
     write_count_log,
     write_sweep_csv,
 )
+from ysqht import logio
 from ysqht.logio import READ_CHUNK_LINES
 
 THETA_B = 5.0 * math.pi / 36.0
@@ -267,6 +270,112 @@ class TestCountLogIntegrity:
             write_count_log(tmp_path / "x.jsonl", make_config(), counts)
 
 
+def set_value(key, text):
+    """A damage that replaces the value of ``key`` in a record line."""
+    return lambda line: re.sub(rf'"{key}": [^,}}]+', f'"{key}": {text}', line)
+
+
+#: One way to damage a record line each, with a fragment of the message
+#: that names it.
+DAMAGES = {
+    "bool-count": (set_value("n1q", "true"),
+                   "n1q must be a non-negative 64-bit integer, got True"),
+    "float-count": (set_value("n2p", "7.0"),
+                    "n2p must be a non-negative 64-bit integer, got 7.0"),
+    "count-2**63": (set_value("n2q", str(2**63)),
+                    f"n2q must be a non-negative 64-bit integer, got {2**63}"),
+    "nan-alpha": (set_value("alpha", "NaN"), "alpha must be finite, got nan"),
+    "infinite-alpha": (set_value("alpha", "-Infinity"),
+                       "alpha must be finite, got -inf"),
+    "string-alpha": (set_value("alpha", '"0.5"'),
+                     "alpha must be finite, got '0.5'"),
+    "bool-alpha": (set_value("alpha", "false"),
+                   "alpha must be finite, got False"),
+    "missing-key": (lambda line: re.sub(r', "n2q": \d+', "", line),
+                    "record must have exactly the keys"),
+    "extra-key": (lambda line: line[:-1] + ', "n3p": 1}',
+                  "record must have exactly the keys"),
+    "array-line": (lambda line: json.dumps(list(json.loads(line).values())),
+                   "record line must be a JSON object"),
+    "two-records": (lambda line: line + ", " + line, "not valid JSON"),
+    "nested-object": (set_value("n1p", '{"n": 1}'),
+                      "n1p must be a non-negative 64-bit integer, got {'n': 1}"),
+    # Beyond the float range: no float can hold it.
+    "huge-alpha": (set_value("alpha", "1" + "0" * 400),
+                   "alpha must be finite, got 1000000000"),
+    # Beyond the interpreter's limit on integer digits, where it has one.
+    "huge-count": (set_value("n1p", "1" + "0" * 5000),
+                   "value has 5001 digits"
+                   if hasattr(sys, "set_int_max_str_digits")
+                   else "n1p must be a non-negative 64-bit integer"),
+}
+
+
+@pytest.fixture(scope="module")
+def long_log_lines(tmp_path_factory):
+    """The lines of a log two chunks long."""
+    path = tmp_path_factory.mktemp("log") / "run.jsonl"
+    write_log(path, iterations=READ_CHUNK_LINES + 200)
+    return path.read_text().splitlines()
+
+
+class TestRecordRejection:
+    @pytest.mark.parametrize("line_number", [4, READ_CHUNK_LINES + 101])
+    @pytest.mark.parametrize("damage", DAMAGES)
+    def test_damaged_record_names_its_line(
+        self, tmp_path, long_log_lines, damage, line_number
+    ):
+        transform, fragment = DAMAGES[damage]
+        lines = list(long_log_lines)
+        lines[line_number - 1] = transform(lines[line_number - 1])
+        assert lines[line_number - 1] != long_log_lines[line_number - 1]
+        path = tmp_path / "damaged.jsonl"
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(LogFormatError) as err:
+            read_count_log(path)
+        assert err.value.line_number == line_number
+        assert fragment in str(err.value)
+
+    @pytest.mark.parametrize("key, value, fragment", [
+        ("n1p", "-1", "n1p must be"),
+        ("i", "0", "record index i = 0 where"),
+    ])
+    def test_line_numbers_count_blank_and_padded_lines(
+        self, tmp_path, long_log_lines, key, value, fragment
+    ):
+        # A padded line and a blank one just before the damaged record.
+        line_number = READ_CHUNK_LINES + 101
+        lines = list(long_log_lines)
+        lines[line_number - 3] = "  " + lines[line_number - 3] + "\t"
+        lines.insert(line_number - 2, "")
+        lines[line_number - 1] = set_value(key, value)(lines[line_number - 1])
+        path = tmp_path / "damaged.jsonl"
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(LogFormatError, match=fragment) as err:
+            read_count_log(path)
+        assert err.value.line_number == line_number
+
+    def test_blank_padded_and_reordered_lines_take_the_single_parse(
+        self, tmp_path, monkeypatch, long_log_lines
+    ):
+        lines = list(long_log_lines)
+        lines[1] = "  " + lines[1] + "\t"
+        lines.insert(2, "")
+        record = json.loads(lines[-5])
+        lines[-5] = json.dumps(dict(reversed(list(record.items()))))
+        path = tmp_path / "run.jsonl"
+        path.write_text("\n".join(lines) + "\n\n")
+        record_lines = len(path.read_text().splitlines()) - 1
+        calls = []
+        loads = json.loads
+        monkeypatch.setattr(
+            logio.json, "loads", lambda text: calls.append(text) or loads(text)
+        )
+        read_count_log(path)
+        # The manifest line, then one parse per chunk.
+        assert len(calls) == 1 + math.ceil(record_lines / READ_CHUNK_LINES)
+
+
 class TestManifest:
     def test_json_round_trip(self):
         manifest = RunManifest(
@@ -399,6 +508,19 @@ class TestSweepCsv:
             json.loads(manifest_path.read_text())
         )
         assert loaded.axis == "delta"
+
+    def test_link_gets_no_manifest(self, tmp_path):
+        # As /dev/stdout, a link to wherever standard output goes.
+        target = tmp_path / "target.csv"
+        target.write_text("")
+        link = tmp_path / "link.csv"
+        link.symlink_to(target)
+        manifest = RunManifest(kind="sweep", axis="delta", grid=(0.1, 0.6))
+        assert write_sweep_csv(link, ["x"], [[0.1]], manifest) is None
+        assert target.read_text() == "x\n0.1\n"
+        assert sorted(p.name for p in tmp_path.iterdir()) == [
+            "link.csv", "target.csv",
+        ]
 
     def test_row_width_mismatch_rejected(self, tmp_path):
         with pytest.raises(ValueError, match="cells"):

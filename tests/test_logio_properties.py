@@ -1,0 +1,96 @@
+"""Property tests of the count-log format: whatever counts are written, the
+reader returns them unchanged, also across chunk boundaries and from lines
+that are blank, padded or have their keys in another order."""
+
+import sys
+import tempfile
+from pathlib import Path
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from ysqht import (
+    AcquisitionConfig,
+    Counts,
+    NoiseParams,
+    read_count_log,
+    write_count_log,
+)
+from ysqht import logio
+
+SETTINGS = settings(derandomize=True, deadline=None, max_examples=150)
+
+alphas = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308,
+                     1.7e308, -1.7e308, sys.float_info.max,
+                     -sys.float_info.max]),
+)
+counts = st.integers(0, 2**63 - 1)
+records = st.lists(
+    st.tuples(alphas, st.lists(counts, min_size=4, max_size=4)),
+    min_size=1, max_size=12,
+)
+#: How a record line is rewritten: blank lines before it, whitespace before
+#: and after it, an order of its keys, and its line ending.
+layouts = st.tuples(
+    st.integers(0, 2),
+    st.text(" \t", max_size=3),
+    st.text(" \t", max_size=3),
+    st.permutations(range(len(logio.RECORD_KEYS))),
+    st.sampled_from(["\n", "\r\n"]),
+)
+
+
+def write_log(directory, rows):
+    """Write ``rows`` of (alpha, counts) as a count log; returns its path and
+    the counts."""
+    data = Counts([alpha for alpha, _ in rows], [c for _, c in rows])
+    config = AcquisitionConfig(
+        theta=0.4, noise=NoiseParams(0.3), seed=1, iterations=len(data)
+    )
+    path = Path(directory) / "run.jsonl"
+    write_count_log(path, config, data)
+    return path, data
+
+
+def read_back(path):
+    """The counts read from ``path`` in chunks of 3 lines, so that a few
+    records cross chunk boundaries."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(logio, "READ_CHUNK_LINES", 3)
+        return read_count_log(path)[1]
+
+
+def assert_same_counts(a, b):
+    assert np.array_equal(a.alpha, b.alpha)
+    assert np.array_equal(a.counts, b.counts)
+
+
+@SETTINGS
+@given(records)
+def test_written_counts_read_back_unchanged(rows):
+    with tempfile.TemporaryDirectory() as directory:
+        path, data = write_log(directory, rows)
+        assert_same_counts(read_back(path), data)
+
+
+@SETTINGS
+@given(records.flatmap(
+    lambda rows: st.tuples(st.just(rows), st.lists(
+        layouts, min_size=len(rows), max_size=len(rows)))
+))
+def test_blank_padded_and_reordered_lines_read_back_unchanged(case):
+    rows, line_layouts = case
+    with tempfile.TemporaryDirectory() as directory:
+        path, data = write_log(directory, rows)
+        head, *lines = path.read_text().splitlines()
+        text = head + "\n"
+        for line, (blanks, left, right, order, end) in zip(lines, line_layouts):
+            pairs = line[1:-1].split(", ")
+            line = "{" + ", ".join(pairs[k] for k in order) + "}"
+            text += blanks * end + left + line + right + end
+        path.write_bytes(text.encode())
+        assert_same_counts(read_back(path), data)
