@@ -308,7 +308,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     lo, hi, points = args.range
     if args.axis == "delta" and args.degrees:
         lo, hi = math.radians(lo), math.radians(hi)
-    grid = [float(v) for v in np.linspace(lo, hi, points)]
+    grid = np.linspace(lo, hi, points).tolist()
     seed = _resolve_seed(args.seed) if args.with_sim else None
 
     def base_config(noise: NoiseParams) -> AcquisitionConfig:
@@ -355,7 +355,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
                 base_config(noise), grid, args.gamma1, args.mode
             )
 
-    header, rows = sweep_table(sweep, sim)
+    header, columns = sweep_table(sweep, sim)
     manifest = RunManifest(
         kind=KIND_SWEEP,
         theta=theta,
@@ -371,9 +371,10 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         grid=tuple(grid),
         with_sim=args.with_sim,
     )
-    manifest_path = write_sweep_csv(args.out, header, rows, manifest)
+    manifest_path = write_sweep_csv(args.out, header, columns, manifest)
     companion = f" (manifest {manifest_path})" if manifest_path else ""
-    print(f"wrote {len(rows)} rows to {args.out}{companion}", file=sys.stderr)
+    print(f"wrote {len(grid)} rows to {args.out}{companion}",
+          file=sys.stderr)
     return EXIT_OK
 
 

@@ -15,10 +15,10 @@ import itertools
 import json
 import math
 import stat
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field, fields
 from datetime import datetime, timezone
 from pathlib import Path
-from typing import Any, Iterable, Sequence
+from typing import Any, Iterator, Sequence
 
 import numpy as np
 
@@ -81,7 +81,10 @@ class RunManifest:
     version: str = __version__
 
     def to_json(self) -> str:
-        payload = {k: v for k, v in asdict(self).items() if v is not None}
+        payload = {
+            f.name: value for f in fields(self)
+            if (value := getattr(self, f.name)) is not None
+        }
         return json.dumps(payload, sort_keys=True)
 
     @classmethod
@@ -130,7 +133,9 @@ def format_record_line(
     index: int, alpha: float, n1p: int, n1q: int, n2p: int, n2q: int
 ) -> str:
     """One record as a JSON line with the tilt at 17 significant digits
-    (enough to reproduce the double exactly)."""
+    (enough to reproduce the double exactly).  A negative zero tilt comes
+    out as ``-0``, which JSON reads as the integer 0; ``write_count_log``
+    writes it as ``-0.0``."""
     return (
         f'{{"i": {index}, "alpha": {alpha:.17g}, "n1p": {n1p}, '
         f'"n1q": {n1q}, "n2p": {n2p}, "n2q": {n2q}}}'
@@ -151,6 +156,11 @@ def write_count_log(
     lines = [manifest.to_json()]
     lines.extend(map(format_record_line, range(len(counts)),
                      counts.alpha.tolist(), *counts.counts.T.tolist()))
+    alpha = counts.alpha
+    for k in np.flatnonzero(np.signbit(alpha) & (alpha == 0.0)).tolist():
+        lines[k + 1] = lines[k + 1].replace(
+            '"alpha": -0,', '"alpha": -0.0,', 1
+        )
     Path(path).write_text("\n".join(lines) + "\n")
     return manifest
 
@@ -253,7 +263,7 @@ def read_count_log(path: str | Path) -> tuple[RunManifest, Counts]:
             raise LogFormatError(1, "empty file, expected a manifest line")
         try:
             head = json.loads(head_line)
-        except json.JSONDecodeError as err:
+        except ValueError as err:  # also an integer of too many digits
             raise LogFormatError(
                 1, f"manifest is not valid JSON: {err}"
             ) from err
@@ -306,10 +316,11 @@ AXIS_COLUMNS = {"delta": "delta_std", "gamma2": "gamma2"}
 def sweep_table(
     sweep: Sweep, sim: SimulatedSweep | None = None
 ) -> tuple[list[str], list[list[Any]]]:
-    """Frozen column names and the rows of a sweep table: the swept value,
-    q1/p1, q2/p2, then a q/p and a reversal column per gamma1 (suffixed
-    ``_gamma1_<value>`` when there are several), and with ``sim`` the
-    simulated q2/p2 and q/p, each followed by its standard error."""
+    """Frozen column names and one column of cells per name for a sweep
+    table: the swept value, q1/p1, q2/p2, then a q/p and a reversal column
+    per gamma1 (suffixed ``_gamma1_<value>`` when there are several), and
+    with ``sim`` the simulated q2/p2 and q/p, each followed by its standard
+    error."""
     if len(sweep.gamma1_values) == 1:
         suffixes = [""]
     else:
@@ -317,56 +328,86 @@ def sweep_table(
     header = [AXIS_COLUMNS[sweep.axis], "q1_over_p1", "q2_over_p2"]
     header += [f"q_over_p{s}" for s in suffixes]
     header += [f"reversal{s}" for s in suffixes]
-    rows = [
-        [row.x, row.q1_over_p1, row.q2_over_p2, *row.q_over_p, *row.reversal]
-        for row in sweep.rows
+    xs = sweep.x.tolist()
+    columns = [
+        xs, [sweep.q1_over_p1] * len(xs), sweep.q2_over_p2.tolist(),
+        *sweep.q_over_p.tolist(), *sweep.reversal.tolist(),
     ]
     if sim is None:
-        return header, rows
+        return header, columns
     if sim.gamma1_values != sweep.gamma1_values or \
-            [point.x for point in sim.points] != [row.x for row in sweep.rows]:
+            [point.x for point in sim.points] != xs:
         raise ValueError(
             "the simulated sweep does not share the analytic sweep's grid "
             "and gamma1 values"
         )
     header += ["sim_q2_over_p2", "sim_q2_over_p2_err"]
-    for s in suffixes:
+    estimates = [[point.q2_over_p2 for point in sim.points]]
+    for k, s in enumerate(suffixes):
         header += [f"sim_q_over_p{s}", f"sim_q_over_p_err{s}"]
-    for row, point in zip(rows, sim.points):
-        row += [point.q2_over_p2.value, point.q2_over_p2.std_error]
-        for estimate in point.q_over_p:
-            row += [estimate.value, estimate.std_error]
-    return header, rows
+        estimates.append([point.q_over_p[k] for point in sim.points])
+    for column in estimates:
+        columns += [[e.value for e in column], [e.std_error for e in column]]
+    return header, columns
+
+
+#: CSV cells of the two booleans.
+_BOOL_CELLS = {False: "false", True: "true"}
+
+#: Cell formatter of a column whose cells all have exactly this type.
+_COLUMN_FORMATTERS = {
+    float: float.__repr__,  # shortest round-trip decimal form
+    bool: _BOOL_CELLS.__getitem__,
+    int: int.__repr__,
+}
 
 
 def _format_cell(value: Any) -> str:
-    if isinstance(value, bool):
-        return "true" if value else "false"
-    if isinstance(value, float):
-        return repr(value)  # shortest round-trip decimal form
+    """One cell of any supported type; numpy float64 and bool scalars are
+    written as the Python values they hold."""
+    if isinstance(value, (bool, np.bool_)):
+        return _BOOL_CELLS[bool(value)]
+    if isinstance(value, float):  # also np.float64, whose repr names its type
+        return float.__repr__(value)
     if isinstance(value, int):
-        return str(value)
+        return int.__repr__(value)
     raise TypeError(f"unsupported CSV cell type {type(value).__name__}")
+
+
+def _format_column(column: Sequence[Any]) -> Iterator[str]:
+    """The cells of one column, by one formatter for the whole column when
+    its cells share one plain type, else by ``_format_cell``; lazily, so
+    that only the joined rows are kept."""
+    types = set(map(type, column))
+    formatter = _format_cell
+    if len(types) == 1:
+        formatter = _COLUMN_FORMATTERS.get(types.pop(), _format_cell)
+    return map(formatter, column)
 
 
 def write_sweep_csv(
     path: str | Path,
     header: Sequence[str],
-    rows: Iterable[Sequence[Any]],
+    columns: Sequence[Sequence[Any]],
     manifest: RunManifest,
 ) -> Path | None:
-    """Write a sweep table and, when ``path`` is a regular file, its
-    companion ``<path>.manifest.json``; returns the manifest's path, or None
-    for a stream such as a pipe or ``/dev/stdout`` (a link, not a file)."""
-    out = Path(path)
-    lines = [",".join(header)]
-    for row in rows:
-        cells = [_format_cell(v) for v in row]
-        if len(cells) != len(header):
+    """Write a sweep table, given as one column of cells per header name,
+    and, when ``path`` is a regular file, its companion
+    ``<path>.manifest.json``; returns the manifest's path, or None for a
+    stream such as a pipe or ``/dev/stdout`` (a link, not a file)."""
+    if len(columns) != len(header):
+        raise ValueError(
+            f"{len(columns)} columns for {len(header)} header names"
+        )
+    for name, column in zip(header, columns):
+        if len(column) != len(columns[0]):
             raise ValueError(
-                f"row has {len(cells)} cells, header has {len(header)}"
+                f"column {name} has {len(column)} cells, column {header[0]} "
+                f"has {len(columns[0])}"
             )
-        lines.append(",".join(cells))
+    formatted = [_format_column(column) for column in columns]
+    lines = [",".join(header), *map(",".join, zip(*formatted))]
+    out = Path(path)
     out.write_text("\n".join(lines) + "\n")
     if not stat.S_ISREG(out.lstat().st_mode):
         return None

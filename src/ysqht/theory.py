@@ -11,6 +11,8 @@ can flip.  All reversal inequalities are strict: ties count as no reversal.
 
 from __future__ import annotations
 
+import functools
+import itertools
 import math
 from dataclasses import dataclass
 from typing import Callable, Sequence
@@ -244,11 +246,17 @@ class SweepRow:
     reversal: tuple[bool, ...]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Sweep:
     """Analytic curves along one axis: the noise spread delta_std at a fixed
     gamma2 (``axis`` "delta"), or the hypothesis-B clean weight gamma2 at a
     fixed noise (``axis`` "gamma2").
+
+    The curves are read-only columns over the ascending grid ``x`` (shape
+    (n,)): ``q2_over_p2`` (n,), and ``q_over_p`` and ``reversal`` of shape
+    (len(gamma1_values), n), one row per gamma1; ``q1_over_p1`` is a single
+    float, as it depends on neither axis.  ``rows`` gives the same values
+    point by point.
 
     ``crossings`` holds one entry per gamma1: the first grid interval on
     which q/p - 1 changes sign, or None when it never does.  In exact
@@ -258,14 +266,38 @@ class Sweep:
     axis: str
     theta: float
     gamma1_values: tuple[float, ...]
-    rows: tuple[SweepRow, ...]
+    x: np.ndarray
+    q1_over_p1: float
+    q2_over_p2: np.ndarray
+    q_over_p: np.ndarray
+    reversal: np.ndarray
     crossings: tuple[Crossing | None, ...]
+
+    @functools.cached_property
+    def rows(self) -> tuple[SweepRow, ...]:
+        """One ``SweepRow`` per grid point, built on first use."""
+        return tuple(map(
+            SweepRow,
+            self.x.tolist(),
+            itertools.repeat(self.q1_over_p1),
+            self.q2_over_p2.tolist(),
+            map(tuple, self.q_over_p.T.tolist()),
+            map(tuple, self.reversal.T.tolist()),
+        ))
 
 
 def _checked_grid(values: Sequence[float], name: str) -> np.ndarray:
-    grid = np.array([_require_finite(v, name) for v in values])
+    """A read-only float copy of ``values``, checked to be finite and sorted
+    ascending."""
+    grid = np.array(values, dtype=np.float64)
+    if grid.ndim != 1:
+        raise ValueError(f"{name} grid must be a flat sequence of numbers")
+    bad = ~np.isfinite(grid)
+    if bad.any():  # the scalar check names the first bad value
+        _require_finite(grid[bad.argmax()].item(), name)
     if (grid[1:] < grid[:-1]).any():
         raise ValueError(f"{name} grid must be sorted ascending")
+    grid.flags.writeable = False
     return grid
 
 
@@ -289,21 +321,12 @@ def _sweep(
         math.cos(2.0 * theta), smearing,
         np.array(gamma1_values)[:, np.newaxis], gamma2,
     )
+    # broadcast_to also makes the columns read-only views.
     shape = (len(gamma1_values), grid.size)
     q_over_p = np.broadcast_to(o.q / o.p, shape)
     reversal = np.broadcast_to(
         (o.p1 > o.q1) & (o.p2 > o.q2) & (o.q > o.p), shape
     )
-
-    xs = grid.tolist()
-    rows = tuple(map(
-        SweepRow,
-        xs,
-        [o.q1 / o.p1] * grid.size,
-        np.broadcast_to(o.q2 / o.p2, grid.shape).tolist(),
-        map(tuple, q_over_p.T.tolist()),
-        map(tuple, reversal.T.tolist()),
-    ))
 
     crossings: list[Crossing | None] = []
     for gamma1, below in zip(gamma1_values, q_over_p - 1.0 <= 0.0):
@@ -311,7 +334,7 @@ def _sweep(
         if not change.size:
             crossings.append(None)
             continue
-        lo, hi = xs[change[0]], xs[change[0] + 1]
+        lo, hi = grid[change[0]:change[0] + 2].tolist()
         try:
             exact = threshold(gamma1)
         except ValueError:  # theta outside (0, pi/4), or a noiseless probe
@@ -320,7 +343,11 @@ def _sweep(
         # instead of around it, or make one where q/p is 1 all along.
         refined = lo if exact is None else min(max(exact, lo), hi)
         crossings.append(Crossing(lo, hi, refined))
-    return Sweep(axis, theta, gamma1_values, rows, tuple(crossings))
+    return Sweep(
+        axis, theta, gamma1_values, grid, o.q1 / o.p1,
+        np.broadcast_to(o.q2 / o.p2, grid.shape), q_over_p, reversal,
+        tuple(crossings),
+    )
 
 
 def sweep_delta(
@@ -339,7 +366,7 @@ def sweep_delta(
     if (grid < 0.0).any():
         raise ValueError("delta_std grid must be non-negative")
     gamma2 = _require_probability(gamma2, "gamma2")
-    smearing = np.array([_smearing(d) for d in grid.tolist()])
+    smearing = np.array(list(map(_smearing, grid.tolist())))
     return _sweep(
         "delta", theta, gamma1_values, grid, smearing, gamma2,
         lambda gamma1: delta_threshold(gamma1, gamma2, theta).delta_std,
@@ -359,8 +386,9 @@ def sweep_gamma2(
     crossing of q/p = 1 is reported with its bracketing grid interval and
     the exact critical weight of ``gamma2_threshold``."""
     grid = _checked_grid(gamma2_grid, "gamma2")
-    for g in grid.tolist():
-        _require_probability(g, "gamma2")
+    bad = (grid < 0.0) | (grid > 1.0)
+    if bad.any():  # the scalar check names the first bad value
+        _require_probability(grid[bad.argmax()].item(), "gamma2")
     return _sweep(
         "gamma2", theta, gamma1_values, grid, noise.smearing, grid,
         lambda gamma1: gamma2_threshold(gamma1, theta, noise).value,

@@ -371,6 +371,20 @@ class TestAnalyze:
         assert code == 5
         assert "line 4" in capsys.readouterr().err
 
+    @pytest.mark.skipif(not hasattr(sys, "get_int_max_str_digits"),
+                        reason="the interpreter parses integers of any length")
+    def test_huge_manifest_number_exit_5(self, tmp_path, capsys):
+        # More digits than the JSON parser takes, on the manifest line.
+        log = self.write_log(tmp_path)
+        lines = log.read_text().splitlines()
+        lines[0] = re.sub(r'"seed": \d+', f'"seed": 1{"0" * 5000}', lines[0])
+        log.write_text("\n".join(lines) + "\n")
+        code = main([
+            "analyze", str(log), "--gamma1", "0.1", "--gamma2", "0.8",
+        ])
+        assert code == 5
+        assert "line 1" in capsys.readouterr().err
+
     def test_version_mismatch_exit_6(self, tmp_path, capsys):
         log = self.write_log(tmp_path)
         lines = log.read_text().splitlines()

@@ -1,5 +1,6 @@
 """Tests for the count-log and sweep-table file formats."""
 
+import dataclasses
 import json
 import math
 import re
@@ -66,6 +67,28 @@ class TestRecordLines:
         assert json.loads(line) == {
             "i": 7, "alpha": -0.25, "n1p": 10, "n1q": 9, "n2p": 8, "n2q": 7,
         }
+
+    def test_negative_zero_tilt_keeps_its_sign(self, tmp_path):
+        # "-0" would read back as the integer 0, a positive zero.
+        alpha = [-0.0, 0.0, -1.5, -0.0]
+        config = make_config(iterations=len(alpha))
+        path = tmp_path / "run.jsonl"
+        write_count_log(path, config, Counts(alpha, [[1, 1, 1, 1]] * 4))
+        lines = path.read_text().splitlines()
+        assert [json.loads(line)["alpha"] for line in lines[1:]] == alpha
+        assert '"alpha": -0.0,' in lines[1] and '"alpha": 0,' in lines[2]
+        loaded = read_count_log(path)[1].alpha
+        assert np.signbit(loaded).tolist() == [True, False, True, True]
+        assert np.array_equal(loaded, alpha)
+
+    def test_negative_zero_written_as_minus_0_still_reads(self, tmp_path):
+        config = make_config(iterations=1)
+        path = tmp_path / "run.jsonl"
+        manifest = logio.manifest_for_acquisition(config)
+        path.write_text(manifest.to_json() + "\n"
+                        + format_record_line(0, -0.0, 1, 1, 1, 1) + "\n")
+        assert '"alpha": -0,' in path.read_text()
+        assert read_count_log(path)[1].alpha.tolist() == [0.0]
 
 
 class TestCountLogRoundTrip:
@@ -408,6 +431,17 @@ class TestManifest:
         loaded = RunManifest.from_json_dict(json.loads(manifest.to_json()))
         assert loaded == manifest
 
+    def test_json_matches_the_dataclass_fields(self):
+        manifest = RunManifest(
+            kind="sweep", theta=THETA_B, gamma1=(0.05, 0.4), axis="gamma2",
+            grid=(0.0, -0.0, 5e-324, 1.0), with_sim=False,
+        )
+        reference = {
+            k: v for k, v in dataclasses.asdict(manifest).items()
+            if v is not None
+        }
+        assert manifest.to_json() == json.dumps(reference, sort_keys=True)
+
     def test_unknown_field_rejected(self):
         manifest = RunManifest(kind="count-log")
         payload = json.loads(manifest.to_json())
@@ -467,7 +501,9 @@ class TestSweepHeaders:
 
     def test_rows_follow_the_header(self):
         analytic, sim = self.gamma2_sweeps()
-        _, rows = sweep_table(analytic, sim)
+        header, columns = sweep_table(analytic, sim)
+        assert len(columns) == len(header)
+        rows = [list(row) for row in zip(*columns)]
         assert len(rows) == len(self.GAMMA2_GRID)
         for row, arow, point in zip(rows, analytic.rows, sim.points):
             est = point.q_over_p
@@ -496,7 +532,8 @@ class TestSweepCsv:
             [0.6000000000000001, 1.0251799620203028, True],
         ]
         manifest = RunManifest(kind="sweep", axis="delta", grid=(0.1, 0.6))
-        manifest_path = write_sweep_csv(path, header, rows, manifest)
+        columns = [list(column) for column in zip(*rows)]
+        manifest_path = write_sweep_csv(path, header, columns, manifest)
         text = path.read_text().splitlines()
         assert text[0] == "delta_std,q_over_p,reversal"
         cells = text[2].split(",")
@@ -527,6 +564,47 @@ class TestSweepCsv:
             write_sweep_csv(
                 tmp_path / "bad.csv",
                 ["a", "b"],
-                [[1.0]],
+                [[1.0], []],
                 RunManifest(kind="sweep"),
             )
+        assert not (tmp_path / "bad.csv").exists()
+
+    def test_column_count_mismatch_rejected(self, tmp_path):
+        with pytest.raises(ValueError, match="1 columns for 2 header names"):
+            write_sweep_csv(
+                tmp_path / "bad.csv", ["a", "b"], [[1.0]],
+                RunManifest(kind="sweep"),
+            )
+        assert not (tmp_path / "bad.csv").exists()
+
+    def test_numpy_scalars_written_as_python_values(self, tmp_path):
+        assert logio._format_cell(np.float64(0.1)) == "0.1"
+        assert logio._format_cell(np.bool_(True)) == "true"
+        assert logio._format_cell(np.bool_(False)) == "false"
+        path = tmp_path / "table.csv"
+        columns = [
+            [np.float64(0.1), np.float64(-0.0)],
+            [np.bool_(True), np.bool_(False)],
+            list(np.array([0.25, 1e-300])),
+        ]
+        write_sweep_csv(path, ["x", "flag", "y"], columns,
+                        RunManifest(kind="sweep"))
+        assert path.read_text() == "x,flag,y\n0.1,true,0.25\n-0.0,false,1e-300\n"
+
+    def test_mixed_column_formatted_cell_by_cell(self, tmp_path):
+        path = tmp_path / "table.csv"
+        write_sweep_csv(path, ["x"], [[1, 0.5, True, np.float64(2.0)]],
+                        RunManifest(kind="sweep"))
+        assert path.read_text() == "x\n1\n0.5\ntrue\n2.0\n"
+
+    @pytest.mark.parametrize("cells", [["a"], [0.5, None], [np.float32(0.5)]])
+    def test_unsupported_cell_rejected(self, tmp_path, cells):
+        path = tmp_path / "bad.csv"
+        with pytest.raises(TypeError, match="unsupported CSV cell type"):
+            write_sweep_csv(path, ["x"], [cells], RunManifest(kind="sweep"))
+        assert not path.exists()
+
+    def test_no_rows_writes_the_header(self, tmp_path):
+        path = tmp_path / "table.csv"
+        write_sweep_csv(path, ["x", "y"], [[], []], RunManifest(kind="sweep"))
+        assert path.read_text() == "x,y\n"

@@ -1,0 +1,94 @@
+"""Property tests of the sweep-table CSV format: every float cell reads back
+bit for bit, boolean cells read back as true/false, and the column-at-once
+writer gives the bytes of a plain per-cell formatter."""
+
+import csv
+import struct
+import sys
+import tempfile
+from pathlib import Path
+
+import numpy as np
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from ysqht import RunManifest, write_sweep_csv
+
+SETTINGS = settings(derandomize=True, deadline=None, max_examples=150)
+
+floats = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308,
+                     -2.2250738585072014e-308, sys.float_info.max,
+                     -sys.float_info.max]),
+)
+#: Cells of each column kind; numpy scalars take the cell-by-cell path.
+CELLS = {
+    "float": floats,
+    "bool": st.booleans(),
+    "float64": floats.map(np.float64),
+    "bool_": st.booleans().map(np.bool_),
+}
+
+
+@st.composite
+def tables(draw):
+    """(kinds, columns): up to five columns of one kind each, all of the
+    same length."""
+    n = draw(st.integers(0, 8))
+    kinds = draw(st.lists(st.sampled_from(sorted(CELLS)), min_size=1,
+                          max_size=5))
+    columns = [draw(st.lists(CELLS[kind], min_size=n, max_size=n))
+               for kind in kinds]
+    return kinds, columns
+
+
+def reference_cell(value):
+    """The cell format spelled out per value: ``repr`` of the Python float,
+    lower-case booleans."""
+    if isinstance(value, (bool, np.bool_)):
+        return "true" if value else "false"
+    return repr(float(value))
+
+
+def bits(value):
+    return struct.pack("<d", value)
+
+
+def write_and_read(header, columns):
+    """The bytes of the table written by ``write_sweep_csv`` and its rows
+    read back by ``csv``."""
+    with tempfile.TemporaryDirectory() as directory:
+        path = Path(directory) / "table.csv"
+        write_sweep_csv(path, header, columns, RunManifest(kind="sweep"))
+        data = path.read_bytes()
+        with path.open(newline="") as fh:
+            rows = list(csv.reader(fh))
+    return data, rows
+
+
+@SETTINGS
+@given(table=tables())
+def test_cells_read_back_exactly(table):
+    kinds, columns = table
+    header = [f"c{k}" for k in range(len(columns))]
+    _, rows = write_and_read(header, columns)
+    assert rows[0] == header
+    assert len(rows) == 1 + len(columns[0])
+    for kind, column, cells in zip(kinds, columns, zip(*rows[1:])):
+        if kind.startswith("bool"):
+            assert list(cells) == ["true" if v else "false" for v in column]
+        else:
+            assert [bits(float(c)) for c in cells] == \
+                [bits(float(v)) for v in column]
+
+
+@SETTINGS
+@given(table=tables())
+def test_bytes_match_a_per_cell_formatter(table):
+    _, columns = table
+    header = [f"c{k}" for k in range(len(columns))]
+    data, _ = write_and_read(header, columns)
+    lines = [header] + [[reference_cell(v) for v in row]
+                        for row in zip(*columns)]
+    assert data == "".join(",".join(line) + "\n" for line in lines).encode()

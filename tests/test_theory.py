@@ -371,6 +371,76 @@ class TestSweepGamma2:
             sweep_gamma2(THETA_B, NoiseParams(DELTA_FIG2), [], self.GRID)
 
 
+class TestSweepColumns:
+    GRID = [0.0, 0.25, 0.5, 0.75, 1.0]
+
+    def sweeps(self):
+        return [
+            sweep_delta(THETA_B, [0.1, 0.3], 0.8, self.GRID),
+            sweep_gamma2(THETA_B, NoiseParams(DELTA_FIG2), [0.05, 0.2, 0.4],
+                         self.GRID),
+        ]
+
+    def test_shapes(self):
+        for sweep in self.sweeps():
+            n, g = len(self.GRID), len(sweep.gamma1_values)
+            assert sweep.x.tolist() == self.GRID
+            assert isinstance(sweep.q1_over_p1, float)
+            assert sweep.q2_over_p2.shape == (n,)
+            assert sweep.q_over_p.shape == (g, n)
+            assert sweep.reversal.shape == (g, n)
+            assert sweep.reversal.dtype == bool
+
+    def test_columns_are_read_only(self):
+        for sweep in self.sweeps():
+            for column in (sweep.x, sweep.q2_over_p2, sweep.q_over_p,
+                           sweep.reversal):
+                with pytest.raises(ValueError, match="read-only"):
+                    column[0] = 0
+
+    def test_rows_are_the_columns_point_by_point(self):
+        for sweep in self.sweeps():
+            assert sweep.rows is sweep.rows  # built once
+            assert len(sweep.rows) == len(self.GRID)
+            for i, row in enumerate(sweep.rows):
+                assert row.x == sweep.x[i]
+                assert row.q1_over_p1 == sweep.q1_over_p1
+                assert row.q2_over_p2 == sweep.q2_over_p2[i]
+                assert row.q_over_p == tuple(sweep.q_over_p[:, i].tolist())
+                assert row.reversal == tuple(sweep.reversal[:, i].tolist())
+
+    def test_caller_grid_is_copied(self):
+        grid = np.array(self.GRID)
+        sweep = sweep_delta(THETA_B, [0.1], 0.8, grid)
+        grid[0] = 9.0
+        assert sweep.x[0] == 0.0
+        assert grid.flags.writeable
+
+    @pytest.mark.parametrize("sweep, message", [
+        (lambda g: sweep_delta(THETA_B, [0.1], 0.8, g),
+         "delta_std must be finite, got nan"),
+        (lambda g: sweep_gamma2(THETA_B, NoiseParams(DELTA_FIG2), [0.1], g),
+         "gamma2 must be finite, got nan"),
+    ], ids=["delta", "gamma2"])
+    def test_non_finite_grid_value_named(self, sweep, message):
+        with pytest.raises(ValueError, match=message):
+            sweep([0.0, math.nan, math.inf])
+
+    def test_first_weight_outside_unit_interval_named(self):
+        with pytest.raises(ValueError, match=r"gamma2 must be in \[0, 1\], "
+                                             r"got 1.5"):
+            sweep_gamma2(THETA_B, NoiseParams(DELTA_FIG2), [0.1],
+                         [-0.0, 0.5, 1.5, 2.5])
+
+    def test_negative_spread_rejected(self):
+        with pytest.raises(ValueError, match="non-negative"):
+            sweep_delta(THETA_B, [0.1], 0.8, [-0.1, 0.5])
+
+    def test_nested_grid_rejected(self):
+        with pytest.raises(ValueError, match="flat sequence"):
+            sweep_delta(THETA_B, [0.1], 0.8, [[0.0, 0.5]])
+
+
 @pytest.mark.parametrize("sweep", [
     lambda g1: sweep_delta(THETA_B, g1, 0.8, [0.0, 0.5]),
     lambda g1: sweep_gamma2(THETA_B, NoiseParams(DELTA_FIG2), g1, [0.0, 0.5]),
