@@ -7,6 +7,12 @@ header names and a companion ``<name>.manifest.json``.
 Floats in record lines carry 17 significant digits and CSV cells use the
 shortest round-trip decimal form, so parsing a file back reproduces the
 in-memory values exactly.
+
+Both writers format and write ``READ_CHUNK_LINES`` lines at a time, so the
+memory a write takes does not grow with the length of the file.  A regular
+file is written to a new file beside it that then replaces it, so that a
+write that fails part way leaves the old file or none, never half of one;
+streams (pipes, devices, links such as ``/dev/stdout``) are written in place.
 """
 
 from __future__ import annotations
@@ -14,11 +20,12 @@ from __future__ import annotations
 import itertools
 import json
 import math
+import os
 import stat
 from dataclasses import dataclass, field, fields
 from datetime import datetime, timezone
 from pathlib import Path
-from typing import Any, Iterator, Sequence
+from typing import Any, Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -125,8 +132,48 @@ def manifest_for_acquisition(config: AcquisitionConfig) -> RunManifest:
 #: Keys of a record line, in the order they are written.
 RECORD_KEYS = ("i", "alpha", "n1p", "n1q", "n2p", "n2q")
 
-#: Record lines parsed per ``json.loads`` call by ``read_count_log``.
+#: Record lines parsed per ``json.loads`` call by ``read_count_log``, and
+#: lines formatted per write by ``write_count_log`` and ``write_sweep_csv``.
 READ_CHUNK_LINES = 4096
+
+
+def _write_lines(path: Path, lines: Iterable[str]) -> None:
+    """Write ``lines``, each ended by a newline, to ``path``, joined and
+    written ``READ_CHUNK_LINES`` lines at a time.
+
+    A regular file, or a path where nothing is yet, is written to a new
+    file in the same directory, which then replaces it (``os.replace``); if
+    anything fails first, the new file is removed and ``path`` keeps its old
+    bytes, or stays absent.  The new file gets the old one's permission bits,
+    or, for a new path, those the umask leaves of 0666, as ``open`` would
+    give.  Anything else at ``path``, such as a pipe, a device or a link
+    (``/dev/stdout``), is written in place."""
+    lines = iter(lines)
+    chunks = iter(lambda: list(itertools.islice(lines, READ_CHUNK_LINES)), [])
+    text = ("\n".join(chunk) + "\n" for chunk in chunks)
+    try:
+        mode = path.lstat().st_mode
+    except FileNotFoundError:
+        mode = None
+    if mode is not None and not stat.S_ISREG(mode):
+        with path.open("w") as fh:
+            fh.writelines(text)
+        return
+    temp = path.with_name(f".{path.name}.{os.urandom(8).hex()}.tmp")
+    try:
+        fd = os.open(temp, os.O_CREAT | os.O_EXCL | os.O_WRONLY, 0o666)
+    except OSError as err:  # name the output, not its temporary file
+        err.filename = str(path)
+        raise
+    try:
+        with open(fd, "w") as fh:
+            if mode is not None:
+                os.fchmod(fd, stat.S_IMODE(mode))
+            fh.writelines(text)
+        os.replace(temp, path)
+    except BaseException:
+        temp.unlink(missing_ok=True)
+        raise
 
 
 def format_record_line(
@@ -142,26 +189,39 @@ def format_record_line(
     )
 
 
+def _record_lines(counts: Counts) -> Iterator[str]:
+    """The record lines of ``counts``, made ``READ_CHUNK_LINES`` at a time,
+    so that only the columns of one chunk are turned into Python values at
+    once."""
+    alpha = counts.alpha
+    negative_zero = np.signbit(alpha) & (alpha == 0.0)
+    for start in range(0, len(counts), READ_CHUNK_LINES):
+        stop = start + READ_CHUNK_LINES
+        lines = list(map(format_record_line, range(start, stop),
+                         alpha[start:stop].tolist(),
+                         *counts.counts[start:stop].T.tolist()))
+        for k in np.flatnonzero(negative_zero[start:stop]).tolist():
+            lines[k] = lines[k].replace('"alpha": -0,', '"alpha": -0.0,', 1)
+        yield from lines
+
+
 def write_count_log(
     path: str | Path,
     config: AcquisitionConfig,
     counts: Counts,
 ) -> RunManifest:
+    """Write ``counts`` as a count log under the manifest of ``config``, a
+    chunk of ``READ_CHUNK_LINES`` record lines at a time, so that the memory
+    the write takes does not grow with the number of records; a regular file
+    is replaced only once the whole log is written."""
     if len(counts) != config.iterations:
         raise ValueError(
             f"{len(counts)} records for a run of {config.iterations} "
             f"iterations"
         )
     manifest = manifest_for_acquisition(config)
-    lines = [manifest.to_json()]
-    lines.extend(map(format_record_line, range(len(counts)),
-                     counts.alpha.tolist(), *counts.counts.T.tolist()))
-    alpha = counts.alpha
-    for k in np.flatnonzero(np.signbit(alpha) & (alpha == 0.0)).tolist():
-        lines[k + 1] = lines[k + 1].replace(
-            '"alpha": -0,', '"alpha": -0.0,', 1
-        )
-    Path(path).write_text("\n".join(lines) + "\n")
+    _write_lines(Path(path),
+                 itertools.chain([manifest.to_json()], _record_lines(counts)))
     return manifest
 
 
@@ -377,11 +437,18 @@ def _format_cell(value: Any) -> str:
 def _format_column(column: Sequence[Any]) -> Iterator[str]:
     """The cells of one column, by one formatter for the whole column when
     its cells share one plain type, else by ``_format_cell``; lazily, so
-    that only the joined rows are kept."""
+    that only the joined rows are kept.  A float column of one value (all
+    cells bit-equal, so ``-0.0`` stays apart from ``0.0``) is formatted
+    once."""
     types = set(map(type, column))
     formatter = _format_cell
     if len(types) == 1:
-        formatter = _COLUMN_FORMATTERS.get(types.pop(), _format_cell)
+        kind = types.pop()
+        if kind is float and column[0] == column[-1]:  # never true of NaN
+            bits = np.array(column).view(np.uint64)
+            if (bits == bits[0]).all():
+                return itertools.repeat(float.__repr__(column[0]), len(column))
+        formatter = _COLUMN_FORMATTERS.get(kind, _format_cell)
     return map(formatter, column)
 
 
@@ -394,7 +461,8 @@ def write_sweep_csv(
     """Write a sweep table, given as one column of cells per header name,
     and, when ``path`` is a regular file, its companion
     ``<path>.manifest.json``; returns the manifest's path, or None for a
-    stream such as a pipe or ``/dev/stdout`` (a link, not a file)."""
+    stream such as a pipe or ``/dev/stdout`` (a link, not a file).  The table
+    is in place before its manifest is written."""
     if len(columns) != len(header):
         raise ValueError(
             f"{len(columns)} columns for {len(header)} header names"
@@ -405,12 +473,11 @@ def write_sweep_csv(
                 f"column {name} has {len(column)} cells, column {header[0]} "
                 f"has {len(columns[0])}"
             )
-    formatted = [_format_column(column) for column in columns]
-    lines = [",".join(header), *map(",".join, zip(*formatted))]
+    rows = map(",".join, zip(*map(_format_column, columns)))
     out = Path(path)
-    out.write_text("\n".join(lines) + "\n")
+    _write_lines(out, itertools.chain([",".join(header)], rows))
     if not stat.S_ISREG(out.lstat().st_mode):
         return None
     manifest_path = out.with_name(out.name + ".manifest.json")
-    manifest_path.write_text(manifest.to_json() + "\n")
+    _write_lines(manifest_path, [manifest.to_json()])
     return manifest_path

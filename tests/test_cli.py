@@ -283,6 +283,23 @@ class TestSimulate:
         assert code == 4
         assert "error" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command", [
+        ["simulate", "--theta", THETA_FLAG, "--delta-std", "0", "--seed", "5",
+         "--iterations", "10"],
+        ["sweep", "delta", "0:1:5", "--theta", THETA_FLAG, "--gamma1", "0.1",
+         "--gamma2", "0.8"],
+    ])
+    def test_failed_write_exit_4_leaves_no_file(
+        self, tmp_path, capsys, monkeypatch, command
+    ):
+        def refuse(*args):
+            raise OSError("injected failure")
+
+        monkeypatch.setattr(os, "replace", refuse)
+        assert main(command + ["--out", str(tmp_path / "out")]) == 4
+        assert "injected failure" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
+
     def test_env_var_seed_fallback(self, tmp_path, capsys, monkeypatch):
         monkeypatch.setenv("YSQHT_SEED", "321")
         out = tmp_path / "env.jsonl"

@@ -1,10 +1,15 @@
 """Tests for the count-log and sweep-table file formats."""
 
 import dataclasses
+import hashlib
+import itertools
 import json
 import math
+import os
 import re
+import stat
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -89,6 +94,51 @@ class TestRecordLines:
                         + format_record_line(0, -0.0, 1, 1, 1, 1) + "\n")
         assert '"alpha": -0,' in path.read_text()
         assert read_count_log(path)[1].alpha.tolist() == [0.0]
+
+    def test_negative_zero_keeps_its_sign_across_a_chunk_boundary(
+        self, tmp_path
+    ):
+        n = READ_CHUNK_LINES + 2
+        alpha = np.full(n, 0.5)
+        alpha[[READ_CHUNK_LINES - 1, READ_CHUNK_LINES]] = -0.0
+        path = tmp_path / "run.jsonl"
+        write_count_log(path, make_config(iterations=n),
+                        Counts(alpha, np.ones((n, 4), np.int64)))
+        lines = path.read_text().splitlines()
+        for k in (READ_CHUNK_LINES - 1, READ_CHUNK_LINES):
+            assert f'{{"i": {k}, "alpha": -0.0,' in lines[k + 1]
+        assert '"alpha": 0.5,' in lines[READ_CHUNK_LINES + 2]
+        loaded = read_count_log(path)[1].alpha
+        assert np.flatnonzero(np.signbit(loaded)).tolist() == [
+            READ_CHUNK_LINES - 1, READ_CHUNK_LINES,
+        ]
+        assert np.array_equal(loaded, alpha)
+
+    def test_record_bytes_pinned_across_write_chunks(self, tmp_path):
+        # 10,000 records take three write chunks; the digest is that of the
+        # record lines written in one piece, before the writes were chunked.
+        path = tmp_path / "run.jsonl"
+        write_log(path, seed=1, iterations=10_000)
+        records = path.read_bytes().split(b"\n", 1)[1]
+        assert records.count(b"\n") == 10_000
+        assert hashlib.sha256(records).hexdigest() == (
+            "3315fa5114339d2cb67ab079f5263685fd5df0501f77b19a9cc96c525c0d4f21"
+        )
+
+    def test_write_memory_does_not_grow_with_the_log(self, tmp_path):
+        def write_peak(n):
+            config = make_config(seed=1, iterations=n)
+            counts = run_acquisition(config)
+            tracemalloc.start()
+            try:
+                write_count_log(tmp_path / f"run{n}.jsonl", config, counts)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        small, large = write_peak(10_000), write_peak(50_000)
+        assert large < 4e6
+        assert large <= 1.5 * small
 
 
 class TestCountLogRoundTrip:
@@ -291,6 +341,7 @@ class TestCountLogIntegrity:
         counts = Counts([0.0], [[1, 1, 1, 1]])
         with pytest.raises(ValueError, match="iterations"):
             write_count_log(tmp_path / "x.jsonl", make_config(), counts)
+        assert list(tmp_path.iterdir()) == []
 
 
 def set_value(key, text):
@@ -608,3 +659,214 @@ class TestSweepCsv:
         path = tmp_path / "table.csv"
         write_sweep_csv(path, ["x", "y"], [[], []], RunManifest(kind="sweep"))
         assert path.read_text() == "x,y\n"
+
+    def test_constant_columns_formatted_once_keep_their_sign(self, tmp_path):
+        n = 5
+        columns = [[-0.0] * n, [0.0] * n, [math.nan] * n,
+                   [0.0, -0.0, 0.0, 0.0, 0.0], [0.1] * n, [-0.0] + [0.0] * 4]
+        path = tmp_path / "table.csv"
+        header = ["a", "b", "c", "d", "e", "f"]
+        write_sweep_csv(path, header, columns, RunManifest(kind="sweep"))
+        assert path.read_text().splitlines() == [
+            "a,b,c,d,e,f",
+            "-0.0,0.0,nan,0.0,0.1,-0.0",
+            "-0.0,0.0,nan,-0.0,0.1,0.0",
+            *["-0.0,0.0,nan,0.0,0.1,0.0"] * 3,
+        ]
+        formatted = list(map(logio._format_column, columns))
+        assert [type(cells) is itertools.repeat for cells in formatted] == [
+            True, True, False, False, True, False,
+        ]
+
+
+@pytest.fixture
+def umask():
+    """Run the test under umask 027, so that a file's mode shows whether the
+    umask set it; yields the mode ``Path.write_text`` gives a new file."""
+    old = os.umask(0o027)
+    try:
+        yield 0o640
+    finally:
+        os.umask(old)
+
+
+def snapshot(directory):
+    """Name -> (bytes, permission bits) of each file in ``directory``."""
+    return {path.name: (path.read_bytes(), mode_of(path))
+            for path in directory.iterdir()}
+
+
+def mode_of(path):
+    return stat.S_IMODE(path.stat().st_mode)
+
+
+def fail_on(function, bad, directory):
+    """``function``, raising OSError when its first argument is ``bad``; the
+    sizes of the files in ``directory`` at that moment go to ``.seen``."""
+    def failing(value, *args):
+        if value == bad:
+            failing.seen = {p.name: p.stat().st_size
+                            for p in directory.iterdir()}
+            raise OSError("injected failure")
+        return function(value, *args)
+    return failing
+
+
+def refuse(*args):
+    raise OSError("injected failure")
+
+
+def assert_failed_mid_write(seen, before):
+    """When the failure came, one temporary file beside the target already
+    held written lines."""
+    temporary = set(seen) - set(before)
+    assert len(temporary) == 1
+    assert seen[temporary.pop()] > 0
+
+
+class TestCrashSafeWrites:
+    """A write that fails part way leaves the old file, or none, and no
+    temporary file; a new file gets the mode ``Path.write_text`` gives."""
+
+    def test_new_files_get_the_mode_of_write_text(self, tmp_path, umask):
+        reference = tmp_path / "reference"
+        reference.write_text("")
+        assert mode_of(reference) == umask
+        write_log(tmp_path / "run.jsonl")
+        write_sweep_csv(tmp_path / "t.csv", ["x"], [[0.1]],
+                        RunManifest(kind="sweep"))
+        assert {name: mode for name, (_, mode) in snapshot(tmp_path).items()} \
+            == dict.fromkeys(["reference", "run.jsonl", "t.csv",
+                              "t.csv.manifest.json"], umask)
+
+    def test_replaced_file_keeps_its_mode(self, tmp_path, umask):
+        reference = tmp_path / "reference"
+        path = tmp_path / "run.jsonl"
+        for target in (reference, path):
+            target.write_text("old\n")
+            target.chmod(0o600)
+        reference.write_text("new\n")
+        write_log(path)
+        assert mode_of(path) == mode_of(reference) == 0o600
+        assert path.read_text().count("\n") == 21
+
+    @pytest.mark.parametrize("existing", [False, True])
+    def test_count_log_failing_in_a_later_chunk(
+        self, tmp_path, umask, monkeypatch, existing
+    ):
+        path = tmp_path / "run.jsonl"
+        if existing:
+            path.write_text("old log\n")
+        before = snapshot(tmp_path)
+        failing = fail_on(logio.format_record_line, READ_CHUNK_LINES + 3,
+                          tmp_path)
+        monkeypatch.setattr(logio, "format_record_line", failing)
+        with pytest.raises(OSError, match="injected"):
+            write_log(path, iterations=2 * READ_CHUNK_LINES)
+        assert_failed_mid_write(failing.seen, before)
+        assert snapshot(tmp_path) == before
+
+    @pytest.mark.parametrize("existing", [False, True])
+    def test_count_log_failing_to_replace(
+        self, tmp_path, umask, monkeypatch, existing
+    ):
+        path = tmp_path / "run.jsonl"
+        if existing:
+            path.write_text("old log\n")
+        before = snapshot(tmp_path)
+        monkeypatch.setattr(os, "replace", refuse)
+        with pytest.raises(OSError, match="injected"):
+            write_log(path)
+        assert snapshot(tmp_path) == before
+
+    def test_file_is_whole_when_renamed(self, tmp_path, monkeypatch):
+        sizes = []
+        replace = os.replace
+
+        def spy(source, target):
+            sizes.append(os.path.getsize(source))
+            replace(source, target)
+
+        monkeypatch.setattr(os, "replace", spy)
+        path = tmp_path / "run.jsonl"
+        # The last chunk, one short line, is still buffered after the write.
+        write_log(path, iterations=READ_CHUNK_LINES + 1)
+        assert sizes == [path.stat().st_size]
+
+    @staticmethod
+    def write_table(path):
+        """A one-column table of 2 * READ_CHUNK_LINES distinct floats."""
+        column = [float(k) for k in range(2 * READ_CHUNK_LINES)]
+        return write_sweep_csv(path, ["x"], [column],
+                               RunManifest(kind="sweep"))
+
+    @pytest.mark.parametrize("existing", [False, True])
+    def test_sweep_csv_failing_in_a_later_chunk(
+        self, tmp_path, umask, monkeypatch, existing
+    ):
+        path = tmp_path / "t.csv"
+        if existing:
+            path.write_text("old table\n")
+            (tmp_path / "t.csv.manifest.json").write_text("old manifest\n")
+        before = snapshot(tmp_path)
+        failing = fail_on(float.__repr__, float(READ_CHUNK_LINES + 3),
+                          tmp_path)
+        monkeypatch.setitem(logio._COLUMN_FORMATTERS, float, failing)
+        with pytest.raises(OSError, match="injected"):
+            self.write_table(path)
+        assert_failed_mid_write(failing.seen, before)
+        assert snapshot(tmp_path) == before
+
+    @pytest.mark.parametrize("existing", [False, True])
+    def test_sweep_csv_failing_to_replace(
+        self, tmp_path, umask, monkeypatch, existing
+    ):
+        path = tmp_path / "t.csv"
+        if existing:
+            path.write_text("old table\n")
+            (tmp_path / "t.csv.manifest.json").write_text("old manifest\n")
+        before = snapshot(tmp_path)
+        monkeypatch.setattr(os, "replace", refuse)
+        with pytest.raises(OSError, match="injected"):
+            self.write_table(path)
+        assert snapshot(tmp_path) == before
+
+    def test_sweep_table_lands_before_its_manifest(
+        self, tmp_path, umask, monkeypatch
+    ):
+        (tmp_path / "t.csv.manifest.json").write_text("old manifest\n")
+        replace = os.replace
+
+        def refuse_manifest(source, target):
+            if str(target).endswith(".manifest.json"):
+                raise OSError("injected failure")
+            replace(source, target)
+
+        monkeypatch.setattr(os, "replace", refuse_manifest)
+        with pytest.raises(OSError, match="injected"):
+            self.write_table(tmp_path / "t.csv")
+        table = (tmp_path / "t.csv").read_text().splitlines()
+        assert len(table) == 1 + 2 * READ_CHUNK_LINES
+        assert snapshot(tmp_path) == {
+            "t.csv": ((tmp_path / "t.csv").read_bytes(), 0o640),
+            "t.csv.manifest.json": (b"old manifest\n", 0o640),
+        }
+
+    def test_missing_directory_error_names_the_output(self, tmp_path):
+        path = tmp_path / "missing" / "run.jsonl"
+        with pytest.raises(FileNotFoundError) as err:
+            write_log(path)
+        assert err.value.filename == str(path)
+        assert list(tmp_path.iterdir()) == []
+
+    def test_count_log_through_a_link_written_in_place(self, tmp_path):
+        target = tmp_path / "target.jsonl"
+        target.write_text("old log\n")
+        link = tmp_path / "link.jsonl"
+        link.symlink_to(target)
+        _, counts = write_log(link)
+        assert link.is_symlink()
+        assert_same_counts(read_count_log(target)[1], counts)
+        assert sorted(p.name for p in tmp_path.iterdir()) == [
+            "link.jsonl", "target.jsonl",
+        ]

@@ -1,6 +1,7 @@
 """Property tests of the count-log format: whatever counts are written, the
 reader returns them unchanged, also across chunk boundaries and from lines
-that are blank, padded or have their keys in another order."""
+that are blank, padded or have their keys in another order, and the bytes
+written do not depend on the writer's chunk size."""
 
 import sys
 import tempfile
@@ -75,6 +76,19 @@ def test_written_counts_read_back_unchanged(rows):
     with tempfile.TemporaryDirectory() as directory:
         path, data = write_log(directory, rows)
         assert_same_counts(read_back(path), data)
+
+
+@SETTINGS
+@given(records)
+def test_written_bytes_do_not_depend_on_the_chunk_size(rows):
+    with tempfile.TemporaryDirectory() as directory:
+        path, _ = write_log(directory, rows)
+        whole = path.read_text().splitlines()
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(logio, "READ_CHUNK_LINES", 3)
+            path, _ = write_log(directory, rows)
+        chunked = path.read_text().splitlines()
+    assert chunked[1:] == whole[1:]
 
 
 @SETTINGS

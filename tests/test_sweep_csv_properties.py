@@ -1,6 +1,7 @@
 """Property tests of the sweep-table CSV format: every float cell reads back
 bit for bit, boolean cells read back as true/false, and the column-at-once
-writer gives the bytes of a plain per-cell formatter."""
+writer (which formats a column of one value once) gives the bytes of a plain
+per-cell formatter."""
 
 import csv
 import struct
@@ -34,12 +35,18 @@ CELLS = {
 @st.composite
 def tables(draw):
     """(kinds, columns): up to five columns of one kind each, all of the
-    same length."""
+    same length; a float column may repeat one value, as a sweep's constant
+    ratio columns do."""
     n = draw(st.integers(0, 8))
     kinds = draw(st.lists(st.sampled_from(sorted(CELLS)), min_size=1,
                           max_size=5))
-    columns = [draw(st.lists(CELLS[kind], min_size=n, max_size=n))
-               for kind in kinds]
+    columns = []
+    for kind in kinds:
+        if kind == "float" and draw(st.booleans()):
+            columns.append([draw(floats)] * n)
+        else:
+            columns.append(draw(st.lists(CELLS[kind], min_size=n,
+                                         max_size=n)))
     return kinds, columns
 
 
