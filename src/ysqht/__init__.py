@@ -15,7 +15,6 @@ from .counting import (
     EstimationError,
     RatioEstimate,
     RatioSummary,
-    SimulatedPoint,
     SimulatedSweep,
     aggregate,
     aggregation_seed,
@@ -105,7 +104,6 @@ __all__ = [
     "EstimationError",
     "RatioEstimate",
     "RatioSummary",
-    "SimulatedPoint",
     "SimulatedSweep",
     "aggregate",
     "aggregation_seed",

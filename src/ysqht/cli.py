@@ -3,12 +3,15 @@ analysis, and sweep tables.
 
 Exit codes: 0 ok (also when the reader of the output closes it early), 2 usage
 error, 3 reversal present (with --check-reversal), 4 io error, 5 corrupt log
-line, 6 incompatible manifest version.
+line, 6 incompatible manifest version, 7 no usable iterations (every
+iteration of a count log or of a simulated grid point had n1p = 0, or a ratio
+estimate had a vanishing denominator).
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import os
@@ -20,6 +23,7 @@ import numpy as np
 from .counting import (
     AGGREGATION_MODES,
     AcquisitionConfig,
+    EstimationError,
     aggregate,
     estimate_ratios,
     run_acquisition,
@@ -58,6 +62,7 @@ EXIT_REVERSAL = 3
 EXIT_IO = 4
 EXIT_CORRUPT = 5
 EXIT_VERSION = 6
+EXIT_NO_USABLE = 7
 
 
 def _resolve_seed(value: int | None) -> int:
@@ -378,7 +383,11 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once per process: building it costs
+    more than most commands, and ``parse_args`` fills a fresh namespace on
+    every call."""
     parser = argparse.ArgumentParser(
         prog="ysqht",
         description=(
@@ -484,6 +493,9 @@ def main(argv: Sequence[str] | None = None) -> int:
     except ManifestVersionError as err:
         print(f"error: {err}", file=sys.stderr)
         return EXIT_VERSION
+    except EstimationError as err:
+        print(f"error: {err}", file=sys.stderr)
+        return EXIT_NO_USABLE
     except OSError as err:
         print(f"error: {err}", file=sys.stderr)
         return EXIT_IO

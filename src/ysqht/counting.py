@@ -78,7 +78,7 @@ class AcquisitionConfig:
                 f"expected counts per window = {self.expected_counts:g} < "
                 f"{RECOMMENDED_MIN_COUNTS:g}; ratio estimators may be "
                 f"ill-conditioned",
-                stacklevel=2,
+                stacklevel=3,  # past the generated __init__ to its caller
             )
 
     @property
@@ -179,82 +179,175 @@ def run_acquisition(config: AcquisitionConfig) -> Counts:
     return Counts(alpha, rng.poisson(lam))
 
 
-def _usable(counts: Counts) -> tuple[np.ndarray, int]:
-    """The n1p, n1q, n2p, n2q columns (as contiguous float rows) of the
-    iterations whose normalization count n1p is positive, and how many
-    iterations were dropped."""
-    if not len(counts):
-        raise EstimationError("no records to estimate from")
-    keep = counts.counts[:, 0] > 0
-    kept = int(keep.sum())
-    if not kept:
-        raise EstimationError(
-            "every iteration had n1p = 0; nothing to normalize by"
-        )
-    columns = np.ascontiguousarray(counts.counts[keep].T, dtype=float)
-    return columns, len(counts) - kept
+@dataclass(frozen=True, eq=False)
+class _Estimates:
+    """Estimator rows of a batch of P acquisitions: ``value``,
+    ``std_error`` and ``poisson_error`` (NaN where there is none) of shape
+    (J, P), one row per estimator and one column per acquisition, with each
+    acquisition's ``n_samples`` and ``excluded`` iterations (shape (P,))."""
+
+    value: np.ndarray
+    std_error: np.ndarray
+    poisson_error: np.ndarray
+    n_samples: np.ndarray
+    excluded: np.ndarray
+
+    def single(self, rows: range) -> list[RatioEstimate]:
+        """The estimates of the given rows of a batch of one acquisition."""
+        n = int(self.n_samples[0])
+        return [
+            RatioEstimate(
+                float(self.value[j, 0]),
+                float(self.std_error[j, 0]),
+                n,
+                None if math.isnan(p := float(self.poisson_error[j, 0]))
+                else p,
+            )
+            for j in rows
+        ]
 
 
-def _mean_estimate(
-    per_iteration: np.ndarray, poisson_error: float | None = None
-) -> RatioEstimate:
-    n = int(per_iteration.size)
-    value = float(per_iteration.mean())
-    if n > 1:
-        std_error = float(per_iteration.std(ddof=1) / math.sqrt(n))
-    else:
-        std_error = 0.0
-    return RatioEstimate(value, std_error, n, poisson_error)
-
-
-def _poisson_ratio_error(num_total: float, den_total: float) -> float:
-    # sqrt form of (Na/Nb)*sqrt(1/Na + 1/Nb), well defined at Na = 0.
-    return math.sqrt(num_total * (1.0 + num_total / den_total)) / den_total
+def _poisson_ratio_error(num_total: np.ndarray, den_total: np.ndarray
+                         ) -> np.ndarray:
+    # sqrt form of (Na/Nb)*sqrt(1/Na + 1/Nb), well defined at Na = 0; NaN
+    # where Nb = 0.
+    num, den = np.broadcast_arrays(num_total, den_total)
+    out = np.full(num.shape, np.nan)
+    ok = den > 0.0
+    num, den = num[ok], den[ok]
+    out[ok] = np.sqrt(num * (1.0 + num / den)) / den
+    return out
 
 
 def _propagated_ratio(
-    num: RatioEstimate,
-    den: RatioEstimate,
-    poisson_error: float | None,
-) -> RatioEstimate:
-    if den.value == 0.0:
+    num: np.ndarray, num_error: np.ndarray,
+    den: np.ndarray, den_error: np.ndarray,
+) -> tuple[np.ndarray, np.ndarray]:
+    """The ratios num/den and their standard errors, the relative errors
+    added in quadrature.  The squares are taken by Python's ``**`` (the C
+    library's pow), which rounds differently from numpy's x*x in about one
+    case in a thousand, so each value keeps the bits of the scalar
+    formula."""
+    if (den == 0.0).any():
         raise EstimationError(
             "cannot form a derived ratio: the denominator estimate vanished"
         )
-    value = num.value / den.value
-    std_error = (
-        math.sqrt(num.std_error**2 + (value * den.std_error) ** 2)
-        / abs(den.value)
-    )
-    return RatioEstimate(value, std_error, num.n_samples, poisson_error)
+    value = num / den
+    error = [
+        math.sqrt(a**2 + (v * b) ** 2) / abs(d)
+        for a, v, b, d in zip(num_error.tolist(), value.tolist(),
+                              den_error.tolist(), den.tolist())
+    ]
+    return value, np.array(error)
+
+
+def _estimate(
+    counts: np.ndarray,
+    clean: bool,
+    gamma1: Sequence[float] = (),
+    gamma2: np.ndarray | None = None,
+    rngs: Sequence[Sequence[np.random.Generator]] | None = None,
+) -> _Estimates:
+    """The estimator kernel behind ``estimate_ratios``, ``aggregate`` and
+    the simulated sweeps: P acquisitions (``counts``, int64 of shape
+    (P, n, 4)) estimated at once from their kept (n1p > 0) iterations.
+
+    Each estimator is the mean of a per-iteration ratio over n1p with the
+    standard error of that mean (ddof 1; 0.0 from one iteration), or a ratio
+    of two of them.  The rows are, when ``clean``, q1/p1, p2, q2 and q2/p2
+    (with the Poisson cross-check of the summed counts), then for each
+    gamma1 value p, q and q/p of the mixed counts at that gamma1 and the
+    acquisition's weight ``gamma2[i]``: picked clean or noisy by two
+    ``rngs[i][k].random(kept)`` draws (stochastic mode), or their weighted
+    averages when ``rngs`` is None (expected mode)."""
+    points, n, _ = counts.shape
+    if not n:
+        raise EstimationError("no records to estimate from")
+    keep = counts[:, :, 0] > 0
+    kept = np.count_nonzero(keep, axis=1)
+    if not kept.all():
+        raise EstimationError(
+            "every iteration had n1p = 0; nothing to normalize by"
+        )
+    # A reduction along the last axis of a C-contiguous block gives each row
+    # the bits that row gets on its own, so the acquisitions with nothing
+    # excluded share one block.  One with exclusions is reduced alone, on
+    # its kept iterations: zeros or padding in their place would regroup
+    # numpy's pairwise sums and change the last bits.
+    whole = kept == n
+    blocks = [(np.array([i]), counts[i, keep[i]][np.newaxis])
+              for i in np.flatnonzero(~whole)]
+    if whole.all():
+        blocks.append((np.arange(points), counts))
+    elif whole.any():
+        blocks.append((np.flatnonzero(whole), counts[whole]))
+
+    first = 4 if clean else 0  # estimator row of p at the first gamma1
+    shape = (first + 3 * len(gamma1), points)
+    value, std_error = np.empty(shape), np.empty(shape)
+    poisson_error = np.full(shape, np.nan)
+    # The estimator rows that are ratios of two others (q2/p2 and q/p), and
+    # those that are means of per-iteration ratios, in the order of the rows
+    # of ``ratios``.
+    derived = range(3 if clean else 2, shape[0], 3)
+    means = [j for j in range(shape[0]) if j not in derived]
+    for rows, block in blocks:
+        m = block.shape[1]
+        # Only n1p is copied to floats; the other columns are read in place.
+        n1p = block[..., 0].astype(float, order="C")
+        n1q, n2p, n2q = np.moveaxis(block[..., 1:], -1, 0)
+        # C order, so that each row of ratios is reduced as on its own.
+        ratios = np.empty((len(means), rows.size, m))
+        if clean:
+            ratios[:3] = np.moveaxis(block[..., 1:], -1, 0)
+            sums = block.sum(axis=1, dtype=float).T  # exact: whole counts
+            poisson_error[:3, rows] = _poisson_ratio_error(sums[1:], sums[0])
+            poisson_error[3, rows] = _poisson_ratio_error(sums[3], sums[2])
+        weight = None if gamma2 is None else gamma2[rows, np.newaxis]
+        for k, g1 in enumerate(gamma1):
+            a, b = ratios[means.index(first + 3 * k):][:2]
+            if rngs is None:
+                np.multiply(n1p, g1, out=a)
+                a += (1.0 - g1) * n2p
+                np.multiply(n1q, weight, out=b)
+                b += (1.0 - weight) * n2q
+            else:
+                pick_a, pick_b = np.empty((2, rows.size, m), dtype=bool)
+                for r, i in enumerate(rows):
+                    pick_a[r] = rngs[i][k].random(m) < g1
+                    pick_b[r] = rngs[i][k].random(m) < weight[r]
+                np.copyto(a, n2p)
+                np.copyto(a, n1p, where=pick_a)
+                np.copyto(b, n2q)
+                np.copyto(b, n1q, where=pick_b)
+        ratios /= n1p
+        cells = np.ix_(means, rows)
+        value[cells] = ratios.mean(axis=-1)
+        std_error[cells] = (
+            ratios.std(axis=-1, ddof=1) / math.sqrt(m) if m > 1 else 0.0
+        )
+    for j in derived:
+        value[j], std_error[j] = _propagated_ratio(
+            value[j - 1], std_error[j - 1], value[j - 2], std_error[j - 2]
+        )
+    return _Estimates(value, std_error, poisson_error, kept, n - kept)
+
+
+def _require_mode(mode: str) -> None:
+    if mode not in AGGREGATION_MODES:
+        raise ValueError(
+            f"mode must be one of {AGGREGATION_MODES}, got {mode!r}"
+        )
 
 
 def estimate_ratios(counts: Counts) -> RatioSummary:
-    """Per-iteration ratio estimates normalized by n1p.
+    """Per-iteration ratio estimates normalized by n1p, by the estimator
+    kernel that the simulated sweeps run on all their grid points at once.
 
     Iterations with n1p = 0 are excluded and counted; estimating from no
     usable iterations raises EstimationError."""
-    (n1p, n1q, n2p, n2q), excluded = _usable(counts)
-
-    sums = {name: float(arr.sum()) for name, arr in
-            (("n1p", n1p), ("n1q", n1q), ("n2p", n2p), ("n2q", n2q))}
-
-    q1 = _mean_estimate(
-        n1q / n1p, _poisson_ratio_error(sums["n1q"], sums["n1p"])
-    )
-    p2 = _mean_estimate(
-        n2p / n1p, _poisson_ratio_error(sums["n2p"], sums["n1p"])
-    )
-    q2 = _mean_estimate(
-        n2q / n1p, _poisson_ratio_error(sums["n2q"], sums["n1p"])
-    )
-    q2_over_p2_poisson = (
-        _poisson_ratio_error(sums["n2q"], sums["n2p"])
-        if sums["n2p"] > 0.0
-        else None
-    )
-    q2_over_p2 = _propagated_ratio(q2, p2, q2_over_p2_poisson)
-    return RatioSummary(q1, p2, q2, q2_over_p2, excluded)
+    est = _estimate(counts.counts[np.newaxis], clean=True)
+    return RatioSummary(*est.single(range(4)), int(est.excluded[0]))
 
 
 def aggregate(
@@ -271,30 +364,18 @@ def aggregate(
     expected mode uses the deterministic weighted average
     gamma*clean + (1-gamma)*noisy.  Both are normalized by n1p and averaged
     over iterations; both converge to the aggregated q/p as the number of
-    iterations grows."""
-    _require_probability(gamma1, "gamma1")
-    _require_probability(gamma2, "gamma2")
-    if mode not in AGGREGATION_MODES:
-        raise ValueError(
-            f"mode must be one of {AGGREGATION_MODES}, got {mode!r}"
-        )
-    (n1p, n1q, n2p, n2q), excluded = _usable(counts)
-
-    if mode == "stochastic":
-        if rng is None:
-            raise ValueError("stochastic aggregation needs a random generator")
-        pick_clean_a = rng.random(n1p.size) < gamma1
-        pick_clean_b = rng.random(n1p.size) < gamma2
-        numerator_a = np.where(pick_clean_a, n1p, n2p)
-        numerator_b = np.where(pick_clean_b, n1q, n2q)
-    else:
-        numerator_a = gamma1 * n1p + (1.0 - gamma1) * n2p
-        numerator_b = gamma2 * n1q + (1.0 - gamma2) * n2q
-
-    p_hat = _mean_estimate(numerator_a / n1p)
-    q_hat = _mean_estimate(numerator_b / n1p)
-    q_over_p = _propagated_ratio(q_hat, p_hat, None)
-    return AggregateResult(p_hat, q_hat, q_over_p, excluded)
+    iterations grows.  The simulated sweeps run the same estimator kernel on
+    all their grid points at once."""
+    gamma1 = _require_probability(gamma1, "gamma1")
+    gamma2 = _require_probability(gamma2, "gamma2")
+    _require_mode(mode)
+    if mode == "stochastic" and rng is None:
+        raise ValueError("stochastic aggregation needs a random generator")
+    est = _estimate(
+        counts.counts[np.newaxis], False, (gamma1,), np.array([gamma2]),
+        None if mode == "expected" else [[rng]],
+    )
+    return AggregateResult(*est.single(range(3)), int(est.excluded[0]))
 
 
 def point_seed(base_seed: int, index: int) -> int:
@@ -313,26 +394,34 @@ def aggregation_seed(acquisition_seed: int, gamma1_index: int = 0) -> int:
     )
 
 
-@dataclass(frozen=True)
-class SimulatedPoint:
-    """Estimates from the fresh acquisition at one grid point ``x`` of the
-    swept parameter, drawn with ``seed``."""
-
-    x: float
-    seed: int
-    q2_over_p2: RatioEstimate
-    q_over_p: tuple[RatioEstimate, ...]
+def _read_only(values: np.ndarray) -> np.ndarray:
+    values.flags.writeable = False
+    return values
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SimulatedSweep:
-    """Monte Carlo counterpart of an analytic sweep; ``q_over_p`` entries
-    align with ``gamma1_values``."""
+    """Monte Carlo counterpart of an analytic sweep, as read-only columns over
+    the grid ``x`` (shape (P,)): each point's acquisition ``seeds`` (uint64)
+    and its usable iterations ``n_samples``; the q2/p2 estimate
+    ``q2_over_p2`` with its standard error ``q2_over_p2_err`` and Poisson
+    cross-check ``q2_over_p2_poisson`` (NaN where the summed n2p is 0), each
+    of shape (P,); and the q/p estimate ``q_over_p`` with its
+    ``q_over_p_err``, of shape (len(gamma1_values), P), one row per gamma1.
+    Compare two values with ``np.array_equal`` on their columns
+    (``equal_nan=True`` for the cross-check)."""
 
     gamma1_values: tuple[float, ...]
     mode: str
     base_seed: int
-    points: tuple[SimulatedPoint, ...]
+    x: np.ndarray
+    seeds: np.ndarray
+    n_samples: np.ndarray
+    q2_over_p2: np.ndarray
+    q2_over_p2_err: np.ndarray
+    q2_over_p2_poisson: np.ndarray
+    q_over_p: np.ndarray
+    q_over_p_err: np.ndarray
 
 
 def _simulate_sweep(
@@ -345,25 +434,45 @@ def _simulate_sweep(
 ) -> SimulatedSweep:
     """Fresh acquisition per grid point, with that point's noise from
     ``noises`` and a seed derived from the base seed and the grid index,
-    estimated once and aggregated once per gamma1 at that point's weight
-    from ``gamma2s``."""
+    aggregated once per gamma1 at that point's weight from ``gamma2s``.
+
+    All points are estimated at once by the kernel that ``estimate_ratios``
+    and ``aggregate`` run on one acquisition, with the mixing draws of point
+    i and gamma1 column k from ``aggregation_seed(seed_i, k)``, so every
+    point holds the bits of a re-run of that point through those
+    functions."""
     gamma1_values = _require_distinct_probabilities(gamma1_values, "gamma1")
-    points = []
-    for i, (x, noise, gamma2) in enumerate(zip(grid, noises, gamma2s)):
-        seed = point_seed(base_config.seed, i)
-        counts = run_acquisition(replace(base_config, noise=noise, seed=seed))
-        ratios = tuple(
-            aggregate(
-                counts, g1, gamma2,
-                np.random.default_rng(aggregation_seed(seed, k)), mode,
-            ).q_over_p
-            for k, g1 in enumerate(gamma1_values)
+    _require_mode(mode)
+    points = list(zip(grid, noises, gamma2s))
+    gamma2 = np.array([_require_probability(g2, "gamma2")
+                       for _, _, g2 in points])
+    seeds = [point_seed(base_config.seed, i) for i in range(len(points))]
+    counts = np.empty((len(points), base_config.iterations, 4), np.int64)
+    with warnings.catch_warnings():
+        # Every point shares the base configuration's rate and window, and
+        # that configuration has warned of low counts already.
+        warnings.filterwarnings(
+            "ignore", "expected counts per window", UserWarning
         )
-        points.append(SimulatedPoint(
-            float(x), seed, estimate_ratios(counts).q2_over_p2, ratios
-        ))
+        for i, ((_, noise, _), seed) in enumerate(zip(points, seeds)):
+            counts[i] = run_acquisition(
+                replace(base_config, noise=noise, seed=seed)
+            ).counts
+    rngs = None if mode == "expected" else [
+        [np.random.default_rng(aggregation_seed(seed, k))
+         for k in range(len(gamma1_values))]
+        for seed in seeds
+    ]
+    est = _estimate(counts, True, gamma1_values, gamma2, rngs)
     return SimulatedSweep(
-        gamma1_values, mode, base_config.seed, tuple(points)
+        gamma1_values, mode, base_config.seed,
+        _read_only(np.array([float(x) for x, _, _ in points])),
+        _read_only(np.array(seeds, dtype=np.uint64)),
+        _read_only(est.n_samples),
+        *(_read_only(column[3].copy()) for column in
+          (est.value, est.std_error, est.poisson_error)),
+        _read_only(est.value[6::3].copy()),
+        _read_only(est.std_error[6::3].copy()),
     )
 
 

@@ -396,18 +396,16 @@ def sweep_table(
     if sim is None:
         return header, columns
     if sim.gamma1_values != sweep.gamma1_values or \
-            [point.x for point in sim.points] != xs:
+            not np.array_equal(sim.x, sweep.x):
         raise ValueError(
             "the simulated sweep does not share the analytic sweep's grid "
             "and gamma1 values"
         )
     header += ["sim_q2_over_p2", "sim_q2_over_p2_err"]
-    estimates = [[point.q2_over_p2 for point in sim.points]]
-    for k, s in enumerate(suffixes):
+    columns += [sim.q2_over_p2.tolist(), sim.q2_over_p2_err.tolist()]
+    for s, values, errors in zip(suffixes, sim.q_over_p, sim.q_over_p_err):
         header += [f"sim_q_over_p{s}", f"sim_q_over_p_err{s}"]
-        estimates.append([point.q_over_p[k] for point in sim.points])
-    for column in estimates:
-        columns += [[e.value for e in column], [e.std_error for e in column]]
+        columns += [values.tolist(), errors.tolist()]
     return header, columns
 
 

@@ -95,14 +95,13 @@ def test_criterion_4_noise_sweep_reproduction():
     sim = simulate_delta_sweep(base, grid, [0.1], 0.8, mode="stochastic")
 
     pulls = []
-    for arow, point in zip(analytic.rows, sim.points):
+    for i, arow in enumerate(analytic.rows):
         pulls.append(
-            abs(point.q2_over_p2.value - arow.q2_over_p2)
-            / point.q2_over_p2.std_error
+            abs(sim.q2_over_p2[i] - arow.q2_over_p2) / sim.q2_over_p2_err[i]
         )
         pulls.append(
-            abs(point.q_over_p[0].value - arow.q_over_p[0])
-            / point.q_over_p[0].std_error
+            abs(sim.q_over_p[0, i] - arow.q_over_p[0])
+            / sim.q_over_p_err[0, i]
         )
     pulls = np.array(pulls)
     within_3 = bool((pulls <= 3.0).all())
@@ -133,14 +132,13 @@ def test_criterion_5_weight_sweep_reproduction():
 
     constant = analytic.rows[0].q2_over_p2
     noisy_column_ok = all(
-        abs(point.q2_over_p2.value - constant)
-        <= 3.0 * point.q2_over_p2.std_error
-        for point in sim.points
+        abs(value - constant) <= 3.0 * error
+        for value, error in zip(sim.q2_over_p2, sim.q2_over_p2_err)
     )
     agg_ok = all(
-        abs(point.q_over_p[k].value - arow.q_over_p[k])
-        <= 3.0 * point.q_over_p[k].std_error
-        for arow, point in zip(analytic.rows, sim.points)
+        abs(sim.q_over_p[k, i] - arow.q_over_p[k])
+        <= 3.0 * sim.q_over_p_err[k, i]
+        for i, arow in enumerate(analytic.rows)
         for k in range(2)
     )
     crossing = analytic.crossings[0]

@@ -19,6 +19,7 @@ from ysqht import (
     estimate_ratios,
     run_acquisition,
 )
+from ysqht import cli
 from ysqht.cli import main
 
 THETA_B = 5.0 * math.pi / 36.0
@@ -44,6 +45,55 @@ def test_import_leaves_scipy_integrate_unloaded():
         env=env, check=True,
     )
     assert result.stdout.strip() == "False"
+
+
+def run_main(argv, capsys, out):
+    """Exit code, stdout, stderr and the bytes of ``out`` (None when it does
+    not exist) of one ``main`` call; usage errors and ``--version`` end in
+    SystemExit."""
+    try:
+        code = main(argv)
+    except SystemExit as exit:
+        code = exit.code
+    captured = capsys.readouterr()
+    written = out.read_bytes() if out.exists() else None
+    return code, captured.out, captured.err, written
+
+
+def test_one_parser_serves_every_call(tmp_path, capsys, monkeypatch):
+    monkeypatch.delenv("YSQHT_SEED", raising=False)
+    out = tmp_path / "table.csv"
+    sweep = [
+        "sweep", "gamma2", "0:1:4", "--theta", THETA_FLAG,
+        "--delta-std", DELTA_FLAG, "--gamma1", "0.05,0.4", "--out", str(out),
+    ]
+    calls = [
+        sweep + ["--with-sim", "--iterations", "30", "--mode", "expected",
+                 "--seed", "5"],
+        sweep,
+        ["theory", "--theta", "0.43633", "--delta-std", "0.7",
+         "--gamma1", "0.1", "--gamma2", "0.8", "--check-reversal"],
+        ["theory", "--theta", "0.43633", "--gamma1", "0.1"],
+        ["--version"],
+        sweep + ["--with-sim", "--iterations", "20"],
+        ["theory", "--theta", "0.43633", "--gamma1", "0.1", "--gamma2", "0.8",
+         "--json"],
+    ]
+    alone = []
+    for argv in calls:
+        cli._build_parser.cache_clear()
+        out.unlink(missing_ok=True)
+        alone.append(run_main(argv, capsys, out))
+    assert [result[0] for result in alone] == [0, 0, 3, 2, 0, 0, 0]
+
+    cli._build_parser.cache_clear()
+    out.unlink(missing_ok=True)
+    in_turn = []
+    for argv in calls:
+        in_turn.append(run_main(argv, capsys, out))
+        out.unlink(missing_ok=True)
+    assert in_turn == alone
+    assert cli._build_parser.cache_info().misses == 1
 
 
 class TestBrokenPipe:
@@ -421,6 +471,27 @@ class TestAnalyze:
         ])
         assert code == 4
 
+    @pytest.mark.parametrize("mode", ["stochastic", "expected"])
+    def test_no_usable_iterations_exit_7(self, tmp_path, capsys, mode):
+        log = tmp_path / "empty.jsonl"
+        with pytest.warns(UserWarning, match="expected counts per window"):
+            assert main([
+                "simulate", "--theta", THETA_FLAG, "--delta-std", DELTA_FLAG,
+                "--iterations", "3", "--rate", "0.001", "--seed", "1",
+                "--out", str(log),
+            ]) == 0
+        capsys.readouterr()
+        code = main([
+            "analyze", str(log), "--gamma1", "0.1", "--gamma2", "0.8",
+            "--mode", mode, "--json",
+        ])
+        captured = capsys.readouterr()
+        assert code == 7
+        assert captured.out == ""
+        assert captured.err == (
+            "error: every iteration had n1p = 0; nothing to normalize by\n"
+        )
+
 
 class TestSweep:
     def test_delta_axis_reversal_flips_at_threshold(self, tmp_path, capsys):
@@ -520,6 +591,40 @@ class TestSweep:
         assert code == 2
         assert "gamma1 value 0.1" in capsys.readouterr().err
         assert not out.exists()
+
+    @pytest.mark.parametrize("mode", ["stochastic", "expected"])
+    def test_no_usable_iterations_exit_7_leaves_no_file(
+        self, tmp_path, capsys, mode
+    ):
+        out = tmp_path / "sim.csv"
+        with pytest.warns(UserWarning, match="expected counts per window"):
+            code = main([
+                "sweep", "gamma2", "0:1:3", "--theta", THETA_FLAG,
+                "--delta-std", DELTA_FLAG, "--gamma1", "0.05", "--with-sim",
+                "--iterations", "3", "--rate", "0.001", "--mode", mode,
+                "--out", str(out),
+            ])
+        captured = capsys.readouterr()
+        assert code == 7
+        assert captured.out == ""
+        assert captured.err == (
+            "error: every iteration had n1p = 0; nothing to normalize by\n"
+        )
+        assert list(tmp_path.iterdir()) == []
+
+    def test_low_count_warning_names_the_command_once(self, tmp_path,
+                                                      capsys):
+        # One warning for the base configuration, none for the per-point
+        # configurations that share its rate and window.
+        with pytest.warns(UserWarning) as record:
+            assert main([
+                "sweep", "delta", "0:1:4", "--theta", THETA_FLAG,
+                "--gamma1", "0.05", "--gamma2", "0.8", "--with-sim",
+                "--iterations", "40", "--rate", "20", "--seed", "2",
+                "--out", str(tmp_path / "low.csv"),
+            ]) == 0
+        assert [w.filename for w in record] == [cli.__file__]
+        assert "expected counts per window = 20" in str(record[0].message)
 
     def test_gamma2_axis_needs_delta_std(self, tmp_path, capsys):
         code = main([

@@ -12,6 +12,7 @@ from ysqht import (
     Counts,
     EstimationError,
     NoiseParams,
+    RatioEstimate,
     aggregate,
     aggregation_seed,
     detection_probability,
@@ -85,6 +86,13 @@ class TestAcquisitionConfig:
     def test_warns_on_low_counts(self):
         with pytest.warns(UserWarning, match="ill-conditioned"):
             config(mean_rate=10.0)
+
+    def test_low_count_warning_names_the_caller(self):
+        with pytest.warns(UserWarning, match="ill-conditioned") as record:
+            AcquisitionConfig(
+                theta=THETA_B, noise=NoiseParams(0.0), seed=1, mean_rate=10.0
+            )
+        assert [w.filename for w in record] == [__file__]
 
 
 class TestAcquireIteration:
@@ -382,6 +390,23 @@ class TestSweepSeeds:
         assert len(seeds) == points * columns
 
 
+#: The columns of a SimulatedSweep, in field order.
+SIM_COLUMNS = (
+    "x", "seeds", "n_samples", "q2_over_p2", "q2_over_p2_err",
+    "q2_over_p2_poisson", "q_over_p", "q_over_p_err",
+)
+
+
+def assert_same_sweep(a, b):
+    assert (a.gamma1_values, a.mode, a.base_seed) == (
+        b.gamma1_values, b.mode, b.base_seed
+    )
+    for name in SIM_COLUMNS:
+        x, y = getattr(a, name), getattr(b, name)
+        assert x.dtype == y.dtype, name
+        assert np.array_equal(x, y, equal_nan=True), name
+
+
 class TestSimulatedSweeps:
     GRID = [0.0, 0.3, 0.7, 1.0]
 
@@ -389,28 +414,33 @@ class TestSimulatedSweeps:
         base = config(noise=NoiseParams(0.0), seed=21)
         a = simulate_delta_sweep(base, self.GRID, [0.1], 0.8)
         b = simulate_delta_sweep(base, self.GRID, [0.1], 0.8)
-        assert a == b
+        assert_same_sweep(a, b)
 
     def test_delta_sweep_point_isolated_rerun(self):
         base = config(noise=NoiseParams(0.0), seed=21)
         sweep = simulate_delta_sweep(base, self.GRID, [0.1], 0.8)
-        point = sweep.points[2]
-        cfg = config(noise=NoiseParams(self.GRID[2]), seed=point.seed)
+        cfg = config(noise=NoiseParams(self.GRID[2]), seed=int(sweep.seeds[2]))
         summary = estimate_ratios(run_acquisition(cfg))
-        assert summary.q2_over_p2 == point.q2_over_p2
+        assert summary.q2_over_p2 == RatioEstimate(
+            sweep.q2_over_p2[2], sweep.q2_over_p2_err[2],
+            sweep.n_samples[2], sweep.q2_over_p2_poisson[2],
+        )
 
     def test_delta_sweep_first_column_stable_under_extra_gamma1(self):
         base = config(noise=NoiseParams(0.0), seed=21)
         single = simulate_delta_sweep(base, self.GRID, [0.1], 0.8)
         double = simulate_delta_sweep(base, self.GRID, [0.1, 0.4], 0.8)
-        for a, b in zip(single.points, double.points):
-            assert a.q_over_p[0] == b.q_over_p[0]
+        assert np.array_equal(single.q_over_p[0], double.q_over_p[0])
+        assert np.array_equal(single.q_over_p_err[0], double.q_over_p_err[0])
 
     def test_gamma2_sweep_shapes(self):
         base = config(seed=22)
         sweep = simulate_gamma2_sweep(
             base, [0.0, 0.5, 1.0], [0.05, 0.4]
         )
-        assert len(sweep.points) == 3
-        for point in sweep.points:
-            assert len(point.q_over_p) == 2
+        assert sweep.x.shape == (3,)
+        for name in SIM_COLUMNS[1:6]:
+            assert getattr(sweep, name).shape == (3,), name
+        assert sweep.q_over_p.shape == sweep.q_over_p_err.shape == (2, 3)
+        for name in SIM_COLUMNS:
+            assert not getattr(sweep, name).flags.writeable, name

@@ -556,13 +556,13 @@ class TestSweepHeaders:
         assert len(columns) == len(header)
         rows = [list(row) for row in zip(*columns)]
         assert len(rows) == len(self.GAMMA2_GRID)
-        for row, arow, point in zip(rows, analytic.rows, sim.points):
-            est = point.q_over_p
+        for i, (row, arow) in enumerate(zip(rows, analytic.rows)):
             assert row == [
                 arow.x, arow.q1_over_p1, arow.q2_over_p2, *arow.q_over_p,
                 *arow.reversal,
-                point.q2_over_p2.value, point.q2_over_p2.std_error,
-                est[0].value, est[0].std_error, est[1].value, est[1].std_error,
+                sim.q2_over_p2[i], sim.q2_over_p2_err[i],
+                sim.q_over_p[0, i], sim.q_over_p_err[0, i],
+                sim.q_over_p[1, i], sim.q_over_p_err[1, i],
             ]
 
     def test_simulation_on_another_grid_rejected(self):
