@@ -43,7 +43,8 @@ print(f"clean probe, analyzer B  : {born_probability(clean, analyzer_b):.6f}")
 print(f"noisy probe, analyzer A  : {born_probability(noisy, analyzer_a):.6f}")
 print(f"noisy probe, analyzer B  : {born_probability(noisy, analyzer_b):.6f}")
 
-# the closed-form channel action can be cross-checked by direct quadrature
+# the closed-form channel action can be cross-checked by a Gauss-Hermite
+# average over rigidly tilted states
 quad = dephase_oracle(clean, noise, analyzer_b)
 closed = born_probability(noisy, analyzer_b)
 print(f"quadrature cross-check   : {quad:.12f} vs closed {closed:.12f}")

@@ -18,7 +18,6 @@ from .counting import (
     SimulatedSweep,
     aggregate,
     aggregation_seed,
-    detection_probability,
     estimate_ratios,
     point_seed,
     run_acquisition,
@@ -38,7 +37,6 @@ from .logio import (
 from .qubit import (
     Analyzer,
     NoiseParams,
-    QuadratureError,
     QubitState,
     born_probability,
     dephase,
@@ -72,7 +70,6 @@ __all__ = [
     # states and channels
     "Analyzer",
     "NoiseParams",
-    "QuadratureError",
     "QubitState",
     "born_probability",
     "dephase",
@@ -107,7 +104,6 @@ __all__ = [
     "SimulatedSweep",
     "aggregate",
     "aggregation_seed",
-    "detection_probability",
     "estimate_ratios",
     "point_seed",
     "run_acquisition",

@@ -154,12 +154,6 @@ class AggregateResult:
     excluded: int
 
 
-def detection_probability(phi: float) -> float:
-    """Probability that a photon passes the 45-degree polarizer after a
-    relative H/V phase shift ``phi``: (1 + cos(phi))/2."""
-    return 0.5 * (1.0 + math.cos(_require_finite(phi, "phi")))
-
-
 def run_acquisition(config: AcquisitionConfig) -> Counts:
     """All iterations of one acquisition; bitwise reproducible for a fixed
     seed.

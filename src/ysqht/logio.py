@@ -412,42 +412,35 @@ def sweep_table(
 #: CSV cells of the two booleans.
 _BOOL_CELLS = {False: "false", True: "true"}
 
-#: Cell formatter of a column whose cells all have exactly this type.
+#: Cell formatter of a column whose cells all have exactly this type; numpy
+#: float64 and bool scalars are written as the Python values they hold.
 _COLUMN_FORMATTERS = {
     float: float.__repr__,  # shortest round-trip decimal form
+    np.float64: float.__repr__,  # whose own repr names its type
     bool: _BOOL_CELLS.__getitem__,
+    np.bool_: _BOOL_CELLS.__getitem__,
     int: int.__repr__,
 }
 
 
-def _format_cell(value: Any) -> str:
-    """One cell of any supported type; numpy float64 and bool scalars are
-    written as the Python values they hold."""
-    if isinstance(value, (bool, np.bool_)):
-        return _BOOL_CELLS[bool(value)]
-    if isinstance(value, float):  # also np.float64, whose repr names its type
-        return float.__repr__(value)
-    if isinstance(value, int):
-        return int.__repr__(value)
-    raise TypeError(f"unsupported CSV cell type {type(value).__name__}")
-
-
 def _format_column(column: Sequence[Any]) -> Iterator[str]:
-    """The cells of one column, by one formatter for the whole column when
-    its cells share one plain type, else by ``_format_cell``; lazily, so
-    that only the joined rows are kept.  A float column of one value (all
-    cells bit-equal, so ``-0.0`` stays apart from ``0.0``) is formatted
-    once."""
-    types = set(map(type, column))
-    formatter = _format_cell
-    if len(types) == 1:
-        kind = types.pop()
-        if kind is float and column[0] == column[-1]:  # never true of NaN
-            bits = np.array(column).view(np.uint64)
-            if (bits == bits[0]).all():
-                return itertools.repeat(float.__repr__(column[0]), len(column))
-        formatter = _COLUMN_FORMATTERS.get(kind, _format_cell)
-    return map(formatter, column)
+    """The cells of one column, all of one type in ``_COLUMN_FORMATTERS``,
+    by that type's formatter; lazily, so that only the joined rows are
+    kept.  A float column of one value (all cells bit-equal, so ``-0.0``
+    stays apart from ``0.0``) is formatted once.  Any other column raises
+    TypeError before a cell is formatted."""
+    kinds = set(map(type, column))
+    if len(kinds) > 1 or not kinds <= _COLUMN_FORMATTERS.keys():
+        names = sorted(kind.__name__ for kind in kinds)
+        raise TypeError(
+            f"unsupported CSV cell type {', '.join(names)}"
+            + (" in one column" if len(names) > 1 else "")
+        )
+    if kinds == {float} and column[0] == column[-1]:  # never true of NaN
+        bits = np.array(column).view(np.uint64)
+        if (bits == bits[0]).all():
+            return itertools.repeat(float.__repr__(column[0]), len(column))
+    return map(_COLUMN_FORMATTERS[kinds.pop()], column) if kinds else iter(())
 
 
 def write_sweep_csv(
@@ -471,6 +464,7 @@ def write_sweep_csv(
                 f"column {name} has {len(column)} cells, column {header[0]} "
                 f"has {len(columns[0])}"
             )
+    # Unpacking checks every column's cell type before the file is opened.
     rows = map(",".join, zip(*map(_format_column, columns)))
     out = Path(path)
     _write_lines(out, itertools.chain([",".join(header)], rows))

@@ -8,6 +8,7 @@ radians.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 from typing import Iterable
@@ -15,19 +16,11 @@ from typing import Iterable
 #: Tolerated floating-point excursion outside exact physical bounds.
 EPS = 1e-12
 
-#: Largest tilt spread accepted by the quadrature cross-check (rad).  The
+#: Largest tilt spread accepted by the Gauss-Hermite cross-check (rad).  The
 #: Gaussian tilt average is only meaningful for spreads well below a full
 #: turn; beyond this the closed form is still exact but the cross-check
 #: refuses to run.
 MAX_ORACLE_DELTA_STD = 1.2
-
-#: Half-width of the quadrature window in units of the tilt spread.  The
-#: neglected Gaussian tail mass is below 1e-15.
-ORACLE_WINDOW_SIGMAS = 8.0
-
-
-class QuadratureError(RuntimeError):
-    """Numerical integration did not reach the requested accuracy."""
 
 
 def _require_finite(value: float, name: str) -> float:
@@ -189,49 +182,42 @@ def mix(gamma: float, clean: QubitState, noisy: QubitState) -> QubitState:
     )
 
 
+@functools.cache
+def _hermite_rule() -> tuple[list[float], list[float]]:
+    """Nodes and weights of the 64-node Gauss-Hermite rule (weight
+    exp(-x**2)), which reaches the closed form to within a few ulp up to
+    MAX_ORACLE_DELTA_STD.  Imported here so that importing the package
+    never loads ``numpy.polynomial``."""
+    from numpy.polynomial.hermite import hermgauss
+
+    nodes, weights = hermgauss(64)
+    return nodes.tolist(), weights.tolist()
+
+
 def dephase_oracle(
-    state: QubitState,
-    noise: NoiseParams,
-    analyzer: Analyzer,
-    tol: float = 1e-9,
+    state: QubitState, noise: NoiseParams, analyzer: Analyzer
 ) -> float:
     """Independent cross-check of ``dephase`` followed by ``born_probability``.
 
-    Evaluates the Gaussian tilt average by direct numerical quadrature: the
-    outcome probability of the rigidly tilted state, integrated against the
-    tilt density over [-8, 8] spreads (neglected tail mass < 1e-15).  This
+    Evaluates the Gaussian tilt average by a fixed Gauss-Hermite rule: the
+    outcome probability of the rigidly tilted state at the nodes
+    ``alpha = sqrt(2)*delta_std*x_k``, weighted by ``w_k/sqrt(pi)``.  This
     routine exists only to verify the closed form and never feeds it.
 
-    Raises QuadratureError if the integrator cannot certify ``tol`` absolute
-    accuracy, and ValueError for spreads beyond MAX_ORACLE_DELTA_STD.
+    Raises ValueError for spreads beyond MAX_ORACLE_DELTA_STD.
     """
     d = noise.delta_std
     if d == 0.0:
         return born_probability(state, analyzer)
     if d > MAX_ORACLE_DELTA_STD:
         raise ValueError(
-            f"quadrature cross-check supports delta_std <= "
+            f"Gauss-Hermite cross-check supports delta_std <= "
             f"{MAX_ORACLE_DELTA_STD}, got {d}"
         )
-
-    norm = 1.0 / (d * math.sqrt(2.0 * math.pi))
-
-    def integrand(alpha: float) -> float:
-        weight = norm * math.exp(-0.5 * (alpha / d) ** 2)
-        return weight * born_probability(tilt(state, alpha), analyzer)
-
-    # Imported here: scipy.integrate costs about 50 MB and 0.6 s to import,
-    # and only this cross-check needs it.
-    from scipy import integrate
-
-    half_width = ORACLE_WINDOW_SIGMAS * d
-    value, abserr = integrate.quad(
-        integrand, -half_width, half_width, epsabs=tol / 10.0, epsrel=1e-11,
-        limit=200,
-    )
-    if abserr > tol:
-        raise QuadratureError(
-            f"tilt-average quadrature reached abserr={abserr:.3e} > "
-            f"tol={tol:.3e} (delta_std={d}, theta={analyzer.theta})"
-        )
+    scale = math.sqrt(2.0) * d
+    nodes, weights = _hermite_rule()
+    value = math.fsum(
+        w * born_probability(tilt(state, scale * x), analyzer)
+        for x, w in zip(nodes, weights)
+    ) / math.sqrt(math.pi)
     return _clamp_probability(value, "dephase_oracle")

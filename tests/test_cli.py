@@ -581,6 +581,19 @@ class TestSweep:
         assert code == 2
         assert "gamma2" in capsys.readouterr().err
 
+    def test_negative_delta_range_exit_2_leaves_no_file(
+        self, tmp_path, capsys
+    ):
+        # "--" ends the options, so that the range may start with "-".
+        code = main([
+            "sweep", "delta", "--theta", THETA_FLAG, "--gamma1", "0.1",
+            "--gamma2", "0.8", "--with-sim", "--iterations", "20",
+            "--out", str(tmp_path / "neg.csv"), "--", "-0.1:1:5",
+        ])
+        assert code == 2
+        assert "delta_std grid must be non-negative" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
+
     def test_duplicate_gamma1_exit_2(self, tmp_path, capsys):
         out = tmp_path / "dup.csv"
         code = main([

@@ -15,7 +15,6 @@ from ysqht import (
     RatioEstimate,
     aggregate,
     aggregation_seed,
-    detection_probability,
     estimate_ratios,
     point_seed,
     run_acquisition,
@@ -37,23 +36,6 @@ def config(**kwargs):
     defaults = dict(theta=THETA_B, noise=NoiseParams(DELTA_FIG2), seed=1)
     defaults.update(kwargs)
     return AcquisitionConfig(**defaults)
-
-
-class TestDetectionProbability:
-    def test_aligned_modulator_always_passes(self):
-        assert detection_probability(0.0) == 1.0
-
-    def test_crossed_setting_never_passes(self):
-        assert detection_probability(math.pi) == 0.0
-
-    def test_tilted_setting_matches_clean_probe(self):
-        assert detection_probability(2.0 * THETA_B) == pytest.approx(
-            Q1, abs=1e-15
-        )
-
-    def test_rejects_non_finite(self):
-        with pytest.raises(ValueError):
-            detection_probability(math.nan)
 
 
 class TestSampleAlpha:
@@ -119,13 +101,15 @@ class TestAcquireIteration:
         cfg = config(iterations=7)
         counts = run_acquisition(cfg)
         lam = cfg.expected_counts
-        rate = np.vectorize(lambda phi: round(lam * detection_probability(phi)))
+        rate = np.vectorize(
+            lambda phi: round(lam * 0.5 * (1.0 + math.cos(phi)))
+        )
         assert rng.normal_sizes == [7]
         assert np.array_equal(counts.alpha, alpha)
         assert np.array_equal(counts.counts[:, 0], np.full(7, round(lam)))
         assert np.array_equal(
             counts.counts[:, 1],
-            np.full(7, round(lam * detection_probability(2 * THETA_B))),
+            np.full(7, round(lam * 0.5 * (1.0 + math.cos(2 * THETA_B)))),
         )
         assert np.array_equal(counts.counts[:, 2], rate(-2 * alpha))
         assert np.array_equal(counts.counts[:, 3], rate(2 * (THETA_B - alpha)))

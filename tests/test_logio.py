@@ -629,9 +629,6 @@ class TestSweepCsv:
         assert not (tmp_path / "bad.csv").exists()
 
     def test_numpy_scalars_written_as_python_values(self, tmp_path):
-        assert logio._format_cell(np.float64(0.1)) == "0.1"
-        assert logio._format_cell(np.bool_(True)) == "true"
-        assert logio._format_cell(np.bool_(False)) == "false"
         path = tmp_path / "table.csv"
         columns = [
             [np.float64(0.1), np.float64(-0.0)],
@@ -642,11 +639,22 @@ class TestSweepCsv:
                         RunManifest(kind="sweep"))
         assert path.read_text() == "x,flag,y\n0.1,true,0.25\n-0.0,false,1e-300\n"
 
-    def test_mixed_column_formatted_cell_by_cell(self, tmp_path):
+    def test_mixed_column_rejected(self, tmp_path, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("a file was opened")
+
+        monkeypatch.setattr(logio, "_write_lines", refuse)
         path = tmp_path / "table.csv"
-        write_sweep_csv(path, ["x"], [[1, 0.5, True, np.float64(2.0)]],
-                        RunManifest(kind="sweep"))
-        assert path.read_text() == "x\n1\n0.5\ntrue\n2.0\n"
+        with pytest.raises(
+            TypeError,
+            match="unsupported CSV cell type bool, float, float64, int in "
+                  "one column",
+        ):
+            write_sweep_csv(path, ["x", "y"],
+                            [[0.5, 0.25, 1.0, 2.0],
+                             [1, 0.5, True, np.float64(2.0)]],
+                            RunManifest(kind="sweep"))
+        assert list(tmp_path.iterdir()) == []
 
     @pytest.mark.parametrize("cells", [["a"], [0.5, None], [np.float32(0.5)]])
     def test_unsupported_cell_rejected(self, tmp_path, cells):

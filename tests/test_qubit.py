@@ -1,10 +1,15 @@
 """Unit and property tests for states, analyzers, and channels."""
 
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import ysqht
 from ysqht import (
     Analyzer,
     NoiseParams,
@@ -193,8 +198,36 @@ class TestDephaseOracle:
             analyzer = Analyzer(rng.uniform(0.0, math.pi))
             direct = born_probability(dephase(state, noise), analyzer)
             assert dephase_oracle(state, noise, analyzer) == pytest.approx(
-                direct, abs=1e-8
+                direct, abs=1e-14
             )
+
+    def test_never_reads_the_smearing(self):
+        state, analyzer = pure_state(0.3), Analyzer(THETA_B)
+        noise = NoiseParams(DELTA_FIG2)
+        closed = born_probability(dephase(state, noise), analyzer)
+        object.__setattr__(noise, "smearing", 0.5)
+        assert born_probability(dephase(state, noise), analyzer) != \
+            pytest.approx(closed, abs=1e-3)
+        assert dephase_oracle(state, noise, analyzer) == pytest.approx(
+            closed, abs=1e-14
+        )
+
+    def test_loads_neither_scipy_nor_polynomial_with_the_cli(self):
+        # The rule is built on the first call, from numpy alone.
+        probe = (
+            "import sys, ysqht.cli\n"
+            "print('numpy.polynomial' in sys.modules)\n"
+            "from ysqht import Analyzer, NoiseParams, dephase_oracle, "
+            "pure_state\n"
+            "dephase_oracle(pure_state(0.0), NoiseParams(0.5), Analyzer(0.2))\n"
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+        )
+        env = dict(os.environ, PYTHONPATH=str(Path(ysqht.__file__).parents[1]))
+        result = subprocess.run(
+            [sys.executable, "-c", probe], capture_output=True, text=True,
+            env=env, check=True,
+        )
+        assert result.stdout.splitlines() == ["False", "[]"]
 
 
 class TestTilt:
