@@ -16,6 +16,7 @@ import json
 import math
 import os
 import sys
+from dataclasses import asdict
 from typing import Any, Sequence
 
 import numpy as np
@@ -24,6 +25,7 @@ from .counting import (
     AGGREGATION_MODES,
     AcquisitionConfig,
     EstimationError,
+    RatioEstimate,
     aggregate,
     estimate_ratios,
     run_acquisition,
@@ -109,29 +111,24 @@ def _parse_range(text: str) -> tuple[float, float, int]:
     return lo, hi, points
 
 
-def _estimate_dict(estimate) -> dict[str, Any]:
-    return {
-        "value": estimate.value,
-        "std_error": estimate.std_error,
-        "n_samples": estimate.n_samples,
-        "poisson_error": estimate.poisson_error,
-    }
-
-
-def _print_estimate(label: str, estimate) -> None:
-    line = f"{label:<12} {estimate.value:.6f} +- {estimate.std_error:.2g}"
-    if estimate.poisson_error is not None:
-        line += f"  (poisson cross-check +- {estimate.poisson_error:.2g})"
-    print(line)
+def _threshold(query, *args) -> dict[str, Any]:
+    """A threshold's fields, or its error where its formulas do not apply."""
+    try:
+        return asdict(query(*args))
+    except ValueError as err:
+        return {"error": str(err)}
 
 
 def cmd_theory(args: argparse.Namespace) -> int:
+    if args.check_reversal and args.delta_std is None:
+        raise ValueError("--check-reversal needs --delta-std")
     theta = _angle(args.theta, args.degrees)
-    noise = (
-        NoiseParams(_angle(args.delta_std, args.degrees))
-        if args.delta_std is not None
-        else None
-    )
+    noise = (None if args.delta_std is None
+             else NoiseParams(_angle(args.delta_std, args.degrees)))
+    # Probabilities of the clean probe need only theta.
+    params = ScenarioParams(theta, noise or NoiseParams(0.0), args.gamma1,
+                            args.gamma2)
+    o = asdict(outcome_probabilities(params))
 
     report: dict[str, Any] = {
         "theta": theta,
@@ -139,71 +136,38 @@ def cmd_theory(args: argparse.Namespace) -> int:
         "smearing": noise.smearing if noise else None,
         "gamma1": args.gamma1,
         "gamma2": args.gamma2,
+        "probabilities": {"p1": o["p1"], "q1": o["q1"]},
+        "verdict": None,
+        "gamma2_threshold": None,
+        "pairs_feasible": None,
     }
-
     if noise is not None:
-        params = ScenarioParams(theta, noise, args.gamma1, args.gamma2)
-        o = outcome_probabilities(params)
         verdict = ys_reversal(params)
-        report["probabilities"] = {
-            "p1": o.p1, "q1": o.q1, "p2": o.p2, "q2": o.q2, "p": o.p, "q": o.q,
-        }
+        report["probabilities"] = o
         report["ratios"] = {
-            "q1_over_p1": o.q1 / o.p1,
-            "q2_over_p2": o.q2 / o.p2,
-            "q_over_p": o.q / o.p,
+            f"{q}_over_{p}": o[q] / o[p]
+            for p, q in (("p1", "q1"), ("p2", "q2"), ("p", "q"))
         }
-        report["verdict"] = {
-            "clean_favors_a": verdict.clean_favors_a,
-            "noisy_favors_a": verdict.noisy_favors_a,
-            "aggregated_favors_b": verdict.aggregated_favors_b,
-            "reversal": verdict.reversal,
-        }
-        try:
-            thr = gamma2_threshold(args.gamma1, theta, noise)
-            report["gamma2_threshold"] = {
-                "value": thr.value, "reachable": thr.reachable,
-            }
-        except ValueError as err:
-            report["gamma2_threshold"] = {"error": str(err)}
+        report["verdict"] = {**asdict(verdict), "reversal": verdict.reversal}
+        report["gamma2_threshold"] = _threshold(gamma2_threshold, args.gamma1,
+                                                theta, noise)
         try:
             report["pairs_feasible"] = reversal_pairs_exist(noise, theta)
         except ValueError:
-            report["pairs_feasible"] = None
-    else:
-        # Probabilities of the clean probe need only theta.
-        params = ScenarioParams(theta, NoiseParams(0.0), args.gamma1, args.gamma2)
-        o = outcome_probabilities(params)
-        report["probabilities"] = {"p1": o.p1, "q1": o.q1}
-        report["verdict"] = None
-        report["gamma2_threshold"] = None
-        report["pairs_feasible"] = None
+            pass
 
-    try:
-        dth = delta_threshold(args.gamma1, args.gamma2, theta)
-        report["delta_threshold"] = {
-            "smearing": dth.smearing,
-            "delta_std": dth.delta_std,
-            "reachable": dth.reachable,
-            "feasible": dth.feasible,
-        }
-    except ValueError as err:
-        report["delta_threshold"] = {"error": str(err)}
+    dth = _threshold(delta_threshold, args.gamma1, args.gamma2, theta)
+    if dth.get("smearing") == math.inf:
+        # The formula diverges, and standard JSON has no Infinity.
+        dth["smearing"] = None
+    report["delta_threshold"] = dth
 
     if args.json:
         print(json.dumps(report, sort_keys=True))
     else:
         _print_theory_report(report)
-
-    if args.check_reversal:
-        verdict = report.get("verdict")
-        if verdict is None:
-            print(
-                "error: --check-reversal needs --delta-std", file=sys.stderr
-            )
-            return EXIT_USAGE
-        if verdict["reversal"]:
-            return EXIT_REVERSAL
+    if args.check_reversal and report["verdict"]["reversal"]:
+        return EXIT_REVERSAL
     return EXIT_OK
 
 
@@ -254,15 +218,19 @@ def _print_theory_report(report: dict[str, Any]) -> None:
         show("reversal", str(verdict["reversal"]).lower())
 
 
-def cmd_simulate(args: argparse.Namespace) -> int:
-    config = AcquisitionConfig(
-        theta=_angle(args.theta, args.degrees),
-        noise=NoiseParams(_angle(args.delta_std, args.degrees)),
-        seed=_resolve_seed(args.seed),
-        iterations=args.iterations,
-        mean_rate=args.rate,
+def _acquisition_config(
+    args: argparse.Namespace, noise: NoiseParams, seed: int
+) -> AcquisitionConfig:
+    return AcquisitionConfig(
+        theta=_angle(args.theta, args.degrees), noise=noise, seed=seed,
+        iterations=args.iterations, mean_rate=args.rate,
         window_seconds=args.window,
     )
+
+
+def cmd_simulate(args: argparse.Namespace) -> int:
+    noise = NoiseParams(_angle(args.delta_std, args.degrees))
+    config = _acquisition_config(args, noise, _resolve_seed(args.seed))
     counts = run_acquisition(config)
     write_count_log(args.out, config, counts)
     print(f"wrote {len(counts)} records to {args.out}", file=sys.stderr)
@@ -272,8 +240,16 @@ def cmd_simulate(args: argparse.Namespace) -> int:
 def cmd_analyze(args: argparse.Namespace) -> int:
     manifest, counts = read_count_log(args.log)
     summary = estimate_ratios(counts)
-    rng = np.random.default_rng(_resolve_seed(args.seed))
+    # Only stochastic mixing draws, so only it needs the seed.
+    rng = (np.random.default_rng(_resolve_seed(args.seed))
+           if args.mode == "stochastic" else None)
     agg = aggregate(counts, args.gamma1, args.gamma2, rng, args.mode)
+    # The seven estimates, q1_over_p1 to q_over_p, in the records' order.
+    estimates = {
+        name: value for result in (summary, agg)
+        for name, value in vars(result).items()
+        if isinstance(value, RatioEstimate)
+    }
 
     if args.json:
         print(json.dumps({
@@ -282,27 +258,18 @@ def cmd_analyze(args: argparse.Namespace) -> int:
             "gamma2": args.gamma2,
             "mode": args.mode,
             "excluded": summary.excluded,
-            "q1_over_p1": _estimate_dict(summary.q1_over_p1),
-            "p2": _estimate_dict(summary.p2),
-            "q2": _estimate_dict(summary.q2),
-            "q2_over_p2": _estimate_dict(summary.q2_over_p2),
-            "p": _estimate_dict(agg.p),
-            "q": _estimate_dict(agg.q),
-            "q_over_p": _estimate_dict(agg.q_over_p),
+            **{name: asdict(e) for name, e in estimates.items()},
         }, sort_keys=True))
         return EXIT_OK
 
-    print(
-        f"{len(counts)} iterations from {args.log} "
-        f"({summary.excluded} excluded for n1p = 0)"
-    )
-    _print_estimate("q1/p1", summary.q1_over_p1)
-    _print_estimate("p2", summary.p2)
-    _print_estimate("q2", summary.q2)
-    _print_estimate("q2/p2", summary.q2_over_p2)
-    _print_estimate("p", agg.p)
-    _print_estimate("q", agg.q)
-    _print_estimate("q/p", agg.q_over_p)
+    print(f"{len(counts)} iterations from {args.log} "
+          f"({summary.excluded} excluded for n1p = 0)")
+    for name, estimate in estimates.items():
+        line = (f"{name.replace('_over_', '/'):<12} {estimate.value:.6f} "
+                f"+- {estimate.std_error:.2g}")
+        if estimate.poisson_error is not None:
+            line += f"  (poisson cross-check +- {estimate.poisson_error:.2g})"
+        print(line)
     return EXIT_OK
 
 
@@ -313,16 +280,6 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         lo, hi = math.radians(lo), math.radians(hi)
     grid = np.linspace(lo, hi, points).tolist()
     seed = _resolve_seed(args.seed) if args.with_sim else None
-
-    def base_config(noise: NoiseParams) -> AcquisitionConfig:
-        return AcquisitionConfig(
-            theta=theta,
-            noise=noise,
-            seed=seed,
-            iterations=args.iterations,
-            mean_rate=args.rate,
-            window_seconds=args.window,
-        )
 
     sim = None
     if args.axis == "delta":
@@ -338,8 +295,8 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         if args.with_sim:
             # Every grid point replaces the base noise with its own.
             sim = simulate_delta_sweep(
-                base_config(NoiseParams(0.0)), grid, args.gamma1,
-                args.gamma2, args.mode,
+                _acquisition_config(args, NoiseParams(0.0), seed), grid,
+                args.gamma1, args.gamma2, args.mode,
             )
     else:
         if args.delta_std is None:
@@ -353,7 +310,8 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         sweep = sweep_gamma2(theta, noise, args.gamma1, grid)
         if args.with_sim:
             sim = simulate_gamma2_sweep(
-                base_config(noise), grid, args.gamma1, args.mode
+                _acquisition_config(args, noise, seed), grid, args.gamma1,
+                args.mode,
             )
 
     header, columns = sweep_table(sweep, sim)
@@ -470,9 +428,18 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+#: Exit code of each error, tried in order: the first two are ValueErrors.
+_ERROR_EXITS = {
+    LogFormatError: EXIT_CORRUPT,
+    ManifestVersionError: EXIT_VERSION,
+    EstimationError: EXIT_NO_USABLE,
+    OSError: EXIT_IO,
+    ValueError: EXIT_USAGE,
+}
+
+
 def main(argv: Sequence[str] | None = None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    args = _build_parser().parse_args(argv)
     try:
         code = args.handler(args)
         sys.stdout.flush()
@@ -483,21 +450,10 @@ def main(argv: Sequence[str] | None = None) -> int:
         # flush at exit cannot fail again.
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return EXIT_OK
-    except LogFormatError as err:
+    except tuple(_ERROR_EXITS) as err:
         print(f"error: {err}", file=sys.stderr)
-        return EXIT_CORRUPT
-    except ManifestVersionError as err:
-        print(f"error: {err}", file=sys.stderr)
-        return EXIT_VERSION
-    except EstimationError as err:
-        print(f"error: {err}", file=sys.stderr)
-        return EXIT_NO_USABLE
-    except OSError as err:
-        print(f"error: {err}", file=sys.stderr)
-        return EXIT_IO
-    except ValueError as err:
-        print(f"error: {err}", file=sys.stderr)
-        return EXIT_USAGE
+        return next(code for kind, code in _ERROR_EXITS.items()
+                    if isinstance(err, kind))
 
 
 if __name__ == "__main__":

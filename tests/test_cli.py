@@ -15,8 +15,13 @@ import ysqht
 from ysqht import (
     AcquisitionConfig,
     NoiseParams,
+    ScenarioParams,
     aggregate,
+    delta_threshold,
     estimate_ratios,
+    gamma2_threshold,
+    outcome_probabilities,
+    read_count_log,
     run_acquisition,
 )
 from ysqht import cli
@@ -250,6 +255,17 @@ class TestTheory:
         argv[argv.index("0.7")] = "0.4"
         assert main(argv) == 0
 
+    def test_check_reversal_without_noise_prints_nothing(self, capsys):
+        # The usage error comes before the report, not after it.
+        code = main([
+            "theory", "--theta", THETA_FLAG, "--gamma1", "0.1",
+            "--gamma2", "0.8", "--check-reversal",
+        ])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err == "error: --check-reversal needs --delta-std\n"
+
     def test_wide_tilt_reports_threshold_unavailable(self, capsys):
         code, report = run_json(capsys, [
             "theory", "--theta", "1.0", "--delta-std", "0.5",
@@ -471,6 +487,28 @@ class TestAnalyze:
         ])
         assert code == 4
 
+    @pytest.mark.parametrize("env, flag", [
+        ("abc", []), (None, ["--seed", "-3"]),
+    ])
+    def test_only_stochastic_mode_resolves_the_seed(
+        self, tmp_path, capsys, monkeypatch, env, flag
+    ):
+        # Expected mode draws nothing, so a bad mixing seed cannot stop it.
+        monkeypatch.delenv("YSQHT_SEED", raising=False)
+        log = self.write_log(tmp_path)
+        argv = ["analyze", str(log), "--gamma1", "0.1", "--gamma2", "0.8",
+                "--json", "--mode"]
+        assert main(argv + ["expected"]) == 0
+        clean = capsys.readouterr().out
+        if env is not None:
+            monkeypatch.setenv("YSQHT_SEED", env)
+        assert main(argv + ["expected"] + flag) == 0
+        assert capsys.readouterr().out == clean
+        assert main(argv + ["stochastic"] + flag) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ")
+
     @pytest.mark.parametrize("mode", ["stochastic", "expected"])
     def test_no_usable_iterations_exit_7(self, tmp_path, capsys, mode):
         log = tmp_path / "empty.jsonl"
@@ -645,3 +683,343 @@ class TestSweep:
             "--gamma1", "0.1", "--out", str(tmp_path / "x.csv"),
         ])
         assert code == 2
+
+
+FIG2_POINT = ["--theta", THETA_FLAG, "--delta-std", DELTA_FLAG,
+              "--gamma1", "0.05", "--gamma2", "0.8"]
+NOISELESS_POINT = ["--theta", THETA_FLAG, "--gamma1", "0.1", "--gamma2", "0.8"]
+WIDE_TILT_POINT = ["--theta", "1.0", "--delta-std", "0.5",
+                   "--gamma1", "0.1", "--gamma2", "0.8"]
+# Equal weights of 1 make the noise threshold's denominator vanish.
+DIVERGING_POINT = ["--theta", "0.4", "--gamma1", "1", "--gamma2", "1"]
+
+WIDE_TILT_ERROR = (
+    "threshold formulas require 0 < theta < pi/4 (hypotheses only slightly "
+    "tilted), got 1.0"
+)
+
+THEORY_TEXT = {
+    "fig2": """\
+theta (rad)            0.436332
+delta_std (rad)        0.698132
+smearing               0.377277
+gamma1                 0.05
+gamma2                 0.8
+p1                     1.000000
+q1                     0.821394
+p2                     0.688638
+q2                     0.621254
+p                      0.704207
+q                      0.781366
+q1_over_p1             0.821394
+q2_over_p2             0.902149
+q_over_p               1.109569
+gamma2_threshold       0.414472 (reachable)
+delta_threshold        smearing 0.565140 -> delta_std 0.534173 rad
+pairs_feasible         true (smearing < 2 cos 2theta)
+reversal               true
+""",
+    "noiseless": """\
+theta (rad)            0.436332
+gamma1                 0.1
+gamma2                 0.8
+p1                     1.000000
+q1                     0.821394
+gamma2_threshold       needs --delta-std
+delta_threshold        smearing 0.536955 -> delta_std 0.557602 rad
+""",
+    "wide": f"""\
+theta (rad)            1.000000
+delta_std (rad)        0.500000
+smearing               0.606531
+gamma1                 0.1
+gamma2                 0.8
+p1                     1.000000
+q1                     0.291927
+p2                     0.803265
+q2                     0.373797
+p                      0.822939
+q                      0.308301
+q1_over_p1             0.291927
+q2_over_p2             0.465347
+q_over_p               0.374634
+gamma2_threshold       unavailable ({WIDE_TILT_ERROR})
+delta_threshold        unavailable ({WIDE_TILT_ERROR})
+reversal               false
+""",
+    "diverging": """\
+theta (rad)            0.400000
+gamma1                 1.0
+gamma2                 1.0
+p1                     1.000000
+q1                     0.848353
+gamma2_threshold       needs --delta-std
+delta_threshold        unreachable (no noise level reverses)
+""",
+}
+
+THEORY_POINTS = {
+    "fig2": FIG2_POINT,
+    "noiseless": NOISELESS_POINT,
+    "wide": WIDE_TILT_POINT,
+    "diverging": DIVERGING_POINT,
+}
+
+
+def _reject_constant(name):
+    raise ValueError(f"non-standard JSON constant {name}")
+
+
+def strict_json(text):
+    """``text`` parsed as RFC 8259 JSON, which has no NaN or Infinity."""
+    return json.loads(text, parse_constant=_reject_constant)
+
+
+def run_text(capsys, argv):
+    code = main(argv)
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    return code, captured.out
+
+
+def run_sorted_json(capsys, argv):
+    """Exit code and parsed report of a ``--json`` command, whose output is
+    one line of standard JSON with sorted keys."""
+    code, out = run_text(capsys, argv)
+    report = strict_json(out)
+    assert out == json.dumps(report, sort_keys=True) + "\n"
+    return code, report
+
+
+def estimate_fields(estimate):
+    return {
+        "value": estimate.value,
+        "std_error": estimate.std_error,
+        "n_samples": estimate.n_samples,
+        "poisson_error": estimate.poisson_error,
+    }
+
+
+def library_analysis(log, gamma1, gamma2, mode, seed):
+    """The seven estimates of ``analyze``, labelled as its text output labels
+    them, and the summary they come from, computed in process."""
+    _, counts = read_count_log(log)
+    summary = estimate_ratios(counts)
+    agg = aggregate(counts, gamma1, gamma2, np.random.default_rng(seed), mode)
+    return summary, {
+        "q1/p1": summary.q1_over_p1,
+        "p2": summary.p2,
+        "q2": summary.q2,
+        "q2/p2": summary.q2_over_p2,
+        "p": agg.p,
+        "q": agg.q,
+        "q/p": agg.q_over_p,
+    }
+
+
+class TestPinnedOutput:
+    """The exact text and values each command writes."""
+
+    @pytest.fixture(scope="class")
+    def logs(self, tmp_path_factory):
+        """A seeded 300-iteration log, and a 40-iteration log at a rate so
+        low that 4 iterations have n1p = 0."""
+        folder = tmp_path_factory.mktemp("logs")
+        plain, sparse = folder / "plain.jsonl", folder / "sparse.jsonl"
+        assert main(["simulate", "--theta", THETA_FLAG, "--delta-std",
+                     DELTA_FLAG, "--iterations", "300", "--seed", "7",
+                     "--out", str(plain)]) == 0
+        with pytest.warns(UserWarning, match="expected counts per window"):
+            assert main(["simulate", "--theta", THETA_FLAG, "--delta-std",
+                         DELTA_FLAG, "--iterations", "40", "--rate", "2",
+                         "--seed", "3", "--out", str(sparse)]) == 0
+        return {"plain": plain, "sparse": sparse}
+
+    @pytest.mark.parametrize("point", sorted(THEORY_TEXT))
+    def test_theory_text(self, capsys, point):
+        code, out = run_text(capsys, ["theory"] + THEORY_POINTS[point])
+        assert code == 0
+        assert out == THEORY_TEXT[point]
+
+    def test_theory_json_noisy(self, capsys):
+        code, report = run_sorted_json(capsys, ["theory"] + FIG2_POINT
+                                       + ["--json"])
+        noise = NoiseParams(DELTA_FIG2)
+        o = outcome_probabilities(ScenarioParams(THETA_B, noise, 0.05, 0.8))
+        thr = gamma2_threshold(0.05, THETA_B, noise)
+        dth = delta_threshold(0.05, 0.8, THETA_B)
+        assert code == 0
+        assert report == {
+            "theta": THETA_B,
+            "delta_std": DELTA_FIG2,
+            "smearing": noise.smearing,
+            "gamma1": 0.05,
+            "gamma2": 0.8,
+            "probabilities": {"p1": o.p1, "q1": o.q1, "p2": o.p2,
+                              "q2": o.q2, "p": o.p, "q": o.q},
+            "ratios": {"q1_over_p1": o.q1 / o.p1, "q2_over_p2": o.q2 / o.p2,
+                       "q_over_p": o.q / o.p},
+            "verdict": {"clean_favors_a": True, "noisy_favors_a": True,
+                        "aggregated_favors_b": True, "reversal": True},
+            "gamma2_threshold": {"value": thr.value, "reachable": True},
+            "delta_threshold": {"smearing": dth.smearing,
+                                "delta_std": dth.delta_std,
+                                "reachable": True, "feasible": True},
+            "pairs_feasible": True,
+        }
+
+    def test_theory_json_noiseless(self, capsys):
+        code, report = run_sorted_json(capsys, ["theory"] + NOISELESS_POINT
+                                       + ["--json"])
+        o = outcome_probabilities(
+            ScenarioParams(THETA_B, NoiseParams(0.0), 0.1, 0.8)
+        )
+        dth = delta_threshold(0.1, 0.8, THETA_B)
+        assert code == 0
+        assert report == {
+            "theta": THETA_B,
+            "delta_std": None,
+            "smearing": None,
+            "gamma1": 0.1,
+            "gamma2": 0.8,
+            "probabilities": {"p1": o.p1, "q1": o.q1},
+            "verdict": None,
+            "gamma2_threshold": None,
+            "delta_threshold": {"smearing": dth.smearing,
+                                "delta_std": dth.delta_std,
+                                "reachable": True, "feasible": True},
+            "pairs_feasible": None,
+        }
+
+    def test_theory_json_wide_tilt(self, capsys):
+        code, report = run_sorted_json(capsys, ["theory"] + WIDE_TILT_POINT
+                                       + ["--json"])
+        noise = NoiseParams(0.5)
+        o = outcome_probabilities(ScenarioParams(1.0, noise, 0.1, 0.8))
+        assert code == 0
+        assert report == {
+            "theta": 1.0,
+            "delta_std": 0.5,
+            "smearing": noise.smearing,
+            "gamma1": 0.1,
+            "gamma2": 0.8,
+            "probabilities": {"p1": o.p1, "q1": o.q1, "p2": o.p2,
+                              "q2": o.q2, "p": o.p, "q": o.q},
+            "ratios": {"q1_over_p1": o.q1 / o.p1, "q2_over_p2": o.q2 / o.p2,
+                       "q_over_p": o.q / o.p},
+            "verdict": {"clean_favors_a": True, "noisy_favors_a": True,
+                        "aggregated_favors_b": False, "reversal": False},
+            "gamma2_threshold": {"error": WIDE_TILT_ERROR},
+            "delta_threshold": {"error": WIDE_TILT_ERROR},
+            "pairs_feasible": None,
+        }
+
+    def test_theory_json_diverging_threshold_is_null(self, capsys):
+        code, report = run_sorted_json(capsys, ["theory"] + DIVERGING_POINT
+                                       + ["--json"])
+        assert code == 0
+        assert report["delta_threshold"] == {
+            "smearing": None, "delta_std": None,
+            "reachable": False, "feasible": False,
+        }
+
+    @pytest.mark.parametrize("argv", [
+        ["theory"] + point + ["--json"] for point in THEORY_POINTS.values()
+    ] + [
+        ["analyze", "sparse", "--gamma1", "0.05", "--gamma2", "0.8",
+         "--mode", mode, "--json"] for mode in ("stochastic", "expected")
+    ], ids=[*THEORY_POINTS, "analyze-stochastic", "analyze-expected"])
+    def test_json_output_is_standard(self, capsys, logs, argv):
+        argv = [str(logs.get(arg, arg)) for arg in argv]
+        assert main(argv) == 0
+        strict_json(capsys.readouterr().out)
+
+    @pytest.mark.parametrize("mode", ["stochastic", "expected"])
+    @pytest.mark.parametrize("log", ["plain", "sparse"])
+    def test_analyze_json(self, capsys, logs, log, mode):
+        code, report = run_sorted_json(capsys, [
+            "analyze", str(logs[log]), "--gamma1", "0.05", "--gamma2", "0.8",
+            "--mode", mode, "--seed", "13", "--json",
+        ])
+        summary, estimates = library_analysis(logs[log], 0.05, 0.8, mode, 13)
+        assert code == 0
+        assert summary.excluded == (0 if log == "plain" else 4)
+        assert report == {
+            "log_seed": 7 if log == "plain" else 3,
+            "gamma1": 0.05,
+            "gamma2": 0.8,
+            "mode": mode,
+            "excluded": summary.excluded,
+            **{label.replace("/", "_over_"): estimate_fields(estimate)
+               for label, estimate in estimates.items()},
+        }
+
+    @pytest.mark.parametrize("mode", ["stochastic", "expected"])
+    def test_analyze_text(self, capsys, logs, mode):
+        log = logs["plain"]
+        code, out = run_text(capsys, [
+            "analyze", str(log), "--gamma1", "0.05", "--gamma2", "0.8",
+            "--mode", mode, "--seed", "13",
+        ])
+        _, estimates = library_analysis(log, 0.05, 0.8, mode, 13)
+        lines = [f"300 iterations from {log} (0 excluded for n1p = 0)"]
+        for label, estimate in estimates.items():
+            line = (f"{label:<12} {estimate.value:.6f} "
+                    f"+- {estimate.std_error:.2g}")
+            if estimate.poisson_error is not None:
+                line += (f"  (poisson cross-check "
+                         f"+- {estimate.poisson_error:.2g})")
+            lines.append(line)
+        assert code == 0
+        assert out == "\n".join(lines) + "\n"
+
+    @pytest.mark.parametrize("mode, aggregated", [
+        ("stochastic", """\
+p            0.851389 +- 0.17
+q            0.691667 +- 0.11
+q/p          0.812398 +- 0.21
+"""),
+        ("expected", """\
+p            0.806042 +- 0.16
+q            0.725741 +- 0.096
+q/p          0.900376 +- 0.22
+"""),
+    ], ids=["stochastic", "expected"])
+    def test_analyze_text_with_exclusions(self, capsys, logs, mode,
+                                          aggregated):
+        log = logs["sparse"]
+        code, out = run_text(capsys, [
+            "analyze", str(log), "--gamma1", "0.05", "--gamma2", "0.8",
+            "--mode", mode, "--seed", "13",
+        ])
+        assert code == 0
+        assert out == f"""\
+40 iterations from {log} (4 excluded for n1p = 0)
+q1/p1        0.761111 +- 0.11  (poisson cross-check +- 0.1)
+p2           0.795833 +- 0.17  (poisson cross-check +- 0.1)
+q2           0.584259 +- 0.1  (poisson cross-check +- 0.086)
+q2/p2        0.734148 +- 0.2  (poisson cross-check +- 0.16)
+""" + aggregated
+
+    def test_simulate_status_line(self, tmp_path, capsys):
+        out = tmp_path / "run.jsonl"
+        assert main(["simulate", "--theta", THETA_FLAG, "--delta-std",
+                     DELTA_FLAG, "--iterations", "30", "--seed", "7",
+                     "--out", str(out)]) == 0
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"wrote 30 records to {out}\n"
+
+    @pytest.mark.parametrize("extra", [
+        [], ["--with-sim", "--iterations", "20", "--seed", "3"],
+    ])
+    def test_sweep_status_line(self, tmp_path, capsys, extra):
+        out = tmp_path / "table.csv"
+        assert main(["sweep", "gamma2", "0:1:5", "--theta", THETA_FLAG,
+                     "--delta-std", DELTA_FLAG, "--gamma1", "0.05",
+                     "--out", str(out)] + extra) == 0
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            f"wrote 5 rows to {out} (manifest {out}.manifest.json)\n"
+        )
