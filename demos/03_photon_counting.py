@@ -5,7 +5,8 @@ Each of the 200 iterations draws one Gaussian tilt alpha and four Poisson
 counts behind phase-modulator settings 0, 2*theta, -2*alpha and
 2*(theta - alpha); the run comes back as columns (one alpha array, one
 (200, 4) count array).  The phase-0 count has unit pass probability, so every
-other probability is estimated as a per-iteration ratio against it.
+other probability is estimated as a ratio of summed counts against it, with
+a delta-method one-sigma error bar.
 """
 
 import math

@@ -3,9 +3,9 @@ analysis, and sweep tables.
 
 Exit codes: 0 ok (also when the reader of the output closes it early), 2 usage
 error, 3 reversal present (with --check-reversal), 4 io error, 5 corrupt log
-line, 6 incompatible manifest version, 7 no usable iterations (every
-iteration of a count log or of a simulated grid point had n1p = 0, or a ratio
-estimate had a vanishing denominator).
+line, 6 incompatible manifest version, 7 no usable iterations (no
+iteration of a count log or of a simulated grid point had n1p > 0, or a
+derived ratio had a vanishing summed denominator).
 """
 
 from __future__ import annotations
@@ -26,6 +26,7 @@ from .counting import (
     AcquisitionConfig,
     EstimationError,
     RatioEstimate,
+    _require_seed,
     aggregate,
     estimate_ratios,
     run_acquisition,
@@ -68,15 +69,15 @@ EXIT_NO_USABLE = 7
 
 
 def _resolve_seed(value: int | None) -> int:
-    if value is not None:
-        return value
-    env = os.environ.get("YSQHT_SEED")
-    if env is not None:
+    if value is None:
+        env = os.environ.get("YSQHT_SEED")
+        if env is None:
+            return DEFAULT_SEED
         try:
-            return int(env)
+            value = int(env)
         except ValueError as err:
             raise ValueError(f"YSQHT_SEED must be an integer, got {env!r}") from err
-    return DEFAULT_SEED
+    return _require_seed(value)
 
 
 def _angle(value: float, degrees: bool) -> float:

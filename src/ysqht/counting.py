@@ -4,9 +4,9 @@ Each iteration draws one Gaussian preparation tilt ``alpha`` and four
 independent Poisson counts behind the phase-modulator settings 0, 2*theta,
 -2*alpha, and 2*(theta - alpha); a photon passes the final 45-degree
 polarizer with probability (1 + cos(phi))/2.  The count at phase 0 has unit
-pass probability and serves as the per-iteration normalization for all ratio
-estimates.  The counts of a whole acquisition are held as columns
-(``Counts``), and estimation and aggregation work on those columns.
+pass probability and serves as the normalization for the ratio estimates.
+The counts of a whole acquisition are held as columns (``Counts``), and
+estimation and aggregation work on those columns.
 """
 
 from __future__ import annotations
@@ -35,15 +35,24 @@ AGGREGATION_SALT = 0xD1342543DE82EF95
 
 _UINT64 = 2**64
 
-#: Below this many expected counts per window the per-iteration ratio
-#: estimators become ill-conditioned.
+#: Below this many expected counts per window a short run sums few counts,
+#: and the first-order (delta-method) error bars lose accuracy.
 RECOMMENDED_MIN_COUNTS = 100.0
 
 AGGREGATION_MODES = ("stochastic", "expected")
 
 
+def _require_seed(seed: int) -> int:
+    if not isinstance(seed, int) or not 0 <= seed < _UINT64:
+        raise ValueError(
+            f"seed must be an unsigned 64-bit integer, got {seed!r}"
+        )
+    return seed
+
+
 class EstimationError(RuntimeError):
-    """No usable iterations were left to estimate from."""
+    """An estimate has nothing to divide by: a summed n1p of 0 (as with no
+    records), or a derived ratio whose summed denominator is 0."""
 
 
 @dataclass(frozen=True)
@@ -61,10 +70,7 @@ class AcquisitionConfig:
 
     def __post_init__(self) -> None:
         _require_finite(self.theta, "theta")
-        if not isinstance(self.seed, int) or not 0 <= self.seed < _UINT64:
-            raise ValueError(
-                f"seed must be an unsigned 64-bit integer, got {self.seed!r}"
-            )
+        _require_seed(self.seed)
         if not isinstance(self.iterations, int) or self.iterations < 1:
             raise ValueError(
                 f"iterations must be a positive integer, got {self.iterations!r}"
@@ -118,12 +124,14 @@ class Counts:
 
 @dataclass(frozen=True)
 class RatioEstimate:
-    """Ratio estimate: mean of the per-iteration ratios, with the standard
-    error of that mean (0.0 when only one usable iteration exists).
+    """Ratio estimate r = sum(a)/sum(b) over the ``n_samples`` iterations
+    of an acquisition, with its delta-method standard error
+    sqrt(n/(n-1) * sum((a - r*b)**2)) / sum(b), a one-sigma interval (0.0
+    from a single iteration).
 
     ``poisson_error`` is a first-order counting-statistics cross-check,
-    (Na/Nb)*sqrt(1/Na + 1/Nb) on the summed counts; None for estimates that
-    are not plain ratios of summed counts."""
+    (Na/Nb)*sqrt(1/Na + 1/Nb) on the summed counts; None for estimates
+    whose sums are not raw counts (the mixed counts of an aggregation)."""
 
     value: float
     std_error: float
@@ -133,9 +141,10 @@ class RatioEstimate:
 
 @dataclass(frozen=True)
 class RatioSummary:
-    """Normalized count ratios from one acquisition, all normalized by the
-    unit-probability count n1p; ``q2_over_p2`` is the derived ratio of the q2
-    and p2 means with their relative errors added in quadrature."""
+    """Count ratios from one acquisition: q1/p1, p2 and q2 normalized by
+    the unit-probability count n1p, and q2/p2 formed directly as summed n2q
+    over summed n2p.  ``excluded`` is always 0, as every iteration is used;
+    it keeps the shape of the reports."""
 
     q1_over_p1: RatioEstimate
     p2: RatioEstimate
@@ -146,7 +155,8 @@ class RatioSummary:
 
 @dataclass(frozen=True)
 class AggregateResult:
-    """Aggregated-hypothesis estimates after mixing clean and noisy counts."""
+    """Aggregated-hypothesis estimates after mixing clean and noisy counts;
+    ``excluded`` is always 0, as in ``RatioSummary``."""
 
     p: RatioEstimate
     q: RatioEstimate
@@ -173,66 +183,10 @@ def run_acquisition(config: AcquisitionConfig) -> Counts:
     return Counts(alpha, rng.poisson(lam))
 
 
-@dataclass(frozen=True, eq=False)
-class _Estimates:
-    """Estimator rows of a batch of P acquisitions: ``value``,
-    ``std_error`` and ``poisson_error`` (NaN where there is none) of shape
-    (J, P), one row per estimator and one column per acquisition, with each
-    acquisition's ``n_samples`` and ``excluded`` iterations (shape (P,))."""
-
-    value: np.ndarray
-    std_error: np.ndarray
-    poisson_error: np.ndarray
-    n_samples: np.ndarray
-    excluded: np.ndarray
-
-    def single(self, rows: range) -> list[RatioEstimate]:
-        """The estimates of the given rows of a batch of one acquisition."""
-        n = int(self.n_samples[0])
-        return [
-            RatioEstimate(
-                float(self.value[j, 0]),
-                float(self.std_error[j, 0]),
-                n,
-                None if math.isnan(p := float(self.poisson_error[j, 0]))
-                else p,
-            )
-            for j in rows
-        ]
-
-
 def _poisson_ratio_error(num_total: np.ndarray, den_total: np.ndarray
                          ) -> np.ndarray:
-    # sqrt form of (Na/Nb)*sqrt(1/Na + 1/Nb), well defined at Na = 0; NaN
-    # where Nb = 0.
-    num, den = np.broadcast_arrays(num_total, den_total)
-    out = np.full(num.shape, np.nan)
-    ok = den > 0.0
-    num, den = num[ok], den[ok]
-    out[ok] = np.sqrt(num * (1.0 + num / den)) / den
-    return out
-
-
-def _propagated_ratio(
-    num: np.ndarray, num_error: np.ndarray,
-    den: np.ndarray, den_error: np.ndarray,
-) -> tuple[np.ndarray, np.ndarray]:
-    """The ratios num/den and their standard errors, the relative errors
-    added in quadrature.  The squares are taken by Python's ``**`` (the C
-    library's pow), which rounds differently from numpy's x*x in about one
-    case in a thousand, so each value keeps the bits of the scalar
-    formula."""
-    if (den == 0.0).any():
-        raise EstimationError(
-            "cannot form a derived ratio: the denominator estimate vanished"
-        )
-    value = num / den
-    error = [
-        math.sqrt(a**2 + (v * b) ** 2) / abs(d)
-        for a, v, b, d in zip(num_error.tolist(), value.tolist(),
-                              den_error.tolist(), den.tolist())
-    ]
-    return value, np.array(error)
+    # sqrt form of (Na/Nb)*sqrt(1/Na + 1/Nb), well defined at Na = 0.
+    return np.sqrt(num_total * (1.0 + num_total / den_total)) / den_total
 
 
 def _estimate(
@@ -241,90 +195,79 @@ def _estimate(
     gamma1: Sequence[float] = (),
     gamma2: np.ndarray | None = None,
     rngs: Sequence[Sequence[np.random.Generator]] | None = None,
-) -> _Estimates:
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The estimator kernel behind ``estimate_ratios``, ``aggregate`` and
     the simulated sweeps: P acquisitions (``counts``, int64 of shape
-    (P, n, 4)) estimated at once from their kept (n1p > 0) iterations.
+    (P, n, 4)) estimated at once from all their iterations.
 
-    Each estimator is the mean of a per-iteration ratio over n1p with the
-    standard error of that mean (ddof 1; 0.0 from one iteration), or a ratio
-    of two of them.  The rows are, when ``clean``, q1/p1, p2, q2 and q2/p2
-    (with the Poisson cross-check of the summed counts), then for each
-    gamma1 value p, q and q/p of the mixed counts at that gamma1 and the
-    acquisition's weight ``gamma2[i]``: picked clean or noisy by two
-    ``rngs[i][k].random(kept)`` draws (stochastic mode), or their weighted
-    averages when ``rngs`` is None (expected mode)."""
+    Returns ``value``, ``std_error`` and ``poisson_error`` (NaN where there
+    is none), each of shape (J, P): one row per estimator, one column per
+    acquisition.  Each estimator is a ratio of sums r = sum(a)/sum(b) with
+    its delta-method standard error sqrt(n/(n-1) * sum((a - r*b)**2)) /
+    sum(b) (0.0 from one iteration).  The (a, b) pairs are, when ``clean``,
+    (n1q, n1p), (n2p, n1p), (n2q, n1p) and (n2q, n2p), with the Poisson
+    cross-check of their sums; then for each gamma1 value (A, n1p), (B,
+    n1p) and (B, A), where A and B are the mixed counts at that gamma1 and
+    the acquisition's weight ``gamma2[i]``: picked clean or noisy by two
+    ``rngs[i][k].random(n)`` draws, A's first (stochastic mode), or their
+    weighted averages when ``rngs`` is None (expected mode)."""
     points, n, _ = counts.shape
-    if not n:
-        raise EstimationError("no records to estimate from")
-    keep = counts[:, :, 0] > 0
-    kept = np.count_nonzero(keep, axis=1)
-    if not kept.all():
+    # One C-contiguous (P, n) block per column: a sum along the last axis
+    # gives each row the bits that row gets on its own.
+    n1p, n1q, n2p, n2q = np.ascontiguousarray(
+        np.moveaxis(counts, -1, 0), dtype=float
+    )
+    if not n1p.sum(axis=-1).all():
         raise EstimationError(
             "every iteration had n1p = 0; nothing to normalize by"
         )
-    # A reduction along the last axis of a C-contiguous block gives each row
-    # the bits that row gets on its own, so the acquisitions with nothing
-    # excluded share one block.  One with exclusions is reduced alone, on
-    # its kept iterations: zeros or padding in their place would regroup
-    # numpy's pairwise sums and change the last bits.
-    whole = kept == n
-    blocks = [(np.array([i]), counts[i, keep[i]][np.newaxis])
-              for i in np.flatnonzero(~whole)]
-    if whole.all():
-        blocks.append((np.arange(points), counts))
-    elif whole.any():
-        blocks.append((np.flatnonzero(whole), counts[whole]))
 
-    first = 4 if clean else 0  # estimator row of p at the first gamma1
-    shape = (first + 3 * len(gamma1), points)
+    def pairs():
+        if clean:
+            yield from ((n1q, n1p), (n2p, n1p), (n2q, n1p), (n2q, n2p))
+        weight = None if gamma2 is None else gamma2[:, np.newaxis]
+        for k, g1 in enumerate(gamma1):
+            if rngs is None:
+                mixed_a = g1 * n1p + (1.0 - g1) * n2p
+                mixed_b = weight * n1q + (1.0 - weight) * n2q
+            else:
+                pick_a, pick_b = np.empty((2, points, n), dtype=bool)
+                for i in range(points):
+                    pick_a[i] = rngs[i][k].random(n) < g1
+                    pick_b[i] = rngs[i][k].random(n) < gamma2[i]
+                mixed_a = np.where(pick_a, n1p, n2p)
+                mixed_b = np.where(pick_b, n1q, n2q)
+            yield from ((mixed_a, n1p), (mixed_b, n1p), (mixed_b, mixed_a))
+
+    shape = ((4 if clean else 0) + 3 * len(gamma1), points)
     value, std_error = np.empty(shape), np.empty(shape)
     poisson_error = np.full(shape, np.nan)
-    # The estimator rows that are ratios of two others (q2/p2 and q/p), and
-    # those that are means of per-iteration ratios, in the order of the rows
-    # of ``ratios``.
-    derived = range(3 if clean else 2, shape[0], 3)
-    means = [j for j in range(shape[0]) if j not in derived]
-    for rows, block in blocks:
-        m = block.shape[1]
-        # Only n1p is copied to floats; the other columns are read in place.
-        n1p = block[..., 0].astype(float, order="C")
-        n1q, n2p, n2q = np.moveaxis(block[..., 1:], -1, 0)
-        # C order, so that each row of ratios is reduced as on its own.
-        ratios = np.empty((len(means), rows.size, m))
-        if clean:
-            ratios[:3] = np.moveaxis(block[..., 1:], -1, 0)
-            sums = block.sum(axis=1, dtype=float).T  # exact: whole counts
-            poisson_error[:3, rows] = _poisson_ratio_error(sums[1:], sums[0])
-            poisson_error[3, rows] = _poisson_ratio_error(sums[3], sums[2])
-        weight = None if gamma2 is None else gamma2[rows, np.newaxis]
-        for k, g1 in enumerate(gamma1):
-            a, b = ratios[means.index(first + 3 * k):][:2]
-            if rngs is None:
-                np.multiply(n1p, g1, out=a)
-                a += (1.0 - g1) * n2p
-                np.multiply(n1q, weight, out=b)
-                b += (1.0 - weight) * n2q
-            else:
-                pick_a, pick_b = np.empty((2, rows.size, m), dtype=bool)
-                for r, i in enumerate(rows):
-                    pick_a[r] = rngs[i][k].random(m) < g1
-                    pick_b[r] = rngs[i][k].random(m) < weight[r]
-                np.copyto(a, n2p)
-                np.copyto(a, n1p, where=pick_a)
-                np.copyto(b, n2q)
-                np.copyto(b, n1q, where=pick_b)
-        ratios /= n1p
-        cells = np.ix_(means, rows)
-        value[cells] = ratios.mean(axis=-1)
-        std_error[cells] = (
-            ratios.std(axis=-1, ddof=1) / math.sqrt(m) if m > 1 else 0.0
-        )
-    for j in derived:
-        value[j], std_error[j] = _propagated_ratio(
-            value[j - 1], std_error[j - 1], value[j - 2], std_error[j - 2]
-        )
-    return _Estimates(value, std_error, poisson_error, kept, n - kept)
+    scale = n / (n - 1) if n > 1 else 0.0
+    # One estimator at a time, so that only one residual block is alive.
+    for j, (a, b) in enumerate(pairs()):
+        total_a, total_b = a.sum(axis=-1), b.sum(axis=-1)
+        if not total_b.all():
+            raise EstimationError(
+                "cannot form a derived ratio: the denominator estimate "
+                "vanished"
+            )
+        value[j] = total_a / total_b
+        residual = a - value[j, :, np.newaxis] * b
+        residual *= residual
+        std_error[j] = np.sqrt(residual.sum(axis=-1) * scale) / total_b
+        if clean and j < 4:
+            poisson_error[j] = _poisson_ratio_error(total_a, total_b)
+    return value, std_error, poisson_error
+
+
+def _estimate_one(counts: Counts, *args) -> list[RatioEstimate]:
+    """The kernel's estimates of one acquisition, in its row order."""
+    rows = _estimate(counts.counts[np.newaxis], *args)
+    return [
+        RatioEstimate(float(v), float(e), len(counts),
+                      None if math.isnan(p) else float(p))
+        for v, e, p in zip(*(row[:, 0] for row in rows))
+    ]
 
 
 def _require_mode(mode: str) -> None:
@@ -335,13 +278,13 @@ def _require_mode(mode: str) -> None:
 
 
 def estimate_ratios(counts: Counts) -> RatioSummary:
-    """Per-iteration ratio estimates normalized by n1p, by the estimator
-    kernel that the simulated sweeps run on all their grid points at once.
+    """Ratio-of-sums estimates over all iterations, normalized by n1p, by
+    the estimator kernel that the simulated sweeps run on all their grid
+    points at once.
 
-    Iterations with n1p = 0 are excluded and counted; estimating from no
-    usable iterations raises EstimationError."""
-    est = _estimate(counts.counts[np.newaxis], clean=True)
-    return RatioSummary(*est.single(range(4)), int(est.excluded[0]))
+    Raises EstimationError when the summed n1p (or, for q2/p2, the summed
+    n2p) is 0."""
+    return RatioSummary(*_estimate_one(counts, True), excluded=0)
 
 
 def aggregate(
@@ -356,20 +299,20 @@ def aggregate(
     stochastic mode picks, per iteration, the clean count with probability
     gamma (fresh Bernoulli draws for each hypothesis; needs ``rng``);
     expected mode uses the deterministic weighted average
-    gamma*clean + (1-gamma)*noisy.  Both are normalized by n1p and averaged
-    over iterations; both converge to the aggregated q/p as the number of
-    iterations grows.  The simulated sweeps run the same estimator kernel on
-    all their grid points at once."""
+    gamma*clean + (1-gamma)*noisy.  Both sum the mixed counts over all
+    iterations and divide by the summed n1p (q/p by the summed mixed p
+    counts); both converge to the aggregated q/p as the number of iterations
+    grows.  The simulated sweeps run the same estimator kernel on all their
+    grid points at once."""
     gamma1 = _require_probability(gamma1, "gamma1")
     gamma2 = _require_probability(gamma2, "gamma2")
     _require_mode(mode)
     if mode == "stochastic" and rng is None:
         raise ValueError("stochastic aggregation needs a random generator")
-    est = _estimate(
-        counts.counts[np.newaxis], False, (gamma1,), np.array([gamma2]),
+    return AggregateResult(*_estimate_one(
+        counts, False, (gamma1,), np.array([gamma2]),
         None if mode == "expected" else [[rng]],
-    )
-    return AggregateResult(*est.single(range(3)), int(est.excluded[0]))
+    ), excluded=0)
 
 
 def point_seed(base_seed: int, index: int) -> int:
@@ -397,13 +340,12 @@ def _read_only(values: np.ndarray) -> np.ndarray:
 class SimulatedSweep:
     """Monte Carlo counterpart of an analytic sweep, as read-only columns over
     the grid ``x`` (shape (P,)): each point's acquisition ``seeds`` (uint64)
-    and its usable iterations ``n_samples``; the q2/p2 estimate
-    ``q2_over_p2`` with its standard error ``q2_over_p2_err`` and Poisson
-    cross-check ``q2_over_p2_poisson`` (NaN where the summed n2p is 0), each
-    of shape (P,); and the q/p estimate ``q_over_p`` with its
-    ``q_over_p_err``, of shape (len(gamma1_values), P), one row per gamma1.
-    Compare two values with ``np.array_equal`` on their columns
-    (``equal_nan=True`` for the cross-check)."""
+    and its iterations ``n_samples``; the q2/p2 estimate ``q2_over_p2``
+    with its standard error ``q2_over_p2_err`` and Poisson cross-check
+    ``q2_over_p2_poisson``, each of shape (P,); and the q/p estimate
+    ``q_over_p`` with its ``q_over_p_err``, of shape (len(gamma1_values),
+    P), one row per gamma1.  Compare two values with ``np.array_equal`` on
+    their columns."""
 
     gamma1_values: tuple[float, ...]
     mode: str
@@ -457,16 +399,18 @@ def _simulate_sweep(
          for k in range(len(gamma1_values))]
         for seed in seeds
     ]
-    est = _estimate(counts, True, gamma1_values, gamma2, rngs)
+    value, std_error, poisson_error = _estimate(
+        counts, True, gamma1_values, gamma2, rngs
+    )
     return SimulatedSweep(
         gamma1_values, mode, base_config.seed,
         _read_only(np.array([float(x) for x, _, _ in points])),
         _read_only(np.array(seeds, dtype=np.uint64)),
-        _read_only(est.n_samples),
-        *(_read_only(column[3].copy()) for column in
-          (est.value, est.std_error, est.poisson_error)),
-        _read_only(est.value[6::3].copy()),
-        _read_only(est.std_error[6::3].copy()),
+        _read_only(np.full(len(points), base_config.iterations)),
+        *(_read_only(column[3].copy())
+          for column in (value, std_error, poisson_error)),
+        _read_only(value[6::3].copy()),
+        _read_only(std_error[6::3].copy()),
     )
 
 

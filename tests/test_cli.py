@@ -509,6 +509,23 @@ class TestAnalyze:
         assert captured.out == ""
         assert captured.err.startswith("error: ")
 
+    @pytest.mark.parametrize("seed", ["-3", str(2**64 + 1)])
+    def test_out_of_range_seed_exit_2_as_in_simulate(
+        self, tmp_path, capsys, seed
+    ):
+        log = self.write_log(tmp_path)
+        capsys.readouterr()
+        message = f"error: seed must be an unsigned 64-bit integer, got {seed}\n"
+        for argv in (
+            ["analyze", str(log), "--gamma1", "0.1", "--gamma2", "0.8",
+             "--mode", "stochastic", "--seed", seed],
+            ["simulate", "--theta", THETA_FLAG, "--delta-std", DELTA_FLAG,
+             "--seed", seed, "--out", str(tmp_path / "never.jsonl")],
+        ):
+            assert main(argv) == 2
+            assert capsys.readouterr() == ("", message)
+        assert not (tmp_path / "never.jsonl").exists()
+
     @pytest.mark.parametrize("mode", ["stochastic", "expected"])
     def test_no_usable_iterations_exit_7(self, tmp_path, capsys, mode):
         log = tmp_path / "empty.jsonl"
@@ -943,7 +960,7 @@ class TestPinnedOutput:
         ])
         summary, estimates = library_analysis(logs[log], 0.05, 0.8, mode, 13)
         assert code == 0
-        assert summary.excluded == (0 if log == "plain" else 4)
+        assert summary.excluded == 0
         assert report == {
             "log_seed": 7 if log == "plain" else 3,
             "gamma1": 0.05,
@@ -975,14 +992,14 @@ class TestPinnedOutput:
 
     @pytest.mark.parametrize("mode, aggregated", [
         ("stochastic", """\
-p            0.851389 +- 0.17
-q            0.691667 +- 0.11
-q/p          0.812398 +- 0.21
+p            0.673913 +- 0.11
+q            0.706522 +- 0.11
+q/p          1.048387 +- 0.21
 """),
         ("expected", """\
-p            0.806042 +- 0.16
-q            0.725741 +- 0.096
-q/p          0.900376 +- 0.22
+p            0.638587 +- 0.11
+q            0.634783 +- 0.082
+q/p          0.994043 +- 0.19
 """),
     ], ids=["stochastic", "expected"])
     def test_analyze_text_with_exclusions(self, capsys, logs, mode,
@@ -994,11 +1011,11 @@ q/p          0.900376 +- 0.22
         ])
         assert code == 0
         assert out == f"""\
-40 iterations from {log} (4 excluded for n1p = 0)
-q1/p1        0.761111 +- 0.11  (poisson cross-check +- 0.1)
-p2           0.795833 +- 0.17  (poisson cross-check +- 0.1)
-q2           0.584259 +- 0.1  (poisson cross-check +- 0.086)
-q2/p2        0.734148 +- 0.2  (poisson cross-check +- 0.16)
+40 iterations from {log} (0 excluded for n1p = 0)
+q1/p1        0.673913 +- 0.095  (poisson cross-check +- 0.11)
+p2           0.619565 +- 0.11  (poisson cross-check +- 0.1)
+q2           0.478261 +- 0.081  (poisson cross-check +- 0.088)
+q2/p2        0.771930 +- 0.16  (poisson cross-check +- 0.15)
 """ + aggregated
 
     def test_simulate_status_line(self, tmp_path, capsys):

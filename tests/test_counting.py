@@ -1,7 +1,6 @@
 """Tests for the photon-counting emulator, estimators, and aggregation."""
 
 import math
-import statistics
 import warnings
 
 import numpy as np
@@ -13,9 +12,11 @@ from ysqht import (
     EstimationError,
     NoiseParams,
     RatioEstimate,
+    ScenarioParams,
     aggregate,
     aggregation_seed,
     estimate_ratios,
+    outcome_probabilities,
     point_seed,
     run_acquisition,
     simulate_delta_sweep,
@@ -242,15 +243,20 @@ class TestEstimateRatios:
             previous_error = summary.p2.std_error
 
     def test_excludes_vanished_normalization(self):
+        # Windows with n1p = 0 stay in the sums: a ratio of sums needs only
+        # a summed n1p above 0.
         with pytest.warns(UserWarning):
             cfg = config(noise=NoiseParams(0.0), seed=12, mean_rate=0.5)
         counts = run_acquisition(cfg)
+        assert (counts.counts[:, 0] == 0).any()
         summary = estimate_ratios(counts)
-        assert summary.excluded > 0
-        assert summary.q1_over_p1.n_samples == 200 - summary.excluded
         agg = aggregate(counts, 0.5, 0.5, mode="expected")
-        assert agg.excluded == summary.excluded
-        assert agg.p.n_samples == 200 - summary.excluded
+        assert summary.excluded == agg.excluded == 0
+        for est in (summary.q1_over_p1, summary.p2, summary.q2,
+                    summary.q2_over_p2, agg.p, agg.q, agg.q_over_p):
+            assert est.n_samples == 200
+            assert math.isfinite(est.value)
+            assert math.isfinite(est.std_error) and est.std_error > 0.0
 
     def test_all_excluded_raises(self):
         with pytest.warns(UserWarning):
@@ -265,17 +271,25 @@ class TestEstimateRatios:
             estimate_ratios(Counts(np.empty(0), np.empty((0, 4), np.int64)))
 
     def test_matches_per_iteration_loop(self):
+        # A scalar ratio of sums in Python floats, with the delta-method
+        # error of the residuals a - r*b.
         counts = run_acquisition(config(seed=1))
         summary = estimate_ratios(counts)
         rows = counts.counts.tolist()
-        for est, k in ((summary.q1_over_p1, 1), (summary.p2, 2),
-                       (summary.q2, 3)):
-            ratios = [row[k] / row[0] for row in rows]
-            assert est.value == pytest.approx(
-                statistics.fmean(ratios), rel=1e-12
-            )
+        n = len(rows)
+        for est, k, m in ((summary.q1_over_p1, 1, 0), (summary.p2, 2, 0),
+                          (summary.q2, 3, 0), (summary.q2_over_p2, 3, 2)):
+            total_a = sum(row[k] for row in rows)
+            total_b = sum(row[m] for row in rows)
+            ratio = total_a / total_b
+            squares = math.fsum((row[k] - ratio * row[m]) ** 2
+                                for row in rows)
+            assert est.value == ratio  # exact: sums of integers
             assert est.std_error == pytest.approx(
-                statistics.stdev(ratios) / math.sqrt(len(ratios)), rel=1e-9
+                math.sqrt(squares * n / (n - 1)) / total_b, rel=1e-9
+            )
+            assert est.poisson_error == pytest.approx(
+                ratio * math.sqrt(1.0 / total_a + 1.0 / total_b), rel=1e-12
             )
 
 
@@ -348,6 +362,47 @@ class TestAggregate:
         counts = run_acquisition(config(seed=1))
         with pytest.raises(ValueError):
             aggregate(counts, 1.5, 0.5, None, "expected")
+
+
+class TestCalibration:
+    """Every error bar is a one-sigma interval: over a fixed set of 400
+    acquisitions of 200 iterations at the reversal point of the desk
+    parameters, the pulls (estimate - closed form) / std_error of all seven
+    estimators, in both aggregation modes, have a standard deviation within
+    [0.9, 1.1] and a mean within 0.2 of 0."""
+
+    def test_pulls_of_all_estimators_in_both_modes(self):
+        noise, gamma1, gamma2 = NoiseParams(0.7), 0.1, 0.8
+        o = outcome_probabilities(
+            ScenarioParams(THETA_B, noise, gamma1, gamma2)
+        )
+        truth = {"q1_over_p1": o.q1 / o.p1, "p2": o.p2 / o.p1,
+                 "q2": o.q2 / o.p1, "q2_over_p2": o.q2 / o.p2,
+                 "p": o.p / o.p1, "q": o.q / o.p1, "q_over_p": o.q / o.p}
+        pulls = {}
+        for seed in range(400):
+            counts = run_acquisition(config(noise=noise, seed=seed))
+            results = {"clean": estimate_ratios(counts)}
+            for mode, rng in (
+                ("stochastic", np.random.default_rng(aggregation_seed(seed))),
+                ("expected", None),
+            ):
+                results[mode] = aggregate(counts, gamma1, gamma2, rng, mode)
+            for mode, result in results.items():
+                for name, est in vars(result).items():
+                    if isinstance(est, RatioEstimate):
+                        pulls.setdefault(f"{mode} {name}", []).append(
+                            (est.value - truth[name]) / est.std_error
+                        )
+        assert len(pulls) == 10
+        off = {
+            name: (round(float(values.mean()), 3),
+                   round(float(values.std(ddof=1)), 3))
+            for name, values in ((k, np.array(v)) for k, v in pulls.items())
+            if not (abs(values.mean()) < 0.2
+                    and 0.9 <= values.std(ddof=1) <= 1.1)
+        }
+        assert off == {}, "(pull mean, pull std) out of bounds"
 
 
 class TestSweepSeeds:

@@ -1,7 +1,7 @@
 """Property tests of the batched simulated sweeps: every column equals, bit
 for bit, a re-run of its grid point through ``run_acquisition``,
-``estimate_ratios`` and ``aggregate``, and those equal the scalar estimators
-computed one acquisition at a time from the kept iterations."""
+``estimate_ratios`` and ``aggregate``, and those equal the scalar
+ratio-of-sums estimators computed one acquisition at a time."""
 
 import math
 from dataclasses import replace
@@ -61,40 +61,35 @@ def mixing_rng(seed, k, mode):
 
 def scalar_estimates(counts, gamma1, gamma2, rng, mode):
     """q2/p2 and q/p as the per-acquisition scalar code computes them: 1-D
-    numpy means and ``ddof=1`` deviations of the ratios over the kept
-    iterations, the derived ratios in Python floats."""
-    keep = counts.counts[:, 0] > 0
-    if not keep.any():
+    numpy sums over all iterations, each ratio of sums and its delta-method
+    error in Python floats."""
+    n1p, n1q, n2p, n2q = np.ascontiguousarray(counts.counts.T, dtype=float)
+    if not n1p.sum():
         raise EstimationError("every iteration had n1p = 0")
-    n1p, n1q, n2p, n2q = np.ascontiguousarray(
-        counts.counts[keep].T, dtype=float
-    )
     n = int(n1p.size)
 
-    def mean(ratio):
-        error = float(ratio.std(ddof=1) / math.sqrt(n)) if n > 1 else 0.0
-        return float(ratio.mean()), error
-
-    def ratio_of(num, den, poisson):
-        if den[0] == 0.0:
+    def ratio_of_sums(a, b, with_poisson):
+        total_a, total_b = float(a.sum()), float(b.sum())
+        if total_b == 0.0:
             raise EstimationError("the denominator estimate vanished")
-        value = num[0] / den[0]
-        error = math.sqrt(num[1] ** 2 + (value * den[1]) ** 2) / abs(den[0])
+        value = total_a / total_b
+        residual = a - value * b
+        squares = float((residual * residual).sum())
+        error = math.sqrt(squares * (n / (n - 1))) / total_b if n > 1 else 0.0
+        poisson = (
+            math.sqrt(total_a * (1.0 + total_a / total_b)) / total_b
+            if with_poisson else None
+        )
         return RatioEstimate(value, error, n, poisson)
 
-    total_p, total_q = float(n2p.sum()), float(n2q.sum())
-    poisson = (
-        math.sqrt(total_q * (1.0 + total_q / total_p)) / total_p
-        if total_p > 0.0 else None
-    )
-    q2_over_p2 = ratio_of(mean(n2q / n1p), mean(n2p / n1p), poisson)
+    q2_over_p2 = ratio_of_sums(n2q, n2p, True)
     if mode == "stochastic":
         mixed_a = np.where(rng.random(n) < gamma1, n1p, n2p)
         mixed_b = np.where(rng.random(n) < gamma2, n1q, n2q)
     else:
         mixed_a = gamma1 * n1p + (1.0 - gamma1) * n2p
         mixed_b = gamma2 * n1q + (1.0 - gamma2) * n2q
-    q_over_p = ratio_of(mean(mixed_b / n1p), mean(mixed_a / n1p), None)
+    q_over_p = ratio_of_sums(mixed_b, mixed_a, False)
     return q2_over_p2, q_over_p
 
 
