@@ -9,6 +9,8 @@ closed forms, and the noise threshold has a handy small-angle expansion.
 
 import math
 
+import numpy as np
+
 from ysqht import (
     NoiseParams,
     delta_threshold,
@@ -18,6 +20,15 @@ from ysqht import (
     sweep_delta,
     sweep_gamma2,
 )
+
+
+def first_sign_change(sweep, k=0):
+    """The first grid interval on which q/p - 1 changes sign for the k-th
+    gamma1 of ``sweep``; the closed-form threshold lies inside it."""
+    below = sweep.q_over_p[k] <= 1.0
+    i = np.flatnonzero(below[1:] != below[:-1])[0]
+    return sweep.x[i], sweep.x[i + 1]
+
 
 theta = 5.0 * math.pi / 36.0
 noise = NoiseParams(2.0 * math.pi / 9.0)
@@ -37,13 +48,14 @@ print(f"weight pairs exist at this noise: {reversal_pairs_exist(noise, theta)}")
 
 print("\n== the thresholds are where the sweeps cross q/p = 1 ==")
 grid = [0.05 * i for i in range(23)]
-crossing = sweep_delta(theta, [0.1], 0.8, grid).crossings[0]
-print(f"noise sweep crossing     : bracket ({crossing.below:.2f}, "
-      f"{crossing.above:.2f}), exact {crossing.refined:.6f} rad")
+lo, hi = first_sign_change(sweep_delta(theta, [0.1], 0.8, grid))
+print(f"noise sweep crossing     : bracket ({lo:.2f}, {hi:.2f}), "
+      f"exact {thr.delta_std:.6f} rad")
 gamma_grid = [0.05 * i for i in range(21)]
-crossing2 = sweep_gamma2(theta, noise, [0.05], gamma_grid).crossings[0]
-print(f"weight sweep crossing    : bracket ({crossing2.below:.2f}, "
-      f"{crossing2.above:.2f}), exact {crossing2.refined:.6f}")
+lo, hi = first_sign_change(sweep_gamma2(theta, noise, [0.05], gamma_grid))
+exact = gamma2_threshold(0.05, theta, noise).value
+print(f"weight sweep crossing    : bracket ({lo:.2f}, {hi:.2f}), "
+      f"exact {exact:.6f}")
 
 print("\n== small-angle expansion of the noise threshold ==")
 print(f"{'theta':>8} {'exact':>12} {'1 - 2t^2/gap':>14} {'error':>10}")

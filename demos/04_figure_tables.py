@@ -21,6 +21,8 @@ from ysqht import (
     AcquisitionConfig,
     NoiseParams,
     RunManifest,
+    delta_threshold,
+    gamma2_threshold,
     simulate_delta_sweep,
     simulate_gamma2_sweep,
     sweep_delta,
@@ -28,6 +30,15 @@ from ysqht import (
     sweep_table,
     write_sweep_csv,
 )
+
+
+def first_sign_change(sweep, k=0):
+    """The first grid interval on which q/p - 1 changes sign for the k-th
+    gamma1 of ``sweep``; the closed-form threshold lies inside it."""
+    below = sweep.q_over_p[k] <= 1.0
+    i = np.flatnonzero(below[1:] != below[:-1])[0]
+    return sweep.x[i], sweep.x[i + 1]
+
 
 theta = 5.0 * math.pi / 36.0
 noise = NoiseParams(2.0 * math.pi / 9.0)
@@ -47,10 +58,11 @@ write_sweep_csv(
                 iterations=200, mean_rate=1e4, window_seconds=1.0,
                 mode="stochastic"),
 )
-crossing = analytic.crossings[0]
+lo, hi = first_sign_change(analytic)
+exact = delta_threshold(0.1, 0.8, theta).delta_std
 print(f"wrote {left}")
-print(f"q/p crosses 1 between {crossing.below:.2f} and {crossing.above:.2f} "
-      f"rad (exactly at {crossing.refined:.4f})")
+print(f"q/p crosses 1 between {lo:.2f} and {hi:.2f} "
+      f"rad (exactly at {exact:.4f})")
 
 print("\n== right table: ratios versus gamma2 ==")
 gamma_grid = [float(g) for g in np.linspace(0.0, 1.0, 21)]
@@ -66,10 +78,11 @@ write_sweep_csv(
                 window_seconds=1.0, mode="stochastic"),
 )
 print(f"wrote {right}")
-crossing2 = analytic2.crossings[0]
-print(f"gamma1 = 0.05: q/p crosses 1 between {crossing2.below:.2f} and "
-      f"{crossing2.above:.2f} (exactly at {crossing2.refined:.4f})")
-print(f"gamma1 = 0.4 : q/p stays below 1 up to gamma2 = 0.9 "
-      f"({all(r.q_over_p[1] < 1 for r in analytic2.rows if r.x <= 0.9)})")
+lo, hi = first_sign_change(analytic2)
+exact = gamma2_threshold(0.05, theta, noise).value
+print(f"gamma1 = 0.05: q/p crosses 1 between {lo:.2f} and "
+      f"{hi:.2f} (exactly at {exact:.4f})")
+stays_below = bool(np.all(analytic2.q_over_p[1][analytic2.x <= 0.9] < 1))
+print(f"gamma1 = 0.4 : q/p stays below 1 up to gamma2 = 0.9 ({stays_below})")
 print("\nthe q2/p2 column is identical in every row: the noisy-probe ratio")
 print("does not depend on the aggregation weights")

@@ -46,7 +46,6 @@ from .qubit import (
     tilt,
 )
 from .theory import (
-    Crossing,
     DeltaThreshold,
     Gamma2Threshold,
     OutcomeProbabilities,
@@ -78,7 +77,6 @@ __all__ = [
     "pure_state",
     "tilt",
     # closed forms and thresholds
-    "Crossing",
     "DeltaThreshold",
     "Gamma2Threshold",
     "OutcomeProbabilities",

@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import itertools
 import math
-import warnings
 from dataclasses import dataclass, replace
 from typing import Iterable, Sequence
 
@@ -34,10 +33,6 @@ SEED_STRIDE = 0x9E3779B97F4A7C15
 AGGREGATION_SALT = 0xD1342543DE82EF95
 
 _UINT64 = 2**64
-
-#: Below this many expected counts per window a short run sums few counts,
-#: and the first-order (delta-method) error bars lose accuracy.
-RECOMMENDED_MIN_COUNTS = 100.0
 
 AGGREGATION_MODES = ("stochastic", "expected")
 
@@ -79,13 +74,6 @@ class AcquisitionConfig:
         window = _require_finite(self.window_seconds, "window_seconds")
         if rate <= 0.0 or window <= 0.0:
             raise ValueError("mean_rate and window_seconds must be positive")
-        if self.expected_counts < RECOMMENDED_MIN_COUNTS:
-            warnings.warn(
-                f"expected counts per window = {self.expected_counts:g} < "
-                f"{RECOMMENDED_MIN_COUNTS:g}; ratio estimators may be "
-                f"ill-conditioned",
-                stacklevel=3,  # past the generated __init__ to its caller
-            )
 
     @property
     def expected_counts(self) -> float:
@@ -384,16 +372,10 @@ def _simulate_sweep(
                        for _, _, g2 in points])
     seeds = [point_seed(base_config.seed, i) for i in range(len(points))]
     counts = np.empty((len(points), base_config.iterations, 4), np.int64)
-    with warnings.catch_warnings():
-        # Every point shares the base configuration's rate and window, and
-        # that configuration has warned of low counts already.
-        warnings.filterwarnings(
-            "ignore", "expected counts per window", UserWarning
-        )
-        for i, ((_, noise, _), seed) in enumerate(zip(points, seeds)):
-            counts[i] = run_acquisition(
-                replace(base_config, noise=noise, seed=seed)
-            ).counts
+    for i, ((_, noise, _), seed) in enumerate(zip(points, seeds)):
+        counts[i] = run_acquisition(
+            replace(base_config, noise=noise, seed=seed)
+        ).counts
     rngs = None if mode == "expected" else [
         [np.random.default_rng(aggregation_seed(seed, k))
          for k in range(len(gamma1_values))]

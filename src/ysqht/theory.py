@@ -15,7 +15,7 @@ import functools
 import itertools
 import math
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -224,16 +224,6 @@ def reversal_pairs_exist(noise: NoiseParams, theta: float) -> bool:
 
 
 @dataclass(frozen=True)
-class Crossing:
-    """Grid bracket inside which the aggregated ratio q/p crosses 1, and the
-    exact crossing point ``refined`` inside it."""
-
-    below: float
-    above: float
-    refined: float
-
-
-@dataclass(frozen=True)
 class SweepRow:
     """Closed forms at one grid point ``x`` of the swept parameter;
     ``q_over_p`` and ``reversal`` entries align with the sweep's
@@ -256,12 +246,8 @@ class Sweep:
     (n,)): ``q2_over_p2`` (n,), and ``q_over_p`` and ``reversal`` of shape
     (len(gamma1_values), n), one row per gamma1; ``q1_over_p1`` is a single
     float, as it depends on neither axis.  ``rows`` gives the same values
-    point by point.
-
-    ``crossings`` holds one entry per gamma1: the first grid interval on
-    which q/p - 1 changes sign, or None when it never does.  In exact
-    arithmetic q - p is linear in the smearing and in gamma2, so q/p crosses
-    1 at most once."""
+    point by point.  Where q/p crosses 1 is given in closed form by
+    ``delta_threshold`` and ``gamma2_threshold``."""
 
     axis: str
     theta: float
@@ -271,7 +257,6 @@ class Sweep:
     q2_over_p2: np.ndarray
     q_over_p: np.ndarray
     reversal: np.ndarray
-    crossings: tuple[Crossing | None, ...]
 
     @functools.cached_property
     def rows(self) -> tuple[SweepRow, ...]:
@@ -308,13 +293,10 @@ def _sweep(
     grid: np.ndarray,
     smearing: float | np.ndarray,
     gamma2: float | np.ndarray,
-    threshold: Callable[[float], float | None],
 ) -> Sweep:
     """The closed forms of ``outcome_probabilities`` on all grid points and
     gamma1 values at once.  One of ``smearing`` and ``gamma2`` holds a value
-    per grid point, the other is fixed; ``threshold(gamma1)`` is the
-    closed-form crossing of q/p = 1 on the swept axis (None, or ValueError,
-    where the formula does not apply)."""
+    per grid point, the other is fixed."""
     theta = _require_tilt(theta)
     gamma1_values = _require_distinct_probabilities(gamma1_values, "gamma1")
     o = _closed_forms(
@@ -327,26 +309,9 @@ def _sweep(
     reversal = np.broadcast_to(
         (o.p1 > o.q1) & (o.p2 > o.q2) & (o.q > o.p), shape
     )
-
-    crossings: list[Crossing | None] = []
-    for gamma1, below in zip(gamma1_values, q_over_p - 1.0 <= 0.0):
-        change = np.flatnonzero(below[1:] != below[:-1])
-        if not change.size:
-            crossings.append(None)
-            continue
-        lo, hi = grid[change[0]:change[0] + 2].tolist()
-        try:
-            exact = threshold(gamma1)
-        except ValueError:  # theta outside (0, pi/4), or a noiseless probe
-            exact = None
-        # Rounding can put the computed sign change next to the exact root
-        # instead of around it, or make one where q/p is 1 all along.
-        refined = lo if exact is None else min(max(exact, lo), hi)
-        crossings.append(Crossing(lo, hi, refined))
     return Sweep(
         axis, theta, gamma1_values, grid, o.q1 / o.p1,
         np.broadcast_to(o.q2 / o.p2, grid.shape), q_over_p, reversal,
-        tuple(crossings),
     )
 
 
@@ -360,17 +325,13 @@ def sweep_delta(
     q/p column per gamma1.
 
     Rows are exact closed-form values at the grid points (no interpolation);
-    the crossing of q/p = 1 is reported with its bracketing grid interval
-    and the exact critical spread of ``delta_threshold``."""
+    ``delta_threshold`` gives the exact spread at which q/p crosses 1."""
     grid = _checked_grid(delta_grid, "delta_std")
     if (grid < 0.0).any():
         raise ValueError("delta_std grid must be non-negative")
     gamma2 = _require_probability(gamma2, "gamma2")
     smearing = np.array(list(map(_smearing, grid.tolist())))
-    return _sweep(
-        "delta", theta, gamma1_values, grid, smearing, gamma2,
-        lambda gamma1: delta_threshold(gamma1, gamma2, theta).delta_std,
-    )
+    return _sweep("delta", theta, gamma1_values, grid, smearing, gamma2)
 
 
 def sweep_gamma2(
@@ -382,14 +343,10 @@ def sweep_gamma2(
     """Evaluate the ratio curves on an ascending grid of hypothesis-B clean
     weights, one q/p column per gamma1.
 
-    q2/p2 does not depend on the weights, so that column is constant; the
-    crossing of q/p = 1 is reported with its bracketing grid interval and
-    the exact critical weight of ``gamma2_threshold``."""
+    q2/p2 does not depend on the weights, so that column is constant;
+    ``gamma2_threshold`` gives the exact weight at which q/p crosses 1."""
     grid = _checked_grid(gamma2_grid, "gamma2")
     bad = (grid < 0.0) | (grid > 1.0)
     if bad.any():  # the scalar check names the first bad value
         _require_probability(grid[bad.argmax()].item(), "gamma2")
-    return _sweep(
-        "gamma2", theta, gamma1_values, grid, noise.smearing, grid,
-        lambda gamma1: gamma2_threshold(gamma1, theta, noise).value,
-    )
+    return _sweep("gamma2", theta, gamma1_values, grid, noise.smearing, grid)

@@ -130,32 +130,31 @@ def test_criterion_5_weight_sweep_reproduction():
     )
     sim = simulate_gamma2_sweep(base, grid, [0.05, 0.4], mode="stochastic")
 
-    constant = analytic.rows[0].q2_over_p2
+    constant = analytic.q2_over_p2[0]
     noisy_column_ok = all(
         abs(value - constant) <= 3.0 * error
         for value, error in zip(sim.q2_over_p2, sim.q2_over_p2_err)
     )
-    agg_ok = all(
-        abs(sim.q_over_p[k, i] - arow.q_over_p[k])
-        <= 3.0 * sim.q_over_p_err[k, i]
-        for i, arow in enumerate(analytic.rows)
-        for k in range(2)
+    agg_ok = bool(np.all(
+        np.abs(sim.q_over_p - analytic.q_over_p) <= 3.0 * sim.q_over_p_err
+    ))
+    # The first grid interval on which q/p - 1 changes sign for gamma1 0.05.
+    below = analytic.q_over_p[0] <= 1.0
+    change = np.flatnonzero(below[1:] != below[:-1])
+    bracket = (
+        tuple(analytic.x[change[0]:change[0] + 2].tolist())
+        if change.size else None
     )
-    crossing = analytic.crossings[0]
     crossing_ok = (
-        crossing is not None
-        and crossing.below <= GAMMA2_THRESHOLD <= crossing.above
+        bracket is not None and bracket[0] <= GAMMA2_THRESHOLD <= bracket[1]
     )
-    below_one_ok = all(
-        row.q_over_p[1] < 1.0 for row in analytic.rows if row.x <= 0.9
-    )
+    below_one_ok = bool(np.all(analytic.q_over_p[1][analytic.x <= 0.9] < 1.0))
     ok = noisy_column_ok and agg_ok and crossing_ok and below_one_ok
     report(
         5, "weight-sweep panel at desk scale", ok,
         f"q2/p2 constant within errors: {noisy_column_ok}, "
-        f"q/p within 3 sigma: {agg_ok}, crossing bracket "
-        f"({getattr(crossing, 'below', None)}, "
-        f"{getattr(crossing, 'above', None)}) contains 0.414: {crossing_ok}, "
+        f"q/p within 3 sigma: {agg_ok}, crossing bracket {bracket} "
+        f"contains 0.414: {crossing_ok}, "
         f"gamma1=0.4 stays below 1 up to 0.9: {below_one_ok}",
     )
 

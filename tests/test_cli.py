@@ -6,6 +6,7 @@ import os
 import re
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -529,12 +530,11 @@ class TestAnalyze:
     @pytest.mark.parametrize("mode", ["stochastic", "expected"])
     def test_no_usable_iterations_exit_7(self, tmp_path, capsys, mode):
         log = tmp_path / "empty.jsonl"
-        with pytest.warns(UserWarning, match="expected counts per window"):
-            assert main([
-                "simulate", "--theta", THETA_FLAG, "--delta-std", DELTA_FLAG,
-                "--iterations", "3", "--rate", "0.001", "--seed", "1",
-                "--out", str(log),
-            ]) == 0
+        assert main([
+            "simulate", "--theta", THETA_FLAG, "--delta-std", DELTA_FLAG,
+            "--iterations", "3", "--rate", "0.001", "--seed", "1",
+            "--out", str(log),
+        ]) == 0
         capsys.readouterr()
         code = main([
             "analyze", str(log), "--gamma1", "0.1", "--gamma2", "0.8",
@@ -665,13 +665,12 @@ class TestSweep:
         self, tmp_path, capsys, mode
     ):
         out = tmp_path / "sim.csv"
-        with pytest.warns(UserWarning, match="expected counts per window"):
-            code = main([
-                "sweep", "gamma2", "0:1:3", "--theta", THETA_FLAG,
-                "--delta-std", DELTA_FLAG, "--gamma1", "0.05", "--with-sim",
-                "--iterations", "3", "--rate", "0.001", "--mode", mode,
-                "--out", str(out),
-            ])
+        code = main([
+            "sweep", "gamma2", "0:1:3", "--theta", THETA_FLAG,
+            "--delta-std", DELTA_FLAG, "--gamma1", "0.05", "--with-sim",
+            "--iterations", "3", "--rate", "0.001", "--mode", mode,
+            "--out", str(out),
+        ])
         captured = capsys.readouterr()
         assert code == 7
         assert captured.out == ""
@@ -680,19 +679,20 @@ class TestSweep:
         )
         assert list(tmp_path.iterdir()) == []
 
-    def test_low_count_warning_names_the_command_once(self, tmp_path,
-                                                      capsys):
-        # One warning for the base configuration, none for the per-point
-        # configurations that share its rate and window.
-        with pytest.warns(UserWarning) as record:
+    def test_low_rate_runs_quietly(self, tmp_path, capsys):
+        # The error bars follow the summed counts, so a low rate per window
+        # is no reason to warn.
+        with warnings.catch_warnings(record=True) as record:
+            warnings.simplefilter("always")
+            AcquisitionConfig(
+                theta=0.4, noise=NoiseParams(0.7), seed=1, mean_rate=2.0
+            )
             assert main([
-                "sweep", "delta", "0:1:4", "--theta", THETA_FLAG,
-                "--gamma1", "0.05", "--gamma2", "0.8", "--with-sim",
-                "--iterations", "40", "--rate", "20", "--seed", "2",
-                "--out", str(tmp_path / "low.csv"),
+                "simulate", "--theta", THETA_FLAG, "--delta-std", DELTA_FLAG,
+                "--iterations", "40", "--rate", "2", "--seed", "3",
+                "--out", str(tmp_path / "low.jsonl"),
             ]) == 0
-        assert [w.filename for w in record] == [cli.__file__]
-        assert "expected counts per window = 20" in str(record[0].message)
+        assert record == []
 
     def test_gamma2_axis_needs_delta_std(self, tmp_path, capsys):
         code = main([
@@ -846,10 +846,9 @@ class TestPinnedOutput:
         assert main(["simulate", "--theta", THETA_FLAG, "--delta-std",
                      DELTA_FLAG, "--iterations", "300", "--seed", "7",
                      "--out", str(plain)]) == 0
-        with pytest.warns(UserWarning, match="expected counts per window"):
-            assert main(["simulate", "--theta", THETA_FLAG, "--delta-std",
-                         DELTA_FLAG, "--iterations", "40", "--rate", "2",
-                         "--seed", "3", "--out", str(sparse)]) == 0
+        assert main(["simulate", "--theta", THETA_FLAG, "--delta-std",
+                     DELTA_FLAG, "--iterations", "40", "--rate", "2",
+                     "--seed", "3", "--out", str(sparse)]) == 0
         return {"plain": plain, "sparse": sparse}
 
     @pytest.mark.parametrize("point", sorted(THEORY_TEXT))

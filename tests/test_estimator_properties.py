@@ -18,10 +18,6 @@ from ysqht import (
     run_acquisition,
 )
 
-pytestmark = pytest.mark.filterwarnings(
-    "ignore:expected counts per window:UserWarning"
-)
-
 
 @settings(derandomize=True, deadline=None, max_examples=150)
 @given(

@@ -27,10 +27,6 @@ from ysqht import (
 
 THETA_B = 5.0 * math.pi / 36.0
 
-pytestmark = pytest.mark.filterwarnings(
-    "ignore:expected counts per window:UserWarning"
-)
-
 SETTINGS = settings(derandomize=True, deadline=None, max_examples=150)
 
 probability = st.floats(0.0, 1.0)
