@@ -12,12 +12,14 @@ from __future__ import annotations
 
 import argparse
 import functools
+import itertools
 import json
 import math
 import os
+import re
 import sys
 from dataclasses import asdict
-from typing import Any, Sequence
+from typing import Any, NoReturn, Sequence
 
 import numpy as np
 
@@ -338,12 +340,37 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
+class _Parser(argparse.ArgumentParser):
+    """An argument parser whose usage errors say how to give a value that
+    starts with '-' and is not a negative number as argparse knows one (a
+    '-', digits and at most one '.'), such as the range -0.1:1:5, the list
+    -0.1,0.2 or -1e-3: argparse reads it as an option, and then reports the
+    value it expected as missing."""
+
+    def parse_known_args(self, args=None, namespace=None):
+        self._args = sys.argv[1:] if args is None else list(args)
+        return super().parse_known_args(args, namespace)
+
+    def error(self, message: str) -> NoReturn:
+        options = itertools.takewhile("--".__ne__, self._args)
+        dashed = next((arg for arg in options if re.match(r"-[\d.]", arg)
+                       and not re.fullmatch(r"-\d+|-\d*\.\d+", arg)), None)
+        if dashed is not None:
+            message += (
+                f" ({dashed!r} starts with '-', so it was read as an option: "
+                "a value that starts with '-' must follow '--' at the end of "
+                "the command, or be joined to its option by '=', as in "
+                "--gamma1=-0.1,0.2)"
+            )
+        super().error(message)
+
+
 @functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     """The command-line parser, built once per process: building it costs
     more than most commands, and ``parse_args`` fills a fresh namespace on
     every call."""
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="ysqht",
         description=(
             "Polarization-measurement hypothesis testing under Gaussian "

@@ -9,7 +9,9 @@ shortest round-trip decimal form, so parsing a file back reproduces the
 in-memory values exactly.
 
 Both writers format and write ``READ_CHUNK_LINES`` lines at a time, so the
-memory a write takes does not grow with the length of the file.  A regular
+memory a count-log write takes does not grow with the length of the file.
+A sweep write holds its grid, as floats in the manifest and as the cells of
+the table's first column, which the manifest's ``grid`` reuses.  A regular
 file is written to a new file beside it that then replaces it, so that a
 write that fails part way leaves the old file or none, never half of one;
 streams (pipes, devices, links such as ``/dev/stdout``) are written in place.
@@ -22,7 +24,7 @@ import json
 import math
 import os
 import stat
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field, fields, replace
 from datetime import datetime, timezone
 from pathlib import Path
 from typing import Any, Iterable, Iterator, Sequence
@@ -443,6 +445,29 @@ def _format_column(column: Sequence[Any]) -> Iterator[str]:
     return map(_COLUMN_FORMATTERS[kinds.pop()], column) if kinds else iter(())
 
 
+def _manifest_json(
+    manifest: RunManifest, xs: Sequence[Any], x_cells: Iterable[str]
+) -> str:
+    """``manifest.to_json()``, with the grid written as the cells
+    ``x_cells`` of the table's first column ``xs`` when the grid holds the
+    floats of that column bit for bit (so ``-0.0`` is not ``0.0``), all
+    finite: ``json`` writes a finite float as ``float.__repr__`` does, so
+    the text is the same and is formatted once."""
+    grid = manifest.grid
+    if grid is None or len(grid) != len(xs) or not (
+            set(map(type, grid)) | set(map(type, xs)) <= {float, np.float64}):
+        return manifest.to_json()
+    bits = np.array(grid, dtype=np.float64)
+    if not np.isfinite(bits).all() or not np.array_equal(
+            bits.view(np.uint64),
+            np.array(xs, dtype=np.float64).view(np.uint64)):
+        return manifest.to_json()
+    # Every quote inside a JSON string is escaped, so the key and its empty
+    # list occur only as themselves.
+    return replace(manifest, grid=()).to_json().replace(
+        '"grid": []', f'"grid": [{", ".join(x_cells)}]', 1)
+
+
 def write_sweep_csv(
     path: str | Path,
     header: Sequence[str],
@@ -464,12 +489,19 @@ def write_sweep_csv(
                 f"column {name} has {len(column)} cells, column {header[0]} "
                 f"has {len(columns[0])}"
             )
-    # Unpacking checks every column's cell type before the file is opened.
-    rows = map(",".join, zip(*map(_format_column, columns)))
+    # Each column's cell type is checked here, before the file is opened.
+    cells = list(map(_format_column, columns))
+    # The grid's cells are formatted as the table takes them, and kept for
+    # the manifest.
+    if cells:
+        cells[0], x_cells = itertools.tee(cells[0])
     out = Path(path)
-    _write_lines(out, itertools.chain([",".join(header)], rows))
+    _write_lines(out, itertools.chain([",".join(header)],
+                                      map(",".join, zip(*cells))))
     if not stat.S_ISREG(out.lstat().st_mode):
         return None
     manifest_path = out.with_name(out.name + ".manifest.json")
-    _write_lines(manifest_path, [manifest.to_json()])
+    text = (_manifest_json(manifest, columns[0], x_cells) if cells
+            else manifest.to_json())
+    _write_lines(manifest_path, [text])
     return manifest_path

@@ -649,6 +649,60 @@ class TestSweep:
         assert "delta_std grid must be non-negative" in capsys.readouterr().err
         assert list(tmp_path.iterdir()) == []
 
+    @pytest.mark.parametrize("argv, dashed, fault", [
+        (["sweep", "delta", "-0.1:1:5", "--theta", "0.4", "--gamma1", "0.1",
+          "--gamma2", "0.8", "--out", "x.csv"], "-0.1:1:5",
+         "sweep: error: the following arguments are required: range"),
+        (["sweep", "gamma2", "0:1:5", "--theta", "0.4", "--delta-std", "0.7",
+          "--gamma1", "-0.1,0.2", "--out", "x.csv"], "-0.1,0.2",
+         "sweep: error: argument --gamma1: expected one argument"),
+        (["theory", "--theta", "-1e-3", "--gamma1", "0.1", "--gamma2",
+          "0.8"], "-1e-3",
+         "theory: error: argument --theta: expected one argument"),
+    ], ids=["range", "gamma1-list", "exponent"])
+    def test_dashed_value_usage_error_says_how_to_give_it(
+        self, tmp_path, capsys, monkeypatch, argv, dashed, fault
+    ):
+        monkeypatch.chdir(tmp_path)
+        with pytest.raises(SystemExit) as exit:
+            main(argv)
+        assert exit.value.code == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.splitlines()[-1] == (
+            f"ysqht {fault} ('{dashed}' starts with '-', so it was read as an "
+            "option: a value that starts with '-' must follow '--' at the end "
+            "of the command, or be joined to its option by '=', as in "
+            "--gamma1=-0.1,0.2)"
+        )
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("argv, fault", [
+        (["sweep", "delta", "--theta", "0.4", "--gamma1", "0.1", "--gamma2",
+          "0.8", "--out", "x.csv", "--", "-0.1:1:5"],
+         "delta_std grid must be non-negative"),
+        (["sweep", "gamma2", "0:1:5", "--theta", "0.4", "--delta-std", "0.7",
+          "--gamma1=-0.1,0.2", "--out", "x.csv"],
+         "gamma1 must be in [0, 1], got -0.1"),
+    ], ids=["range-after-dashes", "joined-gamma1-list"])
+    def test_dashed_value_given_as_told_reaches_its_check(
+        self, tmp_path, capsys, monkeypatch, argv, fault
+    ):
+        monkeypatch.chdir(tmp_path)
+        assert main(argv) == 2
+        assert capsys.readouterr().err == f"error: {fault}\n"
+        assert list(tmp_path.iterdir()) == []
+
+    def test_other_usage_errors_get_no_dash_hint(self, tmp_path, capsys):
+        out = tmp_path / "x.csv"
+        code, _, err, _ = run_main(
+            ["sweep", "gamma2", "0:1:5", "--theta", "-0.4", "--delta-std",
+             "0.7", "--gamma1", "0.1"], capsys, out)
+        assert code == 2
+        assert err.splitlines()[-1] == (
+            "ysqht sweep: error: the following arguments are required: --out"
+        )
+
     def test_duplicate_gamma1_exit_2(self, tmp_path, capsys):
         out = tmp_path / "dup.csv"
         code = main([

@@ -687,6 +687,94 @@ class TestSweepCsv:
         ]
 
 
+def reference_manifest_json(manifest):
+    """The manifest as ``json.dumps`` writes its non-None fields."""
+    payload = {k: v for k, v in dataclasses.asdict(manifest).items()
+               if v is not None}
+    return json.dumps(payload, sort_keys=True)
+
+
+class TestSweepManifestBytes:
+    """The companion manifest takes its grid from the table's first-column
+    cells when the two hold the same floats; either way its bytes are those
+    of ``json.dumps``."""
+
+    CREATED = "2026-01-01T00:00:00+00:00"
+
+    def write(self, tmp_path, header, columns, manifest):
+        path = tmp_path / "table.csv"
+        manifest_path = write_sweep_csv(path, header, columns, manifest)
+        return manifest_path.read_text()
+
+    @staticmethod
+    def shares_cells(manifest, xs):
+        """Whether ``_manifest_json`` writes the grid from the cells."""
+        marks = [f"cell{k}" for k in range(len(xs))]
+        return "cell0" in logio._manifest_json(manifest, xs, marks)
+
+    @pytest.mark.parametrize("grid", [
+        [-0.0, 5e-324, 1e-7, 1.0, 1e300],
+        [0.0, 0.1, 0.30000000000000004],
+        [-0.0],
+        [0.5],
+    ], ids=["extremes", "shortest-repr", "negative-zero", "one-point"])
+    def test_grid_written_as_json_writes_it(self, tmp_path, grid):
+        manifest = RunManifest(kind="sweep", axis="delta", gamma1=(0.1,),
+                               gamma2=0.8, grid=tuple(grid), with_sim=False,
+                               created=self.CREATED)
+        columns = [list(grid), [0.25] * len(grid), [True] * len(grid)]
+        text = self.write(tmp_path, ["delta_std", "y", "reversal"], columns,
+                          manifest)
+        assert text == reference_manifest_json(manifest) + "\n"
+        assert self.shares_cells(manifest, columns[0])
+
+    def test_with_sim_manifest(self, tmp_path):
+        grid = [0.2, 0.9]
+        noise = NoiseParams(0.7)
+        config = make_config(noise=noise)
+        header, columns = sweep_table(
+            sweep_gamma2(THETA_B, noise, [0.05, 0.4], grid),
+            simulate_gamma2_sweep(config, grid, [0.05, 0.4]),
+        )
+        manifest = RunManifest(
+            kind="sweep", theta=THETA_B, delta_std=0.7, gamma1=(0.05, 0.4),
+            iterations=config.iterations, mean_rate=config.mean_rate,
+            window_seconds=config.window_seconds, seed=config.seed,
+            mode="stochastic", axis="gamma2", grid=tuple(grid),
+            with_sim=True, created=self.CREATED,
+        )
+        text = self.write(tmp_path, header, columns, manifest)
+        assert text == reference_manifest_json(manifest) + "\n"
+        assert self.shares_cells(manifest, columns[0])
+
+    @pytest.mark.parametrize("grid, xs", [
+        ((0.0, 1.0), [-0.0, 1.0]),  # equal as floats, not bit for bit
+        ((0.0, 1.0), [0.0, 1.0, 2.0]),
+        ((0, 1), [0.0, 1.0]),  # json writes the integers as 0 and 1
+        ((0.0, 1.0), [0, 1]),
+        ((0.0, math.inf), [0.0, math.inf]),  # json writes Infinity
+    ], ids=["signed-zero", "longer-table", "integer-grid", "integer-column",
+            "infinite"])
+    def test_other_grids_written_apart(self, tmp_path, grid, xs):
+        manifest = RunManifest(kind="sweep", grid=grid, created=self.CREATED)
+        text = self.write(tmp_path, ["x"], [xs], manifest)
+        assert text == reference_manifest_json(manifest) + "\n"
+        assert not self.shares_cells(manifest, xs)
+
+    def test_numpy_floats_share_their_cells(self, tmp_path):
+        grid = (np.float64(-0.0), 0.1)
+        xs = [np.float64(-0.0), np.float64(0.1)]
+        manifest = RunManifest(kind="sweep", grid=grid, created=self.CREATED)
+        text = self.write(tmp_path, ["x"], [xs], manifest)
+        assert text == reference_manifest_json(manifest) + "\n"
+        assert self.shares_cells(manifest, xs)
+
+    def test_manifest_without_grid(self, tmp_path):
+        manifest = RunManifest(kind="sweep", created=self.CREATED)
+        text = self.write(tmp_path, ["x"], [[0.5]], manifest)
+        assert text == reference_manifest_json(manifest) + "\n"
+
+
 @pytest.fixture
 def umask():
     """Run the test under umask 027, so that a file's mode shows whether the

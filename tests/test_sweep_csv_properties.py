@@ -1,9 +1,11 @@
 """Property tests of the sweep-table CSV format: every float cell reads back
 bit for bit, boolean cells read back as true/false, and the column-at-once
 writer (which formats a column of one value once) gives the bytes of a plain
-per-cell formatter."""
+per-cell formatter, and the companion manifest, whose grid is written from
+the first column's cells, gives the bytes of ``json.dumps``."""
 
 import csv
+import json
 import struct
 import sys
 import tempfile
@@ -99,3 +101,31 @@ def test_bytes_match_a_per_cell_formatter(table):
     lines = [header] + [[reference_cell(v) for v in row]
                         for row in zip(*columns)]
     assert data == "".join(",".join(line) + "\n" for line in lines).encode()
+
+
+
+@st.composite
+def sweeps(draw):
+    """(grid, columns): an ascending grid of finite floats, which is the
+    first column, then up to four columns of any kind on it."""
+    grid = sorted(draw(st.lists(floats, max_size=12)))
+    kinds = draw(st.lists(st.sampled_from(sorted(CELLS)), max_size=4))
+    return grid, [grid] + [
+        draw(st.lists(CELLS[kind], min_size=len(grid), max_size=len(grid)))
+        for kind in kinds
+    ]
+
+
+@SETTINGS
+@given(sweep=sweeps())
+def test_manifest_bytes_match_json(sweep):
+    grid, columns = sweep
+    manifest = RunManifest(kind="sweep", axis="delta", grid=tuple(grid),
+                           created="2026-01-01T00:00:00+00:00")
+    with tempfile.TemporaryDirectory() as directory:
+        path = Path(directory) / "table.csv"
+        write_sweep_csv(path, [f"c{k}" for k in range(len(columns))],
+                        columns, manifest)
+        text = Path(directory, "table.csv.manifest.json").read_text()
+    payload = {k: v for k, v in vars(manifest).items() if v is not None}
+    assert text == json.dumps(payload, sort_keys=True) + "\n"
