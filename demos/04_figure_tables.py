@@ -3,13 +3,19 @@
 
 Left table: ratios versus the preparation-noise spread at gamma1 = 0.1,
 gamma2 = 0.8.  Right table: ratios versus gamma2 at fixed noise for two
-values of gamma1.  The CSVs are plot-ready; the same tables come out of the
-command line via
+values of gamma1.  ``write_sweep_csv(path, sweep, sim)`` writes each table
+from the analytic ``Sweep`` and its ``SimulatedSweep``, and builds the
+companion ``<path>.manifest.json`` from the same two records.  The CSVs are
+plot-ready; the command line writes the same tables, through the same
+writer, via
 
     ysqht sweep delta 0:1.1:23 --theta 0.43633 --gamma1 0.1 --gamma2 0.8 \
         --with-sim --out left.csv
     ysqht sweep gamma2 0:1:21 --theta 0.43633 --delta-std 0.69813 \
         --gamma1 0.05,0.4 --with-sim --out right.csv
+
+(with the exact angles of this script, --theta 0.4363323129985824 and
+--delta-std 0.6981317007977318, and --seed 1, the bytes are the same).
 """
 
 import math
@@ -20,14 +26,12 @@ import numpy as np
 from ysqht import (
     AcquisitionConfig,
     NoiseParams,
-    RunManifest,
     delta_threshold,
     gamma2_threshold,
     simulate_delta_sweep,
     simulate_gamma2_sweep,
     sweep_delta,
     sweep_gamma2,
-    sweep_table,
     write_sweep_csv,
 )
 
@@ -51,13 +55,7 @@ analytic = sweep_delta(theta, [0.1], 0.8, grid)
 base = AcquisitionConfig(theta=theta, noise=NoiseParams(0.0), seed=1)
 sim = simulate_delta_sweep(base, grid, [0.1], 0.8)
 left = out_dir / "ratios_vs_noise.csv"
-write_sweep_csv(
-    left, *sweep_table(analytic, sim),
-    RunManifest(kind="sweep", theta=theta, gamma1=(0.1,), gamma2=0.8,
-                axis="delta", grid=tuple(grid), with_sim=True, seed=1,
-                iterations=200, mean_rate=1e4, window_seconds=1.0,
-                mode="stochastic"),
-)
+write_sweep_csv(left, analytic, sim)
 lo, hi = first_sign_change(analytic)
 exact = delta_threshold(0.1, 0.8, theta).delta_std
 print(f"wrote {left}")
@@ -70,13 +68,7 @@ analytic2 = sweep_gamma2(theta, noise, [0.05, 0.4], gamma_grid)
 base2 = AcquisitionConfig(theta=theta, noise=noise, seed=1)
 sim2 = simulate_gamma2_sweep(base2, gamma_grid, [0.05, 0.4])
 right = out_dir / "ratios_vs_gamma2.csv"
-write_sweep_csv(
-    right, *sweep_table(analytic2, sim2),
-    RunManifest(kind="sweep", theta=theta, delta_std=noise.delta_std,
-                gamma1=(0.05, 0.4), axis="gamma2", grid=tuple(gamma_grid),
-                with_sim=True, seed=1, iterations=200, mean_rate=1e4,
-                window_seconds=1.0, mode="stochastic"),
-)
+write_sweep_csv(right, analytic2, sim2)
 print(f"wrote {right}")
 lo, hi = first_sign_change(analytic2)
 exact = gamma2_threshold(0.05, theta, noise).value

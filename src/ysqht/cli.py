@@ -36,12 +36,9 @@ from .counting import (
     simulate_gamma2_sweep,
 )
 from .logio import (
-    KIND_SWEEP,
     LogFormatError,
     ManifestVersionError,
-    RunManifest,
     read_count_log,
-    sweep_table,
     write_count_log,
     write_sweep_csv,
 )
@@ -293,7 +290,6 @@ def cmd_sweep(args: argparse.Namespace) -> int:
                 "sweep delta takes its noise values from the range; "
                 "drop --delta-std"
             )
-        delta_std = None
         sweep = sweep_delta(theta, args.gamma1, args.gamma2, grid)
         if args.with_sim:
             # Every grid point replaces the base noise with its own.
@@ -309,7 +305,6 @@ def cmd_sweep(args: argparse.Namespace) -> int:
                 "sweep gamma2 takes its weights from the range; drop --gamma2"
             )
         noise = NoiseParams(_angle(args.delta_std, args.degrees))
-        delta_std = noise.delta_std
         sweep = sweep_gamma2(theta, noise, args.gamma1, grid)
         if args.with_sim:
             sim = simulate_gamma2_sweep(
@@ -317,23 +312,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
                 args.mode,
             )
 
-    header, columns = sweep_table(sweep, sim)
-    manifest = RunManifest(
-        kind=KIND_SWEEP,
-        theta=theta,
-        delta_std=delta_std,
-        gamma1=args.gamma1,
-        gamma2=args.gamma2,
-        iterations=args.iterations if args.with_sim else None,
-        mean_rate=args.rate if args.with_sim else None,
-        window_seconds=args.window if args.with_sim else None,
-        seed=seed,
-        mode=args.mode if args.with_sim else None,
-        axis=args.axis,
-        grid=tuple(grid),
-        with_sim=args.with_sim,
-    )
-    manifest_path = write_sweep_csv(args.out, header, columns, manifest)
+    manifest_path = write_sweep_csv(args.out, sweep, sim)
     companion = f" (manifest {manifest_path})" if manifest_path else ""
     print(f"wrote {len(grid)} rows to {args.out}{companion}",
           file=sys.stderr)

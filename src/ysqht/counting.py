@@ -326,18 +326,19 @@ def _read_only(values: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True, eq=False)
 class SimulatedSweep:
-    """Monte Carlo counterpart of an analytic sweep, as read-only columns over
-    the grid ``x`` (shape (P,)): each point's acquisition ``seeds`` (uint64)
-    and its iterations ``n_samples``; the q2/p2 estimate ``q2_over_p2``
-    with its standard error ``q2_over_p2_err`` and Poisson cross-check
-    ``q2_over_p2_poisson``, each of shape (P,); and the q/p estimate
-    ``q_over_p`` with its ``q_over_p_err``, of shape (len(gamma1_values),
-    P), one row per gamma1.  Compare two values with ``np.array_equal`` on
-    their columns."""
+    """Monte Carlo counterpart of an analytic sweep, run as the acquisition
+    ``config`` with each point's own seed (and, on the delta axis, noise),
+    as read-only columns over the grid ``x`` (shape (P,)): each point's
+    acquisition ``seeds`` (uint64) and its iterations ``n_samples``; the
+    q2/p2 estimate ``q2_over_p2`` with its standard error ``q2_over_p2_err``
+    and Poisson cross-check ``q2_over_p2_poisson``, each of shape (P,); and
+    the q/p estimate ``q_over_p`` with its ``q_over_p_err``, of shape
+    (len(gamma1_values), P), one row per gamma1.  Compare two values with
+    ``np.array_equal`` on their columns."""
 
     gamma1_values: tuple[float, ...]
     mode: str
-    base_seed: int
+    config: AcquisitionConfig
     x: np.ndarray
     seeds: np.ndarray
     n_samples: np.ndarray
@@ -385,7 +386,7 @@ def _simulate_sweep(
         counts, True, gamma1_values, gamma2, rngs
     )
     return SimulatedSweep(
-        gamma1_values, mode, base_config.seed,
+        gamma1_values, mode, base_config,
         _read_only(np.array([float(x) for x, _, _ in points])),
         _read_only(np.array(seeds, dtype=np.uint64)),
         _read_only(np.full(len(points), base_config.iterations)),

@@ -3,18 +3,19 @@
 Count logs are JSON lines (streamable, append-safe): the first line is the
 run manifest, every following line one acquisition record; in memory the
 records are one columnar ``Counts`` value.  Sweep tables are CSV with frozen
-header names and a companion ``<name>.manifest.json``.
-Floats in record lines carry 17 significant digits and CSV cells use the
-shortest round-trip decimal form, so parsing a file back reproduces the
-in-memory values exactly.
+header names and a companion ``<name>.manifest.json``, both built by
+``write_sweep_csv(path, sweep, sim=None)`` from a ``Sweep`` and, optionally,
+its ``SimulatedSweep``.  Floats in record lines carry 17 significant digits
+and CSV cells use the shortest round-trip decimal form, so parsing a file
+back reproduces the in-memory values exactly.
 
 Both writers format and write ``READ_CHUNK_LINES`` lines at a time, so the
-memory a count-log write takes does not grow with the length of the file.
-A sweep write holds its grid, as floats in the manifest and as the cells of
-the table's first column, which the manifest's ``grid`` reuses.  A regular
-file is written to a new file beside it that then replaces it, so that a
-write that fails part way leaves the old file or none, never half of one;
-streams (pipes, devices, links such as ``/dev/stdout``) are written in place.
+memory a count-log write takes does not grow with the length of the file;
+a sweep write also holds its grid's cells, which the manifest's ``grid``
+reuses.  A regular file is written to a new file beside it that then
+replaces it, so that a write that fails part way leaves the old file or
+none, never half of one; streams (pipes, devices, links such as
+``/dev/stdout``) are written in place.
 """
 
 from __future__ import annotations
@@ -24,10 +25,10 @@ import json
 import math
 import os
 import stat
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass, field
 from datetime import datetime, timezone
 from pathlib import Path
-from typing import Any, Iterable, Iterator, Sequence
+from typing import Any, Iterable, Iterator
 
 import numpy as np
 
@@ -63,6 +64,27 @@ def _timestamp() -> str:
     return datetime.now(timezone.utc).isoformat(timespec="seconds")
 
 
+def _finite(value: Any) -> bool:
+    """Whether ``value`` is a finite int or float (not a bool)."""
+    try:
+        return type(value) in (int, float) and math.isfinite(value)
+    except OverflowError:  # an integer beyond the float range
+        return False
+
+
+#: What the JSON value of a manifest field of each annotated type must be
+#: (the annotations are strings, as this module's first import makes them).
+_FIELD_CHECKS = {
+    "float": ("a finite number", _finite),
+    "tuple[float, ...]": ("a list of finite numbers",
+                          lambda v: type(v) is list and all(map(_finite, v))),
+    "int": ("an integer in [0, 2**64)",
+            lambda v: type(v) is int and 0 <= v < 2**64),
+    "bool": ("true or false", lambda v: type(v) is bool),
+    "str": ("a string", lambda v: type(v) is str),
+}
+
+
 @dataclass(frozen=True)
 class RunManifest:
     """Resolved parameters of a run, embedded in every output file.
@@ -90,11 +112,8 @@ class RunManifest:
     version: str = __version__
 
     def to_json(self) -> str:
-        payload = {
-            f.name: value for f in fields(self)
-            if (value := getattr(self, f.name)) is not None
-        }
-        return json.dumps(payload, sort_keys=True)
+        return json.dumps({key: value for key, value in vars(self).items()
+                           if value is not None}, sort_keys=True)
 
     @classmethod
     def from_json_dict(cls, payload: dict[str, Any]) -> "RunManifest":
@@ -107,15 +126,19 @@ class RunManifest:
             )
         if "kind" not in data:
             raise ManifestVersionError("manifest is missing its 'kind' field")
-        known = {f for f in cls.__dataclass_fields__}
-        unknown = set(data) - known
+        unknown = set(data) - cls.__dataclass_fields__.keys()
         if unknown:
             raise ManifestVersionError(
                 f"manifest carries unknown fields {sorted(unknown)}"
             )
-        for key in ("gamma1", "grid"):
-            if data.get(key) is not None:
-                data[key] = tuple(float(v) for v in data[key])
+        for key, value in payload.items():
+            kind = cls.__dataclass_fields__[key].type.removesuffix(" | None")
+            wanted, check = _FIELD_CHECKS[kind]
+            if not check(value):
+                raise LogFormatError(1, f"manifest field {key!r} must be "
+                                        f"{wanted}, got {value!r:.80}")
+            if type(value) is list:
+                data[key] = tuple(map(float, value))
         return cls(**data)
 
 
@@ -261,12 +284,7 @@ def _fault(payload: Any) -> str | None:
     if set(payload) != set(RECORD_KEYS):
         return (f"record must have exactly the keys {sorted(RECORD_KEYS)}, "
                 f"got {sorted(payload)}")
-    alpha = payload["alpha"]
-    try:
-        finite = type(alpha) in (int, float) and math.isfinite(alpha)
-    except OverflowError:  # an integer beyond the float range
-        finite = False
-    if not finite:
+    if not _finite(alpha := payload["alpha"]):
         return f"alpha must be finite, got {alpha!r}"
     for key in ("i", "n1p", "n1q", "n2p", "n2q"):
         value = payload[key]
@@ -295,14 +313,14 @@ def _parse_chunk(
             and joined.count("}\n,{") == len(records) - 1:
         try:
             columns = _columns(json.loads("[" + joined + "]"), len(records))
-        except ValueError:  # also an integer of too many digits
+        except (ValueError, RecursionError):  # or nested too deep
             pass
     if columns is None:  # parse line by line to name the first bad one
         payloads = []
         for line_number, record in records.items():
             try:
                 payloads.append(json.loads(record))
-            except ValueError as err:  # also an integer of too many digits
+            except (ValueError, RecursionError) as err:  # or nested too deep
                 raise LogFormatError(
                     line_number, f"not valid JSON: {err}"
                 ) from err
@@ -325,7 +343,7 @@ def read_count_log(path: str | Path) -> tuple[RunManifest, Counts]:
             raise LogFormatError(1, "empty file, expected a manifest line")
         try:
             head = json.loads(head_line)
-        except ValueError as err:  # also an integer of too many digits
+        except (ValueError, RecursionError) as err:  # or nested too deep
             raise LogFormatError(
                 1, f"manifest is not valid JSON: {err}"
             ) from err
@@ -338,8 +356,7 @@ def read_count_log(path: str | Path) -> tuple[RunManifest, Counts]:
                 f"expected a {KIND_COUNT_LOG!r} manifest, got {manifest.kind!r}",
             )
         iterations = manifest.iterations
-        if not isinstance(iterations, int) or isinstance(iterations, bool) \
-                or iterations < 1:
+        if iterations is None or iterations < 1:
             raise LogFormatError(
                 1, f"manifest iterations must be a positive integer, got "
                    f"{iterations!r}"
@@ -377,131 +394,81 @@ AXIS_COLUMNS = {"delta": "delta_std", "gamma2": "gamma2"}
 
 def sweep_table(
     sweep: Sweep, sim: SimulatedSweep | None = None
-) -> tuple[list[str], list[list[Any]]]:
-    """Frozen column names and one column of cells per name for a sweep
-    table: the swept value, q1/p1, q2/p2, then a q/p and a reversal column
-    per gamma1 (suffixed ``_gamma1_<value>`` when there are several), and
-    with ``sim`` the simulated q2/p2 and q/p, each followed by its standard
-    error."""
-    if len(sweep.gamma1_values) == 1:
-        suffixes = [""]
-    else:
-        suffixes = [f"_gamma1_{g!r}" for g in sweep.gamma1_values]
+) -> tuple[list[str], list[np.ndarray]]:
+    """Frozen column names and the column of each, a float or bool array
+    over the grid: the swept value, q1/p1, q2/p2, then a q/p and a reversal
+    column per gamma1 (suffixed ``_gamma1_<value>`` when there are
+    several), and with ``sim`` the simulated q2/p2 and q/p, each followed by
+    its standard error."""
+    suffixes = ([""] if len(sweep.gamma1_values) == 1 else
+                [f"_gamma1_{g!r}" for g in sweep.gamma1_values])
     header = [AXIS_COLUMNS[sweep.axis], "q1_over_p1", "q2_over_p2"]
     header += [f"q_over_p{s}" for s in suffixes]
     header += [f"reversal{s}" for s in suffixes]
-    xs = sweep.x.tolist()
     columns = [
-        xs, [sweep.q1_over_p1] * len(xs), sweep.q2_over_p2.tolist(),
-        *sweep.q_over_p.tolist(), *sweep.reversal.tolist(),
+        sweep.x, np.broadcast_to(sweep.q1_over_p1, sweep.x.shape),
+        sweep.q2_over_p2, *sweep.q_over_p, *sweep.reversal,
     ]
     if sim is None:
         return header, columns
     if sim.gamma1_values != sweep.gamma1_values or \
+            sim.config.theta != sweep.theta or \
             not np.array_equal(sim.x, sweep.x):
         raise ValueError(
-            "the simulated sweep does not share the analytic sweep's grid "
-            "and gamma1 values"
+            "the simulated sweep does not share the analytic sweep's theta, "
+            "grid and gamma1 values"
         )
     header += ["sim_q2_over_p2", "sim_q2_over_p2_err"]
-    columns += [sim.q2_over_p2.tolist(), sim.q2_over_p2_err.tolist()]
+    columns += [sim.q2_over_p2, sim.q2_over_p2_err]
     for s, values, errors in zip(suffixes, sim.q_over_p, sim.q_over_p_err):
         header += [f"sim_q_over_p{s}", f"sim_q_over_p_err{s}"]
-        columns += [values.tolist(), errors.tolist()]
+        columns += [values, errors]
     return header, columns
 
 
-#: CSV cells of the two booleans.
-_BOOL_CELLS = {False: "false", True: "true"}
-
-#: Cell formatter of a column whose cells all have exactly this type; numpy
-#: float64 and bool scalars are written as the Python values they hold.
-_COLUMN_FORMATTERS = {
-    float: float.__repr__,  # shortest round-trip decimal form
-    np.float64: float.__repr__,  # whose own repr names its type
-    bool: _BOOL_CELLS.__getitem__,
-    np.bool_: _BOOL_CELLS.__getitem__,
-    int: int.__repr__,
-}
-
-
-def _format_column(column: Sequence[Any]) -> Iterator[str]:
-    """The cells of one column, all of one type in ``_COLUMN_FORMATTERS``,
-    by that type's formatter; lazily, so that only the joined rows are
-    kept.  A float column of one value (all cells bit-equal, so ``-0.0``
-    stays apart from ``0.0``) is formatted once.  Any other column raises
-    TypeError before a cell is formatted."""
-    kinds = set(map(type, column))
-    if len(kinds) > 1 or not kinds <= _COLUMN_FORMATTERS.keys():
-        names = sorted(kind.__name__ for kind in kinds)
-        raise TypeError(
-            f"unsupported CSV cell type {', '.join(names)}"
-            + (" in one column" if len(names) > 1 else "")
-        )
-    if kinds == {float} and column[0] == column[-1]:  # never true of NaN
-        bits = np.array(column).view(np.uint64)
-        if (bits == bits[0]).all():
-            return itertools.repeat(float.__repr__(column[0]), len(column))
-    return map(_COLUMN_FORMATTERS[kinds.pop()], column) if kinds else iter(())
-
-
-def _manifest_json(
-    manifest: RunManifest, xs: Sequence[Any], x_cells: Iterable[str]
-) -> str:
-    """``manifest.to_json()``, with the grid written as the cells
-    ``x_cells`` of the table's first column ``xs`` when the grid holds the
-    floats of that column bit for bit (so ``-0.0`` is not ``0.0``), all
-    finite: ``json`` writes a finite float as ``float.__repr__`` does, so
-    the text is the same and is formatted once."""
-    grid = manifest.grid
-    if grid is None or len(grid) != len(xs) or not (
-            set(map(type, grid)) | set(map(type, xs)) <= {float, np.float64}):
-        return manifest.to_json()
-    bits = np.array(grid, dtype=np.float64)
-    if not np.isfinite(bits).all() or not np.array_equal(
-            bits.view(np.uint64),
-            np.array(xs, dtype=np.float64).view(np.uint64)):
-        return manifest.to_json()
-    # Every quote inside a JSON string is escaped, so the key and its empty
-    # list occur only as themselves.
-    return replace(manifest, grid=()).to_json().replace(
-        '"grid": []', f'"grid": [{", ".join(x_cells)}]', 1)
+def _cells(column: np.ndarray) -> Iterable[str]:
+    """The CSV cells of a float or bool column: each float's shortest
+    round-trip decimal form, or true/false.  A float column of bit-equal
+    cells (so ``-0.0`` stays apart from ``0.0``) is formatted once."""
+    if column.dtype == np.bool_:
+        return map(("false", "true").__getitem__, column.tolist())
+    bits = column.view(np.uint64)
+    if bits.size and (bits == bits[0]).all():
+        return itertools.repeat(float.__repr__(column.item(0)), bits.size)
+    return map(float.__repr__, column.tolist())
 
 
 def write_sweep_csv(
-    path: str | Path,
-    header: Sequence[str],
-    columns: Sequence[Sequence[Any]],
-    manifest: RunManifest,
+    path: str | Path, sweep: Sweep, sim: SimulatedSweep | None = None
 ) -> Path | None:
-    """Write a sweep table, given as one column of cells per header name,
-    and, when ``path`` is a regular file, its companion
-    ``<path>.manifest.json``; returns the manifest's path, or None for a
-    stream such as a pipe or ``/dev/stdout`` (a link, not a file).  The table
-    is in place before its manifest is written."""
-    if len(columns) != len(header):
-        raise ValueError(
-            f"{len(columns)} columns for {len(header)} header names"
-        )
-    for name, column in zip(header, columns):
-        if len(column) != len(columns[0]):
-            raise ValueError(
-                f"column {name} has {len(column)} cells, column {header[0]} "
-                f"has {len(columns[0])}"
-            )
-    # Each column's cell type is checked here, before the file is opened.
-    cells = list(map(_format_column, columns))
-    # The grid's cells are formatted as the table takes them, and kept for
-    # the manifest.
-    if cells:
-        cells[0], x_cells = itertools.tee(cells[0])
+    """Write the table of ``sweep_table(sweep, sim)`` and, when ``path`` is
+    a regular file, its companion ``<path>.manifest.json``, which holds the
+    sweep's parameters and, with ``sim``, those of its acquisitions; returns
+    the manifest's path, or None for a stream such as a pipe or
+    ``/dev/stdout`` (a link, not a file).  The table is in place before its
+    manifest is written."""
+    header, columns = sweep_table(sweep, sim)
+    x_cells = list(_cells(sweep.x))  # for the table and the manifest
     out = Path(path)
-    _write_lines(out, itertools.chain([",".join(header)],
-                                      map(",".join, zip(*cells))))
+    _write_lines(out, itertools.chain([",".join(header)], map(
+        ",".join, zip(x_cells, *map(_cells, columns[1:])))))
     if not stat.S_ISREG(out.lstat().st_mode):
         return None
+    manifest = RunManifest(
+        kind=KIND_SWEEP, theta=sweep.theta, gamma1=sweep.gamma1_values,
+        axis=sweep.axis, grid=(), with_sim=sim is not None,
+        **{"gamma2" if sweep.axis == "delta" else "delta_std": sweep.fixed},
+        **({} if sim is None else dict(
+            iterations=sim.config.iterations, mode=sim.mode,
+            mean_rate=sim.config.mean_rate, seed=sim.config.seed,
+            window_seconds=sim.config.window_seconds,
+        )),
+    )
+    # json writes a finite float, as every grid value is, as float.__repr__
+    # does.  Every quote inside a JSON string is escaped, so the key and
+    # its empty list occur only as themselves.
+    text = manifest.to_json().replace(
+        '"grid": []', f'"grid": [{", ".join(x_cells)}]', 1)
     manifest_path = out.with_name(out.name + ".manifest.json")
-    text = (_manifest_json(manifest, columns[0], x_cells) if cells
-            else manifest.to_json())
     _write_lines(manifest_path, [text])
     return manifest_path

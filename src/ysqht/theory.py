@@ -238,9 +238,9 @@ class SweepRow:
 
 @dataclass(frozen=True, eq=False)
 class Sweep:
-    """Analytic curves along one axis: the noise spread delta_std at a fixed
-    gamma2 (``axis`` "delta"), or the hypothesis-B clean weight gamma2 at a
-    fixed noise (``axis`` "gamma2").
+    """Analytic curves along one axis: the noise spread delta_std at the
+    fixed gamma2 ``fixed`` (``axis`` "delta"), or the hypothesis-B clean
+    weight gamma2 at the fixed delta_std ``fixed`` (``axis`` "gamma2").
 
     The curves are read-only columns over the ascending grid ``x`` (shape
     (n,)): ``q2_over_p2`` (n,), and ``q_over_p`` and ``reversal`` of shape
@@ -251,6 +251,7 @@ class Sweep:
 
     axis: str
     theta: float
+    fixed: float
     gamma1_values: tuple[float, ...]
     x: np.ndarray
     q1_over_p1: float
@@ -289,14 +290,15 @@ def _checked_grid(values: Sequence[float], name: str) -> np.ndarray:
 def _sweep(
     axis: str,
     theta: float,
+    fixed: float,
     gamma1_values: Sequence[float],
     grid: np.ndarray,
     smearing: float | np.ndarray,
-    gamma2: float | np.ndarray,
 ) -> Sweep:
     """The closed forms of ``outcome_probabilities`` on all grid points and
-    gamma1 values at once.  One of ``smearing`` and ``gamma2`` holds a value
-    per grid point, the other is fixed."""
+    gamma1 values at once: gamma2 is ``fixed`` and ``smearing`` per point
+    (axis "delta"), or the grid, at the smearing of delta_std ``fixed``."""
+    gamma2 = fixed if axis == "delta" else grid
     theta = _require_tilt(theta)
     gamma1_values = _require_distinct_probabilities(gamma1_values, "gamma1")
     o = _closed_forms(
@@ -310,7 +312,7 @@ def _sweep(
         (o.p1 > o.q1) & (o.p2 > o.q2) & (o.q > o.p), shape
     )
     return Sweep(
-        axis, theta, gamma1_values, grid, o.q1 / o.p1,
+        axis, theta, fixed, gamma1_values, grid, o.q1 / o.p1,
         np.broadcast_to(o.q2 / o.p2, grid.shape), q_over_p, reversal,
     )
 
@@ -331,7 +333,7 @@ def sweep_delta(
         raise ValueError("delta_std grid must be non-negative")
     gamma2 = _require_probability(gamma2, "gamma2")
     smearing = np.array(list(map(_smearing, grid.tolist())))
-    return _sweep("delta", theta, gamma1_values, grid, smearing, gamma2)
+    return _sweep("delta", theta, gamma2, gamma1_values, grid, smearing)
 
 
 def sweep_gamma2(
@@ -349,4 +351,5 @@ def sweep_gamma2(
     bad = (grid < 0.0) | (grid > 1.0)
     if bad.any():  # the scalar check names the first bad value
         _require_probability(grid[bad.argmax()].item(), "gamma2")
-    return _sweep("gamma2", theta, gamma1_values, grid, noise.smearing, grid)
+    return _sweep("gamma2", theta, noise.delta_std, gamma1_values, grid,
+                  noise.smearing)

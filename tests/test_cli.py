@@ -1,5 +1,6 @@
 """End-to-end tests of the command-line interface and its exit-code protocol."""
 
+import csv
 import json
 import math
 import os
@@ -469,6 +470,44 @@ class TestAnalyze:
         assert code == 5
         assert "line 1" in capsys.readouterr().err
 
+    DEEP = "[" * 100_000 + "]" * 100_000
+
+    @pytest.mark.parametrize("line, edit, message", [
+        (0, lambda head: head.replace('"gamma1": []', '"gamma1": 0.5'),
+         "line 1: manifest field 'gamma1' must be a list of finite numbers"),
+        (0, lambda head: head.replace('"gamma1": []', '"gamma1": [[1]]'),
+         "line 1: manifest field 'gamma1' must be a list of finite numbers"),
+        (0, lambda head: head.replace('"gamma1": []', '"gamma1": ["a"]'),
+         "line 1: manifest field 'gamma1' must be a list of finite numbers"),
+        (0, lambda head: re.sub(r'"seed": \d+', '"seed": "x"', head),
+         "line 1: manifest field 'seed' must be an integer in [0, 2**64)"),
+        (0, lambda head: head.replace('"gamma1": []',
+                                      f'"gamma1": {TestAnalyze.DEEP}'),
+         "line 1: manifest is not valid JSON: maximum recursion depth"),
+        (2, lambda line: line.replace('"i": 1', f'"i": {TestAnalyze.DEEP}'),
+         "line 3: not valid JSON: maximum recursion depth"),
+    ], ids=["gamma1-number", "gamma1-nested", "gamma1-string", "seed-string",
+            "deep-manifest", "deep-record"])
+    def test_malformed_manifest_or_deep_line_exit_5(
+        self, tmp_path, capsys, line, edit, message
+    ):
+        log = tmp_path / "run.jsonl"
+        assert main([
+            "simulate", "--theta", THETA_FLAG, "--delta-std", DELTA_FLAG,
+            "--iterations", "3", "--seed", "7", "--out", str(log),
+        ]) == 0
+        lines = log.read_text().splitlines()
+        # A count-log manifest has no gamma1; give it one to spoil.
+        lines[0] = lines[0].replace('"delta_std"', '"gamma1": [], "delta_std"')
+        lines[line] = edit(lines[line])
+        log.write_text("\n".join(lines) + "\n")
+        capsys.readouterr()
+        code = main(["analyze", str(log), "--gamma1", "0.1", "--gamma2", "0.8",
+                     "--mode", "expected", "--json"])
+        captured = capsys.readouterr()
+        assert (code, captured.out) == (5, "")
+        assert captured.err.startswith(f"error: {message}")
+
     def test_version_mismatch_exit_6(self, tmp_path, capsys):
         log = self.write_log(tmp_path)
         lines = log.read_text().splitlines()
@@ -573,6 +612,35 @@ class TestSweep:
         lo, hi = flips[0]
         assert lo <= 0.5576022433145783 <= hi
         assert (tmp_path / "left.csv.manifest.json").exists()
+
+    def test_readme_recipe_reruns_one_point_exactly(self, tmp_path, capsys):
+        # "Reproducibility" in the README: simulate --seed <point seed>
+        # gives the counts of point i, and analyze --seed
+        # <aggregation_seed(point seed, k)> its stochastic q/p in column k.
+        table = tmp_path / "right.csv"
+        point = ["--theta", "0.43633", "--delta-std", "0.69813"]
+        assert main(["sweep", "gamma2", "0:1:21", *point, "--gamma1",
+                     "0.05,0.4", "--with-sim", "--seed", "9",
+                     "--out", str(table)]) == 0
+        with table.open(newline="") as fh:
+            row = list(csv.DictReader(fh))[7]
+        seed = ysqht.point_seed(9, 7)
+        log = tmp_path / "point.jsonl"
+        assert main(["simulate", *point, "--seed", str(seed),
+                     "--out", str(log)]) == 0
+        capsys.readouterr()
+        code, report = run_json(capsys, [
+            "analyze", str(log), "--gamma1", "0.4", "--gamma2", row["gamma2"],
+            "--seed", str(ysqht.aggregation_seed(seed, 1)), "--json",
+        ])
+        assert code == 0
+        assert [report[name][key]
+                for name in ("q2_over_p2", "q_over_p")
+                for key in ("value", "std_error")] == [
+            float(row[column]) for column in (
+                "sim_q2_over_p2", "sim_q2_over_p2_err",
+                "sim_q_over_p_gamma1_0.4", "sim_q_over_p_err_gamma1_0.4")
+        ]
 
     def test_gamma2_axis_constant_noisy_column(self, tmp_path, capsys):
         out = tmp_path / "right.csv"

@@ -421,8 +421,8 @@ SIM_COLUMNS = (
 
 
 def assert_same_sweep(a, b):
-    assert (a.gamma1_values, a.mode, a.base_seed) == (
-        b.gamma1_values, b.mode, b.base_seed
+    assert (a.gamma1_values, a.mode, a.config) == (
+        b.gamma1_values, b.mode, b.config
     )
     for name in SIM_COLUMNS:
         x, y = getattr(a, name), getattr(b, name)
@@ -438,6 +438,11 @@ class TestSimulatedSweeps:
         a = simulate_delta_sweep(base, self.GRID, [0.1], 0.8)
         b = simulate_delta_sweep(base, self.GRID, [0.1], 0.8)
         assert_same_sweep(a, b)
+
+    def test_sweeps_carry_their_base_config(self):
+        base = config(noise=NoiseParams(0.7), seed=21)
+        assert simulate_delta_sweep(base, self.GRID, [0.1], 0.8).config \
+            == simulate_gamma2_sweep(base, self.GRID, [0.1]).config == base
 
     def test_delta_sweep_point_isolated_rerun(self):
         base = config(noise=NoiseParams(0.0), seed=21)

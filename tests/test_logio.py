@@ -21,6 +21,7 @@ from ysqht import (
     ManifestVersionError,
     NoiseParams,
     RunManifest,
+    Sweep,
     format_record_line,
     read_count_log,
     run_acquisition,
@@ -500,6 +501,38 @@ class TestManifest:
         with pytest.raises(ManifestVersionError, match="unknown fields"):
             RunManifest.from_json_dict(payload)
 
+    @pytest.mark.parametrize("key, value, wanted", [
+        ("theta", "0.4", "a finite number"),
+        ("theta", True, "a finite number"),
+        ("mean_rate", math.inf, "a finite number"),
+        ("delta_std", 10**400, "a finite number"),
+        ("iterations", 2.5, "an integer in [0, 2**64)"),
+        ("seed", -1, "an integer in [0, 2**64)"),
+        ("seed", 2**64, "an integer in [0, 2**64)"),
+        ("grid", "0.1", "a list of finite numbers"),
+        ("grid", [0.1, None], "a list of finite numbers"),
+        ("gamma1", [math.nan], "a list of finite numbers"),
+        ("with_sim", 1, "true or false"),
+        ("mode", None, "a string"),
+        ("created", 0, "a string"),
+    ])
+    def test_field_of_another_json_type_rejected(self, key, value, wanted):
+        payload = json.loads(RunManifest(kind="sweep").to_json())
+        payload[key] = value
+        with pytest.raises(LogFormatError) as err:
+            RunManifest.from_json_dict(payload)
+        assert err.value.line_number == 1
+        assert str(err.value).startswith(
+            f"line 1: manifest field {key!r} must be {wanted}, got ")
+
+    def test_integers_read_as_numbers(self):
+        payload = json.loads(RunManifest(kind="sweep").to_json())
+        payload.update(theta=0, grid=[0, 1], gamma1=[1], seed=2**64 - 1)
+        manifest = RunManifest.from_json_dict(payload)
+        assert (manifest.theta, manifest.grid, manifest.gamma1,
+                manifest.seed) == (0, (0.0, 1.0), (1.0,), 2**64 - 1)
+        assert type(manifest.grid[0]) is float
+
     def test_missing_kind_rejected(self):
         payload = json.loads(RunManifest(kind="count-log").to_json())
         payload.pop("kind")
@@ -573,29 +606,53 @@ class TestSweepHeaders:
         with pytest.raises(ValueError, match="grid"):
             sweep_table(analytic, sim)
 
+    def test_simulation_at_another_theta_rejected(self):
+        # The manifest takes theta from the analytic sweep alone.
+        analytic, _ = self.delta_sweeps()
+        sim = simulate_delta_sweep(
+            make_config(theta=0.3, noise=NoiseParams(0.0)), self.DELTA_GRID,
+            [0.1], 0.8,
+        )
+        with pytest.raises(ValueError, match="theta"):
+            sweep_table(analytic, sim)
+
+
+def sweep_of(x, q1_over_p1=0.5, q2_over_p2=None, q_over_p=None,
+             reversal=None):
+    """A delta-axis ``Sweep`` record at gamma2 = 0.8 and one gamma1 (0.1),
+    built straight from its columns: q2/p2 and q/p are 0.25 and the
+    reversal flags false where not given."""
+    x = np.array(x, dtype=float)
+    n = x.size
+    return Sweep(
+        "delta", THETA_B, 0.8, (0.1,), x, q1_over_p1,
+        np.full(n, 0.25) if q2_over_p2 is None else np.array(q2_over_p2),
+        np.full((1, n), 0.25) if q_over_p is None else np.array(q_over_p),
+        np.zeros((1, n), bool) if reversal is None else np.array(reversal),
+    )
+
 
 class TestSweepCsv:
+    HEADER = "delta_std,q1_over_p1,q2_over_p2,q_over_p,reversal"
+
     def test_cells_round_trip_and_manifest_written(self, tmp_path):
         path = tmp_path / "table.csv"
-        header = ["delta_std", "q_over_p", "reversal"]
-        rows = [
-            [0.1, 0.9673891742590208, False],
-            [0.6000000000000001, 1.0251799620203028, True],
-        ]
-        manifest = RunManifest(kind="sweep", axis="delta", grid=(0.1, 0.6))
-        columns = [list(column) for column in zip(*rows)]
-        manifest_path = write_sweep_csv(path, header, columns, manifest)
+        sweep = sweep_delta(THETA_B, [0.1], 0.8, [0.1, 0.6000000000000001])
+        manifest_path = write_sweep_csv(path, sweep)
         text = path.read_text().splitlines()
-        assert text[0] == "delta_std,q_over_p,reversal"
+        assert text[0] == self.HEADER
         cells = text[2].split(",")
-        assert float(cells[0]) == rows[1][0]
-        assert float(cells[1]) == rows[1][1]
-        assert cells[2] == "true"
+        assert float(cells[0]) == sweep.x[1]
+        assert float(cells[1]) == sweep.q1_over_p1
+        assert float(cells[2]) == sweep.q2_over_p2[1]
+        assert float(cells[3]) == sweep.q_over_p[0, 1]
+        assert cells[4] == "true" and sweep.reversal[0, 1]
         assert manifest_path.name == "table.csv.manifest.json"
         loaded = RunManifest.from_json_dict(
             json.loads(manifest_path.read_text())
         )
-        assert loaded.axis == "delta"
+        assert (loaded.axis, loaded.gamma2, loaded.grid) == (
+            "delta", 0.8, (0.1, 0.6000000000000001))
 
     def test_link_gets_no_manifest(self, tmp_path):
         # As /dev/stdout, a link to wherever standard output goes.
@@ -603,114 +660,97 @@ class TestSweepCsv:
         target.write_text("")
         link = tmp_path / "link.csv"
         link.symlink_to(target)
-        manifest = RunManifest(kind="sweep", axis="delta", grid=(0.1, 0.6))
-        assert write_sweep_csv(link, ["x"], [[0.1]], manifest) is None
-        assert target.read_text() == "x\n0.1\n"
+        assert write_sweep_csv(link, sweep_of([0.1])) is None
+        assert target.read_text() == (
+            self.HEADER + "\n0.1,0.5,0.25,0.25,false\n")
         assert sorted(p.name for p in tmp_path.iterdir()) == [
             "link.csv", "target.csv",
         ]
 
     def test_row_width_mismatch_rejected(self, tmp_path):
-        with pytest.raises(ValueError, match="cells"):
+        # A simulated sweep on a longer grid would give longer columns.
+        base = make_config(noise=NoiseParams(0.0))
+        with pytest.raises(ValueError, match="grid"):
             write_sweep_csv(
                 tmp_path / "bad.csv",
-                ["a", "b"],
-                [[1.0], []],
-                RunManifest(kind="sweep"),
+                sweep_delta(THETA_B, [0.1], 0.8, [0.0, 0.5]),
+                simulate_delta_sweep(base, [0.0, 0.5, 1.0], [0.1], 0.8),
             )
-        assert not (tmp_path / "bad.csv").exists()
+        assert list(tmp_path.iterdir()) == []
 
     def test_column_count_mismatch_rejected(self, tmp_path):
-        with pytest.raises(ValueError, match="1 columns for 2 header names"):
+        # A simulated sweep of more gamma1 values would give more columns.
+        base = make_config(noise=NoiseParams(0.0))
+        with pytest.raises(ValueError, match="gamma1 values"):
             write_sweep_csv(
-                tmp_path / "bad.csv", ["a", "b"], [[1.0]],
-                RunManifest(kind="sweep"),
+                tmp_path / "bad.csv",
+                sweep_delta(THETA_B, [0.1], 0.8, [0.0, 0.5]),
+                simulate_delta_sweep(base, [0.0, 0.5], [0.1, 0.4], 0.8),
             )
-        assert not (tmp_path / "bad.csv").exists()
+        assert list(tmp_path.iterdir()) == []
 
     def test_numpy_scalars_written_as_python_values(self, tmp_path):
         path = tmp_path / "table.csv"
-        columns = [
-            [np.float64(0.1), np.float64(-0.0)],
-            [np.bool_(True), np.bool_(False)],
-            list(np.array([0.25, 1e-300])),
+        sweep = sweep_of([0.1, 0.2], q2_over_p2=[0.25, 1e-300],
+                         q_over_p=[[-0.0, 0.1]], reversal=[[True, False]])
+        write_sweep_csv(path, sweep)
+        assert path.read_text().splitlines()[1:] == [
+            "0.1,0.5,0.25,-0.0,true", "0.2,0.5,1e-300,0.1,false",
         ]
-        write_sweep_csv(path, ["x", "flag", "y"], columns,
-                        RunManifest(kind="sweep"))
-        assert path.read_text() == "x,flag,y\n0.1,true,0.25\n-0.0,false,1e-300\n"
-
-    def test_mixed_column_rejected(self, tmp_path, monkeypatch):
-        def refuse(*args, **kwargs):
-            raise AssertionError("a file was opened")
-
-        monkeypatch.setattr(logio, "_write_lines", refuse)
-        path = tmp_path / "table.csv"
-        with pytest.raises(
-            TypeError,
-            match="unsupported CSV cell type bool, float, float64, int in "
-                  "one column",
-        ):
-            write_sweep_csv(path, ["x", "y"],
-                            [[0.5, 0.25, 1.0, 2.0],
-                             [1, 0.5, True, np.float64(2.0)]],
-                            RunManifest(kind="sweep"))
-        assert list(tmp_path.iterdir()) == []
-
-    @pytest.mark.parametrize("cells", [["a"], [0.5, None], [np.float32(0.5)]])
-    def test_unsupported_cell_rejected(self, tmp_path, cells):
-        path = tmp_path / "bad.csv"
-        with pytest.raises(TypeError, match="unsupported CSV cell type"):
-            write_sweep_csv(path, ["x"], [cells], RunManifest(kind="sweep"))
-        assert not path.exists()
 
     def test_no_rows_writes_the_header(self, tmp_path):
         path = tmp_path / "table.csv"
-        write_sweep_csv(path, ["x", "y"], [[], []], RunManifest(kind="sweep"))
-        assert path.read_text() == "x,y\n"
+        write_sweep_csv(path, sweep_delta(THETA_B, [0.1], 0.8, []))
+        assert path.read_text() == self.HEADER + "\n"
 
     def test_constant_columns_formatted_once_keep_their_sign(self, tmp_path):
         n = 5
         columns = [[-0.0] * n, [0.0] * n, [math.nan] * n,
                    [0.0, -0.0, 0.0, 0.0, 0.0], [0.1] * n, [-0.0] + [0.0] * 4]
+        cells = [logio._cells(np.array(column)) for column in columns]
+        assert [type(c) is itertools.repeat for c in cells] == [
+            True, True, True, False, True, False,
+        ]
+        assert list(map(list, cells)) == [
+            ["-0.0"] * n, ["0.0"] * n, ["nan"] * n,
+            ["0.0", "-0.0", "0.0", "0.0", "0.0"], ["0.1"] * n,
+            ["-0.0"] + ["0.0"] * 4,
+        ]
         path = tmp_path / "table.csv"
-        header = ["a", "b", "c", "d", "e", "f"]
-        write_sweep_csv(path, header, columns, RunManifest(kind="sweep"))
-        assert path.read_text().splitlines() == [
-            "a,b,c,d,e,f",
-            "-0.0,0.0,nan,0.0,0.1,-0.0",
-            "-0.0,0.0,nan,-0.0,0.1,0.0",
-            *["-0.0,0.0,nan,0.0,0.1,0.0"] * 3,
-        ]
-        formatted = list(map(logio._format_column, columns))
-        assert [type(cells) is itertools.repeat for cells in formatted] == [
-            True, True, False, False, True, False,
+        write_sweep_csv(path, sweep_of(range(n), q1_over_p1=-0.0,
+                                       q2_over_p2=[0.0] * n,
+                                       q_over_p=[columns[3]]))
+        assert path.read_text().splitlines()[1:] == [
+            "0.0,-0.0,0.0,0.0,false", "1.0,-0.0,0.0,-0.0,false",
+            *[f"{k}.0,-0.0,0.0,0.0,false" for k in range(2, n)],
         ]
 
 
-def reference_manifest_json(manifest):
-    """The manifest as ``json.dumps`` writes its non-None fields."""
+def written_manifest(path, sweep, sim=None):
+    """The text of the manifest ``write_sweep_csv`` writes beside ``path``,
+    and the first column of the table, as written."""
+    manifest_path = write_sweep_csv(path, sweep, sim)
+    x_cells = [line.split(",")[0]
+               for line in path.read_text().splitlines()[1:]]
+    return manifest_path.read_text(), x_cells
+
+
+def reference_manifest_json(text, **fields):
+    """What ``json.dumps`` writes of a sweep manifest of ``fields`` (those
+    not None) with the ``created`` of the written manifest ``text``."""
+    manifest = RunManifest(kind="sweep", created=json.loads(text)["created"],
+                           **fields)
     payload = {k: v for k, v in dataclasses.asdict(manifest).items()
                if v is not None}
-    return json.dumps(payload, sort_keys=True)
+    return json.dumps(payload, sort_keys=True) + "\n"
 
 
 class TestSweepManifestBytes:
     """The companion manifest takes its grid from the table's first-column
-    cells when the two hold the same floats; either way its bytes are those
-    of ``json.dumps``."""
+    cells, and its bytes are those of ``json.dumps``."""
 
-    CREATED = "2026-01-01T00:00:00+00:00"
-
-    def write(self, tmp_path, header, columns, manifest):
-        path = tmp_path / "table.csv"
-        manifest_path = write_sweep_csv(path, header, columns, manifest)
-        return manifest_path.read_text()
-
-    @staticmethod
-    def shares_cells(manifest, xs):
-        """Whether ``_manifest_json`` writes the grid from the cells."""
-        marks = [f"cell{k}" for k in range(len(xs))]
-        return "cell0" in logio._manifest_json(manifest, xs, marks)
+    DELTA_FIELDS = dict(theta=THETA_B, axis="delta", gamma1=(0.1,),
+                        gamma2=0.8, with_sim=False)
 
     @pytest.mark.parametrize("grid", [
         [-0.0, 5e-324, 1e-7, 1.0, 1e300],
@@ -719,60 +759,44 @@ class TestSweepManifestBytes:
         [0.5],
     ], ids=["extremes", "shortest-repr", "negative-zero", "one-point"])
     def test_grid_written_as_json_writes_it(self, tmp_path, grid):
-        manifest = RunManifest(kind="sweep", axis="delta", gamma1=(0.1,),
-                               gamma2=0.8, grid=tuple(grid), with_sim=False,
-                               created=self.CREATED)
-        columns = [list(grid), [0.25] * len(grid), [True] * len(grid)]
-        text = self.write(tmp_path, ["delta_std", "y", "reversal"], columns,
-                          manifest)
-        assert text == reference_manifest_json(manifest) + "\n"
-        assert self.shares_cells(manifest, columns[0])
+        text, x_cells = written_manifest(
+            tmp_path / "table.csv", sweep_delta(THETA_B, [0.1], 0.8, grid))
+        assert text == reference_manifest_json(
+            text, grid=tuple(grid), **self.DELTA_FIELDS)
+        assert f'"grid": [{", ".join(x_cells)}]' in text
 
     def test_with_sim_manifest(self, tmp_path):
         grid = [0.2, 0.9]
         noise = NoiseParams(0.7)
         config = make_config(noise=noise)
-        header, columns = sweep_table(
+        text, x_cells = written_manifest(
+            tmp_path / "table.csv",
             sweep_gamma2(THETA_B, noise, [0.05, 0.4], grid),
-            simulate_gamma2_sweep(config, grid, [0.05, 0.4]),
+            simulate_gamma2_sweep(config, grid, [0.05, 0.4], "expected"),
         )
-        manifest = RunManifest(
-            kind="sweep", theta=THETA_B, delta_std=0.7, gamma1=(0.05, 0.4),
+        assert text == reference_manifest_json(
+            text, theta=THETA_B, delta_std=0.7, gamma1=(0.05, 0.4),
             iterations=config.iterations, mean_rate=config.mean_rate,
             window_seconds=config.window_seconds, seed=config.seed,
-            mode="stochastic", axis="gamma2", grid=tuple(grid),
-            with_sim=True, created=self.CREATED,
+            mode="expected", axis="gamma2", grid=tuple(grid), with_sim=True,
         )
-        text = self.write(tmp_path, header, columns, manifest)
-        assert text == reference_manifest_json(manifest) + "\n"
-        assert self.shares_cells(manifest, columns[0])
-
-    @pytest.mark.parametrize("grid, xs", [
-        ((0.0, 1.0), [-0.0, 1.0]),  # equal as floats, not bit for bit
-        ((0.0, 1.0), [0.0, 1.0, 2.0]),
-        ((0, 1), [0.0, 1.0]),  # json writes the integers as 0 and 1
-        ((0.0, 1.0), [0, 1]),
-        ((0.0, math.inf), [0.0, math.inf]),  # json writes Infinity
-    ], ids=["signed-zero", "longer-table", "integer-grid", "integer-column",
-            "infinite"])
-    def test_other_grids_written_apart(self, tmp_path, grid, xs):
-        manifest = RunManifest(kind="sweep", grid=grid, created=self.CREATED)
-        text = self.write(tmp_path, ["x"], [xs], manifest)
-        assert text == reference_manifest_json(manifest) + "\n"
-        assert not self.shares_cells(manifest, xs)
+        assert x_cells == ["0.2", "0.9"]
 
     def test_numpy_floats_share_their_cells(self, tmp_path):
-        grid = (np.float64(-0.0), 0.1)
-        xs = [np.float64(-0.0), np.float64(0.1)]
-        manifest = RunManifest(kind="sweep", grid=grid, created=self.CREATED)
-        text = self.write(tmp_path, ["x"], [xs], manifest)
-        assert text == reference_manifest_json(manifest) + "\n"
-        assert self.shares_cells(manifest, xs)
+        text, x_cells = written_manifest(tmp_path / "table.csv",
+                                         sweep_of(np.array([-0.0, 0.1])))
+        assert x_cells == ["-0.0", "0.1"]
+        assert '"grid": [-0.0, 0.1]' in text
+        assert text == reference_manifest_json(
+            text, grid=(-0.0, 0.1), **self.DELTA_FIELDS)
 
     def test_manifest_without_grid(self, tmp_path):
-        manifest = RunManifest(kind="sweep", created=self.CREATED)
-        text = self.write(tmp_path, ["x"], [[0.5]], manifest)
-        assert text == reference_manifest_json(manifest) + "\n"
+        # A sweep of no points: its grid is the empty list.
+        text, x_cells = written_manifest(
+            tmp_path / "table.csv", sweep_delta(THETA_B, [0.1], 0.8, []))
+        assert x_cells == []
+        assert text == reference_manifest_json(text, grid=(),
+                                               **self.DELTA_FIELDS)
 
 
 @pytest.fixture
@@ -829,8 +853,7 @@ class TestCrashSafeWrites:
         reference.write_text("")
         assert mode_of(reference) == umask
         write_log(tmp_path / "run.jsonl")
-        write_sweep_csv(tmp_path / "t.csv", ["x"], [[0.1]],
-                        RunManifest(kind="sweep"))
+        write_sweep_csv(tmp_path / "t.csv", sweep_of([0.1]))
         assert {name: mode for name, (_, mode) in snapshot(tmp_path).items()} \
             == dict.fromkeys(["reference", "run.jsonl", "t.csv",
                               "t.csv.manifest.json"], umask)
@@ -891,10 +914,10 @@ class TestCrashSafeWrites:
 
     @staticmethod
     def write_table(path):
-        """A one-column table of 2 * READ_CHUNK_LINES distinct floats."""
-        column = [float(k) for k in range(2 * READ_CHUNK_LINES)]
-        return write_sweep_csv(path, ["x"], [column],
-                               RunManifest(kind="sweep"))
+        """A table of 2 * READ_CHUNK_LINES rows, whose grid holds k and
+        whose q2/p2 column holds k + 0.5 in row k."""
+        grid = np.arange(2.0 * READ_CHUNK_LINES)
+        return write_sweep_csv(path, sweep_of(grid, q2_over_p2=grid + 0.5))
 
     @pytest.mark.parametrize("existing", [False, True])
     def test_sweep_csv_failing_in_a_later_chunk(
@@ -905,9 +928,12 @@ class TestCrashSafeWrites:
             path.write_text("old table\n")
             (tmp_path / "t.csv.manifest.json").write_text("old manifest\n")
         before = snapshot(tmp_path)
-        failing = fail_on(float.__repr__, float(READ_CHUNK_LINES + 3),
-                          tmp_path)
-        monkeypatch.setitem(logio._COLUMN_FORMATTERS, float, failing)
+        # The grid is formatted before the file is opened, and the other
+        # columns as their rows are written.
+        failing = fail_on(str, repr(READ_CHUNK_LINES + 3.5), tmp_path)
+        cells = logio._cells
+        monkeypatch.setattr(logio, "_cells",
+                            lambda column: map(failing, cells(column)))
         with pytest.raises(OSError, match="injected"):
             self.write_table(path)
         assert_failed_mid_write(failing.seen, before)

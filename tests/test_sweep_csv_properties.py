@@ -2,10 +2,14 @@
 bit for bit, boolean cells read back as true/false, and the column-at-once
 writer (which formats a column of one value once) gives the bytes of a plain
 per-cell formatter, and the companion manifest, whose grid is written from
-the first column's cells, gives the bytes of ``json.dumps``."""
+the first column's cells, gives the bytes of ``json.dumps``.  The tables
+are written from ``Sweep`` and ``SimulatedSweep`` records built straight
+from drawn columns."""
 
 import csv
+import dataclasses
 import json
+import math
 import struct
 import sys
 import tempfile
@@ -15,9 +19,19 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ysqht import RunManifest, write_sweep_csv
+from ysqht import (
+    AcquisitionConfig,
+    NoiseParams,
+    RunManifest,
+    SimulatedSweep,
+    Sweep,
+    sweep_table,
+    write_sweep_csv,
+)
 
 SETTINGS = settings(derandomize=True, deadline=None, max_examples=150)
+
+THETA = 5.0 * math.pi / 36.0
 
 floats = st.one_of(
     st.floats(allow_nan=False, allow_infinity=False),
@@ -25,31 +39,58 @@ floats = st.one_of(
                      -2.2250738585072014e-308, sys.float_info.max,
                      -sys.float_info.max]),
 )
-#: Cells of each column kind; numpy scalars take the cell-by-cell path.
-CELLS = {
-    "float": floats,
-    "bool": st.booleans(),
-    "float64": floats.map(np.float64),
-    "bool_": st.booleans().map(np.bool_),
-}
 
 
 @st.composite
-def tables(draw):
-    """(kinds, columns): up to five columns of one kind each, all of the
-    same length; a float column may repeat one value, as a sweep's constant
-    ratio columns do."""
-    n = draw(st.integers(0, 8))
-    kinds = draw(st.lists(st.sampled_from(sorted(CELLS)), min_size=1,
-                          max_size=5))
-    columns = []
-    for kind in kinds:
-        if kind == "float" and draw(st.booleans()):
-            columns.append([draw(floats)] * n)
-        else:
-            columns.append(draw(st.lists(CELLS[kind], min_size=n,
-                                         max_size=n)))
-    return kinds, columns
+def float_columns(draw, n):
+    """A float column of ``n`` cells; it may repeat one value, as a sweep's
+    constant ratio columns do."""
+    if draw(st.booleans()):
+        return np.full(n, draw(floats))
+    return np.array(draw(st.lists(floats, min_size=n, max_size=n)),
+                    dtype=float)
+
+
+def bool_columns(n):
+    return st.lists(st.booleans(), min_size=n, max_size=n).map(
+        lambda cells: np.array(cells, dtype=bool))
+
+
+@st.composite
+def sweeps(draw):
+    """(sweep, sim): a ``Sweep`` on an ascending grid of up to 8 finite
+    floats with one to three gamma1 values, and a ``SimulatedSweep`` on
+    the same grid, or None."""
+    grid = np.array(sorted(draw(st.lists(floats, max_size=8))), dtype=float)
+    n = grid.size
+    gamma1 = tuple(draw(st.lists(st.floats(0.0, 1.0), min_size=1,
+                                 max_size=3, unique=True)))
+
+    def rows(column):
+        """One drawn column per gamma1 value, of shape (len(gamma1), n)."""
+        return np.array([draw(column(n)) for _ in gamma1]).reshape(
+            len(gamma1), n)
+
+    axis = draw(st.sampled_from(["delta", "gamma2"]))
+    sweep = Sweep(axis, THETA, draw(st.floats(0.0, 1.0)), gamma1, grid,
+                  draw(floats), draw(float_columns(n)), rows(float_columns),
+                  rows(bool_columns))
+    if not draw(st.booleans()):
+        return sweep, None
+    config = AcquisitionConfig(
+        theta=THETA, noise=NoiseParams(0.0),
+        seed=draw(st.integers(0, 2**64 - 1)),
+        iterations=draw(st.integers(1, 10**6)),
+        mean_rate=draw(st.floats(1e-3, 1e6)),
+        window_seconds=draw(st.floats(1e-3, 1e3)),
+    )
+    sim = SimulatedSweep(
+        gamma1, draw(st.sampled_from(["stochastic", "expected"])), config,
+        grid, np.zeros(n, np.uint64), np.full(n, config.iterations),
+        *(draw(float_columns(n)) for _ in range(3)),
+        rows(float_columns), rows(float_columns),
+    )
+    return sweep, sim
 
 
 def reference_cell(value):
@@ -64,68 +105,60 @@ def bits(value):
     return struct.pack("<d", value)
 
 
-def write_and_read(header, columns):
-    """The bytes of the table written by ``write_sweep_csv`` and its rows
-    read back by ``csv``."""
+def write_and_read(sweep, sim):
+    """The bytes of the table written by ``write_sweep_csv``, its rows read
+    back by ``csv``, and the text of its manifest."""
     with tempfile.TemporaryDirectory() as directory:
         path = Path(directory) / "table.csv"
-        write_sweep_csv(path, header, columns, RunManifest(kind="sweep"))
+        manifest_path = write_sweep_csv(path, sweep, sim)
         data = path.read_bytes()
         with path.open(newline="") as fh:
             rows = list(csv.reader(fh))
-    return data, rows
+        return data, rows, manifest_path.read_text()
 
 
 @SETTINGS
-@given(table=tables())
-def test_cells_read_back_exactly(table):
-    kinds, columns = table
-    header = [f"c{k}" for k in range(len(columns))]
-    _, rows = write_and_read(header, columns)
+@given(drawn=sweeps())
+def test_cells_read_back_exactly(drawn):
+    header, table = sweep_table(*drawn)
+    _, rows, _ = write_and_read(*drawn)
     assert rows[0] == header
-    assert len(rows) == 1 + len(columns[0])
-    for kind, column, cells in zip(kinds, columns, zip(*rows[1:])):
-        if kind.startswith("bool"):
+    assert len(rows) == 1 + drawn[0].x.size
+    for column, cells in zip(table, zip(*rows[1:])):
+        if column.dtype == bool:
             assert list(cells) == ["true" if v else "false" for v in column]
         else:
             assert [bits(float(c)) for c in cells] == \
-                [bits(float(v)) for v in column]
+                [bits(v) for v in column.tolist()]
 
 
 @SETTINGS
-@given(table=tables())
-def test_bytes_match_a_per_cell_formatter(table):
-    _, columns = table
-    header = [f"c{k}" for k in range(len(columns))]
-    data, _ = write_and_read(header, columns)
+@given(drawn=sweeps())
+def test_bytes_match_a_per_cell_formatter(drawn):
+    header, table = sweep_table(*drawn)
+    data, _, _ = write_and_read(*drawn)
     lines = [header] + [[reference_cell(v) for v in row]
-                        for row in zip(*columns)]
+                        for row in zip(*table)]
     assert data == "".join(",".join(line) + "\n" for line in lines).encode()
 
 
-
-@st.composite
-def sweeps(draw):
-    """(grid, columns): an ascending grid of finite floats, which is the
-    first column, then up to four columns of any kind on it."""
-    grid = sorted(draw(st.lists(floats, max_size=12)))
-    kinds = draw(st.lists(st.sampled_from(sorted(CELLS)), max_size=4))
-    return grid, [grid] + [
-        draw(st.lists(CELLS[kind], min_size=len(grid), max_size=len(grid)))
-        for kind in kinds
-    ]
-
-
 @SETTINGS
-@given(sweep=sweeps())
-def test_manifest_bytes_match_json(sweep):
-    grid, columns = sweep
-    manifest = RunManifest(kind="sweep", axis="delta", grid=tuple(grid),
-                           created="2026-01-01T00:00:00+00:00")
-    with tempfile.TemporaryDirectory() as directory:
-        path = Path(directory) / "table.csv"
-        write_sweep_csv(path, [f"c{k}" for k in range(len(columns))],
-                        columns, manifest)
-        text = Path(directory, "table.csv.manifest.json").read_text()
-    payload = {k: v for k, v in vars(manifest).items() if v is not None}
+@given(drawn=sweeps())
+def test_manifest_bytes_match_json(drawn):
+    sweep, sim = drawn
+    _, _, text = write_and_read(sweep, sim)
+    fixed = "gamma2" if sweep.axis == "delta" else "delta_std"
+    acquisition = {} if sim is None else dict(
+        iterations=sim.config.iterations, mean_rate=sim.config.mean_rate,
+        window_seconds=sim.config.window_seconds, seed=sim.config.seed,
+        mode=sim.mode,
+    )
+    manifest = RunManifest(
+        kind="sweep", theta=sweep.theta, gamma1=sweep.gamma1_values,
+        axis=sweep.axis, grid=tuple(sweep.x.tolist()),
+        with_sim=sim is not None, created=json.loads(text)["created"],
+        **{fixed: sweep.fixed}, **acquisition,
+    )
+    payload = {k: v for k, v in dataclasses.asdict(manifest).items()
+               if v is not None}
     assert text == json.dumps(payload, sort_keys=True) + "\n"

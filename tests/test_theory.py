@@ -393,6 +393,11 @@ class TestSweepColumns:
             assert sweep.reversal.shape == (g, n)
             assert sweep.reversal.dtype == bool
 
+    def test_fixed_holds_the_other_axis(self):
+        delta, gamma2 = self.sweeps()
+        assert (delta.axis, delta.fixed) == ("delta", 0.8)
+        assert (gamma2.axis, gamma2.fixed) == ("gamma2", DELTA_FIG2)
+
     def test_columns_are_read_only(self):
         for sweep in self.sweeps():
             for column in (sweep.x, sweep.q2_over_p2, sweep.q_over_p,
