@@ -3,11 +3,13 @@
 
 Left table: ratios versus the preparation-noise spread at gamma1 = 0.1,
 gamma2 = 0.8.  Right table: ratios versus gamma2 at fixed noise for two
-values of gamma1.  ``write_sweep_csv(path, sweep, sim)`` writes each table
-from the analytic ``Sweep`` and its ``SimulatedSweep``, and builds the
-companion ``<path>.manifest.json`` from the same two records.  The CSVs are
-plot-ready; the command line writes the same tables, through the same
-writer, via
+values of gamma1.  ``simulate_sweep(sweep, seed=1)`` runs the Monte Carlo
+twin of each analytic ``Sweep`` at the sweep's own theta, noise and
+weights, and ``write_sweep_csv(path, sweep, sim)`` writes the table and its
+companion ``<path>.manifest.json`` from the two records: the sweep's
+parameters from the ``Sweep``, and the seed, iterations, rate, window and
+mode from the ``SimulatedSweep``.  The CSVs are plot-ready; the command
+line writes the same tables, through the same functions, via
 
     ysqht sweep delta 0:1.1:23 --theta 0.43633 --gamma1 0.1 --gamma2 0.8 \
         --with-sim --out left.csv
@@ -24,12 +26,10 @@ from pathlib import Path
 import numpy as np
 
 from ysqht import (
-    AcquisitionConfig,
     NoiseParams,
     delta_threshold,
     gamma2_threshold,
-    simulate_delta_sweep,
-    simulate_gamma2_sweep,
+    simulate_sweep,
     sweep_delta,
     sweep_gamma2,
     write_sweep_csv,
@@ -52,8 +52,7 @@ out_dir.mkdir(exist_ok=True)
 print("== left table: ratios versus noise spread ==")
 grid = [float(d) for d in np.linspace(0.0, 1.1, 23)]
 analytic = sweep_delta(theta, [0.1], 0.8, grid)
-base = AcquisitionConfig(theta=theta, noise=NoiseParams(0.0), seed=1)
-sim = simulate_delta_sweep(base, grid, [0.1], 0.8)
+sim = simulate_sweep(analytic, seed=1)
 left = out_dir / "ratios_vs_noise.csv"
 write_sweep_csv(left, analytic, sim)
 lo, hi = first_sign_change(analytic)
@@ -65,8 +64,7 @@ print(f"q/p crosses 1 between {lo:.2f} and {hi:.2f} "
 print("\n== right table: ratios versus gamma2 ==")
 gamma_grid = [float(g) for g in np.linspace(0.0, 1.0, 21)]
 analytic2 = sweep_gamma2(theta, noise, [0.05, 0.4], gamma_grid)
-base2 = AcquisitionConfig(theta=theta, noise=noise, seed=1)
-sim2 = simulate_gamma2_sweep(base2, gamma_grid, [0.05, 0.4])
+sim2 = simulate_sweep(analytic2, seed=1)
 right = out_dir / "ratios_vs_gamma2.csv"
 write_sweep_csv(right, analytic2, sim2)
 print(f"wrote {right}")

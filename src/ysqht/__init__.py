@@ -21,8 +21,7 @@ from .counting import (
     estimate_ratios,
     point_seed,
     run_acquisition,
-    simulate_delta_sweep,
-    simulate_gamma2_sweep,
+    simulate_sweep,
 )
 from .logio import (
     LogFormatError,
@@ -105,8 +104,7 @@ __all__ = [
     "estimate_ratios",
     "point_seed",
     "run_acquisition",
-    "simulate_delta_sweep",
-    "simulate_gamma2_sweep",
+    "simulate_sweep",
     # file formats
     "LogFormatError",
     "ManifestVersionError",

@@ -32,8 +32,7 @@ from .counting import (
     aggregate,
     estimate_ratios,
     run_acquisition,
-    simulate_delta_sweep,
-    simulate_gamma2_sweep,
+    simulate_sweep,
 )
 from .logio import (
     LogFormatError,
@@ -218,19 +217,13 @@ def _print_theory_report(report: dict[str, Any]) -> None:
         show("reversal", str(verdict["reversal"]).lower())
 
 
-def _acquisition_config(
-    args: argparse.Namespace, noise: NoiseParams, seed: int
-) -> AcquisitionConfig:
-    return AcquisitionConfig(
-        theta=_angle(args.theta, args.degrees), noise=noise, seed=seed,
-        iterations=args.iterations, mean_rate=args.rate,
-        window_seconds=args.window,
-    )
-
-
 def cmd_simulate(args: argparse.Namespace) -> int:
-    noise = NoiseParams(_angle(args.delta_std, args.degrees))
-    config = _acquisition_config(args, noise, _resolve_seed(args.seed))
+    config = AcquisitionConfig(
+        theta=_angle(args.theta, args.degrees),
+        noise=NoiseParams(_angle(args.delta_std, args.degrees)),
+        seed=_resolve_seed(args.seed), iterations=args.iterations,
+        mean_rate=args.rate, window_seconds=args.window,
+    )
     counts = run_acquisition(config)
     write_count_log(args.out, config, counts)
     print(f"wrote {len(counts)} records to {args.out}", file=sys.stderr)
@@ -281,7 +274,6 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     grid = np.linspace(lo, hi, points).tolist()
     seed = _resolve_seed(args.seed) if args.with_sim else None
 
-    sim = None
     if args.axis == "delta":
         if args.gamma2 is None:
             raise ValueError("sweep delta needs --gamma2")
@@ -291,12 +283,6 @@ def cmd_sweep(args: argparse.Namespace) -> int:
                 "drop --delta-std"
             )
         sweep = sweep_delta(theta, args.gamma1, args.gamma2, grid)
-        if args.with_sim:
-            # Every grid point replaces the base noise with its own.
-            sim = simulate_delta_sweep(
-                _acquisition_config(args, NoiseParams(0.0), seed), grid,
-                args.gamma1, args.gamma2, args.mode,
-            )
     else:
         if args.delta_std is None:
             raise ValueError("sweep gamma2 needs --delta-std")
@@ -306,11 +292,9 @@ def cmd_sweep(args: argparse.Namespace) -> int:
             )
         noise = NoiseParams(_angle(args.delta_std, args.degrees))
         sweep = sweep_gamma2(theta, noise, args.gamma1, grid)
-        if args.with_sim:
-            sim = simulate_gamma2_sweep(
-                _acquisition_config(args, noise, seed), grid, args.gamma1,
-                args.mode,
-            )
+    sim = None if seed is None else simulate_sweep(
+        sweep, seed, args.iterations, args.rate, args.window, args.mode
+    )
 
     manifest_path = write_sweep_csv(args.out, sweep, sim)
     companion = f" (manifest {manifest_path})" if manifest_path else ""

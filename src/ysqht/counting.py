@@ -14,16 +14,12 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass, replace
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
-from .qubit import (
-    NoiseParams,
-    _require_distinct_probabilities,
-    _require_finite,
-    _require_probability,
-)
+from .qubit import NoiseParams, _require_finite, _require_probability
+from .theory import Sweep
 
 #: Per-grid-point seed stride for sweep runs (odd 64-bit constant), so any
 #: single point can be re-run in isolation: seed_i = base ^ (i * stride).
@@ -326,106 +322,77 @@ def _read_only(values: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True, eq=False)
 class SimulatedSweep:
-    """Monte Carlo counterpart of an analytic sweep, run as the acquisition
-    ``config`` with each point's own seed (and, on the delta axis, noise),
-    as read-only columns over the grid ``x`` (shape (P,)): each point's
-    acquisition ``seeds`` (uint64) and its iterations ``n_samples``; the
-    q2/p2 estimate ``q2_over_p2`` with its standard error ``q2_over_p2_err``
-    and Poisson cross-check ``q2_over_p2_poisson``, each of shape (P,); and
-    the q/p estimate ``q_over_p`` with its ``q_over_p_err``, of shape
-    (len(gamma1_values), P), one row per gamma1.  Compare two values with
-    ``np.array_equal`` on their columns."""
+    """Monte Carlo counterpart of the analytic ``sweep``, run by
+    ``simulate_sweep``: per grid point, one acquisition of ``iterations``
+    iterations at ``mean_rate`` over ``window_seconds``, seeded from
+    ``seed``, and aggregated in ``mode`` (these five names are also the
+    sweep manifest's).  The results are read-only columns over the sweep's
+    grid (P points): each point's acquisition ``seeds`` (uint64), the q2/p2
+    estimate ``q2_over_p2`` with its standard error ``q2_over_p2_err``, each
+    of shape (P,), and the q/p estimate ``q_over_p`` with its
+    ``q_over_p_err``, of shape (len(sweep.gamma1_values), P), one row per
+    gamma1.  Compare two values with ``np.array_equal`` on their columns."""
 
-    gamma1_values: tuple[float, ...]
+    sweep: Sweep
     mode: str
-    config: AcquisitionConfig
-    x: np.ndarray
+    seed: int
+    iterations: int
+    mean_rate: float
+    window_seconds: float
     seeds: np.ndarray
-    n_samples: np.ndarray
     q2_over_p2: np.ndarray
     q2_over_p2_err: np.ndarray
-    q2_over_p2_poisson: np.ndarray
     q_over_p: np.ndarray
     q_over_p_err: np.ndarray
 
 
-def _simulate_sweep(
-    base_config: AcquisitionConfig,
-    grid: Sequence[float],
-    gamma1_values: Sequence[float],
-    mode: str,
-    noises: Iterable[NoiseParams],
-    gamma2s: Iterable[float],
+def simulate_sweep(
+    sweep: Sweep,
+    seed: int,
+    iterations: int = 200,
+    mean_rate: float = 1e4,
+    window_seconds: float = 1.0,
+    mode: str = "stochastic",
 ) -> SimulatedSweep:
-    """Fresh acquisition per grid point, with that point's noise from
-    ``noises`` and a seed derived from the base seed and the grid index,
-    aggregated once per gamma1 at that point's weight from ``gamma2s``.
+    """Fresh acquisition per grid point of ``sweep``, at its theta, with a
+    seed derived from ``seed`` and the grid index, aggregated once per
+    gamma1.  A point's noise and weight gamma2 are its grid value and
+    ``sweep.fixed`` on the delta axis, and ``sweep.fixed`` and its grid
+    value on the gamma2 axis.  The counting parameters and ``mode`` are
+    checked before any acquisition runs, even on an empty grid.
 
     All points are estimated at once by the kernel that ``estimate_ratios``
     and ``aggregate`` run on one acquisition, with the mixing draws of point
     i and gamma1 column k from ``aggregation_seed(seed_i, k)``, so every
     point holds the bits of a re-run of that point through those
     functions."""
-    gamma1_values = _require_distinct_probabilities(gamma1_values, "gamma1")
+    base = AcquisitionConfig(sweep.theta, NoiseParams(0.0), seed, iterations,
+                             mean_rate, window_seconds)
     _require_mode(mode)
-    points = list(zip(grid, noises, gamma2s))
-    gamma2 = np.array([_require_probability(g2, "gamma2")
-                       for _, _, g2 in points])
-    seeds = [point_seed(base_config.seed, i) for i in range(len(points))]
-    counts = np.empty((len(points), base_config.iterations, 4), np.int64)
-    for i, ((_, noise, _), seed) in enumerate(zip(points, seeds)):
+    grid = sweep.x.tolist()
+    if sweep.axis == "delta":
+        noises = map(NoiseParams, grid)
+        gamma2 = np.full(len(grid), sweep.fixed)
+    else:
+        noises = itertools.repeat(NoiseParams(sweep.fixed))
+        gamma2 = sweep.x
+    seeds = [point_seed(seed, i) for i in range(len(grid))]
+    counts = np.empty((len(grid), iterations, 4), np.int64)
+    for i, (noise, point) in enumerate(zip(noises, seeds)):
         counts[i] = run_acquisition(
-            replace(base_config, noise=noise, seed=seed)
+            replace(base, noise=noise, seed=point)
         ).counts
     rngs = None if mode == "expected" else [
-        [np.random.default_rng(aggregation_seed(seed, k))
-         for k in range(len(gamma1_values))]
-        for seed in seeds
+        [np.random.default_rng(aggregation_seed(point, k))
+         for k in range(len(sweep.gamma1_values))]
+        for point in seeds
     ]
-    value, std_error, poisson_error = _estimate(
-        counts, True, gamma1_values, gamma2, rngs
+    value, std_error, _ = _estimate(
+        counts, True, sweep.gamma1_values, gamma2, rngs
     )
     return SimulatedSweep(
-        gamma1_values, mode, base_config,
-        _read_only(np.array([float(x) for x, _, _ in points])),
+        sweep, mode, seed, iterations, mean_rate, window_seconds,
         _read_only(np.array(seeds, dtype=np.uint64)),
-        _read_only(np.full(len(points), base_config.iterations)),
-        *(_read_only(column[3].copy())
-          for column in (value, std_error, poisson_error)),
-        _read_only(value[6::3].copy()),
-        _read_only(std_error[6::3].copy()),
-    )
-
-
-def simulate_delta_sweep(
-    base_config: AcquisitionConfig,
-    delta_grid: Sequence[float],
-    gamma1_values: Sequence[float],
-    gamma2: float,
-    mode: str = "stochastic",
-) -> SimulatedSweep:
-    """Fresh acquisition per noise grid point (seed derived from the base
-    seed and the grid index), estimated and aggregated once per gamma1."""
-    return _simulate_sweep(
-        base_config, delta_grid, gamma1_values, mode,
-        (NoiseParams(float(d)) for d in delta_grid),
-        itertools.repeat(float(gamma2)),
-    )
-
-
-def simulate_gamma2_sweep(
-    base_config: AcquisitionConfig,
-    gamma2_grid: Sequence[float],
-    gamma1_values: Sequence[float],
-    mode: str = "stochastic",
-) -> SimulatedSweep:
-    """Fresh acquisition per weight grid point, aggregated once per gamma1.
-
-    The counts themselves do not depend on the weights, so each grid point is
-    an independent repetition of the same acquisition, exactly like repeated
-    lab runs."""
-    return _simulate_sweep(
-        base_config, gamma2_grid, gamma1_values, mode,
-        itertools.repeat(base_config.noise),
-        (float(g2) for g2 in gamma2_grid),
+        _read_only(value[3].copy()), _read_only(std_error[3].copy()),
+        _read_only(value[6::3].copy()), _read_only(std_error[6::3].copy()),
     )

@@ -391,6 +391,10 @@ def read_count_log(path: str | Path) -> tuple[RunManifest, Counts]:
 #: Header of the swept-value column of each sweep axis.
 AXIS_COLUMNS = {"delta": "delta_std", "gamma2": "gamma2"}
 
+#: The fields a sweep manifest copies, by name, from its ``SimulatedSweep``.
+SIM_MANIFEST_FIELDS = ("mode", "seed", "iterations", "mean_rate",
+                       "window_seconds")
+
 
 def sweep_table(
     sweep: Sweep, sim: SimulatedSweep | None = None
@@ -399,7 +403,8 @@ def sweep_table(
     over the grid: the swept value, q1/p1, q2/p2, then a q/p and a reversal
     column per gamma1 (suffixed ``_gamma1_<value>`` when there are
     several), and with ``sim`` the simulated q2/p2 and q/p, each followed by
-    its standard error."""
+    its standard error.  ``sim`` must be the simulated sweep run from
+    ``sweep`` itself; any other raises ValueError."""
     suffixes = ([""] if len(sweep.gamma1_values) == 1 else
                 [f"_gamma1_{g!r}" for g in sweep.gamma1_values])
     header = [AXIS_COLUMNS[sweep.axis], "q1_over_p1", "q2_over_p2"]
@@ -411,12 +416,10 @@ def sweep_table(
     ]
     if sim is None:
         return header, columns
-    if sim.gamma1_values != sweep.gamma1_values or \
-            sim.config.theta != sweep.theta or \
-            not np.array_equal(sim.x, sweep.x):
+    if sim.sweep is not sweep:
         raise ValueError(
-            "the simulated sweep does not share the analytic sweep's theta, "
-            "grid and gamma1 values"
+            "the simulated sweep was not run from this analytic sweep: "
+            "give the sweep that simulate_sweep(sweep, ...) ran"
         )
     header += ["sim_q2_over_p2", "sim_q2_over_p2_err"]
     columns += [sim.q2_over_p2, sim.q2_over_p2_err]
@@ -443,8 +446,8 @@ def write_sweep_csv(
 ) -> Path | None:
     """Write the table of ``sweep_table(sweep, sim)`` and, when ``path`` is
     a regular file, its companion ``<path>.manifest.json``, which holds the
-    sweep's parameters and, with ``sim``, those of its acquisitions; returns
-    the manifest's path, or None for a stream such as a pipe or
+    sweep's parameters and, with ``sim``, its ``SIM_MANIFEST_FIELDS``;
+    returns the manifest's path, or None for a stream such as a pipe or
     ``/dev/stdout`` (a link, not a file).  The table is in place before its
     manifest is written."""
     header, columns = sweep_table(sweep, sim)
@@ -458,11 +461,8 @@ def write_sweep_csv(
         kind=KIND_SWEEP, theta=sweep.theta, gamma1=sweep.gamma1_values,
         axis=sweep.axis, grid=(), with_sim=sim is not None,
         **{"gamma2" if sweep.axis == "delta" else "delta_std": sweep.fixed},
-        **({} if sim is None else dict(
-            iterations=sim.config.iterations, mode=sim.mode,
-            mean_rate=sim.config.mean_rate, seed=sim.config.seed,
-            window_seconds=sim.config.window_seconds,
-        )),
+        **{name: getattr(sim, name) for name in SIM_MANIFEST_FIELDS
+           if sim is not None},
     )
     # json writes a finite float, as every grid value is, as float.__repr__
     # does.  Every quote inside a JSON string is escaped, so the key and

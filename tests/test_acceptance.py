@@ -29,8 +29,7 @@ from ysqht import (
     outcome_probabilities,
     pure_state,
     run_acquisition,
-    simulate_delta_sweep,
-    simulate_gamma2_sweep,
+    simulate_sweep,
     small_angle_threshold,
     sweep_delta,
     sweep_gamma2,
@@ -88,11 +87,8 @@ def test_criterion_3_closed_form_vs_quadrature():
 def test_criterion_4_noise_sweep_reproduction():
     grid = [float(d) for d in np.linspace(0.0, 1.1, 23)]
     analytic = sweep_delta(THETA_B, [0.1], 0.8, grid)
-    base = AcquisitionConfig(
-        theta=THETA_B, noise=NoiseParams(0.0), seed=FIGURE_SEED,
-        iterations=200, mean_rate=1e4,
-    )
-    sim = simulate_delta_sweep(base, grid, [0.1], 0.8, mode="stochastic")
+    sim = simulate_sweep(analytic, FIGURE_SEED, iterations=200,
+                         mean_rate=1e4, mode="stochastic")
 
     pulls = []
     for i, arow in enumerate(analytic.rows):
@@ -124,11 +120,8 @@ def test_criterion_4_noise_sweep_reproduction():
 def test_criterion_5_weight_sweep_reproduction():
     grid = [float(g) for g in np.linspace(0.0, 1.0, 21)]
     analytic = sweep_gamma2(THETA_B, NoiseParams(DELTA_FIG2), [0.05, 0.4], grid)
-    base = AcquisitionConfig(
-        theta=THETA_B, noise=NoiseParams(DELTA_FIG2), seed=FIGURE_SEED,
-        iterations=200, mean_rate=1e4,
-    )
-    sim = simulate_gamma2_sweep(base, grid, [0.05, 0.4], mode="stochastic")
+    sim = simulate_sweep(analytic, FIGURE_SEED, iterations=200,
+                         mean_rate=1e4, mode="stochastic")
 
     constant = analytic.q2_over_p2[0]
     noisy_column_ok = all(

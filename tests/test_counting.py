@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from ysqht import counting
 from ysqht import (
     AcquisitionConfig,
     Counts,
@@ -18,8 +19,9 @@ from ysqht import (
     outcome_probabilities,
     point_seed,
     run_acquisition,
-    simulate_delta_sweep,
-    simulate_gamma2_sweep,
+    simulate_sweep,
+    sweep_delta,
+    sweep_gamma2,
 )
 
 THETA_B = 5.0 * math.pi / 36.0
@@ -415,15 +417,16 @@ class TestSweepSeeds:
 
 #: The columns of a SimulatedSweep, in field order.
 SIM_COLUMNS = (
-    "x", "seeds", "n_samples", "q2_over_p2", "q2_over_p2_err",
-    "q2_over_p2_poisson", "q_over_p", "q_over_p_err",
+    "seeds", "q2_over_p2", "q2_over_p2_err", "q_over_p", "q_over_p_err",
 )
+
+#: Its sweep and acquisition parameters, as the sweep manifest names them.
+SIM_PARAMETERS = ("mode", "seed", "iterations", "mean_rate", "window_seconds")
 
 
 def assert_same_sweep(a, b):
-    assert (a.gamma1_values, a.mode, a.config) == (
-        b.gamma1_values, b.mode, b.config
-    )
+    assert [getattr(a, name) for name in SIM_PARAMETERS] == \
+        [getattr(b, name) for name in SIM_PARAMETERS]
     for name in SIM_COLUMNS:
         x, y = getattr(a, name), getattr(b, name)
         assert x.dtype == y.dtype, name
@@ -433,42 +436,67 @@ def assert_same_sweep(a, b):
 class TestSimulatedSweeps:
     GRID = [0.0, 0.3, 0.7, 1.0]
 
+    def delta(self, gamma1_values=(0.1,), grid=GRID):
+        return sweep_delta(THETA_B, gamma1_values, 0.8, grid)
+
+    def gamma2(self, grid=GRID):
+        return sweep_gamma2(THETA_B, NoiseParams(0.7), [0.05, 0.4], grid)
+
     def test_delta_sweep_reproducible(self):
-        base = config(noise=NoiseParams(0.0), seed=21)
-        a = simulate_delta_sweep(base, self.GRID, [0.1], 0.8)
-        b = simulate_delta_sweep(base, self.GRID, [0.1], 0.8)
-        assert_same_sweep(a, b)
+        sweep = self.delta()
+        assert_same_sweep(simulate_sweep(sweep, 21), simulate_sweep(sweep, 21))
 
     def test_sweeps_carry_their_base_config(self):
-        base = config(noise=NoiseParams(0.7), seed=21)
-        assert simulate_delta_sweep(base, self.GRID, [0.1], 0.8).config \
-            == simulate_gamma2_sweep(base, self.GRID, [0.1]).config == base
+        # The sweep itself, and the acquisition parameters its points share.
+        for sweep in (self.delta(), self.gamma2()):
+            sim = simulate_sweep(sweep, 21, 50, 2e3, 0.5, "expected")
+            assert sim.sweep is sweep
+            assert [getattr(sim, name) for name in SIM_PARAMETERS] == [
+                "expected", 21, 50, 2e3, 0.5]
 
     def test_delta_sweep_point_isolated_rerun(self):
-        base = config(noise=NoiseParams(0.0), seed=21)
-        sweep = simulate_delta_sweep(base, self.GRID, [0.1], 0.8)
+        sweep = simulate_sweep(self.delta(), 21)
         cfg = config(noise=NoiseParams(self.GRID[2]), seed=int(sweep.seeds[2]))
         summary = estimate_ratios(run_acquisition(cfg))
-        assert summary.q2_over_p2 == RatioEstimate(
-            sweep.q2_over_p2[2], sweep.q2_over_p2_err[2],
-            sweep.n_samples[2], sweep.q2_over_p2_poisson[2],
-        )
+        assert summary.q2_over_p2.value == sweep.q2_over_p2[2]
+        assert summary.q2_over_p2.std_error == sweep.q2_over_p2_err[2]
 
     def test_delta_sweep_first_column_stable_under_extra_gamma1(self):
-        base = config(noise=NoiseParams(0.0), seed=21)
-        single = simulate_delta_sweep(base, self.GRID, [0.1], 0.8)
-        double = simulate_delta_sweep(base, self.GRID, [0.1, 0.4], 0.8)
+        single = simulate_sweep(self.delta([0.1]), 21)
+        double = simulate_sweep(self.delta([0.1, 0.4]), 21)
         assert np.array_equal(single.q_over_p[0], double.q_over_p[0])
         assert np.array_equal(single.q_over_p_err[0], double.q_over_p_err[0])
 
     def test_gamma2_sweep_shapes(self):
-        base = config(seed=22)
-        sweep = simulate_gamma2_sweep(
-            base, [0.0, 0.5, 1.0], [0.05, 0.4]
-        )
-        assert sweep.x.shape == (3,)
-        for name in SIM_COLUMNS[1:6]:
+        sweep = simulate_sweep(self.gamma2([0.0, 0.5, 1.0]), 22)
+        for name in SIM_COLUMNS[:3]:
             assert getattr(sweep, name).shape == (3,), name
         assert sweep.q_over_p.shape == sweep.q_over_p_err.shape == (2, 3)
         for name in SIM_COLUMNS:
             assert not getattr(sweep, name).flags.writeable, name
+
+    @pytest.mark.parametrize("grid", [[], [0.0, 0.5, 1.0]],
+                             ids=["empty", "three-point"])
+    @pytest.mark.parametrize("axis", ["delta", "gamma2"])
+    @pytest.mark.parametrize("bad, match", [
+        (dict(seed=-1), "seed"),
+        (dict(seed=2**64), "seed"),
+        (dict(seed=1.0), "seed"),
+        (dict(iterations=0), "iterations"),
+        (dict(iterations=2.0), "iterations"),
+        (dict(mean_rate=0.0), "positive"),
+        (dict(mean_rate=math.nan), "mean_rate"),
+        (dict(window_seconds=-1.0), "positive"),
+        (dict(window_seconds=math.inf), "window_seconds"),
+        (dict(mode="mean"), "mode"),
+    ])
+    def test_counting_parameters_checked_first(
+        self, monkeypatch, grid, axis, bad, match
+    ):
+        # No acquisition runs before the check, even on an empty grid.
+        sweep = getattr(self, axis)(grid=grid)
+        monkeypatch.setattr(
+            counting, "run_acquisition",
+            lambda config: pytest.fail("an acquisition ran"))
+        with pytest.raises(ValueError, match=match):
+            simulate_sweep(sweep, **{"seed": 1, **bad})

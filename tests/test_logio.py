@@ -25,8 +25,7 @@ from ysqht import (
     format_record_line,
     read_count_log,
     run_acquisition,
-    simulate_delta_sweep,
-    simulate_gamma2_sweep,
+    simulate_sweep,
     sweep_delta,
     sweep_gamma2,
     sweep_table,
@@ -545,20 +544,13 @@ class TestSweepHeaders:
     GAMMA2_GRID = [0.2, 0.9]
 
     def delta_sweeps(self):
-        base = make_config(noise=NoiseParams(0.0))
-        return (
-            sweep_delta(THETA_B, [0.1], 0.8, self.DELTA_GRID),
-            simulate_delta_sweep(base, self.DELTA_GRID, [0.1], 0.8),
-        )
+        analytic = sweep_delta(THETA_B, [0.1], 0.8, self.DELTA_GRID)
+        return analytic, simulate_sweep(analytic, 99, 20)
 
     def gamma2_sweeps(self):
-        noise = NoiseParams(0.7)
-        return (
-            sweep_gamma2(THETA_B, noise, [0.05, 0.4], self.GAMMA2_GRID),
-            simulate_gamma2_sweep(
-                make_config(noise=noise), self.GAMMA2_GRID, [0.05, 0.4]
-            ),
-        )
+        analytic = sweep_gamma2(THETA_B, NoiseParams(0.7), [0.05, 0.4],
+                                self.GAMMA2_GRID)
+        return analytic, simulate_sweep(analytic, 99, 20)
 
     def test_delta_axis_single_weight(self):
         analytic, _ = self.delta_sweeps()
@@ -600,20 +592,15 @@ class TestSweepHeaders:
 
     def test_simulation_on_another_grid_rejected(self):
         analytic, _ = self.delta_sweeps()
-        sim = simulate_delta_sweep(
-            make_config(noise=NoiseParams(0.0)), [0.0, 0.6], [0.1], 0.8
-        )
-        with pytest.raises(ValueError, match="grid"):
+        sim = simulate_sweep(sweep_delta(THETA_B, [0.1], 0.8, [0.0, 0.6]), 99)
+        with pytest.raises(ValueError, match="not run from this"):
             sweep_table(analytic, sim)
 
     def test_simulation_at_another_theta_rejected(self):
         # The manifest takes theta from the analytic sweep alone.
         analytic, _ = self.delta_sweeps()
-        sim = simulate_delta_sweep(
-            make_config(theta=0.3, noise=NoiseParams(0.0)), self.DELTA_GRID,
-            [0.1], 0.8,
-        )
-        with pytest.raises(ValueError, match="theta"):
+        sim = simulate_sweep(sweep_delta(0.3, [0.1], 0.8, self.DELTA_GRID), 99)
+        with pytest.raises(ValueError, match="not run from this"):
             sweep_table(analytic, sim)
 
 
@@ -669,24 +656,43 @@ class TestSweepCsv:
 
     def test_row_width_mismatch_rejected(self, tmp_path):
         # A simulated sweep on a longer grid would give longer columns.
-        base = make_config(noise=NoiseParams(0.0))
-        with pytest.raises(ValueError, match="grid"):
+        other = sweep_delta(THETA_B, [0.1], 0.8, [0.0, 0.5, 1.0])
+        with pytest.raises(ValueError, match="not run from this"):
             write_sweep_csv(
                 tmp_path / "bad.csv",
                 sweep_delta(THETA_B, [0.1], 0.8, [0.0, 0.5]),
-                simulate_delta_sweep(base, [0.0, 0.5, 1.0], [0.1], 0.8),
+                simulate_sweep(other, 99, 20),
             )
         assert list(tmp_path.iterdir()) == []
 
     def test_column_count_mismatch_rejected(self, tmp_path):
         # A simulated sweep of more gamma1 values would give more columns.
-        base = make_config(noise=NoiseParams(0.0))
-        with pytest.raises(ValueError, match="gamma1 values"):
+        other = sweep_delta(THETA_B, [0.1, 0.4], 0.8, [0.0, 0.5])
+        with pytest.raises(ValueError, match="not run from this"):
             write_sweep_csv(
                 tmp_path / "bad.csv",
                 sweep_delta(THETA_B, [0.1], 0.8, [0.0, 0.5]),
-                simulate_delta_sweep(base, [0.0, 0.5], [0.1, 0.4], 0.8),
+                simulate_sweep(other, 99, 20),
             )
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("axis", ["delta", "gamma2"])
+    @pytest.mark.parametrize("fixed", [0.3, 0.8])
+    def test_simulation_of_another_sweep_rejected(self, tmp_path, axis,
+                                                  fixed):
+        # Even a sweep of the same theta, grid and gamma1 values, at the
+        # same or another fixed gamma2 or delta_std, is another record:
+        # the manifest would name its own fixed value above the other's
+        # simulated columns.
+        def sweep_at(fixed):
+            if axis == "delta":
+                return sweep_delta(THETA_B, [0.1], fixed, [0.2, 0.9])
+            return sweep_gamma2(THETA_B, NoiseParams(fixed), [0.1],
+                                [0.2, 0.9])
+
+        with pytest.raises(ValueError, match="not run from this"):
+            write_sweep_csv(tmp_path / "bad.csv", sweep_at(0.8),
+                            simulate_sweep(sweep_at(fixed), 99, 20))
         assert list(tmp_path.iterdir()) == []
 
     def test_numpy_scalars_written_as_python_values(self, tmp_path):
@@ -767,17 +773,14 @@ class TestSweepManifestBytes:
 
     def test_with_sim_manifest(self, tmp_path):
         grid = [0.2, 0.9]
-        noise = NoiseParams(0.7)
-        config = make_config(noise=noise)
+        analytic = sweep_gamma2(THETA_B, NoiseParams(0.7), [0.05, 0.4], grid)
         text, x_cells = written_manifest(
-            tmp_path / "table.csv",
-            sweep_gamma2(THETA_B, noise, [0.05, 0.4], grid),
-            simulate_gamma2_sweep(config, grid, [0.05, 0.4], "expected"),
+            tmp_path / "table.csv", analytic,
+            simulate_sweep(analytic, 99, 20, 2e3, 0.5, "expected"),
         )
         assert text == reference_manifest_json(
             text, theta=THETA_B, delta_std=0.7, gamma1=(0.05, 0.4),
-            iterations=config.iterations, mean_rate=config.mean_rate,
-            window_seconds=config.window_seconds, seed=config.seed,
+            iterations=20, mean_rate=2e3, window_seconds=0.5, seed=99,
             mode="expected", axis="gamma2", grid=tuple(grid), with_sim=True,
         )
         assert x_cells == ["0.2", "0.9"]

@@ -20,8 +20,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ysqht import (
-    AcquisitionConfig,
-    NoiseParams,
     RunManifest,
     SimulatedSweep,
     Sweep,
@@ -58,9 +56,9 @@ def bool_columns(n):
 
 @st.composite
 def sweeps(draw):
-    """(sweep, sim): a ``Sweep`` on an ascending grid of up to 8 finite
-    floats with one to three gamma1 values, and a ``SimulatedSweep`` on
-    the same grid, or None."""
+    """(sweep, sim): a ``Sweep`` on either axis, on an ascending grid of up
+    to 8 finite floats with one to three gamma1 values, and a
+    ``SimulatedSweep`` of that sweep in either mode, or None."""
     grid = np.array(sorted(draw(st.lists(floats, max_size=8))), dtype=float)
     n = grid.size
     gamma1 = tuple(draw(st.lists(st.floats(0.0, 1.0), min_size=1,
@@ -77,17 +75,11 @@ def sweeps(draw):
                   rows(bool_columns))
     if not draw(st.booleans()):
         return sweep, None
-    config = AcquisitionConfig(
-        theta=THETA, noise=NoiseParams(0.0),
-        seed=draw(st.integers(0, 2**64 - 1)),
-        iterations=draw(st.integers(1, 10**6)),
-        mean_rate=draw(st.floats(1e-3, 1e6)),
-        window_seconds=draw(st.floats(1e-3, 1e3)),
-    )
     sim = SimulatedSweep(
-        gamma1, draw(st.sampled_from(["stochastic", "expected"])), config,
-        grid, np.zeros(n, np.uint64), np.full(n, config.iterations),
-        *(draw(float_columns(n)) for _ in range(3)),
+        sweep, draw(st.sampled_from(["stochastic", "expected"])),
+        draw(st.integers(0, 2**64 - 1)), draw(st.integers(1, 10**6)),
+        draw(st.floats(1e-3, 1e6)), draw(st.floats(1e-3, 1e3)),
+        np.zeros(n, np.uint64), *(draw(float_columns(n)) for _ in range(2)),
         rows(float_columns), rows(float_columns),
     )
     return sweep, sim
@@ -149,9 +141,8 @@ def test_manifest_bytes_match_json(drawn):
     _, _, text = write_and_read(sweep, sim)
     fixed = "gamma2" if sweep.axis == "delta" else "delta_std"
     acquisition = {} if sim is None else dict(
-        iterations=sim.config.iterations, mean_rate=sim.config.mean_rate,
-        window_seconds=sim.config.window_seconds, seed=sim.config.seed,
-        mode=sim.mode,
+        iterations=sim.iterations, mean_rate=sim.mean_rate,
+        window_seconds=sim.window_seconds, seed=sim.seed, mode=sim.mode,
     )
     manifest = RunManifest(
         kind="sweep", theta=sweep.theta, gamma1=sweep.gamma1_values,

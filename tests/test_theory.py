@@ -6,7 +6,6 @@ import numpy as np
 import pytest
 
 from ysqht import (
-    AcquisitionConfig,
     Analyzer,
     NoiseParams,
     ScenarioParams,
@@ -18,8 +17,6 @@ from ysqht import (
     outcome_probabilities,
     pure_state,
     reversal_pairs_exist,
-    simulate_delta_sweep,
-    simulate_gamma2_sweep,
     small_angle_threshold,
     sweep_delta,
     sweep_gamma2,
@@ -45,11 +42,6 @@ SMEARING_THRESHOLD_SMALL_TILT = 0.9716849443326497  # theta 0.1 rad
 #: |approx - exact| <= C * theta^4 / (gamma2 - gamma1), fitted once over the
 #: grid below (weight gaps >= 0.3) and padded ~10%.
 SMALL_ANGLE_C = 11.0
-
-ACQUISITION = AcquisitionConfig(
-    theta=THETA_B, noise=NoiseParams(DELTA_FIG2), seed=1, iterations=10
-)
-
 
 def first_sign_change(sweep, k=0):
     """The first grid interval on which q/p - 1 changes sign for the k-th
@@ -451,10 +443,7 @@ class TestSweepColumns:
 @pytest.mark.parametrize("sweep", [
     lambda g1: sweep_delta(THETA_B, g1, 0.8, [0.0, 0.5]),
     lambda g1: sweep_gamma2(THETA_B, NoiseParams(DELTA_FIG2), g1, [0.0, 0.5]),
-    lambda g1: simulate_delta_sweep(ACQUISITION, [0.0, 0.5], g1, 0.8),
-    lambda g1: simulate_gamma2_sweep(ACQUISITION, [0.0, 0.5], g1),
-], ids=["sweep_delta", "sweep_gamma2", "simulate_delta_sweep",
-        "simulate_gamma2_sweep"])
+], ids=["sweep_delta", "sweep_gamma2"])
 def test_duplicate_gamma1_rejected(sweep):
     # 0.1 and 0.10 are one weight: their columns would share a name.
     with pytest.raises(ValueError, match="gamma1 value 0.1 is given more"):
