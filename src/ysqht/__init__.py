@@ -6,112 +6,97 @@ two measurement hypotheses, decides when aggregating counts over an unknown
 preparation reverses the partitioned comparison (a Yule-Simpson reversal),
 locates the noise and weight thresholds of that reversal, and emulates the
 whole photon-counting experiment with seeded Monte Carlo.
+
+Each public name is imported from its module on first access (PEP 562), so
+that importing the package, and using only the closed forms, loads no numpy.
 """
 
-from .counting import (
-    AcquisitionConfig,
-    AggregateResult,
-    Counts,
-    EstimationError,
-    RatioEstimate,
-    RatioSummary,
-    SimulatedSweep,
-    aggregate,
-    aggregation_seed,
-    estimate_ratios,
-    point_seed,
-    run_acquisition,
-    simulate_sweep,
-)
-from .logio import (
-    LogFormatError,
-    ManifestVersionError,
-    RunManifest,
-    format_record_line,
-    read_count_log,
-    sweep_table,
-    write_count_log,
-    write_sweep_csv,
-)
-from .qubit import (
-    Analyzer,
-    NoiseParams,
-    QubitState,
-    born_probability,
-    dephase,
-    dephase_oracle,
-    mix,
-    pure_state,
-    tilt,
-)
-from .theory import (
-    DeltaThreshold,
-    Gamma2Threshold,
-    OutcomeProbabilities,
-    ScenarioParams,
-    Sweep,
-    SweepRow,
-    YsVerdict,
-    delta_threshold,
-    gamma2_threshold,
-    outcome_probabilities,
-    reversal_pairs_exist,
-    small_angle_threshold,
-    sweep_delta,
-    sweep_gamma2,
-    ys_reversal,
-)
+import importlib
+
 from .version import __version__
 
-__all__ = [
-    "__version__",
+#: Module of each public name, by topic.
+_PUBLIC = {
     # states and channels
-    "Analyzer",
-    "NoiseParams",
-    "QubitState",
-    "born_probability",
-    "dephase",
-    "dephase_oracle",
-    "mix",
-    "pure_state",
-    "tilt",
+    "qubit": (
+        "Analyzer",
+        "NoiseParams",
+        "QubitState",
+        "born_probability",
+        "dephase",
+        "dephase_oracle",
+        "mix",
+        "pure_state",
+        "tilt",
+    ),
     # closed forms and thresholds
-    "DeltaThreshold",
-    "Gamma2Threshold",
-    "OutcomeProbabilities",
-    "ScenarioParams",
-    "Sweep",
-    "SweepRow",
-    "YsVerdict",
-    "delta_threshold",
-    "gamma2_threshold",
-    "outcome_probabilities",
-    "reversal_pairs_exist",
-    "small_angle_threshold",
-    "sweep_delta",
-    "sweep_gamma2",
-    "ys_reversal",
+    "theory": (
+        "DeltaThreshold",
+        "Gamma2Threshold",
+        "OutcomeProbabilities",
+        "ScenarioParams",
+        "Sweep",
+        "SweepRow",
+        "YsVerdict",
+        "delta_threshold",
+        "gamma2_threshold",
+        "outcome_probabilities",
+        "reversal_pairs_exist",
+        "small_angle_threshold",
+        "sweep_delta",
+        "sweep_gamma2",
+        "ys_reversal",
+    ),
     # photon-counting emulation
-    "AcquisitionConfig",
-    "AggregateResult",
-    "Counts",
-    "EstimationError",
-    "RatioEstimate",
-    "RatioSummary",
-    "SimulatedSweep",
-    "aggregate",
-    "aggregation_seed",
-    "estimate_ratios",
-    "point_seed",
-    "run_acquisition",
-    "simulate_sweep",
+    "counting": (
+        "AcquisitionConfig",
+        "AggregateResult",
+        "Counts",
+        "RatioEstimate",
+        "RatioSummary",
+        "SimulatedSweep",
+        "aggregate",
+        "aggregation_seed",
+        "estimate_ratios",
+        "point_seed",
+        "run_acquisition",
+        "simulate_sweep",
+    ),
     # file formats
-    "LogFormatError",
-    "ManifestVersionError",
-    "RunManifest",
-    "format_record_line",
-    "read_count_log",
-    "sweep_table",
-    "write_count_log",
-    "write_sweep_csv",
-]
+    "logio": (
+        "RunManifest",
+        "format_record_line",
+        "read_count_log",
+        "sweep_table",
+        "write_count_log",
+        "write_sweep_csv",
+    ),
+    # errors, also exported by counting and logio
+    "base": (
+        "EstimationError",
+        "LogFormatError",
+        "ManifestVersionError",
+    ),
+}
+
+_MODULE_OF = {
+    name: module for module, names in _PUBLIC.items() for name in names
+}
+
+__all__ = ["__version__", *_MODULE_OF]
+
+
+def __getattr__(name: str):
+    try:
+        module = _MODULE_OF[name]
+    except KeyError:
+        raise AttributeError(
+            f"module {__name__!r} has no attribute {name!r}"
+        ) from None
+    value = getattr(importlib.import_module(f".{module}", __name__), name)
+    globals()[name] = value  # later lookups skip this function
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted({*globals(), *__all__})

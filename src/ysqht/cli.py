@@ -21,25 +21,13 @@ import sys
 from dataclasses import asdict
 from typing import Any, NoReturn, Sequence
 
-import numpy as np
-
-from .counting import (
+# numpy, counting and logio are imported by the commands that use them, so
+# that ``theory``, ``--help`` and ``--version`` start without numpy.
+from .base import (
     AGGREGATION_MODES,
-    AcquisitionConfig,
     EstimationError,
-    RatioEstimate,
-    _require_seed,
-    aggregate,
-    estimate_ratios,
-    run_acquisition,
-    simulate_sweep,
-)
-from .logio import (
     LogFormatError,
     ManifestVersionError,
-    read_count_log,
-    write_count_log,
-    write_sweep_csv,
 )
 from .qubit import NoiseParams
 from .theory import (
@@ -67,6 +55,8 @@ EXIT_NO_USABLE = 7
 
 
 def _resolve_seed(value: int | None) -> int:
+    from .counting import _require_seed
+
     if value is None:
         env = os.environ.get("YSQHT_SEED")
         if env is None:
@@ -218,6 +208,9 @@ def _print_theory_report(report: dict[str, Any]) -> None:
 
 
 def cmd_simulate(args: argparse.Namespace) -> int:
+    from .counting import AcquisitionConfig, run_acquisition
+    from .logio import write_count_log
+
     config = AcquisitionConfig(
         theta=_angle(args.theta, args.degrees),
         noise=NoiseParams(_angle(args.delta_std, args.degrees)),
@@ -231,6 +224,11 @@ def cmd_simulate(args: argparse.Namespace) -> int:
 
 
 def cmd_analyze(args: argparse.Namespace) -> int:
+    import numpy as np
+
+    from .counting import RatioEstimate, aggregate, estimate_ratios
+    from .logio import read_count_log
+
     manifest, counts = read_count_log(args.log)
     summary = estimate_ratios(counts)
     # Only stochastic mixing draws, so only it needs the seed.
@@ -251,22 +249,29 @@ def cmd_analyze(args: argparse.Namespace) -> int:
             "gamma2": args.gamma2,
             "mode": args.mode,
             "excluded": summary.excluded,
-            **{name: asdict(e) for name, e in estimates.items()},
+            # An undefined error bar is NaN, which standard JSON lacks.
+            **{name: {**asdict(e), "std_error": None}
+               if math.isnan(e.std_error) else asdict(e)
+               for name, e in estimates.items()},
         }, sort_keys=True))
         return EXIT_OK
 
     print(f"{len(counts)} iterations from {args.log} "
           f"({summary.excluded} excluded for n1p = 0)")
     for name, estimate in estimates.items():
-        line = (f"{name.replace('_over_', '/'):<12} {estimate.value:.6f} "
-                f"+- {estimate.std_error:.2g}")
-        if estimate.poisson_error is not None:
-            line += f"  (poisson cross-check +- {estimate.poisson_error:.2g})"
-        print(line)
+        error = ("n/a" if math.isnan(estimate.std_error)
+                 else f"{estimate.std_error:.2g}")
+        print(f"{name.replace('_over_', '/'):<12} {estimate.value:.6f} "
+              f"+- {error}")
     return EXIT_OK
 
 
 def cmd_sweep(args: argparse.Namespace) -> int:
+    import numpy as np
+
+    from .counting import simulate_sweep
+    from .logio import write_sweep_csv
+
     theta = _angle(args.theta, args.degrees)
     lo, hi, points = args.range
     if args.axis == "delta" and args.degrees:

@@ -12,12 +12,12 @@ estimation and aggregation work on those columns.
 from __future__ import annotations
 
 import itertools
-import math
 from dataclasses import dataclass, replace
 from typing import Sequence
 
 import numpy as np
 
+from .base import AGGREGATION_MODES, EstimationError
 from .qubit import NoiseParams, _require_finite, _require_probability
 from .theory import Sweep
 
@@ -30,8 +30,6 @@ AGGREGATION_SALT = 0xD1342543DE82EF95
 
 _UINT64 = 2**64
 
-AGGREGATION_MODES = ("stochastic", "expected")
-
 
 def _require_seed(seed: int) -> int:
     if not isinstance(seed, int) or not 0 <= seed < _UINT64:
@@ -39,11 +37,6 @@ def _require_seed(seed: int) -> int:
             f"seed must be an unsigned 64-bit integer, got {seed!r}"
         )
     return seed
-
-
-class EstimationError(RuntimeError):
-    """An estimate has nothing to divide by: a summed n1p of 0 (as with no
-    records), or a derived ratio whose summed denominator is 0."""
 
 
 @dataclass(frozen=True)
@@ -111,16 +104,12 @@ class RatioEstimate:
     """Ratio estimate r = sum(a)/sum(b) over the ``n_samples`` iterations
     of an acquisition, with its delta-method standard error
     sqrt(n/(n-1) * sum((a - r*b)**2)) / sum(b), a one-sigma interval (0.0
-    from a single iteration).
-
-    ``poisson_error`` is a first-order counting-statistics cross-check,
-    (Na/Nb)*sqrt(1/Na + 1/Nb) on the summed counts; None for estimates
-    whose sums are not raw counts (the mixed counts of an aggregation)."""
+    from a single iteration; NaN, undefined, when sum(a) is 0 over two or
+    more iterations, as every residual is then 0 whatever the spread)."""
 
     value: float
     std_error: float
     n_samples: int
-    poisson_error: float | None = None
 
 
 @dataclass(frozen=True)
@@ -167,34 +156,28 @@ def run_acquisition(config: AcquisitionConfig) -> Counts:
     return Counts(alpha, rng.poisson(lam))
 
 
-def _poisson_ratio_error(num_total: np.ndarray, den_total: np.ndarray
-                         ) -> np.ndarray:
-    # sqrt form of (Na/Nb)*sqrt(1/Na + 1/Nb), well defined at Na = 0.
-    return np.sqrt(num_total * (1.0 + num_total / den_total)) / den_total
-
-
 def _estimate(
     counts: np.ndarray,
     clean: bool,
     gamma1: Sequence[float] = (),
     gamma2: np.ndarray | None = None,
     rngs: Sequence[Sequence[np.random.Generator]] | None = None,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+) -> tuple[np.ndarray, np.ndarray]:
     """The estimator kernel behind ``estimate_ratios``, ``aggregate`` and
     the simulated sweeps: P acquisitions (``counts``, int64 of shape
     (P, n, 4)) estimated at once from all their iterations.
 
-    Returns ``value``, ``std_error`` and ``poisson_error`` (NaN where there
-    is none), each of shape (J, P): one row per estimator, one column per
-    acquisition.  Each estimator is a ratio of sums r = sum(a)/sum(b) with
-    its delta-method standard error sqrt(n/(n-1) * sum((a - r*b)**2)) /
-    sum(b) (0.0 from one iteration).  The (a, b) pairs are, when ``clean``,
-    (n1q, n1p), (n2p, n1p), (n2q, n1p) and (n2q, n2p), with the Poisson
-    cross-check of their sums; then for each gamma1 value (A, n1p), (B,
-    n1p) and (B, A), where A and B are the mixed counts at that gamma1 and
-    the acquisition's weight ``gamma2[i]``: picked clean or noisy by two
-    ``rngs[i][k].random(n)`` draws, A's first (stochastic mode), or their
-    weighted averages when ``rngs`` is None (expected mode)."""
+    Returns ``value`` and ``std_error``, each of shape (J, P): one row per
+    estimator, one column per acquisition.  Each estimator is a ratio of
+    sums r = sum(a)/sum(b) with its delta-method standard error
+    sqrt(n/(n-1) * sum((a - r*b)**2)) / sum(b) (0.0 from one iteration, NaN
+    where sum(a) is 0 over more).  The (a, b) pairs are, when ``clean``,
+    (n1q, n1p), (n2p, n1p), (n2q, n1p) and (n2q, n2p); then for each gamma1
+    value (A, n1p), (B, n1p) and (B, A), where A and B are the mixed counts
+    at that gamma1 and the acquisition's weight ``gamma2[i]``: picked clean
+    or noisy by two ``rngs[i][k].random(n)`` draws, A's first (stochastic
+    mode), or their weighted averages when ``rngs`` is None (expected
+    mode)."""
     points, n, _ = counts.shape
     # One C-contiguous (P, n) block per column: a sum along the last axis
     # gives each row the bits that row gets on its own.
@@ -225,7 +208,6 @@ def _estimate(
 
     shape = ((4 if clean else 0) + 3 * len(gamma1), points)
     value, std_error = np.empty(shape), np.empty(shape)
-    poisson_error = np.full(shape, np.nan)
     scale = n / (n - 1) if n > 1 else 0.0
     # One estimator at a time, so that only one residual block is alive.
     for j, (a, b) in enumerate(pairs()):
@@ -239,19 +221,18 @@ def _estimate(
         residual = a - value[j, :, np.newaxis] * b
         residual *= residual
         std_error[j] = np.sqrt(residual.sum(axis=-1) * scale) / total_b
-        if clean and j < 4:
-            poisson_error[j] = _poisson_ratio_error(total_a, total_b)
-    return value, std_error, poisson_error
+        if n > 1:
+            # With sum(a) = 0 every residual is 0: the delta method has no
+            # answer, and 0 would claim an exact estimate.
+            std_error[j, total_a == 0.0] = np.nan
+    return value, std_error
 
 
 def _estimate_one(counts: Counts, *args) -> list[RatioEstimate]:
     """The kernel's estimates of one acquisition, in its row order."""
-    rows = _estimate(counts.counts[np.newaxis], *args)
-    return [
-        RatioEstimate(float(v), float(e), len(counts),
-                      None if math.isnan(p) else float(p))
-        for v, e, p in zip(*(row[:, 0] for row in rows))
-    ]
+    value, std_error = _estimate(counts.counts[np.newaxis], *args)
+    return [RatioEstimate(v, e, len(counts))
+            for v, e in zip(value[:, 0].tolist(), std_error[:, 0].tolist())]
 
 
 def _require_mode(mode: str) -> None:
@@ -387,7 +368,7 @@ def simulate_sweep(
          for k in range(len(sweep.gamma1_values))]
         for point in seeds
     ]
-    value, std_error, _ = _estimate(
+    value, std_error = _estimate(
         counts, True, sweep.gamma1_values, gamma2, rngs
     )
     return SimulatedSweep(

@@ -32,6 +32,7 @@ from typing import Any, Iterable, Iterator
 
 import numpy as np
 
+from .base import LogFormatError, ManifestVersionError
 from .counting import AcquisitionConfig, Counts, SimulatedSweep
 from .theory import Sweep
 from .version import __version__
@@ -46,18 +47,6 @@ TOOL_NAME = "ysqht"
 
 KIND_COUNT_LOG = "count-log"
 KIND_SWEEP = "sweep"
-
-
-class LogFormatError(ValueError):
-    """A log file line could not be parsed; carries the 1-based line number."""
-
-    def __init__(self, line_number: int, message: str) -> None:
-        super().__init__(f"line {line_number}: {message}")
-        self.line_number = line_number
-
-
-class ManifestVersionError(ValueError):
-    """The file's manifest schema is not supported by this tool version."""
 
 
 def _timestamp() -> str:

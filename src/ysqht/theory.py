@@ -15,9 +15,7 @@ import functools
 import itertools
 import math
 from dataclasses import dataclass
-from typing import Sequence
-
-import numpy as np
+from typing import TYPE_CHECKING, Sequence
 
 from .qubit import (
     NoiseParams,
@@ -26,6 +24,9 @@ from .qubit import (
     _require_probability,
     _smearing,
 )
+
+if TYPE_CHECKING:  # numpy is imported where the sweeps run
+    import numpy as np
 
 
 def _threshold_cos(theta: float) -> float:
@@ -275,6 +276,8 @@ class Sweep:
 def _checked_grid(values: Sequence[float], name: str) -> np.ndarray:
     """A read-only float copy of ``values``, checked to be finite and sorted
     ascending."""
+    import numpy as np
+
     grid = np.array(values, dtype=np.float64)
     if grid.ndim != 1:
         raise ValueError(f"{name} grid must be a flat sequence of numbers")
@@ -298,6 +301,8 @@ def _sweep(
     """The closed forms of ``outcome_probabilities`` on all grid points and
     gamma1 values at once: gamma2 is ``fixed`` and ``smearing`` per point
     (axis "delta"), or the grid, at the smearing of delta_std ``fixed``."""
+    import numpy as np
+
     gamma2 = fixed if axis == "delta" else grid
     theta = _require_tilt(theta)
     gamma1_values = _require_distinct_probabilities(gamma1_values, "gamma1")
@@ -328,6 +333,8 @@ def sweep_delta(
 
     Rows are exact closed-form values at the grid points (no interpolation);
     ``delta_threshold`` gives the exact spread at which q/p crosses 1."""
+    import numpy as np
+
     grid = _checked_grid(delta_grid, "delta_std")
     if (grid < 0.0).any():
         raise ValueError("delta_std grid must be non-negative")
