@@ -74,12 +74,11 @@ def _angle(value: float, degrees: bool) -> float:
 
 def _gamma_list(text: str) -> tuple[float, ...]:
     try:
-        values = tuple(float(part) for part in text.split(","))
+        return tuple(float(part) for part in text.split(","))
     except ValueError as err:
         raise argparse.ArgumentTypeError(
             f"expected comma-separated numbers, got {text!r}"
         ) from err
-    return values
 
 
 def _parse_range(text: str) -> tuple[float, float, int]:
@@ -280,21 +279,8 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     seed = _resolve_seed(args.seed) if args.with_sim else None
 
     if args.axis == "delta":
-        if args.gamma2 is None:
-            raise ValueError("sweep delta needs --gamma2")
-        if args.delta_std is not None:
-            raise ValueError(
-                "sweep delta takes its noise values from the range; "
-                "drop --delta-std"
-            )
         sweep = sweep_delta(theta, args.gamma1, args.gamma2, grid)
     else:
-        if args.delta_std is None:
-            raise ValueError("sweep gamma2 needs --delta-std")
-        if args.gamma2 is not None:
-            raise ValueError(
-                "sweep gamma2 takes its weights from the range; drop --gamma2"
-            )
         noise = NoiseParams(_angle(args.delta_std, args.degrees))
         sweep = sweep_gamma2(theta, noise, args.gamma1, grid)
     sim = None if seed is None else simulate_sweep(
@@ -337,7 +323,40 @@ class _Parser(argparse.ArgumentParser):
 def _build_parser() -> argparse.ArgumentParser:
     """The command-line parser, built once per process: building it costs
     more than most commands, and ``parse_args`` fills a fresh namespace on
-    every call."""
+    every call.  An option that several commands take is declared once, in
+    a parent parser that each of them names."""
+    options = functools.partial(argparse.ArgumentParser, add_help=False)
+    angles = options()
+    angles.add_argument("--theta", type=float, required=True,
+                        help="tilt of hypothesis B (radians)")
+    angles.add_argument("--degrees", action="store_true",
+                        help="interpret angle inputs as degrees")
+    gamma1 = options()
+    gamma1.add_argument("--gamma1", type=float, required=True)
+    gamma2 = options()
+    gamma2.add_argument("--gamma2", type=float, required=True,
+                        help="clean-preparation weight under B")
+    noise = options()
+    noise.add_argument("--delta-std", type=float, required=True,
+                       help="preparation-noise spread (radians)")
+    seed = options()
+    seed.add_argument("--seed", type=int, default=None,
+                      help="seed of the draws (default: YSQHT_SEED or "
+                           f"{DEFAULT_SEED})")
+    acquisition = options(parents=[seed])
+    acquisition.add_argument("--iterations", type=int, default=200)
+    acquisition.add_argument("--rate", type=float, default=1e4,
+                             help="expected counts per second at unit "
+                                  "probability")
+    acquisition.add_argument("--window", type=float, default=1.0,
+                             help="counting window in seconds")
+    acquisition.add_argument("--out", required=True)
+    mode = options()
+    mode.add_argument("--mode", choices=AGGREGATION_MODES,
+                      default="stochastic")
+    as_json = options()
+    as_json.add_argument("--json", action="store_true")
+
     parser = _Parser(
         prog="ysqht",
         description=(
@@ -352,75 +371,41 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     theory = sub.add_parser(
-        "theory", help="closed-form probabilities, thresholds, and verdict"
+        "theory", parents=[angles, gamma1, gamma2, as_json],
+        help="closed-form probabilities, thresholds, and verdict",
     )
-    theory.add_argument("--theta", type=float, required=True,
-                        help="tilt of hypothesis B (radians)")
     theory.add_argument("--delta-std", type=float, default=None,
                         help="preparation-noise spread (radians)")
-    theory.add_argument("--gamma1", type=float, required=True)
-    theory.add_argument("--gamma2", type=float, required=True)
-    theory.add_argument("--degrees", action="store_true",
-                        help="interpret angle inputs as degrees")
-    theory.add_argument("--json", action="store_true")
     theory.add_argument("--check-reversal", action="store_true",
                         help="exit with code 3 when the reversal is present")
     theory.set_defaults(handler=cmd_theory)
 
-    simulate = sub.add_parser(
-        "simulate", help="run one acquisition and write a count log"
-    )
-    simulate.add_argument("--theta", type=float, required=True)
-    simulate.add_argument("--delta-std", type=float, required=True)
-    simulate.add_argument("--iterations", type=int, default=200)
-    simulate.add_argument("--rate", type=float, default=1e4,
-                          help="expected counts per second at unit probability")
-    simulate.add_argument("--window", type=float, default=1.0,
-                          help="counting window in seconds")
-    simulate.add_argument("--seed", type=int, default=None,
-                          help="acquisition seed (default: YSQHT_SEED or "
-                               f"{DEFAULT_SEED})")
-    simulate.add_argument("--degrees", action="store_true")
-    simulate.add_argument("--out", required=True)
-    simulate.set_defaults(handler=cmd_simulate)
+    sub.add_parser(
+        "simulate", parents=[angles, noise, acquisition],
+        help="run one acquisition and write a count log",
+    ).set_defaults(handler=cmd_simulate)
 
     analyze = sub.add_parser(
-        "analyze", help="estimate ratios from a count log"
+        "analyze", parents=[gamma1, gamma2, mode, seed, as_json],
+        help="estimate ratios from a count log",
     )
     analyze.add_argument("log", help="count log written by simulate")
-    analyze.add_argument("--gamma1", type=float, required=True)
-    analyze.add_argument("--gamma2", type=float, required=True)
-    analyze.add_argument("--mode", choices=AGGREGATION_MODES,
-                         default="stochastic")
-    analyze.add_argument("--seed", type=int, default=None,
-                         help="seed for the stochastic mixing draws")
-    analyze.add_argument("--json", action="store_true")
     analyze.set_defaults(handler=cmd_analyze)
 
-    sweep = sub.add_parser(
-        "sweep", help="write an analytic (optionally simulated) sweep table"
-    )
-    sweep.add_argument("axis", choices=("delta", "gamma2"))
-    sweep.add_argument("range", type=_parse_range, help="MIN:MAX:POINTS")
-    sweep.add_argument("--theta", type=float, required=True)
-    sweep.add_argument("--delta-std", type=float, default=None,
-                       help="noise spread (gamma2 axis only)")
-    sweep.add_argument("--gamma1", type=_gamma_list, required=True,
+    table = options(parents=[angles, acquisition, mode])
+    table.add_argument("range", type=_parse_range, help="MIN:MAX:POINTS")
+    table.add_argument("--gamma1", type=_gamma_list, required=True,
                        help="one value or a comma-separated list")
-    sweep.add_argument("--gamma2", type=float, default=None,
-                       help="hypothesis-B clean weight (delta axis only)")
-    sweep.add_argument("--with-sim", action="store_true",
+    table.add_argument("--with-sim", action="store_true",
                        help="add Monte Carlo columns")
-    sweep.add_argument("--mode", choices=AGGREGATION_MODES,
-                       default="stochastic")
-    sweep.add_argument("--iterations", type=int, default=200)
-    sweep.add_argument("--rate", type=float, default=1e4)
-    sweep.add_argument("--window", type=float, default=1.0)
-    sweep.add_argument("--seed", type=int, default=None)
-    sweep.add_argument("--degrees", action="store_true")
-    sweep.add_argument("--out", required=True)
-    sweep.set_defaults(handler=cmd_sweep)
-
+    table.set_defaults(handler=cmd_sweep)
+    axes = sub.add_parser(
+        "sweep", help="write an analytic (optionally simulated) sweep table"
+    ).add_subparsers(dest="axis", required=True)
+    axes.add_parser("delta", parents=[table, gamma2],
+                    help="noise spreads at a fixed --gamma2")
+    axes.add_parser("gamma2", parents=[table, noise],
+                    help="weights under B at a fixed --delta-std")
     return parser
 
 

@@ -105,7 +105,13 @@ class RatioEstimate:
     of an acquisition, with its delta-method standard error
     sqrt(n/(n-1) * sum((a - r*b)**2)) / sum(b), a one-sigma interval (0.0
     from a single iteration; NaN, undefined, when sum(a) is 0 over two or
-    more iterations, as every residual is then 0 whatever the spread)."""
+    more iterations, as every residual is then 0 whatever the spread).
+
+    The error is also exactly 0.0 where sum(a) > 0 and every residual
+    a - r*b is 0.  That bar is exact where a is b by construction, as for p
+    at gamma1 = 1 (every mixed count is the clean n1p).  Otherwise it
+    understates the error; at a few summed counts it happens by chance (5
+    estimates in 369 acquisitions at n * lambda = 4, see the README)."""
 
     value: float
     std_error: float

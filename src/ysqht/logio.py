@@ -194,11 +194,12 @@ def format_record_line(
     index: int, alpha: float, n1p: int, n1q: int, n2p: int, n2q: int
 ) -> str:
     """One record as a JSON line with the tilt at 17 significant digits
-    (enough to reproduce the double exactly).  A negative zero tilt comes
-    out as ``-0``, which JSON reads as the integer 0; ``write_count_log``
-    writes it as ``-0.0``."""
+    (enough to reproduce the double exactly).  A negative zero tilt is
+    written ``-0.0``, since JSON reads ``-0`` as the integer 0."""
+    tilt = ("-0.0" if alpha == 0.0 and math.copysign(1.0, alpha) < 0.0
+            else f"{alpha:.17g}")
     return (
-        f'{{"i": {index}, "alpha": {alpha:.17g}, "n1p": {n1p}, '
+        f'{{"i": {index}, "alpha": {tilt}, "n1p": {n1p}, '
         f'"n1q": {n1q}, "n2p": {n2p}, "n2q": {n2q}}}'
     )
 
@@ -207,16 +208,11 @@ def _record_lines(counts: Counts) -> Iterator[str]:
     """The record lines of ``counts``, made ``READ_CHUNK_LINES`` at a time,
     so that only the columns of one chunk are turned into Python values at
     once."""
-    alpha = counts.alpha
-    negative_zero = np.signbit(alpha) & (alpha == 0.0)
     for start in range(0, len(counts), READ_CHUNK_LINES):
         stop = start + READ_CHUNK_LINES
-        lines = list(map(format_record_line, range(start, stop),
-                         alpha[start:stop].tolist(),
-                         *counts.counts[start:stop].T.tolist()))
-        for k in np.flatnonzero(negative_zero[start:stop]).tolist():
-            lines[k] = lines[k].replace('"alpha": -0,', '"alpha": -0.0,', 1)
-        yield from lines
+        yield from map(format_record_line, range(start, stop),
+                       counts.alpha[start:stop].tolist(),
+                       *counts.counts[start:stop].T.tolist())
 
 
 def write_count_log(

@@ -217,6 +217,42 @@ def test_one_parser_serves_every_call(tmp_path, capsys, monkeypatch):
     assert cli._build_parser.cache_info().misses == 1
 
 
+#: Every default of one valid command line per command and per sweep axis.
+PINNED_NAMESPACES = [
+    (["theory", "--theta", "0.4", "--gamma1", "0.1", "--gamma2", "0.8"],
+     dict(command="theory", handler=cli.cmd_theory, theta=0.4, degrees=False,
+          gamma1=0.1, gamma2=0.8, json=False, delta_std=None,
+          check_reversal=False)),
+    (["simulate", "--theta", "0.4", "--delta-std", "0.7", "--out", "x.jsonl"],
+     dict(command="simulate", handler=cli.cmd_simulate, theta=0.4,
+          degrees=False, delta_std=0.7, seed=None, iterations=200,
+          rate=1e4, window=1.0, out="x.jsonl")),
+    (["analyze", "x.jsonl", "--gamma1", "0.1", "--gamma2", "0.8"],
+     dict(command="analyze", handler=cli.cmd_analyze, log="x.jsonl",
+          gamma1=0.1, gamma2=0.8, mode="stochastic", seed=None, json=False)),
+    (["sweep", "delta", "0:1:5", "--theta", "0.4", "--gamma1", "0.1",
+      "--gamma2", "0.8", "--out", "x.csv"],
+     dict(command="sweep", axis="delta", handler=cli.cmd_sweep,
+          range=(0.0, 1.0, 5), theta=0.4, degrees=False, gamma1=(0.1,),
+          gamma2=0.8, with_sim=False, mode="stochastic", seed=None,
+          iterations=200, rate=1e4, window=1.0, out="x.csv")),
+    (["sweep", "gamma2", "0:1:5", "--theta", "0.4", "--delta-std", "0.7",
+      "--gamma1", "0.1,0.2", "--out", "x.csv"],
+     dict(command="sweep", axis="gamma2", handler=cli.cmd_sweep,
+          range=(0.0, 1.0, 5), theta=0.4, degrees=False, gamma1=(0.1, 0.2),
+          delta_std=0.7, with_sim=False, mode="stochastic", seed=None,
+          iterations=200, rate=1e4, window=1.0, out="x.csv")),
+]
+
+
+@pytest.mark.parametrize(
+    "argv, expected", PINNED_NAMESPACES,
+    ids=["theory", "simulate", "analyze", "sweep-delta", "sweep-gamma2"],
+)
+def test_parsed_namespace_is_pinned(argv, expected):
+    assert vars(cli._build_parser().parse_args(argv)) == expected
+
+
 class TestBrokenPipe:
     """A reader that stops early (``ysqht ... | head -1``) ends the command
     quietly with exit 0."""
@@ -811,12 +847,16 @@ class TestSweep:
         assert err.value.code == 2
 
     def test_delta_axis_needs_gamma2(self, tmp_path, capsys):
-        code = main([
+        out = tmp_path / "x.csv"
+        code, stdout, err, written = run_main([
             "sweep", "delta", "0:1:5", "--theta", THETA_FLAG,
-            "--gamma1", "0.1", "--out", str(tmp_path / "x.csv"),
-        ])
-        assert code == 2
-        assert "gamma2" in capsys.readouterr().err
+            "--gamma1", "0.1", "--out", str(out),
+        ], capsys, out)
+        assert (code, stdout, written) == (2, "", None)
+        assert err.splitlines()[-1] == (
+            "ysqht sweep delta: error: the following arguments are "
+            "required: --gamma2"
+        )
 
     def test_negative_delta_range_exit_2_leaves_no_file(
         self, tmp_path, capsys
@@ -834,10 +874,10 @@ class TestSweep:
     @pytest.mark.parametrize("argv, dashed, fault", [
         (["sweep", "delta", "-0.1:1:5", "--theta", "0.4", "--gamma1", "0.1",
           "--gamma2", "0.8", "--out", "x.csv"], "-0.1:1:5",
-         "sweep: error: the following arguments are required: range"),
+         "sweep delta: error: the following arguments are required: range"),
         (["sweep", "gamma2", "0:1:5", "--theta", "0.4", "--delta-std", "0.7",
           "--gamma1", "-0.1,0.2", "--out", "x.csv"], "-0.1,0.2",
-         "sweep: error: argument --gamma1: expected one argument"),
+         "sweep gamma2: error: argument --gamma1: expected one argument"),
         (["theory", "--theta", "-1e-3", "--gamma1", "0.1", "--gamma2",
           "0.8"], "-1e-3",
          "theory: error: argument --theta: expected one argument"),
@@ -882,7 +922,8 @@ class TestSweep:
              "0.7", "--gamma1", "0.1"], capsys, out)
         assert code == 2
         assert err.splitlines()[-1] == (
-            "ysqht sweep: error: the following arguments are required: --out"
+            "ysqht sweep gamma2: error: the following arguments are "
+            "required: --out"
         )
 
     def test_duplicate_gamma1_exit_2(self, tmp_path, capsys):
@@ -931,11 +972,49 @@ class TestSweep:
         assert record == []
 
     def test_gamma2_axis_needs_delta_std(self, tmp_path, capsys):
-        code = main([
+        out = tmp_path / "x.csv"
+        code, stdout, err, written = run_main([
             "sweep", "gamma2", "0:1:5", "--theta", THETA_FLAG,
-            "--gamma1", "0.1", "--out", str(tmp_path / "x.csv"),
-        ])
-        assert code == 2
+            "--gamma1", "0.1", "--out", str(out),
+        ], capsys, out)
+        assert (code, stdout, written) == (2, "", None)
+        assert err.splitlines()[-1] == (
+            "ysqht sweep gamma2: error: the following arguments are "
+            "required: --delta-std"
+        )
+
+    @pytest.mark.parametrize("axis, fixed, other", [
+        ("delta", ["--gamma2", "0.8"], ["--delta-std", "0.7"]),
+        ("gamma2", ["--delta-std", "0.7"], ["--gamma2", "0.3"]),
+    ])
+    def test_axis_refuses_the_other_axis_fixed_value(
+        self, tmp_path, capsys, axis, fixed, other
+    ):
+        # Each axis fixes one parameter and takes the other from the range.
+        out = tmp_path / "x.csv"
+        code, stdout, err, _ = run_main([
+            "sweep", axis, "0:1:5", "--theta", THETA_FLAG, "--gamma1", "0.1",
+            *fixed, *other, "--out", str(out),
+        ], capsys, out)
+        assert (code, stdout) == (2, "")
+        assert err.splitlines()[-1] == (
+            f"ysqht: error: unrecognized arguments: {' '.join(other)}"
+        )
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("axis, listed, absent", [
+        ("delta", "--gamma2", "--delta-std"),
+        ("gamma2", "--delta-std", "--gamma2"),
+    ])
+    def test_axis_help_lists_only_its_fixed_value(
+        self, capsys, axis, listed, absent
+    ):
+        with pytest.raises(SystemExit) as exit:
+            main(["sweep", axis, "--help"])
+        assert exit.value.code == 0
+        text = capsys.readouterr().out
+        assert text.startswith(f"usage: ysqht sweep {axis} ")
+        assert f" {listed} " in text and absent not in text
 
 
 FIG2_POINT = ["--theta", THETA_FLAG, "--delta-std", DELTA_FLAG,

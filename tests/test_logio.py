@@ -86,13 +86,20 @@ class TestRecordLines:
         assert np.signbit(loaded).tolist() == [True, False, True, True]
         assert np.array_equal(loaded, alpha)
 
+    def test_format_record_line_writes_negative_zero_as_minus_0_0(self):
+        line = format_record_line(3, -0.0, 1, 2, 3, 4)
+        assert '"alpha": -0.0,' in line
+        assert math.copysign(1.0, json.loads(line)["alpha"]) == -1.0
+        assert '"alpha": 0,' in format_record_line(3, 0.0, 1, 2, 3, 4)
+
     def test_negative_zero_written_as_minus_0_still_reads(self, tmp_path):
+        # Older writers wrote a negative zero tilt as "-0": it reads as zero.
         config = make_config(iterations=1)
         path = tmp_path / "run.jsonl"
         manifest = logio.manifest_for_acquisition(config)
         path.write_text(manifest.to_json() + "\n"
-                        + format_record_line(0, -0.0, 1, 1, 1, 1) + "\n")
-        assert '"alpha": -0,' in path.read_text()
+                        '{"i": 0, "alpha": -0, "n1p": 1, "n1q": 1, '
+                        '"n2p": 1, "n2q": 1}\n')
         assert read_count_log(path)[1].alpha.tolist() == [0.0]
 
     def test_negative_zero_keeps_its_sign_across_a_chunk_boundary(
