@@ -57,7 +57,7 @@ for label, est, true in rows:
 print("\n== aggregation over an unknown preparation ==")
 for mode, rng in (("expected", None),
                   ("stochastic", np.random.default_rng(99))):
-    agg = aggregate(counts, gamma1, gamma2, rng, mode)
+    agg = aggregate(counts, gamma1, gamma2, rng)
     pull = (agg.q_over_p.value - analytic.q / analytic.p) / (
         agg.q_over_p.std_error
     )

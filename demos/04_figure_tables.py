@@ -5,11 +5,11 @@ Left table: ratios versus the preparation-noise spread at gamma1 = 0.1,
 gamma2 = 0.8.  Right table: ratios versus gamma2 at fixed noise for two
 values of gamma1.  ``simulate_sweep(sweep, seed=1)`` runs the Monte Carlo
 twin of each analytic ``Sweep`` at the sweep's own theta, noise and
-weights, and ``write_sweep_csv(path, sweep, sim)`` writes the table and its
-companion ``<path>.manifest.json`` from the two records: the sweep's
-parameters from the ``Sweep``, and the seed, iterations, rate, window and
-mode from the ``SimulatedSweep``.  The CSVs are plot-ready; the command
-line writes the same tables, through the same functions, via
+weights, and ``write_sweep_csv(path, sim)`` writes the table and its
+companion ``<path>.manifest.json`` from that one record: the sweep's
+parameters from the ``Sweep`` it holds, and the seed, iterations, rate,
+window and mode from the ``SimulatedSweep``.  The CSVs are plot-ready;
+the command line writes the same tables, through the same functions, via
 
     ysqht sweep delta 0:1.1:23 --theta 0.43633 --gamma1 0.1 --gamma2 0.8 \
         --with-sim --out left.csv
@@ -54,7 +54,7 @@ grid = [float(d) for d in np.linspace(0.0, 1.1, 23)]
 analytic = sweep_delta(theta, [0.1], 0.8, grid)
 sim = simulate_sweep(analytic, seed=1)
 left = out_dir / "ratios_vs_noise.csv"
-write_sweep_csv(left, analytic, sim)
+write_sweep_csv(left, sim)
 lo, hi = first_sign_change(analytic)
 exact = delta_threshold(0.1, 0.8, theta).delta_std
 print(f"wrote {left}")
@@ -66,7 +66,7 @@ gamma_grid = [float(g) for g in np.linspace(0.0, 1.0, 21)]
 analytic2 = sweep_gamma2(theta, noise, [0.05, 0.4], gamma_grid)
 sim2 = simulate_sweep(analytic2, seed=1)
 right = out_dir / "ratios_vs_gamma2.csv"
-write_sweep_csv(right, analytic2, sim2)
+write_sweep_csv(right, sim2)
 print(f"wrote {right}")
 lo, hi = first_sign_change(analytic2)
 exact = gamma2_threshold(0.05, theta, noise).value

@@ -233,7 +233,7 @@ def cmd_analyze(args: argparse.Namespace) -> int:
     # Only stochastic mixing draws, so only it needs the seed.
     rng = (np.random.default_rng(_resolve_seed(args.seed))
            if args.mode == "stochastic" else None)
-    agg = aggregate(counts, args.gamma1, args.gamma2, rng, args.mode)
+    agg = aggregate(counts, args.gamma1, args.gamma2, rng)
     # The seven estimates, q1_over_p1 to q_over_p, in the records' order.
     estimates = {
         name: value for result in (summary, agg)
@@ -276,18 +276,18 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     if args.axis == "delta" and args.degrees:
         lo, hi = math.radians(lo), math.radians(hi)
     grid = np.linspace(lo, hi, points).tolist()
-    seed = _resolve_seed(args.seed) if args.with_sim else None
 
     if args.axis == "delta":
-        sweep = sweep_delta(theta, args.gamma1, args.gamma2, grid)
+        table = sweep_delta(theta, args.gamma1, args.gamma2, grid)
     else:
         noise = NoiseParams(_angle(args.delta_std, args.degrees))
-        sweep = sweep_gamma2(theta, noise, args.gamma1, grid)
-    sim = None if seed is None else simulate_sweep(
-        sweep, seed, args.iterations, args.rate, args.window, args.mode
-    )
+        table = sweep_gamma2(theta, noise, args.gamma1, grid)
+    if args.with_sim:
+        table = simulate_sweep(table, _resolve_seed(args.seed),
+                               args.iterations, args.rate, args.window,
+                               args.mode)
 
-    manifest_path = write_sweep_csv(args.out, sweep, sim)
+    manifest_path = write_sweep_csv(args.out, table)
     companion = f" (manifest {manifest_path})" if manifest_path else ""
     print(f"wrote {len(grid)} rows to {args.out}{companion}",
           file=sys.stderr)
@@ -299,15 +299,24 @@ class _Parser(argparse.ArgumentParser):
     starts with '-' and is not a negative number as argparse knows one (a
     '-', digits and at most one '.'), such as the range -0.1:1:5, the list
     -0.1,0.2 or -1e-3: argparse reads it as an option, and then reports the
-    value it expected as missing."""
+    value it expected as missing.  A sweep axis names, wherever it stands,
+    an option of the other axis, which argparse may read as the range."""
+
+    #: Option -> prog of the command that takes it instead of this one.
+    foreign: dict[str, str] = {}
 
     def parse_known_args(self, args=None, namespace=None):
-        self._args = sys.argv[1:] if args is None else list(args)
+        self._options = list(itertools.takewhile(
+            "--".__ne__, sys.argv[1:] if args is None else args))
+        for arg in self._options:
+            if (option := arg.partition("=")[0]) in self.foreign:
+                super().error(  # no dashed-value hint: nothing is parsed yet
+                    f"{option} is an option of '{self.foreign[option]}': "
+                    "this axis sweeps that value over its range")
         return super().parse_known_args(args, namespace)
 
     def error(self, message: str) -> NoReturn:
-        options = itertools.takewhile("--".__ne__, self._args)
-        dashed = next((arg for arg in options if re.match(r"-[\d.]", arg)
+        dashed = next((arg for arg in self._options if re.match(r"-[\d.]", arg)
                        and not re.fullmatch(r"-\d+|-\d*\.\d+", arg)), None)
         if dashed is not None:
             message += (
@@ -402,10 +411,12 @@ def _build_parser() -> argparse.ArgumentParser:
     axes = sub.add_parser(
         "sweep", help="write an analytic (optionally simulated) sweep table"
     ).add_subparsers(dest="axis", required=True)
-    axes.add_parser("delta", parents=[table, gamma2],
-                    help="noise spreads at a fixed --gamma2")
-    axes.add_parser("gamma2", parents=[table, noise],
-                    help="weights under B at a fixed --delta-std")
+    by_delta = axes.add_parser("delta", parents=[table, gamma2],
+                               help="noise spreads at a fixed --gamma2")
+    by_gamma2 = axes.add_parser("gamma2", parents=[table, noise],
+                                help="weights under B at a fixed --delta-std")
+    by_delta.foreign = {"--delta-std": by_gamma2.prog}
+    by_gamma2.foreign = {"--gamma2": by_delta.prog}
     return parser
 
 

@@ -241,13 +241,6 @@ def _estimate_one(counts: Counts, *args) -> list[RatioEstimate]:
             for v, e in zip(value[:, 0].tolist(), std_error[:, 0].tolist())]
 
 
-def _require_mode(mode: str) -> None:
-    if mode not in AGGREGATION_MODES:
-        raise ValueError(
-            f"mode must be one of {AGGREGATION_MODES}, got {mode!r}"
-        )
-
-
 def estimate_ratios(counts: Counts) -> RatioSummary:
     """Ratio-of-sums estimates over all iterations, normalized by n1p, by
     the estimator kernel that the simulated sweeps run on all their grid
@@ -263,26 +256,22 @@ def aggregate(
     gamma1: float,
     gamma2: float,
     rng: np.random.Generator | None = None,
-    mode: str = "stochastic",
 ) -> AggregateResult:
     """Emulate ignorance of the preparation by mixing clean and noisy counts.
 
-    stochastic mode picks, per iteration, the clean count with probability
-    gamma (fresh Bernoulli draws for each hypothesis; needs ``rng``);
-    expected mode uses the deterministic weighted average
-    gamma*clean + (1-gamma)*noisy.  Both sum the mixed counts over all
-    iterations and divide by the summed n1p (q/p by the summed mixed p
+    With ``rng`` (stochastic mode), each iteration takes the clean count
+    with probability gamma, by fresh Bernoulli draws from ``rng`` for each
+    hypothesis; without it (expected mode), the deterministic weighted
+    average gamma*clean + (1-gamma)*noisy.  Both sum the mixed counts over
+    all iterations and divide by the summed n1p (q/p by the summed mixed p
     counts); both converge to the aggregated q/p as the number of iterations
     grows.  The simulated sweeps run the same estimator kernel on all their
     grid points at once."""
     gamma1 = _require_probability(gamma1, "gamma1")
     gamma2 = _require_probability(gamma2, "gamma2")
-    _require_mode(mode)
-    if mode == "stochastic" and rng is None:
-        raise ValueError("stochastic aggregation needs a random generator")
     return AggregateResult(*_estimate_one(
         counts, False, (gamma1,), np.array([gamma2]),
-        None if mode == "expected" else [[rng]],
+        None if rng is None else [[rng]],
     ), excluded=0)
 
 
@@ -355,7 +344,9 @@ def simulate_sweep(
     functions."""
     base = AcquisitionConfig(sweep.theta, NoiseParams(0.0), seed, iterations,
                              mean_rate, window_seconds)
-    _require_mode(mode)
+    if mode not in AGGREGATION_MODES:
+        raise ValueError(
+            f"mode must be one of {AGGREGATION_MODES}, got {mode!r}")
     grid = sweep.x.tolist()
     if sweep.axis == "delta":
         noises = map(NoiseParams, grid)

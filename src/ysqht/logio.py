@@ -4,10 +4,10 @@ Count logs are JSON lines (streamable, append-safe): the first line is the
 run manifest, every following line one acquisition record; in memory the
 records are one columnar ``Counts`` value.  Sweep tables are CSV with frozen
 header names and a companion ``<name>.manifest.json``, both built by
-``write_sweep_csv(path, sweep, sim=None)`` from a ``Sweep`` and, optionally,
-its ``SimulatedSweep``.  Floats in record lines carry 17 significant digits
-and CSV cells use the shortest round-trip decimal form, so parsing a file
-back reproduces the in-memory values exactly.
+``write_sweep_csv(path, table)`` from one record: a ``Sweep``, or the
+``SimulatedSweep`` that holds one.  Floats in record lines carry 17
+significant digits and CSV cells use the shortest round-trip decimal form,
+so parsing a file back reproduces the in-memory values exactly.
 
 Both writers format and write ``READ_CHUNK_LINES`` lines at a time, so the
 memory a count-log write takes does not grow with the length of the file;
@@ -382,14 +382,15 @@ SIM_MANIFEST_FIELDS = ("mode", "seed", "iterations", "mean_rate",
 
 
 def sweep_table(
-    sweep: Sweep, sim: SimulatedSweep | None = None
+    table: Sweep | SimulatedSweep,
 ) -> tuple[list[str], list[np.ndarray]]:
     """Frozen column names and the column of each, a float or bool array
     over the grid: the swept value, q1/p1, q2/p2, then a q/p and a reversal
     column per gamma1 (suffixed ``_gamma1_<value>`` when there are
-    several), and with ``sim`` the simulated q2/p2 and q/p, each followed by
-    its standard error.  ``sim`` must be the simulated sweep run from
-    ``sweep`` itself; any other raises ValueError."""
+    several), all from the analytic sweep, and for a ``SimulatedSweep`` its
+    simulated q2/p2 and q/p, each followed by its standard error."""
+    sim = table if isinstance(table, SimulatedSweep) else None
+    sweep = table if sim is None else sim.sweep
     suffixes = ([""] if len(sweep.gamma1_values) == 1 else
                 [f"_gamma1_{g!r}" for g in sweep.gamma1_values])
     header = [AXIS_COLUMNS[sweep.axis], "q1_over_p1", "q2_over_p2"]
@@ -399,18 +400,12 @@ def sweep_table(
         sweep.x, np.broadcast_to(sweep.q1_over_p1, sweep.x.shape),
         sweep.q2_over_p2, *sweep.q_over_p, *sweep.reversal,
     ]
-    if sim is None:
-        return header, columns
-    if sim.sweep is not sweep:
-        raise ValueError(
-            "the simulated sweep was not run from this analytic sweep: "
-            "give the sweep that simulate_sweep(sweep, ...) ran"
-        )
-    header += ["sim_q2_over_p2", "sim_q2_over_p2_err"]
-    columns += [sim.q2_over_p2, sim.q2_over_p2_err]
-    for s, values, errors in zip(suffixes, sim.q_over_p, sim.q_over_p_err):
-        header += [f"sim_q_over_p{s}", f"sim_q_over_p_err{s}"]
-        columns += [values, errors]
+    if sim is not None:
+        header += ["sim_q2_over_p2", "sim_q2_over_p2_err"]
+        columns += [sim.q2_over_p2, sim.q2_over_p2_err]
+        for s, values, errors in zip(suffixes, sim.q_over_p, sim.q_over_p_err):
+            header += [f"sim_q_over_p{s}", f"sim_q_over_p_err{s}"]
+            columns += [values, errors]
     return header, columns
 
 
@@ -427,15 +422,17 @@ def _cells(column: np.ndarray) -> Iterable[str]:
 
 
 def write_sweep_csv(
-    path: str | Path, sweep: Sweep, sim: SimulatedSweep | None = None
+    path: str | Path, table: Sweep | SimulatedSweep
 ) -> Path | None:
-    """Write the table of ``sweep_table(sweep, sim)`` and, when ``path`` is
-    a regular file, its companion ``<path>.manifest.json``, which holds the
-    sweep's parameters and, with ``sim``, its ``SIM_MANIFEST_FIELDS``;
+    """Write ``sweep_table(table)`` and, when ``path`` is a regular file,
+    its companion ``<path>.manifest.json``, which holds the analytic sweep's
+    parameters and, for a ``SimulatedSweep``, its ``SIM_MANIFEST_FIELDS``;
     returns the manifest's path, or None for a stream such as a pipe or
     ``/dev/stdout`` (a link, not a file).  The table is in place before its
     manifest is written."""
-    header, columns = sweep_table(sweep, sim)
+    sim = table if isinstance(table, SimulatedSweep) else None
+    sweep = table if sim is None else sim.sweep
+    header, columns = sweep_table(table)
     x_cells = list(_cells(sweep.x))  # for the table and the manifest
     out = Path(path)
     _write_lines(out, itertools.chain([",".join(header)], map(

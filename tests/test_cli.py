@@ -84,6 +84,7 @@ def fresh_probe(statement):
     (f"run({THEORY_ARGV + ['--check-reversal']!r})", ["3"]),
     ("run(['--help'])", ["0"]),
     ("run(['--version'])", ["0"]),
+    ("run(['sweep', 'delta', '--help'])", ["0"]),
 ])
 def test_start_loads_no_numpy(statement, printed):
     # theory needs only math; scipy.integrate serves only the quadrature
@@ -551,9 +552,7 @@ class TestAnalyze:
         )
         counts = run_acquisition(config)
         summary = estimate_ratios(counts)
-        agg = aggregate(
-            counts, 0.1, 0.8, np.random.default_rng(13), "stochastic"
-        )
+        agg = aggregate(counts, 0.1, 0.8, np.random.default_rng(13))
         assert report["q1_over_p1"]["value"] == summary.q1_over_p1.value
         assert report["q1_over_p1"]["std_error"] == summary.q1_over_p1.std_error
         assert report["q2_over_p2"]["value"] == summary.q2_over_p2.value
@@ -983,22 +982,28 @@ class TestSweep:
             "required: --delta-std"
         )
 
-    @pytest.mark.parametrize("axis, fixed, other", [
-        ("delta", ["--gamma2", "0.8"], ["--delta-std", "0.7"]),
-        ("gamma2", ["--delta-std", "0.7"], ["--gamma2", "0.3"]),
+    @pytest.mark.parametrize("order", ["after-range", "before-range"])
+    @pytest.mark.parametrize("axis, fixed, other, owner", [
+        ("delta", ["--gamma2", "0.8"], ["--delta-std", "0.7"], "gamma2"),
+        ("gamma2", ["--delta-std", "0.7"], ["--gamma2", "0.3"], "delta"),
     ])
     def test_axis_refuses_the_other_axis_fixed_value(
-        self, tmp_path, capsys, axis, fixed, other
+        self, tmp_path, capsys, axis, fixed, other, owner, order
     ):
         # Each axis fixes one parameter and takes the other from the range.
+        # Before the range, argparse alone would skip the unknown option and
+        # report its value as a bad range.
         out = tmp_path / "x.csv"
-        code, stdout, err, _ = run_main([
-            "sweep", axis, "0:1:5", "--theta", THETA_FLAG, "--gamma1", "0.1",
-            *fixed, *other, "--out", str(out),
-        ], capsys, out)
+        options = ["--theta", THETA_FLAG, "--gamma1", "0.1", *fixed,
+                   "--out", str(out)]
+        argv = ([*other, "0:1:5", *options] if order == "before-range"
+                else ["0:1:5", *options, *other])
+        code, stdout, err, _ = run_main(["sweep", axis, *argv], capsys, out)
         assert (code, stdout) == (2, "")
         assert err.splitlines()[-1] == (
-            f"ysqht: error: unrecognized arguments: {' '.join(other)}"
+            f"ysqht sweep {axis}: error: {other[0]} is an option of "
+            f"'ysqht sweep {owner}': this axis sweeps that value over its "
+            "range"
         )
         assert list(tmp_path.iterdir()) == []
 
@@ -1136,7 +1141,8 @@ def library_analysis(log, gamma1, gamma2, mode, seed):
     them, and the summary they come from, computed in process."""
     _, counts = read_count_log(log)
     summary = estimate_ratios(counts)
-    agg = aggregate(counts, gamma1, gamma2, np.random.default_rng(seed), mode)
+    rng = np.random.default_rng(seed) if mode == "stochastic" else None
+    agg = aggregate(counts, gamma1, gamma2, rng)
     return summary, {
         "q1/p1": summary.q1_over_p1,
         "p2": summary.p2,

@@ -1,6 +1,7 @@
 """Tests for the photon-counting emulator, estimators, and aggregation."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -230,7 +231,7 @@ class TestEstimateRatios:
         counts = run_acquisition(cfg)
         assert (counts.counts[:, 0] == 0).any()
         summary = estimate_ratios(counts)
-        agg = aggregate(counts, 0.5, 0.5, mode="expected")
+        agg = aggregate(counts, 0.5, 0.5)
         assert summary.excluded == agg.excluded == 0
         for est in (summary.q1_over_p1, summary.p2, summary.q2,
                     summary.q2_over_p2, agg.p, agg.q, agg.q_over_p):
@@ -290,11 +291,8 @@ class TestAggregate:
     def test_degenerate_weights_reduce_to_clean_ratio(self):
         counts = run_acquisition(config(seed=1))
         summary = estimate_ratios(counts)
-        for mode, rng in (
-            ("expected", None),
-            ("stochastic", np.random.default_rng(0)),
-        ):
-            agg = aggregate(counts, 1.0, 1.0, rng, mode)
+        for rng in (None, np.random.default_rng(0)):
+            agg = aggregate(counts, 1.0, 1.0, rng)
             assert agg.p.value == 1.0
             assert agg.p.std_error == 0.0
             assert agg.q_over_p.value == summary.q1_over_p1.value
@@ -302,7 +300,7 @@ class TestAggregate:
 
     def test_expected_mode_hits_reversal_point(self):
         cfg = config(noise=NoiseParams(0.7), seed=2)
-        agg = aggregate(run_acquisition(cfg), 0.1, 0.8, mode="expected")
+        agg = aggregate(run_acquisition(cfg), 0.1, 0.8)
         assert agg.q_over_p.value > 1.0
         assert abs(agg.q_over_p.value - Q_OVER_P_AT_0P7) <= (
             3.0 * agg.q_over_p.std_error
@@ -310,10 +308,8 @@ class TestAggregate:
 
     def test_stochastic_matches_expected_with_more_spread(self):
         counts = run_acquisition(config(noise=NoiseParams(0.7), seed=2))
-        expected = aggregate(counts, 0.1, 0.8, mode="expected")
-        stochastic = aggregate(
-            counts, 0.1, 0.8, np.random.default_rng(77), "stochastic"
-        )
+        expected = aggregate(counts, 0.1, 0.8)
+        stochastic = aggregate(counts, 0.1, 0.8, np.random.default_rng(77))
         combined = math.hypot(
             expected.q_over_p.std_error, stochastic.q_over_p.std_error
         )
@@ -327,34 +323,24 @@ class TestAggregate:
 
     def test_stochastic_mode_reproducible(self):
         counts = run_acquisition(config(seed=1))
-        a = aggregate(counts, 0.1, 0.8, np.random.default_rng(5), "stochastic")
-        b = aggregate(counts, 0.1, 0.8, np.random.default_rng(5), "stochastic")
+        a = aggregate(counts, 0.1, 0.8, np.random.default_rng(5))
+        b = aggregate(counts, 0.1, 0.8, np.random.default_rng(5))
         assert a == b
 
     def test_expected_mode_unbiased_across_seeds(self):
         values = []
         for seed in range(300, 400):
             cfg = config(noise=NoiseParams(0.7), seed=seed)
-            agg = aggregate(run_acquisition(cfg), 0.1, 0.8, mode="expected")
+            agg = aggregate(run_acquisition(cfg), 0.1, 0.8)
             values.append(agg.q_over_p.value)
         values = np.array(values)
         standard_error = values.std(ddof=1) / math.sqrt(len(values))
         assert abs(values.mean() - Q_OVER_P_AT_0P7) <= 3.0 * standard_error
 
-    def test_stochastic_without_rng_rejected(self):
-        counts = run_acquisition(config(seed=1))
-        with pytest.raises(ValueError, match="generator"):
-            aggregate(counts, 0.1, 0.8, None, "stochastic")
-
-    def test_bad_mode_rejected(self):
-        counts = run_acquisition(config(seed=1))
-        with pytest.raises(ValueError, match="mode"):
-            aggregate(counts, 0.1, 0.8, None, "weighted")
-
     def test_bad_weights_rejected(self):
         counts = run_acquisition(config(seed=1))
         with pytest.raises(ValueError):
-            aggregate(counts, 1.5, 0.5, None, "expected")
+            aggregate(counts, 1.5, 0.5)
 
 
 class TestCalibration:
@@ -380,7 +366,7 @@ class TestCalibration:
                 ("stochastic", np.random.default_rng(aggregation_seed(seed))),
                 ("expected", None),
             ):
-                results[mode] = aggregate(counts, gamma1, gamma2, rng, mode)
+                results[mode] = aggregate(counts, gamma1, gamma2, rng)
             for mode, result in results.items():
                 for name, est in vars(result).items():
                     if isinstance(est, RatioEstimate):
@@ -481,6 +467,12 @@ class TestSimulatedSweeps:
         assert sweep.q_over_p.shape == sweep.q_over_p_err.shape == (2, 3)
         for name in SIM_COLUMNS:
             assert not getattr(sweep, name).flags.writeable, name
+
+    def test_bad_mode_rejected(self):
+        with pytest.raises(ValueError, match=re.escape(
+            "mode must be one of ('stochastic', 'expected'), got 'weighted'"
+        )):
+            simulate_sweep(self.delta(), 1, mode="weighted")
 
     @pytest.mark.parametrize("grid", [[], [0.0, 0.5, 1.0]],
                              ids=["empty", "three-point"])

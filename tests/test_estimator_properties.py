@@ -41,7 +41,7 @@ def test_shuffled_records_give_the_same_estimates(
 
     def estimates(c):
         summary = estimate_ratios(c)
-        agg = aggregate(c, gamma1, gamma2, mode="expected")
+        agg = aggregate(c, gamma1, gamma2)
         return [summary.q1_over_p1, summary.p2, summary.q2,
                 summary.q2_over_p2, agg.p, agg.q, agg.q_over_p]
 

@@ -550,30 +550,29 @@ class TestSweepHeaders:
     DELTA_GRID = [0.0, 0.7]
     GAMMA2_GRID = [0.2, 0.9]
 
-    def delta_sweeps(self):
+    def delta_sim(self):
         analytic = sweep_delta(THETA_B, [0.1], 0.8, self.DELTA_GRID)
-        return analytic, simulate_sweep(analytic, 99, 20)
+        return simulate_sweep(analytic, 99, 20)
 
-    def gamma2_sweeps(self):
+    def gamma2_sim(self):
         analytic = sweep_gamma2(THETA_B, NoiseParams(0.7), [0.05, 0.4],
                                 self.GAMMA2_GRID)
-        return analytic, simulate_sweep(analytic, 99, 20)
+        return simulate_sweep(analytic, 99, 20)
 
     def test_delta_axis_single_weight(self):
-        analytic, _ = self.delta_sweeps()
-        assert sweep_table(analytic)[0] == [
+        assert sweep_table(self.delta_sim().sweep)[0] == [
             "delta_std", "q1_over_p1", "q2_over_p2", "q_over_p", "reversal",
         ]
 
     def test_delta_axis_single_weight_with_sim(self):
-        assert sweep_table(*self.delta_sweeps())[0] == [
+        assert sweep_table(self.delta_sim())[0] == [
             "delta_std", "q1_over_p1", "q2_over_p2", "q_over_p", "reversal",
             "sim_q2_over_p2", "sim_q2_over_p2_err",
             "sim_q_over_p", "sim_q_over_p_err",
         ]
 
     def test_gamma2_axis_two_weights_with_sim(self):
-        assert sweep_table(*self.gamma2_sweeps())[0] == [
+        assert sweep_table(self.gamma2_sim())[0] == [
             "gamma2", "q1_over_p1", "q2_over_p2",
             "q_over_p_gamma1_0.05", "q_over_p_gamma1_0.4",
             "reversal_gamma1_0.05", "reversal_gamma1_0.4",
@@ -583,12 +582,12 @@ class TestSweepHeaders:
         ]
 
     def test_rows_follow_the_header(self):
-        analytic, sim = self.gamma2_sweeps()
-        header, columns = sweep_table(analytic, sim)
+        sim = self.gamma2_sim()
+        header, columns = sweep_table(sim)
         assert len(columns) == len(header)
         rows = [list(row) for row in zip(*columns)]
         assert len(rows) == len(self.GAMMA2_GRID)
-        for i, (row, arow) in enumerate(zip(rows, analytic.rows)):
+        for i, (row, arow) in enumerate(zip(rows, sim.sweep.rows)):
             assert row == [
                 arow.x, arow.q1_over_p1, arow.q2_over_p2, *arow.q_over_p,
                 *arow.reversal,
@@ -596,19 +595,6 @@ class TestSweepHeaders:
                 sim.q_over_p[0, i], sim.q_over_p_err[0, i],
                 sim.q_over_p[1, i], sim.q_over_p_err[1, i],
             ]
-
-    def test_simulation_on_another_grid_rejected(self):
-        analytic, _ = self.delta_sweeps()
-        sim = simulate_sweep(sweep_delta(THETA_B, [0.1], 0.8, [0.0, 0.6]), 99)
-        with pytest.raises(ValueError, match="not run from this"):
-            sweep_table(analytic, sim)
-
-    def test_simulation_at_another_theta_rejected(self):
-        # The manifest takes theta from the analytic sweep alone.
-        analytic, _ = self.delta_sweeps()
-        sim = simulate_sweep(sweep_delta(0.3, [0.1], 0.8, self.DELTA_GRID), 99)
-        with pytest.raises(ValueError, match="not run from this"):
-            sweep_table(analytic, sim)
 
 
 def sweep_of(x, q1_over_p1=0.5, q2_over_p2=None, q_over_p=None,
@@ -661,47 +647,6 @@ class TestSweepCsv:
             "link.csv", "target.csv",
         ]
 
-    def test_row_width_mismatch_rejected(self, tmp_path):
-        # A simulated sweep on a longer grid would give longer columns.
-        other = sweep_delta(THETA_B, [0.1], 0.8, [0.0, 0.5, 1.0])
-        with pytest.raises(ValueError, match="not run from this"):
-            write_sweep_csv(
-                tmp_path / "bad.csv",
-                sweep_delta(THETA_B, [0.1], 0.8, [0.0, 0.5]),
-                simulate_sweep(other, 99, 20),
-            )
-        assert list(tmp_path.iterdir()) == []
-
-    def test_column_count_mismatch_rejected(self, tmp_path):
-        # A simulated sweep of more gamma1 values would give more columns.
-        other = sweep_delta(THETA_B, [0.1, 0.4], 0.8, [0.0, 0.5])
-        with pytest.raises(ValueError, match="not run from this"):
-            write_sweep_csv(
-                tmp_path / "bad.csv",
-                sweep_delta(THETA_B, [0.1], 0.8, [0.0, 0.5]),
-                simulate_sweep(other, 99, 20),
-            )
-        assert list(tmp_path.iterdir()) == []
-
-    @pytest.mark.parametrize("axis", ["delta", "gamma2"])
-    @pytest.mark.parametrize("fixed", [0.3, 0.8])
-    def test_simulation_of_another_sweep_rejected(self, tmp_path, axis,
-                                                  fixed):
-        # Even a sweep of the same theta, grid and gamma1 values, at the
-        # same or another fixed gamma2 or delta_std, is another record:
-        # the manifest would name its own fixed value above the other's
-        # simulated columns.
-        def sweep_at(fixed):
-            if axis == "delta":
-                return sweep_delta(THETA_B, [0.1], fixed, [0.2, 0.9])
-            return sweep_gamma2(THETA_B, NoiseParams(fixed), [0.1],
-                                [0.2, 0.9])
-
-        with pytest.raises(ValueError, match="not run from this"):
-            write_sweep_csv(tmp_path / "bad.csv", sweep_at(0.8),
-                            simulate_sweep(sweep_at(fixed), 99, 20))
-        assert list(tmp_path.iterdir()) == []
-
     def test_numpy_scalars_written_as_python_values(self, tmp_path):
         path = tmp_path / "table.csv"
         sweep = sweep_of([0.1, 0.2], q2_over_p2=[0.25, 1e-300],
@@ -739,10 +684,10 @@ class TestSweepCsv:
         ]
 
 
-def written_manifest(path, sweep, sim=None):
+def written_manifest(path, table):
     """The text of the manifest ``write_sweep_csv`` writes beside ``path``,
     and the first column of the table, as written."""
-    manifest_path = write_sweep_csv(path, sweep, sim)
+    manifest_path = write_sweep_csv(path, table)
     x_cells = [line.split(",")[0]
                for line in path.read_text().splitlines()[1:]]
     return manifest_path.read_text(), x_cells
@@ -782,7 +727,7 @@ class TestSweepManifestBytes:
         grid = [0.2, 0.9]
         analytic = sweep_gamma2(THETA_B, NoiseParams(0.7), [0.05, 0.4], grid)
         text, x_cells = written_manifest(
-            tmp_path / "table.csv", analytic,
+            tmp_path / "table.csv",
             simulate_sweep(analytic, 99, 20, 2e3, 0.5, "expected"),
         )
         assert text == reference_manifest_json(

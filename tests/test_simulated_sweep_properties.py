@@ -61,8 +61,7 @@ def rerun(theta, delta_std, gamma2, gamma1_values, seed, i, iterations,
     summary = estimate_ratios(counts)
     ratios = []
     for k, gamma1 in enumerate(gamma1_values):
-        agg = aggregate(counts, gamma1, gamma2, mixing_rng(point, k, mode),
-                        mode)
+        agg = aggregate(counts, gamma1, gamma2, mixing_rng(point, k, mode))
         assert same_estimates((summary.q2_over_p2, agg.q_over_p),
                               scalar_estimates(counts, gamma1, gamma2,
                                                mixing_rng(point, k, mode),
@@ -169,12 +168,12 @@ def test_sweep_columns_equal_per_point_reruns(
         assert same_bits(sim.q_over_p_err[k], [e.std_error for e in mixed])
 
 
-def written(sweep, sim):
+def written(sim):
     """The manifest and the rows (header first) that ``write_sweep_csv``
-    writes of ``sweep`` and ``sim``."""
+    writes of ``sim``."""
     with tempfile.TemporaryDirectory() as directory:
         path = Path(directory) / "table.csv"
-        manifest = json.loads(write_sweep_csv(path, sweep, sim).read_text())
+        manifest = json.loads(write_sweep_csv(path, sim).read_text())
         with path.open(newline="") as fh:
             return manifest, list(csv.reader(fh))
 
@@ -195,7 +194,7 @@ def test_written_cells_equal_reruns_from_the_manifest(
         sim = simulate_sweep(sweep, seed, iterations, rate, window, mode)
     except EstimationError:
         return
-    manifest, rows = written(sweep, sim)
+    manifest, rows = written(sim)
     assert manifest["mode"] == mode and manifest["seed"] == seed
     columns = dict(zip(rows[0], zip(*rows[1:])))
     suffixes = ([""] if len(gamma1_values) == 1 else
@@ -232,7 +231,7 @@ def test_mid_grid_point_without_usable_iterations_raises(axis, mode):
         gamma2 = 0.8 if axis == "delta" else grid[i]
         try:
             estimate_ratios(counts)
-            aggregate(counts, 0.3, gamma2, rng, mode)
+            aggregate(counts, 0.3, gamma2, rng)
         except EstimationError:
             return False
         return True

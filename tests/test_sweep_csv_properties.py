@@ -56,9 +56,9 @@ def bool_columns(n):
 
 @st.composite
 def sweeps(draw):
-    """(sweep, sim): a ``Sweep`` on either axis, on an ascending grid of up
-    to 8 finite floats with one to three gamma1 values, and a
-    ``SimulatedSweep`` of that sweep in either mode, or None."""
+    """A ``Sweep`` on either axis, on an ascending grid of up to 8 finite
+    floats with one to three gamma1 values, or a ``SimulatedSweep`` of such
+    a sweep in either mode."""
     grid = np.array(sorted(draw(st.lists(floats, max_size=8))), dtype=float)
     n = grid.size
     gamma1 = tuple(draw(st.lists(st.floats(0.0, 1.0), min_size=1,
@@ -74,15 +74,14 @@ def sweeps(draw):
                   draw(floats), draw(float_columns(n)), rows(float_columns),
                   rows(bool_columns))
     if not draw(st.booleans()):
-        return sweep, None
-    sim = SimulatedSweep(
+        return sweep
+    return SimulatedSweep(
         sweep, draw(st.sampled_from(["stochastic", "expected"])),
         draw(st.integers(0, 2**64 - 1)), draw(st.integers(1, 10**6)),
         draw(st.floats(1e-3, 1e6)), draw(st.floats(1e-3, 1e3)),
         np.zeros(n, np.uint64), *(draw(float_columns(n)) for _ in range(2)),
         rows(float_columns), rows(float_columns),
     )
-    return sweep, sim
 
 
 def reference_cell(value):
@@ -97,12 +96,12 @@ def bits(value):
     return struct.pack("<d", value)
 
 
-def write_and_read(sweep, sim):
+def write_and_read(drawn):
     """The bytes of the table written by ``write_sweep_csv``, its rows read
     back by ``csv``, and the text of its manifest."""
     with tempfile.TemporaryDirectory() as directory:
         path = Path(directory) / "table.csv"
-        manifest_path = write_sweep_csv(path, sweep, sim)
+        manifest_path = write_sweep_csv(path, drawn)
         data = path.read_bytes()
         with path.open(newline="") as fh:
             rows = list(csv.reader(fh))
@@ -112,11 +111,11 @@ def write_and_read(sweep, sim):
 @SETTINGS
 @given(drawn=sweeps())
 def test_cells_read_back_exactly(drawn):
-    header, table = sweep_table(*drawn)
-    _, rows, _ = write_and_read(*drawn)
+    header, columns = sweep_table(drawn)
+    _, rows, _ = write_and_read(drawn)
     assert rows[0] == header
-    assert len(rows) == 1 + drawn[0].x.size
-    for column, cells in zip(table, zip(*rows[1:])):
+    assert len(rows) == 1 + columns[0].size
+    for column, cells in zip(columns, zip(*rows[1:])):
         if column.dtype == bool:
             assert list(cells) == ["true" if v else "false" for v in column]
         else:
@@ -127,18 +126,19 @@ def test_cells_read_back_exactly(drawn):
 @SETTINGS
 @given(drawn=sweeps())
 def test_bytes_match_a_per_cell_formatter(drawn):
-    header, table = sweep_table(*drawn)
-    data, _, _ = write_and_read(*drawn)
+    header, columns = sweep_table(drawn)
+    data, _, _ = write_and_read(drawn)
     lines = [header] + [[reference_cell(v) for v in row]
-                        for row in zip(*table)]
+                        for row in zip(*columns)]
     assert data == "".join(",".join(line) + "\n" for line in lines).encode()
 
 
 @SETTINGS
 @given(drawn=sweeps())
 def test_manifest_bytes_match_json(drawn):
-    sweep, sim = drawn
-    _, _, text = write_and_read(sweep, sim)
+    sim = drawn if isinstance(drawn, SimulatedSweep) else None
+    sweep = drawn if sim is None else sim.sweep
+    _, _, text = write_and_read(drawn)
     fixed = "gamma2" if sweep.axis == "delta" else "delta_std"
     acquisition = {} if sim is None else dict(
         iterations=sim.iterations, mean_rate=sim.mean_rate,
