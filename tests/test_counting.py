@@ -337,6 +337,19 @@ class TestAggregate:
         standard_error = values.std(ddof=1) / math.sqrt(len(values))
         assert abs(values.mean() - Q_OVER_P_AT_0P7) <= 3.0 * standard_error
 
+    def test_generator_selects_stochastic_mode(self):
+        # Without a generator the weights are their expectations, the same
+        # on every call; with one they are drawn from it.
+        counts = run_acquisition(config(seed=1))
+        expected = aggregate(counts, 0.1, 0.8)
+        assert aggregate(counts, 0.1, 0.8, None) == expected
+        rng = np.random.default_rng(5)
+        state = rng.bit_generator.state
+        stochastic = aggregate(counts, 0.1, 0.8, rng)
+        assert rng.bit_generator.state != state
+        assert stochastic != expected
+        assert stochastic.excluded == expected.excluded
+
     def test_bad_weights_rejected(self):
         counts = run_acquisition(config(seed=1))
         with pytest.raises(ValueError):

@@ -596,6 +596,26 @@ class TestSweepHeaders:
                 sim.q_over_p[1, i], sim.q_over_p_err[1, i],
             ]
 
+    @pytest.mark.parametrize("axis", ["delta", "gamma2"])
+    def test_sim_columns_span_the_grid_and_weights(self, axis):
+        # Three grid points and two gamma1 values: every column, analytic
+        # or simulated, is as long as the sweep's grid, and each gamma1 adds
+        # a simulated q/p and its error after the analytic columns.
+        analytic = sweep_at(axis, 0.8, [0.1, 0.4], [0.0, 0.5, 1.0])
+        header, columns = sweep_table(simulate_sweep(analytic, 99, 20))
+        analytic_header = sweep_table(analytic)[0]
+        assert header[:len(analytic_header)] == analytic_header
+        assert len(header) == len(columns) == len(analytic_header) + 2 + 2 * 2
+        assert [np.shape(column) for column in columns] == [(3,)] * len(header)
+
+
+def sweep_at(axis, fixed, gamma1, grid):
+    """A sweep at ``THETA_B`` along ``axis``, at the fixed gamma2 (delta
+    axis) or delta_std (gamma2 axis) ``fixed``."""
+    if axis == "delta":
+        return sweep_delta(THETA_B, gamma1, fixed, grid)
+    return sweep_gamma2(THETA_B, NoiseParams(fixed), gamma1, grid)
+
 
 def sweep_of(x, q1_over_p1=0.5, q2_over_p2=None, q_over_p=None,
              reversal=None):
@@ -646,6 +666,35 @@ class TestSweepCsv:
         assert sorted(p.name for p in tmp_path.iterdir()) == [
             "link.csv", "target.csv",
         ]
+
+    @pytest.mark.parametrize("axis", ["delta", "gamma2"])
+    @pytest.mark.parametrize("fixed", [0.3, 0.8])
+    def test_simulated_table_extends_its_sweeps_table(self, tmp_path, axis,
+                                                      fixed):
+        # A simulated table is the table of the sweep it holds with the
+        # simulated columns appended; its manifest names that sweep's
+        # theta, fixed value, gamma1 values and grid, and the simulation's
+        # own fields.
+        analytic = sweep_at(axis, fixed, [0.1], [0.2, 0.9])
+        sim = simulate_sweep(analytic, 99, 20)
+        manifests = [
+            json.loads(write_sweep_csv(tmp_path / name, table).read_text())
+            for name, table in (("analytic.csv", analytic), ("sim.csv", sim))
+        ]
+        lines = [(tmp_path / name).read_text().splitlines()
+                 for name in ("analytic.csv", "sim.csv")]
+        assert len(lines[0]) == len(lines[1]) == 3
+        for line, sim_line in zip(*lines):
+            assert sim_line.startswith(line + ",")
+        analytic_manifest, sim_manifest = manifests
+        for name in logio.SIM_MANIFEST_FIELDS:
+            assert sim_manifest.pop(name) == getattr(sim, name)
+        assert (analytic_manifest.pop("with_sim"),
+                sim_manifest.pop("with_sim")) == (False, True)
+        del analytic_manifest["created"], sim_manifest["created"]
+        assert sim_manifest == analytic_manifest
+        fixed_name = "gamma2" if axis == "delta" else "delta_std"
+        assert sim_manifest[fixed_name] == fixed
 
     def test_numpy_scalars_written_as_python_values(self, tmp_path):
         path = tmp_path / "table.csv"
