@@ -300,7 +300,8 @@ class _Parser(argparse.ArgumentParser):
     '-', digits and at most one '.'), such as the range -0.1:1:5, the list
     -0.1,0.2 or -1e-3: argparse reads it as an option, and then reports the
     value it expected as missing.  A sweep axis names, wherever it stands,
-    an option of the other axis, which argparse may read as the range."""
+    an option of the other axis, also given as a prefix of that option and
+    of none of its own, which argparse may read as the range."""
 
     #: Option -> prog of the command that takes it instead of this one.
     foreign: dict[str, str] = {}
@@ -309,10 +310,18 @@ class _Parser(argparse.ArgumentParser):
         self._options = list(itertools.takewhile(
             "--".__ne__, sys.argv[1:] if args is None else args))
         for arg in self._options:
-            if (option := arg.partition("=")[0]) in self.foreign:
-                super().error(  # no dashed-value hint: nothing is parsed yet
-                    f"{option} is an option of '{self.foreign[option]}': "
-                    "this axis sweeps that value over its range")
+            given = arg.partition("=")[0]
+            # argparse reads an unambiguous prefix of an option as that
+            # option, so a prefix of none of ours may name a foreign one.
+            if given[:2] != "--" or any(
+                    own.startswith(given)
+                    for own in self._option_string_actions):
+                continue
+            for option, prog in self.foreign.items():
+                if option.startswith(given):
+                    super().error(  # no dashed-value hint: nothing is parsed
+                        f"{option} is an option of '{prog}': "
+                        "this axis sweeps that value over its range")
         return super().parse_known_args(args, namespace)
 
     def error(self, message: str) -> NoReturn:

@@ -11,7 +11,6 @@ estimation and aggregation work on those columns.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass, replace
 from typing import Sequence
 
@@ -167,7 +166,7 @@ def _estimate(
     clean: bool,
     gamma1: Sequence[float] = (),
     gamma2: np.ndarray | None = None,
-    rngs: Sequence[Sequence[np.random.Generator]] | None = None,
+    draws: np.ndarray | None = None,
 ) -> tuple[np.ndarray, np.ndarray]:
     """The estimator kernel behind ``estimate_ratios``, ``aggregate`` and
     the simulated sweeps: P acquisitions (``counts``, int64 of shape
@@ -180,10 +179,12 @@ def _estimate(
     where sum(a) is 0 over more).  The (a, b) pairs are, when ``clean``,
     (n1q, n1p), (n2p, n1p), (n2q, n1p) and (n2q, n2p); then for each gamma1
     value (A, n1p), (B, n1p) and (B, A), where A and B are the mixed counts
-    at that gamma1 and the acquisition's weight ``gamma2[i]``: picked clean
-    or noisy by two ``rngs[i][k].random(n)`` draws, A's first (stochastic
-    mode), or their weighted averages when ``rngs`` is None (expected
-    mode)."""
+    at that gamma1 and the acquisition's weight ``gamma2[i]``.  In
+    stochastic mode ``draws`` holds uniforms in [0, 1) of shape
+    (len(gamma1), P, 2, n): iteration j of acquisition i takes the clean
+    n1p into A where ``draws[k, i, 0, j]`` < gamma1[k], else n2p, and the
+    clean n1q into B where ``draws[k, i, 1, j]`` < gamma2[i], else n2q.  In
+    expected mode (``draws`` None) A and B are the weighted averages."""
     points, n, _ = counts.shape
     # One C-contiguous (P, n) block per column: a sum along the last axis
     # gives each row the bits that row gets on its own.
@@ -200,16 +201,12 @@ def _estimate(
             yield from ((n1q, n1p), (n2p, n1p), (n2q, n1p), (n2q, n2p))
         weight = None if gamma2 is None else gamma2[:, np.newaxis]
         for k, g1 in enumerate(gamma1):
-            if rngs is None:
+            if draws is None:
                 mixed_a = g1 * n1p + (1.0 - g1) * n2p
                 mixed_b = weight * n1q + (1.0 - weight) * n2q
             else:
-                pick_a, pick_b = np.empty((2, points, n), dtype=bool)
-                for i in range(points):
-                    pick_a[i] = rngs[i][k].random(n) < g1
-                    pick_b[i] = rngs[i][k].random(n) < gamma2[i]
-                mixed_a = np.where(pick_a, n1p, n2p)
-                mixed_b = np.where(pick_b, n1q, n2q)
+                mixed_a = np.where(draws[k, :, 0] < g1, n1p, n2p)
+                mixed_b = np.where(draws[k, :, 1] < weight, n1q, n2q)
             yield from ((mixed_a, n1p), (mixed_b, n1p), (mixed_b, mixed_a))
 
     shape = ((4 if clean else 0) + 3 * len(gamma1), points)
@@ -260,18 +257,20 @@ def aggregate(
     """Emulate ignorance of the preparation by mixing clean and noisy counts.
 
     With ``rng`` (stochastic mode), each iteration takes the clean count
-    with probability gamma, by fresh Bernoulli draws from ``rng`` for each
-    hypothesis; without it (expected mode), the deterministic weighted
-    average gamma*clean + (1-gamma)*noisy.  Both sum the mixed counts over
+    with probability gamma, by one ``rng.random((2, n))`` call over the n
+    iterations: row 0 picks the hypothesis-A counts (clean below gamma1),
+    row 1 the hypothesis-B counts (clean below gamma2).  Without it
+    (expected mode), the deterministic weighted average
+    gamma*clean + (1-gamma)*noisy.  Both sum the mixed counts over
     all iterations and divide by the summed n1p (q/p by the summed mixed p
     counts); both converge to the aggregated q/p as the number of iterations
     grows.  The simulated sweeps run the same estimator kernel on all their
     grid points at once."""
     gamma1 = _require_probability(gamma1, "gamma1")
     gamma2 = _require_probability(gamma2, "gamma2")
+    draws = None if rng is None else rng.random((1, 1, 2, len(counts)))
     return AggregateResult(*_estimate_one(
-        counts, False, (gamma1,), np.array([gamma2]),
-        None if rng is None else [[rng]],
+        counts, False, (gamma1,), np.array([gamma2]), draws
     ), excluded=0)
 
 
@@ -289,11 +288,6 @@ def aggregation_seed(acquisition_seed: int, gamma1_index: int = 0) -> int:
     return int(
         np.random.SeedSequence(entropy).generate_state(1, np.uint64)[0]
     )
-
-
-def _read_only(values: np.ndarray) -> np.ndarray:
-    values.flags.writeable = False
-    return values
 
 
 @dataclass(frozen=True, eq=False)
@@ -338,39 +332,40 @@ def simulate_sweep(
     checked before any acquisition runs, even on an empty grid.
 
     All points are estimated at once by the kernel that ``estimate_ratios``
-    and ``aggregate`` run on one acquisition, with the mixing draws of point
-    i and gamma1 column k from ``aggregation_seed(seed_i, k)``, so every
-    point holds the bits of a re-run of that point through those
-    functions."""
+    and ``aggregate`` run on one acquisition.  In stochastic mode the mixing
+    draws of point i and gamma1 column k are one ``random((2, iterations))``
+    call of ``default_rng(aggregation_seed(seed_i, k))``, laid out as in
+    ``aggregate``, so every point holds the bits of a re-run of that point
+    through those functions."""
     base = AcquisitionConfig(sweep.theta, NoiseParams(0.0), seed, iterations,
                              mean_rate, window_seconds)
     if mode not in AGGREGATION_MODES:
         raise ValueError(
             f"mode must be one of {AGGREGATION_MODES}, got {mode!r}")
-    grid = sweep.x.tolist()
-    if sweep.axis == "delta":
-        noises = map(NoiseParams, grid)
-        gamma2 = np.full(len(grid), sweep.fixed)
-    else:
-        noises = itertools.repeat(NoiseParams(sweep.fixed))
-        gamma2 = sweep.x
-    seeds = [point_seed(seed, i) for i in range(len(grid))]
-    counts = np.empty((len(grid), iterations, 4), np.int64)
-    for i, (noise, point) in enumerate(zip(noises, seeds)):
+    grid = sweep.x
+    fixed = np.full(grid.size, sweep.fixed)
+    delta_std, gamma2 = ((grid, fixed) if sweep.axis == "delta"
+                         else (fixed, grid))
+    columns = len(sweep.gamma1_values)
+    seeds = np.array([point_seed(seed, i) for i in range(grid.size)],
+                     dtype=np.uint64)
+    counts = np.empty((grid.size, iterations, 4), np.int64)
+    draws = (None if mode == "expected"
+             else np.empty((columns, grid.size, 2, iterations)))
+    for i, (std, point) in enumerate(zip(delta_std.tolist(), seeds.tolist())):
         counts[i] = run_acquisition(
-            replace(base, noise=noise, seed=point)
+            replace(base, noise=NoiseParams(std), seed=point)
         ).counts
-    rngs = None if mode == "expected" else [
-        [np.random.default_rng(aggregation_seed(point, k))
-         for k in range(len(sweep.gamma1_values))]
-        for point in seeds
-    ]
+        if draws is not None:
+            for k in range(columns):
+                draws[k, i] = np.random.default_rng(
+                    aggregation_seed(point, k)).random((2, iterations))
     value, std_error = _estimate(
-        counts, True, sweep.gamma1_values, gamma2, rngs
+        counts, True, sweep.gamma1_values, gamma2, draws
     )
+    for column in (seeds, value, std_error):
+        column.flags.writeable = False
     return SimulatedSweep(
-        sweep, mode, seed, iterations, mean_rate, window_seconds,
-        _read_only(np.array(seeds, dtype=np.uint64)),
-        _read_only(value[3].copy()), _read_only(std_error[3].copy()),
-        _read_only(value[6::3].copy()), _read_only(std_error[6::3].copy()),
+        sweep, mode, seed, iterations, mean_rate, window_seconds, seeds,
+        value[3], std_error[3], value[6::3], std_error[6::3],
     )

@@ -986,6 +986,10 @@ class TestSweep:
     @pytest.mark.parametrize("axis, fixed, other, owner", [
         ("delta", ["--gamma2", "0.8"], ["--delta-std", "0.7"], "gamma2"),
         ("gamma2", ["--delta-std", "0.7"], ["--gamma2", "0.3"], "delta"),
+        # argparse reads an unambiguous prefix of an option as the option.
+        ("delta", ["--gamma2", "0.8"], ["--delta-s", "0.7"], "gamma2"),
+        ("delta", ["--gamma2", "0.8"], ["--delta", "0.7"], "gamma2"),
+        ("delta", ["--gamma2", "0.8"], ["--del=0.7"], "gamma2"),
     ])
     def test_axis_refuses_the_other_axis_fixed_value(
         self, tmp_path, capsys, axis, fixed, other, owner, order
@@ -993,6 +997,7 @@ class TestSweep:
         # Each axis fixes one parameter and takes the other from the range.
         # Before the range, argparse alone would skip the unknown option and
         # report its value as a bad range.
+        option = {"gamma2": "--delta-std", "delta": "--gamma2"}[owner]
         out = tmp_path / "x.csv"
         options = ["--theta", THETA_FLAG, "--gamma1", "0.1", *fixed,
                    "--out", str(out)]
@@ -1001,11 +1006,30 @@ class TestSweep:
         code, stdout, err, _ = run_main(["sweep", axis, *argv], capsys, out)
         assert (code, stdout) == (2, "")
         assert err.splitlines()[-1] == (
-            f"ysqht sweep {axis}: error: {other[0]} is an option of "
+            f"ysqht sweep {axis}: error: {option} is an option of "
             f"'ysqht sweep {owner}': this axis sweeps that value over its "
             "range"
         )
         assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("axis, given, name, value", [
+        ("delta", ["--deg", "--gamma1", "0.1", "--gamma2", "0.8"],
+         "degrees", True),
+        ("delta", ["--d", "--gamma1", "0.1", "--gamma2", "0.8"],
+         "degrees", True),
+        ("gamma2", ["--gamma", "0.1", "--delta-std", "0.7"], "gamma1",
+         (0.1,)),
+    ])
+    def test_axis_keeps_prefixes_of_its_own_options(
+        self, axis, given, name, value
+    ):
+        # A prefix of one of the axis's own options is that option, also
+        # where it is a prefix of the other axis's option too.
+        args = cli._build_parser().parse_args([
+            "sweep", axis, "0:1:5", "--theta", "0.4", *given,
+            "--out", "x.csv",
+        ])
+        assert getattr(args, name) == value
 
     @pytest.mark.parametrize("axis, listed, absent", [
         ("delta", "--gamma2", "--delta-std"),

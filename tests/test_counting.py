@@ -1,5 +1,6 @@
 """Tests for the photon-counting emulator, estimators, and aggregation."""
 
+import copy
 import math
 import re
 
@@ -23,6 +24,8 @@ from ysqht import (
     simulate_sweep,
     sweep_delta,
     sweep_gamma2,
+    sweep_table,
+    write_sweep_csv,
 )
 
 THETA_B = 5.0 * math.pi / 36.0
@@ -350,6 +353,23 @@ class TestAggregate:
         assert stochastic != expected
         assert stochastic.excluded == expected.excluded
 
+    def test_stochastic_draw_layout(self):
+        # One rng.random((2, n)) call: row 0 picks the clean n1p for A below
+        # gamma1, row 1 the clean n1q for B below gamma2.  The sums are of
+        # whole numbers below 2**53, so any summation order gives these bits.
+        counts = run_acquisition(config(seed=1))
+        n1p, n1q, n2p, n2q = counts.counts.T.astype(float)
+        rng = np.random.default_rng(5)
+        twin = copy.deepcopy(rng)
+        u = twin.random((2, len(counts)))
+        mixed_a = np.where(u[0] < 0.1, n1p, n2p)
+        mixed_b = np.where(u[1] < 0.8, n1q, n2q)
+        agg = aggregate(counts, 0.1, 0.8, rng)
+        assert agg.p.value == mixed_a.sum() / n1p.sum()
+        assert agg.q.value == mixed_b.sum() / n1p.sum()
+        assert agg.q_over_p.value == mixed_b.sum() / mixed_a.sum()
+        assert rng.bit_generator.state == twin.bit_generator.state
+
     def test_bad_weights_rejected(self):
         counts = run_acquisition(config(seed=1))
         with pytest.raises(ValueError):
@@ -480,6 +500,22 @@ class TestSimulatedSweeps:
         assert sweep.q_over_p.shape == sweep.q_over_p_err.shape == (2, 3)
         for name in SIM_COLUMNS:
             assert not getattr(sweep, name).flags.writeable, name
+
+    @pytest.mark.parametrize("mode", ["stochastic", "expected"])
+    @pytest.mark.parametrize("axis", ["delta", "gamma2"])
+    def test_empty_grid_simulates(self, tmp_path, axis, mode):
+        sweep = (self.delta([0.1, 0.4], grid=[]) if axis == "delta"
+                 else self.gamma2(grid=[]))
+        sim = simulate_sweep(sweep, 1, mode=mode)
+        assert sim.q_over_p.shape == sim.q_over_p_err.shape == (2, 0)
+        assert sim.q2_over_p2.shape == sim.q2_over_p2_err.shape == (0,)
+        assert sim.seeds.shape == (0,)
+        assert sim.seeds.dtype == np.uint64
+        for name in SIM_COLUMNS:
+            assert not getattr(sim, name).flags.writeable, name
+        out = tmp_path / "table.csv"
+        write_sweep_csv(out, sim)
+        assert out.read_text() == ",".join(sweep_table(sim)[0]) + "\n"
 
     def test_bad_mode_rejected(self):
         with pytest.raises(ValueError, match=re.escape(
