@@ -96,6 +96,9 @@ def _parse_range(text: str) -> tuple[float, float, int]:
         raise argparse.ArgumentTypeError("range needs at least 2 points")
     if not lo < hi:
         raise argparse.ArgumentTypeError("range needs MIN < MAX")
+    if not math.isfinite(hi - lo):
+        raise argparse.ArgumentTypeError(
+            f"range {text!r} must span a finite interval")
     return lo, hi, points
 
 

@@ -166,7 +166,7 @@ def _estimate(
     clean: bool,
     gamma1: Sequence[float] = (),
     gamma2: np.ndarray | None = None,
-    draws: np.ndarray | None = None,
+    picks: np.ndarray | None = None,
 ) -> tuple[np.ndarray, np.ndarray]:
     """The estimator kernel behind ``estimate_ratios``, ``aggregate`` and
     the simulated sweeps: P acquisitions (``counts``, int64 of shape
@@ -180,11 +180,11 @@ def _estimate(
     (n1q, n1p), (n2p, n1p), (n2q, n1p) and (n2q, n2p); then for each gamma1
     value (A, n1p), (B, n1p) and (B, A), where A and B are the mixed counts
     at that gamma1 and the acquisition's weight ``gamma2[i]``.  In
-    stochastic mode ``draws`` holds uniforms in [0, 1) of shape
-    (len(gamma1), P, 2, n): iteration j of acquisition i takes the clean
-    n1p into A where ``draws[k, i, 0, j]`` < gamma1[k], else n2p, and the
-    clean n1q into B where ``draws[k, i, 1, j]`` < gamma2[i], else n2q.  In
-    expected mode (``draws`` None) A and B are the weighted averages."""
+    stochastic mode ``picks`` holds bools of shape (len(gamma1), P, 2, n):
+    iteration j of acquisition i takes the clean n1p into A where
+    ``picks[k, i, 0, j]``, else n2p, and the clean n1q into B where
+    ``picks[k, i, 1, j]``, else n2q.  In expected mode (``picks`` None) A
+    and B are the weighted averages."""
     points, n, _ = counts.shape
     # One C-contiguous (P, n) block per column: a sum along the last axis
     # gives each row the bits that row gets on its own.
@@ -201,12 +201,12 @@ def _estimate(
             yield from ((n1q, n1p), (n2p, n1p), (n2q, n1p), (n2q, n2p))
         weight = None if gamma2 is None else gamma2[:, np.newaxis]
         for k, g1 in enumerate(gamma1):
-            if draws is None:
+            if picks is None:
                 mixed_a = g1 * n1p + (1.0 - g1) * n2p
                 mixed_b = weight * n1q + (1.0 - weight) * n2q
             else:
-                mixed_a = np.where(draws[k, :, 0] < g1, n1p, n2p)
-                mixed_b = np.where(draws[k, :, 1] < weight, n1q, n2q)
+                mixed_a = np.where(picks[k, :, 0], n1p, n2p)
+                mixed_b = np.where(picks[k, :, 1], n1q, n2q)
             yield from ((mixed_a, n1p), (mixed_b, n1p), (mixed_b, mixed_a))
 
     shape = ((4 if clean else 0) + 3 * len(gamma1), points)
@@ -268,9 +268,10 @@ def aggregate(
     grid points at once."""
     gamma1 = _require_probability(gamma1, "gamma1")
     gamma2 = _require_probability(gamma2, "gamma2")
-    draws = None if rng is None else rng.random((1, 1, 2, len(counts)))
+    picks = (None if rng is None else
+             rng.random((1, 1, 2, len(counts))) < [[gamma1], [gamma2]])
     return AggregateResult(*_estimate_one(
-        counts, False, (gamma1,), np.array([gamma2]), draws
+        counts, False, (gamma1,), np.array([gamma2]), picks
     ), excluded=0)
 
 
@@ -350,18 +351,20 @@ def simulate_sweep(
     seeds = np.array([point_seed(seed, i) for i in range(grid.size)],
                      dtype=np.uint64)
     counts = np.empty((grid.size, iterations, 4), np.int64)
-    draws = (None if mode == "expected"
-             else np.empty((columns, grid.size, 2, iterations)))
-    for i, (std, point) in enumerate(zip(delta_std.tolist(), seeds.tolist())):
+    picks = (None if mode == "expected"
+             else np.empty((columns, grid.size, 2, iterations), bool))
+    for i, (std, point, weight) in enumerate(zip(
+            delta_std.tolist(), seeds.tolist(), gamma2.tolist())):
         counts[i] = run_acquisition(
             replace(base, noise=NoiseParams(std), seed=point)
         ).counts
-        if draws is not None:
-            for k in range(columns):
-                draws[k, i] = np.random.default_rng(
-                    aggregation_seed(point, k)).random((2, iterations))
+        if picks is not None:
+            for k, g1 in enumerate(sweep.gamma1_values):
+                np.less(np.random.default_rng(aggregation_seed(point, k))
+                        .random((2, iterations)), [[g1], [weight]],
+                        out=picks[k, i])
     value, std_error = _estimate(
-        counts, True, sweep.gamma1_values, gamma2, draws
+        counts, True, sweep.gamma1_values, gamma2, picks
     )
     for column in (seeds, value, std_error):
         column.flags.writeable = False

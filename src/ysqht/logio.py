@@ -16,10 +16,22 @@ reuses.  A regular file is written to a new file beside it that then
 replaces it, so that a write that fails part way leaves the old file or
 none, never half of one; streams (pipes, devices, links such as
 ``/dev/stdout``) are written in place.
+
+A count log written to a regular file gets a companion,
+``<log>.columns.npz``: its ``alpha`` and ``counts`` columns and the SHA-256
+of the log's bytes, digested as they are written.  The log alone is
+authoritative.  ``read_count_log`` always parses and checks the manifest
+line, and takes the records from the companion only when the log it opened
+is a regular file whose digest the companion holds, and the companion's
+columns are of the right dtypes and shapes; otherwise it parses every
+record line, the only path that raises ``LogFormatError``.  Deleting a
+companion costs only time; streams and links get none, and are never
+hashed or read twice.
 """
 
 from __future__ import annotations
 
+import hashlib
 import itertools
 import json
 import math
@@ -28,7 +40,7 @@ import stat
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
 from pathlib import Path
-from typing import Any, Iterable, Iterator
+from typing import Any, BinaryIO, Callable, Iterable, Iterator, TextIO
 
 import numpy as np
 
@@ -146,33 +158,23 @@ def manifest_for_acquisition(config: AcquisitionConfig) -> RunManifest:
 #: Keys of a record line, in the order they are written.
 RECORD_KEYS = ("i", "alpha", "n1p", "n1q", "n2p", "n2q")
 
+#: Suffix of the companion that ``write_count_log`` writes beside a count
+#: log that is a regular file: an ``np.savez`` archive of the log's
+#: ``alpha`` and ``counts`` columns and the SHA-256 of its bytes.
+COLUMNS_SUFFIX = ".columns.npz"
+
 #: Record lines parsed per ``json.loads`` call by ``read_count_log``, and
 #: lines formatted per write by ``write_count_log`` and ``write_sweep_csv``.
 READ_CHUNK_LINES = 4096
 
 
-def _write_lines(path: Path, lines: Iterable[str]) -> None:
-    """Write ``lines``, each ended by a newline, to ``path``, joined and
-    written ``READ_CHUNK_LINES`` lines at a time.
-
-    A regular file, or a path where nothing is yet, is written to a new
-    file in the same directory, which then replaces it (``os.replace``); if
-    anything fails first, the new file is removed and ``path`` keeps its old
-    bytes, or stays absent.  The new file gets the old one's permission bits,
-    or, for a new path, those the umask leaves of 0666, as ``open`` would
-    give.  Anything else at ``path``, such as a pipe, a device or a link
-    (``/dev/stdout``), is written in place."""
-    lines = iter(lines)
-    chunks = iter(lambda: list(itertools.islice(lines, READ_CHUNK_LINES)), [])
-    text = ("\n".join(chunk) + "\n" for chunk in chunks)
-    try:
-        mode = path.lstat().st_mode
-    except FileNotFoundError:
-        mode = None
-    if mode is not None and not stat.S_ISREG(mode):
-        with path.open("w") as fh:
-            fh.writelines(text)
-        return
+def _replace(path: Path, mode: int | None,
+             write: Callable[[BinaryIO], object]) -> None:
+    """Write a new file in the directory of ``path`` by ``write``, then
+    rename it over ``path`` (``os.replace``); if anything fails first, the
+    new file is removed and ``path`` keeps its old bytes, or stays absent.
+    The new file gets the permission bits of ``mode``, or, when it is None,
+    those the umask leaves of 0666, as ``open`` would give."""
     temp = path.with_name(f".{path.name}.{os.urandom(8).hex()}.tmp")
     try:
         fd = os.open(temp, os.O_CREAT | os.O_EXCL | os.O_WRONLY, 0o666)
@@ -180,14 +182,47 @@ def _write_lines(path: Path, lines: Iterable[str]) -> None:
         err.filename = str(path)
         raise
     try:
-        with open(fd, "w") as fh:
+        with open(fd, "wb") as fh:
             if mode is not None:
                 os.fchmod(fd, stat.S_IMODE(mode))
-            fh.writelines(text)
+            write(fh)
         os.replace(temp, path)
     except BaseException:
         temp.unlink(missing_ok=True)
         raise
+
+
+def _write_lines(path: Path, lines: Iterable[str],
+                 digest: Any = None) -> bool:
+    """Write ``lines``, each ended by a newline, to ``path``, joined and
+    written ``READ_CHUNK_LINES`` lines at a time; returns whether ``path``
+    is a regular file.
+
+    A regular file, or a path where nothing is yet, is written through
+    ``_replace``, keeping the old file's permission bits, and ``digest`` (a
+    ``hashlib`` object), when given, takes its bytes as they are written.
+    Anything else at ``path``, such as a pipe, a device or a link
+    (``/dev/stdout``), is written in place."""
+    lines = iter(lines)
+    chunks = iter(lambda: list(itertools.islice(lines, READ_CHUNK_LINES)), [])
+    blocks = (("\n".join(chunk) + "\n").encode() for chunk in chunks)
+    try:
+        mode = path.lstat().st_mode
+    except FileNotFoundError:
+        mode = None
+    if mode is not None and not stat.S_ISREG(mode):
+        with path.open("wb") as fh:
+            fh.writelines(blocks)
+        return False
+
+    def write(fh: BinaryIO) -> None:
+        for block in blocks:
+            fh.write(block)
+            if digest is not None:
+                digest.update(block)
+
+    _replace(path, mode, write)
+    return True
 
 
 def format_record_line(
@@ -222,17 +257,63 @@ def write_count_log(
 ) -> RunManifest:
     """Write ``counts`` as a count log under the manifest of ``config``, a
     chunk of ``READ_CHUNK_LINES`` record lines at a time, so that the memory
-    the write takes does not grow with the number of records; a regular file
-    is replaced only once the whole log is written."""
+    the lines take does not grow with the number of records; a regular file
+    is replaced only once the whole log is written, and then gets its
+    companion ``<path>.columns.npz``, with the log's permission bits."""
     if len(counts) != config.iterations:
         raise ValueError(
             f"{len(counts)} records for a run of {config.iterations} "
             f"iterations"
         )
     manifest = manifest_for_acquisition(config)
-    _write_lines(Path(path),
-                 itertools.chain([manifest.to_json()], _record_lines(counts)))
+    path = Path(path)
+    digest = hashlib.sha256()
+    if _write_lines(path, itertools.chain([manifest.to_json()],
+                                          _record_lines(counts)), digest):
+        _replace(_columns_path(path), path.stat().st_mode, lambda fh: np.savez(
+            fh, alpha=counts.alpha, counts=counts.counts,
+            sha256=np.frombuffer(digest.digest(), np.uint8)))
     return manifest
+
+
+def _columns_path(log: Path) -> Path:
+    return log.with_name(log.name + COLUMNS_SUFFIX)
+
+
+def _companion_columns(
+    fh: TextIO, log: Path, iterations: int
+) -> tuple[np.ndarray, np.ndarray] | None:
+    """The alpha and counts columns of the log open in ``fh`` as its
+    companion holds them, or None unless that log is a regular file and its
+    companion is valid: it loads without pickle, its ``sha256`` is the
+    digest of the log's exact bytes, and its columns have the dtypes and
+    shapes of ``iterations`` records, finite tilts and non-negative counts.
+    ``fh`` is left where it was."""
+    if not stat.S_ISREG(os.fstat(fh.fileno()).st_mode):
+        return None  # a stream is read once, and never hashed
+    position = fh.tell()
+    try:
+        with _columns_path(log).open("rb") as raw, \
+                np.load(raw, allow_pickle=False) as columns:
+            expected = columns["sha256"].tobytes()
+            digest = hashlib.sha256()
+            fh.buffer.seek(0)
+            while block := fh.buffer.read(1 << 20):
+                digest.update(block)
+            if digest.digest() != expected:
+                return None
+            alpha, counts = columns["alpha"], columns["counts"]
+    # The log alone is authoritative: whatever is wrong with its companion
+    # (missing, truncated, not an npz, a bad member), the log is parsed.
+    except Exception:
+        return None
+    finally:
+        fh.seek(position)
+    if alpha.dtype == np.float64 and alpha.shape == (iterations,) \
+            and counts.dtype == np.int64 and counts.shape == (iterations, 4) \
+            and np.isfinite(alpha).all() and (counts >= 0).all():
+        return alpha, counts
+    return None
 
 
 def _columns(
@@ -316,7 +397,8 @@ def _parse_chunk(
 
 
 def read_count_log(path: str | Path) -> tuple[RunManifest, Counts]:
-    """Parse a count log back into its manifest and counts.
+    """Parse a count log back into its manifest and counts, taking the
+    counts from the log's companion when it is valid for the log's bytes.
 
     Raises LogFormatError (with the offending line number) on corrupt lines,
     and then on logs whose record indices ``i`` do not run 0..n-1 or whose
@@ -346,6 +428,9 @@ def read_count_log(path: str | Path) -> tuple[RunManifest, Counts]:
                 1, f"manifest iterations must be a positive integer, got "
                    f"{iterations!r}"
             )
+        columns = _companion_columns(fh, Path(path), iterations)
+        if columns is not None:
+            return manifest, Counts(*columns)
         parts = [_parse_chunk([], 2)]  # so that a log of no records concatenates
         next_line = 2
         while chunk := list(itertools.islice(fh, READ_CHUNK_LINES)):
@@ -435,9 +520,8 @@ def write_sweep_csv(
     header, columns = sweep_table(table)
     x_cells = list(_cells(sweep.x))  # for the table and the manifest
     out = Path(path)
-    _write_lines(out, itertools.chain([",".join(header)], map(
-        ",".join, zip(x_cells, *map(_cells, columns[1:])))))
-    if not stat.S_ISREG(out.lstat().st_mode):
+    if not _write_lines(out, itertools.chain([",".join(header)], map(
+            ",".join, zip(x_cells, *map(_cells, columns[1:]))))):
         return None
     manifest = RunManifest(
         kind=KIND_SWEEP, theta=sweep.theta, gamma1=sweep.gamma1_values,

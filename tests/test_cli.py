@@ -322,6 +322,9 @@ class TestStreamOutputs:
             )
         assert result.returncode == 0
         assert b"wrote 3 records to /dev/stdout" in result.stderr
+        # /dev/stdout is a link: it gets no companion, here or in /dev.
+        assert list(tmp_path.iterdir()) == [log]
+        assert not Path("/dev/stdout.columns.npz").exists()
         manifest, counts = ysqht.read_count_log(log)
         assert manifest.seed == 5
         assert len(counts) == 3
@@ -343,6 +346,21 @@ class TestStreamOutputs:
         report = json.loads(analyze.stdout)
         assert report["log_seed"] == 5
         assert report["q1_over_p1"]["n_samples"] + report["excluded"] == 3
+
+    def test_simulate_into_a_pipe_writes_no_companion(self, tmp_path):
+        fifo = tmp_path / "run.jsonl"
+        os.mkfifo(fifo)
+        with subprocess.Popen(
+            self.CLI + self.SIMULATE[:-1] + [str(fifo)],
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=self.ENV,
+        ) as proc:
+            with fifo.open("rb") as reader:
+                log = reader.read().splitlines()
+            stdout, stderr = proc.communicate(timeout=60)
+        assert proc.returncode == 0
+        assert len(log) == 4
+        assert list(tmp_path.iterdir()) == [fifo]
+        assert (stdout, stderr) == (b"", f"wrote 3 records to {fifo}\n".encode())
 
     def test_sweep_into_a_pipe_writes_no_manifest(self, tmp_path):
         fifo = tmp_path / "table.csv"
@@ -469,6 +487,9 @@ class TestSimulate:
         assert head["kind"] == "count-log"
         assert head["seed"] == 7
         assert head["schema_version"] == 2
+        assert sorted(p.name for p in tmp_path.iterdir()) == [
+            "run.jsonl", "run.jsonl.columns.npz",
+        ]
 
     def test_same_seed_identical_records(self, tmp_path, capsys):
         a = tmp_path / "a.jsonl"
@@ -519,6 +540,25 @@ class TestSimulate:
         assert "injected failure" in capsys.readouterr().err
         assert list(tmp_path.iterdir()) == []
 
+    def test_failed_companion_write_exit_4_keeps_the_new_log(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        replace = os.replace
+
+        def refuse_companion(source, target):
+            if str(target).endswith(".columns.npz"):
+                raise OSError("injected failure")
+            replace(source, target)
+
+        monkeypatch.setattr(os, "replace", refuse_companion)
+        out = tmp_path / "run.jsonl"
+        assert main(["simulate", "--theta", THETA_FLAG, "--delta-std", "0",
+                     "--seed", "5", "--iterations", "10",
+                     "--out", str(out)]) == 4
+        assert "injected failure" in capsys.readouterr().err
+        assert [p.name for p in tmp_path.iterdir()] == ["run.jsonl"]
+        assert read_count_log(out)[0].seed == 5
+
     def test_env_var_seed_fallback(self, tmp_path, capsys, monkeypatch):
         monkeypatch.setenv("YSQHT_SEED", "321")
         out = tmp_path / "env.jsonl"
@@ -559,6 +599,36 @@ class TestAnalyze:
         assert report["q_over_p"]["value"] == agg.q_over_p.value
         assert report["q_over_p"]["std_error"] == agg.q_over_p.std_error
         assert report["excluded"] == 0
+
+    @pytest.mark.parametrize("mode", ["stochastic", "expected"])
+    @pytest.mark.parametrize("form", [[], ["--json"]], ids=["text", "json"])
+    def test_output_does_not_depend_on_the_companion(
+        self, tmp_path, capsys, mode, form
+    ):
+        log = self.write_log(tmp_path)
+        argv = ["analyze", str(log), "--gamma1", "0.05", "--gamma2", "0.8",
+                "--mode", mode, "--seed", "13", *form]
+        capsys.readouterr()
+        outputs = []
+        for _ in range(2):
+            assert main(argv) == 0
+            outputs.append(capsys.readouterr())
+            Path(f"{log}.columns.npz").unlink(missing_ok=True)
+        assert outputs[0] == outputs[1]
+
+    def test_changed_count_beside_its_companion_exit_5(
+        self, tmp_path, capsys
+    ):
+        log = self.write_log(tmp_path)
+        lines = log.read_text().splitlines()
+        lines[3] = re.sub(r'"n1q": \d+', '"n1q": -1', lines[3])
+        log.write_text("\n".join(lines) + "\n")
+        capsys.readouterr()
+        assert main(["analyze", str(log), "--gamma1", "0.05", "--gamma2",
+                     "0.8"]) == 5
+        assert capsys.readouterr().err == (
+            "error: line 4: n1q must be a non-negative 64-bit integer, "
+            "got -1\n")
 
     def test_statistics_match_analytic_point(self, tmp_path, capsys):
         log = self.write_log(tmp_path)
@@ -844,6 +914,27 @@ class TestSweep:
                 "--gamma1", "0.1", "--gamma2", "0.8", "--out", "x.csv",
             ])
         assert err.value.code == 2
+
+    @pytest.mark.parametrize("argv", [
+        ["delta", "0:inf:3", "--theta", "0.4", "--gamma1", "0.1",
+         "--gamma2", "0.8", "--out", "x.csv"],
+        ["gamma2", "--theta", "0.4", "--delta-std", "0.7", "--gamma1", "0.1",
+         "--out", "x.csv", "--", "-1e308:1e308:3"],
+    ], ids=["infinite-max", "overflowing-span"])
+    def test_non_finite_range_span_exit_2(
+        self, tmp_path, capsys, monkeypatch, argv
+    ):
+        monkeypatch.chdir(tmp_path)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(SystemExit) as err:
+                main(["sweep", *argv])
+        assert err.value.code == 2
+        given = argv[1] if argv[0] == "delta" else argv[-1]
+        assert capsys.readouterr().err.splitlines()[-1] == (
+            f"ysqht sweep {argv[0]}: error: argument range: range "
+            f"'{given}' must span a finite interval")
+        assert list(tmp_path.iterdir()) == []
 
     def test_delta_axis_needs_gamma2(self, tmp_path, capsys):
         out = tmp_path / "x.csv"

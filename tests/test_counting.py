@@ -370,6 +370,18 @@ class TestAggregate:
         assert agg.q_over_p.value == mixed_b.sum() / mixed_a.sum()
         assert rng.bit_generator.state == twin.bit_generator.state
 
+    def test_kernel_takes_picks_built_by_hand(self):
+        # The picks alone choose the counts, whatever the weights: all clean
+        # gives p = 1 and the clean q1/p1, none the noisy p2, q2 and q2/p2.
+        counts = run_acquisition(config(seed=1)).counts[np.newaxis]
+        clean = counting._estimate(counts, True)[0][:, 0].tolist()
+        for pick, expected in [(True, [1.0, clean[0], clean[0]]),
+                               (False, clean[1:4])]:
+            picks = np.full((1, 1, 2, counts.shape[1]), pick)
+            value, _ = counting._estimate(counts, False, (0.3,),
+                                          np.array([0.6]), picks)
+            assert value[:, 0].tolist() == expected
+
     def test_bad_weights_rejected(self):
         counts = run_acquisition(config(seed=1))
         with pytest.raises(ValueError):

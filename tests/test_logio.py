@@ -9,6 +9,7 @@ import os
 import re
 import stat
 import sys
+import threading
 import tracemalloc
 
 import numpy as np
@@ -59,6 +60,45 @@ def assert_same_counts(a, b):
     assert np.array_equal(a.counts, b.counts)
 
 
+def companion_of(path):
+    return path.with_name(path.name + logio.COLUMNS_SUFFIX)
+
+
+def read_counting_parses(path):
+    """``read_count_log(path)`` and the number of record chunks it parsed,
+    0 when it took the columns from the log's companion."""
+    calls = []
+    parse = logio._parse_chunk
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(logio, "_parse_chunk",
+                      lambda *args: calls.append(args) or parse(*args))
+        return read_count_log(path), len(calls)
+
+
+def assert_same_bits(a, b):
+    """Two ``read_count_log`` results are equal bit for bit, so that a
+    negative zero tilt differs from a positive one."""
+    (manifest_a, counts_a), (manifest_b, counts_b) = a, b
+    assert manifest_a == manifest_b
+    for x, y in [(counts_a.alpha, counts_b.alpha),
+                 (counts_a.counts, counts_b.counts)]:
+        assert (x.dtype, x.shape) == (y.dtype, y.shape)
+        assert x.tobytes() == y.tobytes()
+
+
+def read_both_ways(path):
+    """The log at ``path`` read through the companion its writer left, and
+    again parsed once the companion is gone: the two must agree bit for
+    bit.  Returns the parsed result."""
+    cached, parses = read_counting_parses(path)
+    assert parses == 0
+    companion_of(path).unlink()
+    parsed, parses = read_counting_parses(path)
+    assert parses > 0
+    assert_same_bits(cached, parsed)
+    return parsed
+
+
 class TestRecordLines:
     def test_alpha_survives_17_digit_round_trip(self):
         rng = np.random.default_rng(1)
@@ -82,7 +122,7 @@ class TestRecordLines:
         lines = path.read_text().splitlines()
         assert [json.loads(line)["alpha"] for line in lines[1:]] == alpha
         assert '"alpha": -0.0,' in lines[1] and '"alpha": 0,' in lines[2]
-        loaded = read_count_log(path)[1].alpha
+        loaded = read_both_ways(path)[1].alpha
         assert np.signbit(loaded).tolist() == [True, False, True, True]
         assert np.array_equal(loaded, alpha)
 
@@ -115,7 +155,7 @@ class TestRecordLines:
         for k in (READ_CHUNK_LINES - 1, READ_CHUNK_LINES):
             assert f'{{"i": {k}, "alpha": -0.0,' in lines[k + 1]
         assert '"alpha": 0.5,' in lines[READ_CHUNK_LINES + 2]
-        loaded = read_count_log(path)[1].alpha
+        loaded = read_both_ways(path)[1].alpha
         assert np.flatnonzero(np.signbit(loaded)).tolist() == [
             READ_CHUNK_LINES - 1, READ_CHUNK_LINES,
         ]
@@ -152,7 +192,7 @@ class TestCountLogRoundTrip:
     def test_records_round_trip_exactly(self, tmp_path):
         path = tmp_path / "run.jsonl"
         config, counts = write_log(path)
-        manifest, loaded = read_count_log(path)
+        manifest, loaded = read_both_ways(path)
         assert_same_counts(loaded, counts)
         assert manifest.schema_version == 2
         assert manifest.seed == config.seed
@@ -335,7 +375,7 @@ class TestCountLogIntegrity:
     def test_long_log_round_trips(self, tmp_path):
         path = tmp_path / "run.jsonl"
         _, counts = write_log(path, iterations=2 * READ_CHUNK_LINES + 7)
-        _, loaded = read_count_log(path)
+        _, loaded = read_both_ways(path)
         assert_same_counts(loaded, counts)
 
     def test_manifest_without_iterations_rejected(self, tmp_path):
@@ -859,7 +899,8 @@ class TestCrashSafeWrites:
         write_log(tmp_path / "run.jsonl")
         write_sweep_csv(tmp_path / "t.csv", sweep_of([0.1]))
         assert {name: mode for name, (_, mode) in snapshot(tmp_path).items()} \
-            == dict.fromkeys(["reference", "run.jsonl", "t.csv",
+            == dict.fromkeys(["reference", "run.jsonl",
+                              "run.jsonl.columns.npz", "t.csv",
                               "t.csv.manifest.json"], umask)
 
     def test_replaced_file_keeps_its_mode(self, tmp_path, umask):
@@ -914,7 +955,8 @@ class TestCrashSafeWrites:
         path = tmp_path / "run.jsonl"
         # The last chunk, one short line, is still buffered after the write.
         write_log(path, iterations=READ_CHUNK_LINES + 1)
-        assert sizes == [path.stat().st_size]
+        companion = tmp_path / "run.jsonl.columns.npz"
+        assert sizes == [path.stat().st_size, companion.stat().st_size]
 
     @staticmethod
     def write_table(path):
@@ -996,3 +1038,194 @@ class TestCrashSafeWrites:
         assert sorted(p.name for p in tmp_path.iterdir()) == [
             "link.jsonl", "target.jsonl",
         ]
+
+
+def save_companion(path, **columns):
+    """Write ``columns`` as the companion of the log at ``path``, under the
+    digest of that log's bytes."""
+    digest = hashlib.sha256(path.read_bytes()).digest()
+    with companion_of(path).open("wb") as fh:
+        np.savez(fh, sha256=np.frombuffer(digest, np.uint8), **columns)
+
+
+def flip_a_count(path, counts):
+    """Flip one bit of the stored counts, leaving the member's CRC-32."""
+    data = bytearray(companion_of(path).read_bytes())
+    data[data.index(counts.counts.tobytes()) + 8] ^= 1
+    companion_of(path).write_bytes(bytes(data))
+
+
+def other_logs_companion(path, counts):
+    other = path.with_name("other.jsonl")
+    write_log(other, seed=100)
+    companion_of(other).replace(companion_of(path))
+
+
+def with_first(array, value):
+    array = array.copy()
+    array.flat[0] = value
+    return array
+
+
+#: Each fault of a companion beside an intact log, made from the log's path
+#: and counts.
+COMPANION_FAULTS = {
+    "missing": lambda path, counts: companion_of(path).unlink(),
+    "truncated": lambda path, counts: companion_of(path).write_bytes(
+        companion_of(path).read_bytes()[:300]),
+    "garbage": lambda path, counts: companion_of(path).write_bytes(
+        b"not an npz archive\n" * 20),
+    "crc-damaged-member": flip_a_count,
+    "another-log": other_logs_companion,
+    "float32-alpha": lambda path, counts: save_companion(
+        path, alpha=counts.alpha.astype(np.float32), counts=counts.counts),
+    "big-endian-alpha": lambda path, counts: save_companion(
+        path, alpha=counts.alpha.astype(">f8"), counts=counts.counts),
+    "int32-counts": lambda path, counts: save_companion(
+        path, alpha=counts.alpha, counts=counts.counts.astype(np.int32)),
+    "transposed-counts": lambda path, counts: save_companion(
+        path, alpha=counts.alpha, counts=counts.counts.T.copy()),
+    "short-columns": lambda path, counts: save_companion(
+        path, alpha=counts.alpha[:-1], counts=counts.counts[:-1]),
+    "object-alpha": lambda path, counts: save_companion(
+        path, alpha=counts.alpha.astype(object), counts=counts.counts),
+    "nan-alpha": lambda path, counts: save_companion(
+        path, alpha=with_first(counts.alpha, np.nan), counts=counts.counts),
+    "negative-count": lambda path, counts: save_companion(
+        path, alpha=counts.alpha, counts=with_first(counts.counts, -1)),
+}
+
+
+class TestColumnsCompanion:
+    """``write_count_log`` leaves ``<log>.columns.npz`` beside a regular
+    file, and ``read_count_log`` takes the columns from it only when it is
+    valid for the exact bytes of the log; otherwise it parses the log."""
+
+    def test_companion_holds_the_columns_and_the_logs_digest(self, tmp_path):
+        path = tmp_path / "run.jsonl"
+        _, counts = write_log(path)
+        with np.load(companion_of(path), allow_pickle=False) as columns:
+            assert sorted(columns.files) == ["alpha", "counts", "sha256"]
+            assert columns["sha256"].tobytes() == hashlib.sha256(
+                path.read_bytes()).digest()
+            assert_same_counts(Counts(columns["alpha"], columns["counts"]),
+                               counts)
+
+    @pytest.mark.parametrize("fault", COMPANION_FAULTS)
+    def test_faulty_companion_falls_back_to_the_parse(self, tmp_path, fault):
+        path = tmp_path / "run.jsonl"
+        _, counts = write_log(path)
+        COMPANION_FAULTS[fault](path, counts)
+        read, parses = read_counting_parses(path)
+        assert parses > 0
+        companion_of(path).unlink(missing_ok=True)
+        assert_same_bits(read, read_count_log(path))
+        assert_same_counts(read[1], counts)
+
+    @pytest.mark.parametrize("damage", ["nan-alpha", "missing-key",
+                                        "two-records", "count-2**63"])
+    def test_damaged_log_beside_a_stale_companion_is_rejected(
+        self, tmp_path, damage
+    ):
+        path = tmp_path / "run.jsonl"
+        write_log(path)
+        lines = path.read_text().splitlines()
+        lines[5] = DAMAGES[damage][0](lines[5])
+        path.write_text("\n".join(lines) + "\n")
+        assert companion_of(path).is_file()
+        with pytest.raises(LogFormatError) as stale:
+            read_count_log(path)
+        companion_of(path).unlink()
+        with pytest.raises(LogFormatError) as alone:
+            read_count_log(path)
+        assert (stale.value.line_number, str(stale.value)) == (
+            alone.value.line_number, str(alone.value))
+        assert stale.value.line_number == 6
+
+    def test_truncated_log_beside_its_companion_is_rejected(self, tmp_path):
+        path = tmp_path / "run.jsonl"
+        write_log(path)
+        path.write_bytes(path.read_bytes()[:-30])
+        with pytest.raises(LogFormatError, match="not valid JSON") as err:
+            read_count_log(path)
+        assert err.value.line_number == 21
+
+    def test_fifo_gets_no_companion_and_is_read_once(self, tmp_path):
+        # A valid companion for the very bytes that come down the pipe is
+        # ignored: a stream can be neither hashed nor read twice.
+        source = tmp_path / "source.jsonl"
+        _, counts = write_log(source)
+        fifo = tmp_path / "run.jsonl"
+        os.mkfifo(fifo)
+        companion_of(source).replace(companion_of(fifo))
+        feeder = threading.Thread(
+            target=lambda: fifo.write_bytes(source.read_bytes()), daemon=True)
+        feeder.start()
+        (_, loaded), parses = read_counting_parses(fifo)
+        feeder.join(timeout=60)
+        assert parses > 0
+        assert_same_counts(loaded, counts)
+
+        received = []
+        drain = threading.Thread(
+            target=lambda: received.append(fifo.read_bytes()), daemon=True)
+        drain.start()
+        companion_of(fifo).unlink()
+        write_log(fifo)
+        drain.join(timeout=60)
+        # The same run: only the manifest line, with its timestamp, may differ.
+        assert received[0].split(b"\n", 1)[1] == \
+            source.read_bytes().split(b"\n", 1)[1]
+        assert sorted(p.name for p in tmp_path.iterdir()) == [
+            "run.jsonl", "source.jsonl",
+        ]
+
+    def test_failed_log_write_writes_no_companion(
+        self, tmp_path, monkeypatch
+    ):
+        path = tmp_path / "run.jsonl"
+        write_log(path, seed=1)
+        before = snapshot(tmp_path)
+        failing = fail_on(logio.format_record_line, 7, tmp_path)
+        monkeypatch.setattr(logio, "format_record_line", failing)
+        with pytest.raises(OSError, match="injected"):
+            write_log(path, seed=2)
+        assert snapshot(tmp_path) == before
+
+    @pytest.mark.parametrize("where", ["savez", "replace"])
+    def test_failed_companion_write_leaves_the_new_log(
+        self, tmp_path, monkeypatch, where
+    ):
+        path = tmp_path / "run.jsonl"
+        write_log(path, seed=1)
+        old_companion = companion_of(path).read_bytes()
+        if where == "savez":
+            def savez(fh, **columns):
+                fh.write(b"PK\x03\x04 part of an archive")
+                raise OSError("injected failure")
+            monkeypatch.setattr(np, "savez", savez)
+        else:
+            replace = os.replace
+
+            def refuse_companion(source, target):
+                if str(target).endswith(logio.COLUMNS_SUFFIX):
+                    raise OSError("injected failure")
+                replace(source, target)
+            monkeypatch.setattr(os, "replace", refuse_companion)
+        with pytest.raises(OSError, match="injected"):
+            write_log(path, seed=2)
+        monkeypatch.undo()
+        assert sorted(p.name for p in tmp_path.iterdir()) == [
+            "run.jsonl", "run.jsonl.columns.npz",
+        ]
+        assert companion_of(path).read_bytes() == old_companion
+        (_, loaded), parses = read_counting_parses(path)
+        assert parses > 0
+        assert_same_counts(loaded, run_acquisition(make_config(seed=2)))
+
+    def test_companion_gets_the_logs_mode(self, tmp_path, umask):
+        path = tmp_path / "run.jsonl"
+        path.write_text("old\n")
+        path.chmod(0o600)
+        write_log(path)
+        assert mode_of(companion_of(path)) == 0o600

@@ -1,7 +1,8 @@
 """Property tests of the count-log format: whatever counts are written, the
 reader returns them unchanged, also across chunk boundaries and from lines
-that are blank, padded or have their keys in another order, and the bytes
-written do not depend on the writer's chunk size."""
+that are blank, padded or have their keys in another order, the bytes
+written do not depend on the writer's chunk size, and the columns read from
+a log's companion are the bits its parse gives."""
 
 import sys
 import tempfile
@@ -57,9 +58,14 @@ def write_log(directory, rows):
     return path, data
 
 
+def companion_of(path):
+    return path.with_name(path.name + logio.COLUMNS_SUFFIX)
+
+
 def read_back(path):
-    """The counts read from ``path`` in chunks of 3 lines, so that a few
-    records cross chunk boundaries."""
+    """The counts parsed from ``path``, its companion removed, in chunks of
+    3 lines, so that a few records cross chunk boundaries."""
+    companion_of(path).unlink(missing_ok=True)
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(logio, "READ_CHUNK_LINES", 3)
         return read_count_log(path)[1]
@@ -68,6 +74,25 @@ def read_back(path):
 def assert_same_counts(a, b):
     assert np.array_equal(a.alpha, b.alpha)
     assert np.array_equal(a.counts, b.counts)
+
+
+def bits(counts):
+    """The columns of ``counts`` as bytes, which tell -0.0 from 0.0."""
+    return (counts.alpha.dtype, counts.alpha.tobytes(), counts.counts.dtype,
+            counts.counts.shape, counts.counts.tobytes())
+
+
+@SETTINGS
+@given(records)
+def test_companion_gives_the_bits_of_the_parse(rows):
+    with tempfile.TemporaryDirectory() as directory:
+        path, data = write_log(directory, rows)
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(logio, "_parse_chunk", None)  # must not be called
+            manifest, cached = read_count_log(path)
+        parsed = read_back(path)
+        assert read_count_log(path)[0] == manifest
+    assert bits(cached) == bits(parsed) == bits(data)
 
 
 @SETTINGS
