@@ -31,6 +31,7 @@ from .base import (
 )
 from .qubit import NoiseParams
 from .theory import (
+    ESTIMATORS,
     ScenarioParams,
     delta_threshold,
     gamma2_threshold,
@@ -135,10 +136,8 @@ def cmd_theory(args: argparse.Namespace) -> int:
     if noise is not None:
         verdict = ys_reversal(params)
         report["probabilities"] = o
-        report["ratios"] = {
-            f"{q}_over_{p}": o[q] / o[p]
-            for p, q in (("p1", "q1"), ("p2", "q2"), ("p", "q"))
-        }
+        report["ratios"] = {name: o[a] / o[b] for name, a, b in ESTIMATORS
+                            if "_over_" in name}
         report["verdict"] = {**asdict(verdict), "reversal": verdict.reversal}
         report["gamma2_threshold"] = _threshold(gamma2_threshold, args.gamma1,
                                                 theta, noise)
@@ -228,21 +227,19 @@ def cmd_simulate(args: argparse.Namespace) -> int:
 def cmd_analyze(args: argparse.Namespace) -> int:
     import numpy as np
 
-    from .counting import RatioEstimate, aggregate, estimate_ratios
+    from .counting import aggregate, aggregation_seed, estimate_ratios
     from .logio import read_count_log
 
     manifest, counts = read_count_log(args.log)
     summary = estimate_ratios(counts)
-    # Only stochastic mixing draws, so only it needs the seed.
-    rng = (np.random.default_rng(_resolve_seed(args.seed))
+    # Only stochastic mixing draws, so only it needs the seed.  It draws
+    # from the seed derivation of a sweep's first gamma1 column, not the
+    # generator the log's tilts came from.
+    rng = (np.random.default_rng(aggregation_seed(_resolve_seed(args.seed)))
            if args.mode == "stochastic" else None)
-    agg = aggregate(counts, args.gamma1, args.gamma2, rng)
-    # The seven estimates, q1_over_p1 to q_over_p, in the records' order.
-    estimates = {
-        name: value for result in (summary, agg)
-        for name, value in vars(result).items()
-        if isinstance(value, RatioEstimate)
-    }
+    results = {**vars(summary),
+               **vars(aggregate(counts, args.gamma1, args.gamma2, rng))}
+    estimates = {name: results[name] for name, _, _ in ESTIMATORS}
 
     if args.json:
         print(json.dumps({

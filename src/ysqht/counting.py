@@ -18,7 +18,7 @@ import numpy as np
 
 from .base import AGGREGATION_MODES, EstimationError
 from .qubit import NoiseParams, _require_finite, _require_probability
-from .theory import Sweep
+from .theory import ESTIMATORS, Sweep
 
 #: Per-grid-point seed stride for sweep runs (odd 64-bit constant), so any
 #: single point can be re-run in isolation: seed_i = base ^ (i * stride).
@@ -167,30 +167,33 @@ def _estimate(
     gamma1: Sequence[float] = (),
     gamma2: np.ndarray | None = None,
     picks: np.ndarray | None = None,
-) -> tuple[np.ndarray, np.ndarray]:
+) -> dict[str, np.ndarray]:
     """The estimator kernel behind ``estimate_ratios``, ``aggregate`` and
     the simulated sweeps: P acquisitions (``counts``, int64 of shape
     (P, n, 4)) estimated at once from all their iterations.
 
-    Returns ``value`` and ``std_error``, each of shape (J, P): one row per
-    estimator, one column per acquisition.  Each estimator is a ratio of
-    sums r = sum(a)/sum(b) with its delta-method standard error
+    Returns, by its name in ``ESTIMATORS``, each estimator's value and
+    standard error stacked, of shape (2, rows, P): one column per
+    acquisition, and one row for each estimator of n1p, n1q, n2p and n2q
+    alone (the estimates of p1, q1, p2 and q2; only when ``clean``), or one
+    row per gamma1 for each that reads the mixed counts A and B (the
+    estimates of p and q) at that gamma1 and the acquisition's weight
+    ``gamma2[i]``.  Each estimator is a ratio of sums r = sum(a)/sum(b)
+    with its delta-method standard error
     sqrt(n/(n-1) * sum((a - r*b)**2)) / sum(b) (0.0 from one iteration, NaN
-    where sum(a) is 0 over more).  The (a, b) pairs are, when ``clean``,
-    (n1q, n1p), (n2p, n1p), (n2q, n1p) and (n2q, n2p); then for each gamma1
-    value (A, n1p), (B, n1p) and (B, A), where A and B are the mixed counts
-    at that gamma1 and the acquisition's weight ``gamma2[i]``.  In
-    stochastic mode ``picks`` holds bools of shape (len(gamma1), P, 2, n):
-    iteration j of acquisition i takes the clean n1p into A where
-    ``picks[k, i, 0, j]``, else n2p, and the clean n1q into B where
-    ``picks[k, i, 1, j]``, else n2q.  In expected mode (``picks`` None) A
-    and B are the weighted averages."""
-    points, n, _ = counts.shape
-    # One C-contiguous (P, n) block per column: a sum along the last axis
-    # gives each row the bits that row gets on its own.
-    n1p, n1q, n2p, n2q = np.ascontiguousarray(
+    where sum(a) is 0 over more).  In stochastic mode ``picks`` holds bools
+    of shape (len(gamma1), P, 2, n): iteration j of acquisition i takes the
+    clean n1p into A where ``picks[k, i, 0, j]``, else n2p, and the clean
+    n1q into B where ``picks[k, i, 1, j]``, else n2q.  In expected mode
+    (``picks`` None) A and B are the weighted averages."""
+    n = counts.shape[1]
+    # One C-contiguous (P, n) block per column, keyed by the probability it
+    # estimates: a sum along the last axis gives each row the bits that row
+    # gets on its own.
+    column = dict(zip(("p1", "q1", "p2", "q2"), np.ascontiguousarray(
         np.moveaxis(counts, -1, 0), dtype=float
-    )
+    )))
+    n1p, n1q, n2p, n2q = column.values()
     if not n1p.sum(axis=-1).all():
         raise EstimationError(
             "every iteration had n1p = 0; nothing to normalize by"
@@ -198,44 +201,48 @@ def _estimate(
 
     def pairs():
         if clean:
-            yield from ((n1q, n1p), (n2p, n1p), (n2q, n1p), (n2q, n2p))
+            yield from ((name, column[a], column[b])
+                        for name, a, b in ESTIMATORS
+                        if {a, b} <= column.keys())
         weight = None if gamma2 is None else gamma2[:, np.newaxis]
         for k, g1 in enumerate(gamma1):
             if picks is None:
-                mixed_a = g1 * n1p + (1.0 - g1) * n2p
-                mixed_b = weight * n1q + (1.0 - weight) * n2q
+                mixed = {**column, "p": g1 * n1p + (1.0 - g1) * n2p,
+                         "q": weight * n1q + (1.0 - weight) * n2q}
             else:
-                mixed_a = np.where(picks[k, :, 0], n1p, n2p)
-                mixed_b = np.where(picks[k, :, 1], n1q, n2q)
-            yield from ((mixed_a, n1p), (mixed_b, n1p), (mixed_b, mixed_a))
+                mixed = {**column, "p": np.where(picks[k, :, 0], n1p, n2p),
+                         "q": np.where(picks[k, :, 1], n1q, n2q)}
+            yield from ((name, mixed[a], mixed[b])
+                        for name, a, b in ESTIMATORS
+                        if not {a, b} <= column.keys())
 
-    shape = ((4 if clean else 0) + 3 * len(gamma1), points)
-    value, std_error = np.empty(shape), np.empty(shape)
+    rows: dict[str, list] = {}
     scale = n / (n - 1) if n > 1 else 0.0
     # One estimator at a time, so that only one residual block is alive.
-    for j, (a, b) in enumerate(pairs()):
+    for name, a, b in pairs():
         total_a, total_b = a.sum(axis=-1), b.sum(axis=-1)
         if not total_b.all():
             raise EstimationError(
                 "cannot form a derived ratio: the denominator estimate "
                 "vanished"
             )
-        value[j] = total_a / total_b
-        residual = a - value[j, :, np.newaxis] * b
+        value = total_a / total_b
+        residual = a - value[:, np.newaxis] * b
         residual *= residual
-        std_error[j] = np.sqrt(residual.sum(axis=-1) * scale) / total_b
+        std_error = np.sqrt(residual.sum(axis=-1) * scale) / total_b
         if n > 1:
             # With sum(a) = 0 every residual is 0: the delta method has no
             # answer, and 0 would claim an exact estimate.
-            std_error[j, total_a == 0.0] = np.nan
-    return value, std_error
+            std_error[total_a == 0.0] = np.nan
+        rows.setdefault(name, []).append((value, std_error))
+    return {name: np.stack(found, axis=1) for name, found in rows.items()}
 
 
-def _estimate_one(counts: Counts, *args) -> list[RatioEstimate]:
-    """The kernel's estimates of one acquisition, in its row order."""
-    value, std_error = _estimate(counts.counts[np.newaxis], *args)
-    return [RatioEstimate(v, e, len(counts))
-            for v, e in zip(value[:, 0].tolist(), std_error[:, 0].tolist())]
+def _estimate_one(counts: Counts, *args) -> dict[str, RatioEstimate]:
+    """The kernel's estimates of one acquisition, by name."""
+    estimates = _estimate(counts.counts[np.newaxis], *args)
+    return {name: RatioEstimate(*pair.ravel().tolist(), len(counts))
+            for name, pair in estimates.items()}
 
 
 def estimate_ratios(counts: Counts) -> RatioSummary:
@@ -245,7 +252,7 @@ def estimate_ratios(counts: Counts) -> RatioSummary:
 
     Raises EstimationError when the summed n1p (or, for q2/p2, the summed
     n2p) is 0."""
-    return RatioSummary(*_estimate_one(counts, True), excluded=0)
+    return RatioSummary(**_estimate_one(counts, True), excluded=0)
 
 
 def aggregate(
@@ -270,7 +277,7 @@ def aggregate(
     gamma2 = _require_probability(gamma2, "gamma2")
     picks = (None if rng is None else
              rng.random((1, 1, 2, len(counts))) < [[gamma1], [gamma2]])
-    return AggregateResult(*_estimate_one(
+    return AggregateResult(**_estimate_one(
         counts, False, (gamma1,), np.array([gamma2]), picks
     ), excluded=0)
 
@@ -363,12 +370,10 @@ def simulate_sweep(
                 np.less(np.random.default_rng(aggregation_seed(point, k))
                         .random((2, iterations)), [[g1], [weight]],
                         out=picks[k, i])
-    value, std_error = _estimate(
-        counts, True, sweep.gamma1_values, gamma2, picks
-    )
-    for column in (seeds, value, std_error):
+    estimates = _estimate(counts, True, sweep.gamma1_values, gamma2, picks)
+    for column in (seeds, *estimates.values()):
         column.flags.writeable = False
     return SimulatedSweep(
         sweep, mode, seed, iterations, mean_rate, window_seconds, seeds,
-        value[3], std_error[3], value[6::3], std_error[6::3],
+        *estimates["q2_over_p2"][:, 0], *estimates["q_over_p"],
     )

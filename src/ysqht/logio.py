@@ -37,12 +37,14 @@ import json
 import math
 import os
 import stat
+import zipfile
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
 from pathlib import Path
 from typing import Any, BinaryIO, Callable, Iterable, Iterator, TextIO
 
 import numpy as np
+from numpy.lib import format as npy
 
 from .base import LogFormatError, ManifestVersionError
 from .counting import AcquisitionConfig, Counts, SimulatedSweep
@@ -159,8 +161,9 @@ def manifest_for_acquisition(config: AcquisitionConfig) -> RunManifest:
 RECORD_KEYS = ("i", "alpha", "n1p", "n1q", "n2p", "n2q")
 
 #: Suffix of the companion that ``write_count_log`` writes beside a count
-#: log that is a regular file: an ``np.savez`` archive of the log's
-#: ``alpha`` and ``counts`` columns and the SHA-256 of its bytes.
+#: log that is a regular file: an npz archive, as ``np.savez`` writes one,
+#: of the log's ``alpha`` and ``counts`` columns and the SHA-256 of its
+#: bytes.
 COLUMNS_SUFFIX = ".columns.npz"
 
 #: Record lines parsed per ``json.loads`` call by ``read_count_log``, and
@@ -270,10 +273,25 @@ def write_count_log(
     digest = hashlib.sha256()
     if _write_lines(path, itertools.chain([manifest.to_json()],
                                           _record_lines(counts)), digest):
-        _replace(_columns_path(path), path.stat().st_mode, lambda fh: np.savez(
-            fh, alpha=counts.alpha, counts=counts.counts,
-            sha256=np.frombuffer(digest.digest(), np.uint8)))
+        _replace(_columns_path(path), path.stat().st_mode,
+                 lambda fh: _write_npz(
+                     fh, alpha=counts.alpha, counts=counts.counts,
+                     sha256=np.frombuffer(digest.digest(), np.uint8)))
     return manifest
+
+
+def _write_npz(fh: BinaryIO, **columns: np.ndarray) -> None:
+    """Write ``columns`` as ``np.savez`` does, an uncompressed zip archive
+    of one ``<name>.npy`` member per column that ``np.load`` reads, but
+    each member straight from its column's buffer: ``np.savez`` copies a
+    column in blocks of up to 16 MiB, so its memory grows with the log."""
+    with zipfile.ZipFile(fh, "w", zipfile.ZIP_STORED) as archive:
+        for name, column in columns.items():
+            column = np.ascontiguousarray(column)
+            with archive.open(f"{name}.npy", "w", force_zip64=True) as member:
+                npy.write_array_header_1_0(
+                    member, npy.header_data_from_array_1_0(column))
+                member.write(memoryview(column).cast("B"))
 
 
 def _columns_path(log: Path) -> Path:

@@ -76,6 +76,21 @@ class OutcomeProbabilities:
     q: float
 
 
+#: The seven ratio estimators, in the order they are reported: each row
+#: names an estimator and the two ``OutcomeProbabilities`` fields whose
+#: ratio it estimates, so its closed form on ``o`` is
+#: ``getattr(o, numerator) / getattr(o, denominator)``.
+ESTIMATORS = (
+    ("q1_over_p1", "q1", "p1"),
+    ("p2", "p2", "p1"),
+    ("q2", "q2", "p1"),
+    ("q2_over_p2", "q2", "p2"),
+    ("p", "p", "p1"),
+    ("q", "q", "p1"),
+    ("q_over_p", "q", "p"),
+)
+
+
 @dataclass(frozen=True)
 class YsVerdict:
     """Verdict of the aggregation-reversal test at one parameter point.

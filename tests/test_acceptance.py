@@ -20,6 +20,7 @@ from ysqht import (
     NoiseParams,
     ScenarioParams,
     aggregate,
+    aggregation_seed,
     born_probability,
     delta_threshold,
     dephase,
@@ -213,7 +214,8 @@ def test_criterion_7_determinism_and_round_trip(tmp_path, capsys):
     )
     counts = run_acquisition(config)
     summary = estimate_ratios(counts)
-    agg = aggregate(counts, 0.1, 0.8, np.random.default_rng(13))
+    agg = aggregate(counts, 0.1, 0.8,
+                    np.random.default_rng(aggregation_seed(13)))
     round_trip = (
         code == 0
         and reported["q1_over_p1"]["value"] == summary.q1_over_p1.value

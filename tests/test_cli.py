@@ -19,14 +19,17 @@ from ysqht import (
     NoiseParams,
     ScenarioParams,
     aggregate,
+    aggregation_seed,
     delta_threshold,
     estimate_ratios,
     gamma2_threshold,
     outcome_probabilities,
     read_count_log,
+    point_seed,
     run_acquisition,
 )
 from ysqht import cli
+from ysqht.theory import ESTIMATORS
 from ysqht.cli import main
 
 THETA_B = 5.0 * math.pi / 36.0
@@ -592,13 +595,40 @@ class TestAnalyze:
         )
         counts = run_acquisition(config)
         summary = estimate_ratios(counts)
-        agg = aggregate(counts, 0.1, 0.8, np.random.default_rng(13))
+        agg = aggregate(counts, 0.1, 0.8,
+                        np.random.default_rng(aggregation_seed(13)))
         assert report["q1_over_p1"]["value"] == summary.q1_over_p1.value
         assert report["q1_over_p1"]["std_error"] == summary.q1_over_p1.std_error
         assert report["q2_over_p2"]["value"] == summary.q2_over_p2.value
         assert report["q_over_p"]["value"] == agg.q_over_p.value
         assert report["q_over_p"]["std_error"] == agg.q_over_p.std_error
         assert report["excluded"] == 0
+
+    def test_mixing_draws_do_not_reuse_the_log_seed(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        # simulate and analyze fall back to the same seed.  analyze mixes
+        # from aggregation_seed(seed), as a sweep's first gamma1 column
+        # does, not from the generator that drew the log's tilts.
+        monkeypatch.delenv("YSQHT_SEED", raising=False)
+        log = tmp_path / "run.jsonl"
+        assert main(["simulate", "--theta", THETA_FLAG, "--delta-std",
+                     DELTA_FLAG, "--out", str(log)]) == 0
+        capsys.readouterr()
+        code, report = run_json(capsys, [
+            "analyze", str(log), "--gamma1", "0.1", "--gamma2", "0.8",
+            "--json",
+        ])
+        counts = read_count_log(log)[1]
+
+        def q_over_p(seed):
+            rng = np.random.default_rng(seed)
+            return aggregate(counts, 0.1, 0.8, rng).q_over_p.value
+
+        assert code == 0
+        assert report["q_over_p"]["value"] == q_over_p(
+            aggregation_seed(cli.DEFAULT_SEED))
+        assert report["q_over_p"]["value"] != q_over_p(cli.DEFAULT_SEED)
 
     @pytest.mark.parametrize("mode", ["stochastic", "expected"])
     @pytest.mark.parametrize("form", [[], ["--json"]], ids=["text", "json"])
@@ -833,9 +863,11 @@ class TestSweep:
         assert (tmp_path / "left.csv.manifest.json").exists()
 
     def test_readme_recipe_reruns_one_point_exactly(self, tmp_path, capsys):
-        # "Reproducibility" in the README: simulate --seed <point seed>
-        # gives the counts of point i, and analyze --seed
-        # <aggregation_seed(point seed, k)> its stochastic q/p in column k.
+        # "Reproducibility" in the README: simulate and analyze, both at
+        # --seed <point seed>, give point i's counts and its stochastic
+        # estimates at the first gamma1 bit for bit; the k-th gamma1 column
+        # comes back from aggregate on default_rng(aggregation_seed(point
+        # seed, k)).
         table = tmp_path / "right.csv"
         point = ["--theta", "0.43633", "--delta-std", "0.69813"]
         assert main(["sweep", "gamma2", "0:1:21", *point, "--gamma1",
@@ -843,21 +875,26 @@ class TestSweep:
                      "--out", str(table)]) == 0
         with table.open(newline="") as fh:
             row = list(csv.DictReader(fh))[7]
-        seed = ysqht.point_seed(9, 7)
+        seed = point_seed(9, 7)
         log = tmp_path / "point.jsonl"
         assert main(["simulate", *point, "--seed", str(seed),
                      "--out", str(log)]) == 0
         capsys.readouterr()
         code, report = run_json(capsys, [
-            "analyze", str(log), "--gamma1", "0.4", "--gamma2", row["gamma2"],
-            "--seed", str(ysqht.aggregation_seed(seed, 1)), "--json",
+            "analyze", str(log), "--gamma1", "0.05", "--gamma2", row["gamma2"],
+            "--seed", str(seed), "--json",
         ])
         assert code == 0
+        agg = aggregate(read_count_log(log)[1], 0.4, float(row["gamma2"]),
+                        np.random.default_rng(aggregation_seed(seed, 1)))
         assert [report[name][key]
                 for name in ("q2_over_p2", "q_over_p")
-                for key in ("value", "std_error")] == [
+                for key in ("value", "std_error")] + [
+            agg.q_over_p.value, agg.q_over_p.std_error
+        ] == [
             float(row[column]) for column in (
                 "sim_q2_over_p2", "sim_q2_over_p2_err",
+                "sim_q_over_p_gamma1_0.05", "sim_q_over_p_err_gamma1_0.05",
                 "sim_q_over_p_gamma1_0.4", "sim_q_over_p_err_gamma1_0.4")
         ]
 
@@ -1252,21 +1289,15 @@ def estimate_fields(estimate):
 
 
 def library_analysis(log, gamma1, gamma2, mode, seed):
-    """The seven estimates of ``analyze``, labelled as its text output labels
-    them, and the summary they come from, computed in process."""
+    """The seven estimates of ``analyze`` by name, in the order of
+    ``ESTIMATORS``, and the summary they come from, computed in process."""
     _, counts = read_count_log(log)
     summary = estimate_ratios(counts)
-    rng = np.random.default_rng(seed) if mode == "stochastic" else None
+    rng = (np.random.default_rng(aggregation_seed(seed))
+           if mode == "stochastic" else None)
     agg = aggregate(counts, gamma1, gamma2, rng)
-    return summary, {
-        "q1/p1": summary.q1_over_p1,
-        "p2": summary.p2,
-        "q2": summary.q2,
-        "q2/p2": summary.q2_over_p2,
-        "p": agg.p,
-        "q": agg.q,
-        "q/p": agg.q_over_p,
-    }
+    results = {**vars(summary), **vars(agg)}
+    return summary, {name: results[name] for name, _, _ in ESTIMATORS}
 
 
 class TestPinnedOutput:
@@ -1401,8 +1432,8 @@ class TestPinnedOutput:
             "gamma2": 0.8,
             "mode": mode,
             "excluded": summary.excluded,
-            **{label.replace("/", "_over_"): estimate_fields(estimate)
-               for label, estimate in estimates.items()},
+            **{name: estimate_fields(estimate)
+               for name, estimate in estimates.items()},
         }
 
     @pytest.mark.parametrize("mode", ["stochastic", "expected"])
@@ -1414,17 +1445,18 @@ class TestPinnedOutput:
         ])
         _, estimates = library_analysis(log, 0.05, 0.8, mode, 13)
         lines = [f"300 iterations from {log} (0 excluded for n1p = 0)"]
-        for label, estimate in estimates.items():
-            lines.append(f"{label:<12} {estimate.value:.6f} "
+        for name, estimate in estimates.items():
+            lines.append(f"{name.replace('_over_', '/'):<12} "
+                         f"{estimate.value:.6f} "
                          f"+- {estimate.std_error:.2g}")
         assert code == 0
         assert out == "\n".join(lines) + "\n"
 
     @pytest.mark.parametrize("mode, aggregated", [
         ("stochastic", """\
-p            0.673913 +- 0.11
-q            0.706522 +- 0.11
-q/p          1.048387 +- 0.21
+p            0.619565 +- 0.11
+q            0.597826 +- 0.082
+q/p          0.964912 +- 0.19
 """),
         ("expected", """\
 p            0.638587 +- 0.11

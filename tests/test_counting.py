@@ -1,6 +1,7 @@
 """Tests for the photon-counting emulator, estimators, and aggregation."""
 
 import copy
+import dataclasses
 import math
 import re
 
@@ -10,10 +11,11 @@ import pytest
 from ysqht import counting
 from ysqht import (
     AcquisitionConfig,
+    AggregateResult,
     Counts,
     EstimationError,
     NoiseParams,
-    RatioEstimate,
+    RatioSummary,
     ScenarioParams,
     aggregate,
     aggregation_seed,
@@ -27,6 +29,7 @@ from ysqht import (
     sweep_table,
     write_sweep_csv,
 )
+from ysqht.theory import ESTIMATORS
 
 THETA_B = 5.0 * math.pi / 36.0
 DELTA_FIG2 = 2.0 * math.pi / 9.0
@@ -374,18 +377,48 @@ class TestAggregate:
         # The picks alone choose the counts, whatever the weights: all clean
         # gives p = 1 and the clean q1/p1, none the noisy p2, q2 and q2/p2.
         counts = run_acquisition(config(seed=1)).counts[np.newaxis]
-        clean = counting._estimate(counts, True)[0][:, 0].tolist()
-        for pick, expected in [(True, [1.0, clean[0], clean[0]]),
-                               (False, clean[1:4])]:
+
+        def values(*args):
+            return {name: pair[0].item()
+                    for name, pair in counting._estimate(counts, *args).items()}
+
+        clean = values(True)
+        for pick, expected in [
+            (True, [1.0, clean["q1_over_p1"], clean["q1_over_p1"]]),
+            (False, [clean["p2"], clean["q2"], clean["q2_over_p2"]]),
+        ]:
             picks = np.full((1, 1, 2, counts.shape[1]), pick)
-            value, _ = counting._estimate(counts, False, (0.3,),
-                                          np.array([0.6]), picks)
-            assert value[:, 0].tolist() == expected
+            assert values(False, (0.3,), np.array([0.6]), picks) == dict(
+                zip(["p", "q", "q_over_p"], expected))
 
     def test_bad_weights_rejected(self):
         counts = run_acquisition(config(seed=1))
         with pytest.raises(ValueError):
             aggregate(counts, 1.5, 0.5)
+
+
+class TestEstimatorTable:
+    """``ESTIMATORS`` is the one list of the estimators: the results of
+    ``estimate_ratios`` and ``aggregate`` take their fields from it."""
+
+    def test_names_are_the_result_fields_in_order(self):
+        fields = [field.name for result in (RatioSummary, AggregateResult)
+                  for field in dataclasses.fields(result)
+                  if field.name != "excluded"]
+        assert [name for name, _, _ in ESTIMATORS] == fields
+
+    @pytest.mark.parametrize("renamed, estimate", [
+        ("q2_over_p2", estimate_ratios),
+        ("q_over_p", lambda counts: aggregate(counts, 0.1, 0.8)),
+    ], ids=["estimate_ratios", "aggregate"])
+    def test_a_name_the_results_lack_is_refused(
+        self, monkeypatch, renamed, estimate
+    ):
+        table = tuple((f"{name}_x" if name == renamed else name, a, b)
+                      for name, a, b in ESTIMATORS)
+        monkeypatch.setattr(counting, "ESTIMATORS", table)
+        with pytest.raises(TypeError, match=f"{renamed}_x"):
+            estimate(run_acquisition(config(seed=1)))
 
 
 class TestCalibration:
@@ -400,9 +433,8 @@ class TestCalibration:
         o = outcome_probabilities(
             ScenarioParams(THETA_B, noise, gamma1, gamma2)
         )
-        truth = {"q1_over_p1": o.q1 / o.p1, "p2": o.p2 / o.p1,
-                 "q2": o.q2 / o.p1, "q2_over_p2": o.q2 / o.p2,
-                 "p": o.p / o.p1, "q": o.q / o.p1, "q_over_p": o.q / o.p}
+        truth = {name: getattr(o, a) / getattr(o, b)
+                 for name, a, b in ESTIMATORS}
         pulls = {}
         for seed in range(400):
             counts = run_acquisition(config(noise=noise, seed=seed))
@@ -413,11 +445,11 @@ class TestCalibration:
             ):
                 results[mode] = aggregate(counts, gamma1, gamma2, rng)
             for mode, result in results.items():
-                for name, est in vars(result).items():
-                    if isinstance(est, RatioEstimate):
-                        pulls.setdefault(f"{mode} {name}", []).append(
-                            (est.value - truth[name]) / est.std_error
-                        )
+                for name in truth.keys() & vars(result).keys():
+                    est = getattr(result, name)
+                    pulls.setdefault(f"{mode} {name}", []).append(
+                        (est.value - truth[name]) / est.std_error
+                    )
         assert len(pulls) == 10
         off = {
             name: (round(float(values.mean()), 3),

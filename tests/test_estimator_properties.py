@@ -17,6 +17,7 @@ from ysqht import (
     estimate_ratios,
     run_acquisition,
 )
+from ysqht.theory import ESTIMATORS
 
 
 @settings(derandomize=True, deadline=None, max_examples=150)
@@ -40,10 +41,9 @@ def test_shuffled_records_give_the_same_estimates(
     shuffled = Counts(counts.alpha[order], counts.counts[order])
 
     def estimates(c):
-        summary = estimate_ratios(c)
-        agg = aggregate(c, gamma1, gamma2)
-        return [summary.q1_over_p1, summary.p2, summary.q2,
-                summary.q2_over_p2, agg.p, agg.q, agg.q_over_p]
+        results = {**vars(estimate_ratios(c)),
+                   **vars(aggregate(c, gamma1, gamma2))}
+        return [results[name] for name, _, _ in ESTIMATORS]
 
     try:
         before = estimates(counts)

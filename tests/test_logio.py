@@ -11,6 +11,7 @@ import stat
 import sys
 import threading
 import tracemalloc
+import zipfile
 
 import numpy as np
 import pytest
@@ -183,9 +184,9 @@ class TestRecordLines:
             finally:
                 tracemalloc.stop()
 
-        small, large = write_peak(10_000), write_peak(50_000)
+        small, large = write_peak(10_000), write_peak(150_000)
         assert large < 4e6
-        assert large <= 1.5 * small
+        assert large <= 1.2 * small
 
 
 class TestCountLogRoundTrip:
@@ -199,6 +200,18 @@ class TestCountLogRoundTrip:
         assert manifest.iterations == config.iterations
         assert manifest.theta == config.theta
         assert manifest.delta_std == config.noise.delta_std
+
+    def test_strided_counts_round_trip_exactly(self, tmp_path):
+        # Every other iteration of a run: columns that are views with a
+        # stride, which the companion stores as contiguous members.
+        config, counts = write_log(tmp_path / "full.jsonl", iterations=40)
+        strided = Counts(counts.alpha[::2], counts.counts[::2, ::-1])
+        assert not strided.alpha.flags.c_contiguous
+        assert not strided.counts.flags.c_contiguous
+        path = tmp_path / "run.jsonl"
+        write_count_log(path, dataclasses.replace(config, iterations=20),
+                        strided)
+        assert_same_counts(read_both_ways(path)[1], strided)
 
     def test_rerun_is_identical_except_timestamp(self, tmp_path):
         config = make_config()
@@ -1192,18 +1205,24 @@ class TestColumnsCompanion:
             write_log(path, seed=2)
         assert snapshot(tmp_path) == before
 
-    @pytest.mark.parametrize("where", ["savez", "replace"])
+    @pytest.mark.parametrize("where", ["member", "replace"])
     def test_failed_companion_write_leaves_the_new_log(
         self, tmp_path, monkeypatch, where
     ):
         path = tmp_path / "run.jsonl"
         write_log(path, seed=1)
         old_companion = companion_of(path).read_bytes()
-        if where == "savez":
-            def savez(fh, **columns):
-                fh.write(b"PK\x03\x04 part of an archive")
-                raise OSError("injected failure")
-            monkeypatch.setattr(np, "savez", savez)
+        if where == "member":
+            # The first column's data fails after its header and part of
+            # its bytes are in the archive.
+            write = zipfile._ZipWriteFile.write
+
+            def write_part(member, data):
+                if isinstance(data, memoryview):
+                    write(member, data[:8])
+                    raise OSError("injected failure")
+                return write(member, data)
+            monkeypatch.setattr(zipfile._ZipWriteFile, "write", write_part)
         else:
             replace = os.replace
 

@@ -22,6 +22,7 @@ from ysqht import (
     sweep_gamma2,
     ys_reversal,
 )
+from ysqht.theory import ESTIMATORS
 
 THETA_B = 5.0 * math.pi / 36.0
 DELTA_FIG2 = 2.0 * math.pi / 9.0
@@ -61,6 +62,17 @@ class TestOutcomeProbabilities:
         assert o.p1 == 1.0
         assert o.q1 == pytest.approx(Q1, abs=1e-15)
         assert o.q2 / o.p2 == pytest.approx(Q2_OVER_P2_FIG2, abs=1e-12)
+
+    def test_estimator_table_gives_the_closed_forms(self):
+        # The one statement of the seven closed forms by hand, the check of
+        # the table that every estimator, report and test reads.
+        o = outcome_probabilities(scenario(delta_std=0.7))
+        assert [(name, getattr(o, a) / getattr(o, b))
+                for name, a, b in ESTIMATORS] == [
+            ("q1_over_p1", o.q1 / o.p1), ("p2", o.p2 / o.p1),
+            ("q2", o.q2 / o.p1), ("q2_over_p2", o.q2 / o.p2),
+            ("p", o.p / o.p1), ("q", o.q / o.p1), ("q_over_p", o.q / o.p),
+        ]
 
     def test_zero_noise_collapses_to_clean(self):
         o = outcome_probabilities(scenario(delta_std=0.0))
