@@ -22,6 +22,7 @@ from ysqht import (
     outcome_probabilities,
     run_acquisition,
 )
+from ysqht.theory import ESTIMATORS
 
 theta = 5.0 * math.pi / 36.0
 noise = NoiseParams(2.0 * math.pi / 9.0)
@@ -42,27 +43,27 @@ analytic = outcome_probabilities(
 )
 summary = estimate_ratios(counts)
 
+# Each estimator's closed form, from the table of estimators.
+closed_form = {name: getattr(analytic, a) / getattr(analytic, b)
+               for name, a, b in ESTIMATORS}
+
 print("\n== normalized ratios vs closed forms ==")
-rows = [
-    ("q1/p1", summary.q1_over_p1, analytic.q1 / analytic.p1),
-    ("p2", summary.p2, analytic.p2),
-    ("q2", summary.q2, analytic.q2),
-    ("q2/p2", summary.q2_over_p2, analytic.q2 / analytic.p2),
-]
-for label, est, true in rows:
-    pull = (est.value - true) / est.std_error
-    print(f"{label:>6}: {est.value:.4f} +- {est.std_error:.4f}  "
-          f"(analytic {true:.4f}, pull {pull:+.2f} sigma)")
+for name, true in closed_form.items():
+    if hasattr(summary, name):  # the estimators of the clean counts
+        est = getattr(summary, name)
+        pull = (est.value - true) / est.std_error
+        print(f"{name.replace('_over_', '/'):>6}: {est.value:.4f} +- "
+              f"{est.std_error:.4f}  (analytic {true:.4f}, pull "
+              f"{pull:+.2f} sigma)")
 
 print("\n== aggregation over an unknown preparation ==")
 for mode, rng in (("expected", None),
                   ("stochastic", np.random.default_rng(99))):
     agg = aggregate(counts, gamma1, gamma2, rng)
-    pull = (agg.q_over_p.value - analytic.q / analytic.p) / (
-        agg.q_over_p.std_error
-    )
+    true = closed_form["q_over_p"]
+    pull = (agg.q_over_p.value - true) / agg.q_over_p.std_error
     print(f"{mode:>10}: q/p = {agg.q_over_p.value:.4f} +- "
           f"{agg.q_over_p.std_error:.4f}  (analytic "
-          f"{analytic.q / analytic.p:.4f}, pull {pull:+.2f} sigma)")
+          f"{true:.4f}, pull {pull:+.2f} sigma)")
 print("\nstochastic mixing re-rolls which preparation each iteration counts")
 print("as, so its error bar is the wider of the two")

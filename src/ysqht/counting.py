@@ -102,15 +102,10 @@ class Counts:
 class RatioEstimate:
     """Ratio estimate r = sum(a)/sum(b) over the ``n_samples`` iterations
     of an acquisition, with its delta-method standard error
-    sqrt(n/(n-1) * sum((a - r*b)**2)) / sum(b), a one-sigma interval (0.0
-    from a single iteration; NaN, undefined, when sum(a) is 0 over two or
-    more iterations, as every residual is then 0 whatever the spread).
-
-    The error is also exactly 0.0 where sum(a) > 0 and every residual
-    a - r*b is 0.  That bar is exact where a is b by construction, as for p
-    at gamma1 = 1 (every mixed count is the clean n1p).  Otherwise it
-    understates the error; at a few summed counts it happens by chance (5
-    estimates in 369 acquisitions at n * lambda = 4, see the README)."""
+    sqrt(n/(n-1) * sum((a - r*b)**2)) / sum(b), a one-sigma interval: 0.0
+    from a single iteration, and over more NaN, undefined, where every
+    residual a - r*b is 0 (as wherever sum(a) is 0; see the README), but
+    for p at gamma1 = 1, exact with error 0.0 as a is b by construction."""
 
     value: float
     std_error: float
@@ -181,11 +176,12 @@ def _estimate(
     ``gamma2[i]``.  Each estimator is a ratio of sums r = sum(a)/sum(b)
     with its delta-method standard error
     sqrt(n/(n-1) * sum((a - r*b)**2)) / sum(b) (0.0 from one iteration, NaN
-    where sum(a) is 0 over more).  In stochastic mode ``picks`` holds bools
-    of shape (len(gamma1), P, 2, n): iteration j of acquisition i takes the
-    clean n1p into A where ``picks[k, i, 0, j]``, else n2p, and the clean
-    n1q into B where ``picks[k, i, 1, j]``, else n2q.  In expected mode
-    (``picks`` None) A and B are the weighted averages."""
+    over more where every residual is 0 but a is not b).  In stochastic
+    mode ``picks`` holds bools of shape (len(gamma1), P, 2, n): iteration j
+    of acquisition i takes the clean n1p into A where ``picks[k, i, 0, j]``,
+    else n2p, and the clean n1q into B where ``picks[k, i, 1, j]``, else
+    n2q.  In expected mode (``picks`` None) A and B are the weighted
+    averages."""
     n = counts.shape[1]
     # One C-contiguous (P, n) block per column, keyed by the probability it
     # estimates: a sum along the last axis gives each row the bits that row
@@ -212,6 +208,8 @@ def _estimate(
             else:
                 mixed = {**column, "p": np.where(picks[k, :, 0], n1p, n2p),
                          "q": np.where(picks[k, :, 1], n1q, n2q)}
+            if g1 == 1.0:  # every mixed p count is n1p: p is exactly 1
+                mixed["p"] = n1p
             yield from ((name, mixed[a], mixed[b])
                         for name, a, b in ESTIMATORS
                         if not {a, b} <= column.keys())
@@ -230,10 +228,10 @@ def _estimate(
         residual = a - value[:, np.newaxis] * b
         residual *= residual
         std_error = np.sqrt(residual.sum(axis=-1) * scale) / total_b
-        if n > 1:
-            # With sum(a) = 0 every residual is 0: the delta method has no
-            # answer, and 0 would claim an exact estimate.
-            std_error[total_a == 0.0] = np.nan
+        if n > 1 and a is not b:
+            # Where every residual is 0 (as wherever sum(a) is 0) the delta
+            # method has no answer; 0 would claim an exact estimate.
+            std_error[std_error == 0.0] = np.nan
         rows.setdefault(name, []).append((value, std_error))
     return {name: np.stack(found, axis=1) for name, found in rows.items()}
 

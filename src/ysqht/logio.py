@@ -9,13 +9,14 @@ header names and a companion ``<name>.manifest.json``, both built by
 significant digits and CSV cells use the shortest round-trip decimal form,
 so parsing a file back reproduces the in-memory values exactly.
 
-Both writers format and write ``READ_CHUNK_LINES`` lines at a time, so the
-memory a count-log write takes does not grow with the length of the file;
-a sweep write also holds its grid's cells, which the manifest's ``grid``
-reuses.  A regular file is written to a new file beside it that then
-replaces it, so that a write that fails part way leaves the old file or
-none, never half of one; streams (pipes, devices, links such as
-``/dev/stdout``) are written in place.
+Both writers write blocks of ``READ_CHUNK_LINES`` lines, a count log's
+each formatted by one ``%`` on ``RECORD_LINE`` repeated, so the memory a
+count-log write takes does not grow with the length of the file; a sweep
+write also holds its grid's cells, which the manifest's ``grid`` reuses.
+A regular file is written to a new file beside it that then replaces it,
+so that a write that fails part way leaves the old file or none, never
+half of one; streams (pipes, devices, links such as ``/dev/stdout``) are
+written in place.
 
 A count log written to a regular file gets a companion,
 ``<log>.columns.npz``: its ``alpha`` and ``counts`` columns and the SHA-256
@@ -159,6 +160,10 @@ def manifest_for_acquisition(config: AcquisitionConfig) -> RunManifest:
 
 #: Keys of a record line, in the order they are written.
 RECORD_KEYS = ("i", "alpha", "n1p", "n1q", "n2p", "n2q")
+#: A record line, its fields in the order of ``RECORD_KEYS``; ``%.17g``
+#: gives a tilt the 17 significant digits that reproduce the double.
+RECORD_LINE = (b'{"i": %d, "alpha": %.17g, "n1p": %d, "n1q": %d, '
+               b'"n2p": %d, "n2q": %d}\n')
 
 #: Suffix of the companion that ``write_count_log`` writes beside a count
 #: log that is a regular file: an npz archive, as ``np.savez`` writes one,
@@ -195,20 +200,14 @@ def _replace(path: Path, mode: int | None,
         raise
 
 
-def _write_lines(path: Path, lines: Iterable[str],
-                 digest: Any = None) -> bool:
-    """Write ``lines``, each ended by a newline, to ``path``, joined and
-    written ``READ_CHUNK_LINES`` lines at a time; returns whether ``path``
-    is a regular file.
-
-    A regular file, or a path where nothing is yet, is written through
+def _write_blocks(path: Path, blocks: Iterable[bytes],
+                  digest: Any = None) -> bool:
+    """Write ``blocks`` of bytes to ``path``; returns whether ``path`` is a
+    regular file.  One, or a path where nothing is yet, is written through
     ``_replace``, keeping the old file's permission bits, and ``digest`` (a
     ``hashlib`` object), when given, takes its bytes as they are written.
     Anything else at ``path``, such as a pipe, a device or a link
     (``/dev/stdout``), is written in place."""
-    lines = iter(lines)
-    chunks = iter(lambda: list(itertools.islice(lines, READ_CHUNK_LINES)), [])
-    blocks = (("\n".join(chunk) + "\n").encode() for chunk in chunks)
     try:
         mode = path.lstat().st_mode
     except FileNotFoundError:
@@ -217,40 +216,36 @@ def _write_lines(path: Path, lines: Iterable[str],
         with path.open("wb") as fh:
             fh.writelines(blocks)
         return False
-
-    def write(fh: BinaryIO) -> None:
-        for block in blocks:
-            fh.write(block)
-            if digest is not None:
-                digest.update(block)
-
-    _replace(path, mode, write)
+    if digest is not None:  # each block as it goes to be written
+        blocks = (digest.update(block) or block for block in blocks)
+    _replace(path, mode, lambda fh: fh.writelines(blocks))
     return True
 
 
-def format_record_line(
-    index: int, alpha: float, n1p: int, n1q: int, n2p: int, n2q: int
-) -> str:
-    """One record as a JSON line with the tilt at 17 significant digits
-    (enough to reproduce the double exactly).  A negative zero tilt is
-    written ``-0.0``, since JSON reads ``-0`` as the integer 0."""
-    tilt = ("-0.0" if alpha == 0.0 and math.copysign(1.0, alpha) < 0.0
-            else f"{alpha:.17g}")
-    return (
-        f'{{"i": {index}, "alpha": {tilt}, "n1p": {n1p}, '
-        f'"n1q": {n1q}, "n2p": {n2p}, "n2q": {n2q}}}'
-    )
+def _line_blocks(lines: Iterable[str]) -> Iterator[bytes]:
+    """``lines``, each ended by a newline, in blocks of READ_CHUNK_LINES."""
+    lines = iter(lines)
+    while chunk := list(itertools.islice(lines, READ_CHUNK_LINES)):
+        yield ("\n".join(chunk) + "\n").encode()
 
 
-def _record_lines(counts: Counts) -> Iterator[str]:
-    """The record lines of ``counts``, made ``READ_CHUNK_LINES`` at a time,
-    so that only the columns of one chunk are turned into Python values at
-    once."""
-    for start in range(0, len(counts), READ_CHUNK_LINES):
-        stop = start + READ_CHUNK_LINES
-        yield from map(format_record_line, range(start, stop),
-                       counts.alpha[start:stop].tolist(),
-                       *counts.counts[start:stop].T.tolist())
+def _record_block(start: int, alpha: np.ndarray, counts: np.ndarray) -> bytes:
+    """The record lines of the tilts ``alpha`` and the (m, 4) ``counts``,
+    numbered from ``start``, by one ``%`` on ``RECORD_LINE * m``.  That
+    writes a negative zero tilt ``-0``, which JSON reads as the integer 0,
+    so it is rewritten ``-0.0``; no other tilt gives ``-0`` and a comma."""
+    block = RECORD_LINE * alpha.size % tuple(itertools.chain.from_iterable(
+        zip(itertools.count(start), alpha.tolist(), *counts.T.tolist())))
+    return block if alpha.all() else block.replace(b'"alpha": -0,',
+                                                   b'"alpha": -0.0,')
+
+
+def format_record_line(index: int, alpha: float, n1p: int, n1q: int,
+                       n2p: int, n2q: int) -> str:
+    """One record as ``write_count_log`` writes it, without its newline: a
+    JSON line with the tilt at 17 significant digits."""
+    return _record_block(index, np.array([alpha], np.float64), np.array(
+        [[n1p, n1q, n2p, n2q]], np.int64))[:-1].decode()
 
 
 def write_count_log(
@@ -259,7 +254,7 @@ def write_count_log(
     counts: Counts,
 ) -> RunManifest:
     """Write ``counts`` as a count log under the manifest of ``config``, a
-    chunk of ``READ_CHUNK_LINES`` record lines at a time, so that the memory
+    block of ``READ_CHUNK_LINES`` record lines at a time, so that the memory
     the lines take does not grow with the number of records; a regular file
     is replaced only once the whole log is written, and then gets its
     companion ``<path>.columns.npz``, with the log's permission bits."""
@@ -271,8 +266,12 @@ def write_count_log(
     manifest = manifest_for_acquisition(config)
     path = Path(path)
     digest = hashlib.sha256()
-    if _write_lines(path, itertools.chain([manifest.to_json()],
-                                          _record_lines(counts)), digest):
+    step = READ_CHUNK_LINES
+    blocks = (_record_block(k, counts.alpha[k:k + step],
+                            counts.counts[k:k + step])
+              for k in range(0, len(counts), step))
+    head = (manifest.to_json() + "\n").encode()
+    if _write_blocks(path, itertools.chain([head], blocks), digest):
         _replace(_columns_path(path), path.stat().st_mode,
                  lambda fh: _write_npz(
                      fh, alpha=counts.alpha, counts=counts.counts,
@@ -538,8 +537,9 @@ def write_sweep_csv(
     header, columns = sweep_table(table)
     x_cells = list(_cells(sweep.x))  # for the table and the manifest
     out = Path(path)
-    if not _write_lines(out, itertools.chain([",".join(header)], map(
-            ",".join, zip(x_cells, *map(_cells, columns[1:]))))):
+    if not _write_blocks(out, _line_blocks(itertools.chain(
+            [",".join(header)],
+            map(",".join, zip(x_cells, *map(_cells, columns[1:])))))):
         return None
     manifest = RunManifest(
         kind=KIND_SWEEP, theta=sweep.theta, gamma1=sweep.gamma1_values,
@@ -554,5 +554,5 @@ def write_sweep_csv(
     text = manifest.to_json().replace(
         '"grid": []', f'"grid": [{", ".join(x_cells)}]', 1)
     manifest_path = out.with_name(out.name + ".manifest.json")
-    _write_lines(manifest_path, [text])
+    _write_blocks(manifest_path, _line_blocks([text]))
     return manifest_path

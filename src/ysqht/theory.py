@@ -325,15 +325,16 @@ def _sweep(
         math.cos(2.0 * theta), smearing,
         np.array(gamma1_values)[:, np.newaxis], gamma2,
     )
+    ratio = {name: getattr(o, a) / getattr(o, b) for name, a, b in ESTIMATORS}
     # broadcast_to also makes the columns read-only views.
     shape = (len(gamma1_values), grid.size)
-    q_over_p = np.broadcast_to(o.q / o.p, shape)
     reversal = np.broadcast_to(
         (o.p1 > o.q1) & (o.p2 > o.q2) & (o.q > o.p), shape
     )
     return Sweep(
-        axis, theta, fixed, gamma1_values, grid, o.q1 / o.p1,
-        np.broadcast_to(o.q2 / o.p2, grid.shape), q_over_p, reversal,
+        axis, theta, fixed, gamma1_values, grid, ratio["q1_over_p1"],
+        np.broadcast_to(ratio["q2_over_p2"], grid.shape),
+        np.broadcast_to(ratio["q_over_p"], shape), reversal,
     )
 
 

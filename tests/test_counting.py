@@ -262,6 +262,28 @@ class TestEstimateRatios:
         one = Counts(counts.alpha[:1], counts.counts[:1] + [1, 0, 1, 0])
         assert estimate_ratios(one).q2.std_error == 0.0
 
+    def test_vanishing_residuals_give_no_error_bar(self):
+        # The README's n * lambda = 4 row: 20 windows at 0.2 counts, seeds
+        # 0..399.  In these three acquisitions the summed numerator is
+        # positive, yet every window holds a = b, so r = 1 and every residual
+        # a - r*b is 0: no spread to measure, so no error bar.
+        def acquisition(seed):
+            return run_acquisition(AcquisitionConfig(
+                THETA_B, NoiseParams(0.7), seed, 20, 0.2, 1.0))
+
+        def stochastic(seed, gamma1=0.1):
+            return aggregate(acquisition(seed), gamma1, 0.8,
+                             np.random.default_rng(aggregation_seed(seed)))
+
+        for est in (estimate_ratios(acquisition(36)).q2_over_p2,
+                    stochastic(120).q, stochastic(356).p):
+            assert est.value == 1.0
+            assert math.isnan(est.std_error)
+        # Only p at gamma1 = 1 is exact: every mixed count is n1p itself.
+        for agg in (stochastic(356, 1.0),
+                    aggregate(acquisition(356), 1.0, 0.8)):
+            assert (agg.p.value, agg.p.std_error) == (1.0, 0.0)
+
     def test_all_excluded_raises(self):
         cfg = config(
             noise=NoiseParams(0.0), seed=4, iterations=5, mean_rate=1e-6

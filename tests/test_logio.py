@@ -935,9 +935,10 @@ class TestCrashSafeWrites:
         if existing:
             path.write_text("old log\n")
         before = snapshot(tmp_path)
-        failing = fail_on(logio.format_record_line, READ_CHUNK_LINES + 3,
-                          tmp_path)
-        monkeypatch.setattr(logio, "format_record_line", failing)
+        # The block of records READ_CHUNK_LINES on, written after the
+        # manifest and the block of the first READ_CHUNK_LINES records.
+        failing = fail_on(logio._record_block, READ_CHUNK_LINES, tmp_path)
+        monkeypatch.setattr(logio, "_record_block", failing)
         with pytest.raises(OSError, match="injected"):
             write_log(path, iterations=2 * READ_CHUNK_LINES)
         assert_failed_mid_write(failing.seen, before)
@@ -1199,10 +1200,10 @@ class TestColumnsCompanion:
         path = tmp_path / "run.jsonl"
         write_log(path, seed=1)
         before = snapshot(tmp_path)
-        failing = fail_on(logio.format_record_line, 7, tmp_path)
-        monkeypatch.setattr(logio, "format_record_line", failing)
+        failing = fail_on(logio._record_block, READ_CHUNK_LINES, tmp_path)
+        monkeypatch.setattr(logio, "_record_block", failing)
         with pytest.raises(OSError, match="injected"):
-            write_log(path, seed=2)
+            write_log(path, seed=2, iterations=READ_CHUNK_LINES + 1)
         assert snapshot(tmp_path) == before
 
     @pytest.mark.parametrize("where", ["member", "replace"])

@@ -1,8 +1,9 @@
 """Property tests of the count-log format: whatever counts are written, the
 reader returns them unchanged, also across chunk boundaries and from lines
 that are blank, padded or have their keys in another order, the bytes
-written do not depend on the writer's chunk size, and the columns read from
-a log's companion are the bits its parse gives."""
+written do not depend on the writer's chunk size, each record line written
+a chunk at a time is ``format_record_line`` of its record, and the columns
+read from a log's companion are the bits its parse gives."""
 
 import sys
 import tempfile
@@ -17,6 +18,7 @@ from ysqht import (
     AcquisitionConfig,
     Counts,
     NoiseParams,
+    format_record_line,
     read_count_log,
     write_count_log,
 )
@@ -26,8 +28,9 @@ SETTINGS = settings(derandomize=True, deadline=None, max_examples=150)
 
 alphas = st.one_of(
     st.floats(allow_nan=False, allow_infinity=False),
-    st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308,
-                     1.7e308, -1.7e308, sys.float_info.max,
+    st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 1e-320, -1e-320,
+                     2.2250738585072014e-308, 1e-300, -1e-300, 1e16, -1e22,
+                     1e308, -1e308, 1.7e308, -1.7e308, sys.float_info.max,
                      -sys.float_info.max]),
 )
 counts = st.integers(0, 2**63 - 1)
@@ -114,6 +117,27 @@ def test_written_bytes_do_not_depend_on_the_chunk_size(rows):
             path, _ = write_log(directory, rows)
         chunked = path.read_text().splitlines()
     assert chunked[1:] == whole[1:]
+
+
+@pytest.mark.parametrize("target", ["file", "link"])
+@SETTINGS
+@given(records)
+def test_each_record_line_is_format_record_line_of_its_record(target, rows):
+    # A link is a stream: it is written in place and gets no companion.
+    with tempfile.TemporaryDirectory() as directory:
+        if target == "link":
+            (Path(directory) / "run.jsonl").symlink_to("records.jsonl")
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(logio, "READ_CHUNK_LINES", 3)
+            path, data = write_log(directory, rows)
+        assert path.is_symlink() == (target == "link")
+        assert companion_of(path).exists() == (target == "file")
+        head, *lines, end = path.read_bytes().decode().split("\n")
+    assert end == ""
+    assert lines == [
+        format_record_line(i, alpha, *row) for i, (alpha, row) in
+        enumerate(zip(data.alpha.tolist(), data.counts.tolist()))
+    ]
 
 
 @SETTINGS

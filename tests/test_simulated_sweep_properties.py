@@ -94,7 +94,7 @@ def scalar_estimates(counts, gamma1, gamma2, rng, mode):
         squares = float((residual * residual).sum())
         if n == 1:
             error = 0.0
-        elif total_a == 0.0:  # every residual is 0: no error bar
+        elif squares == 0.0:  # every residual is 0: no error bar
             error = math.nan
         else:
             error = math.sqrt(squares * (n / (n - 1))) / total_b
