@@ -53,11 +53,9 @@ _PUBLIC = {
         "AggregateResult",
         "Counts",
         "RatioEstimate",
-        "RatioSummary",
         "SimulatedSweep",
         "aggregate",
         "aggregation_seed",
-        "estimate_ratios",
         "point_seed",
         "run_acquisition",
         "simulate_sweep",

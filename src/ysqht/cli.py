@@ -227,19 +227,17 @@ def cmd_simulate(args: argparse.Namespace) -> int:
 def cmd_analyze(args: argparse.Namespace) -> int:
     import numpy as np
 
-    from .counting import aggregate, aggregation_seed, estimate_ratios
+    from .counting import aggregate, aggregation_seed
     from .logio import read_count_log
 
     manifest, counts = read_count_log(args.log)
-    summary = estimate_ratios(counts)
     # Only stochastic mixing draws, so only it needs the seed.  It draws
     # from the seed derivation of a sweep's first gamma1 column, not the
     # generator the log's tilts came from.
     rng = (np.random.default_rng(aggregation_seed(_resolve_seed(args.seed)))
            if args.mode == "stochastic" else None)
-    results = {**vars(summary),
-               **vars(aggregate(counts, args.gamma1, args.gamma2, rng))}
-    estimates = {name: results[name] for name, _, _ in ESTIMATORS}
+    result = aggregate(counts, args.gamma1, args.gamma2, rng)
+    estimates = {name: getattr(result, name) for name, _, _ in ESTIMATORS}
 
     if args.json:
         print(json.dumps({
@@ -247,7 +245,7 @@ def cmd_analyze(args: argparse.Namespace) -> int:
             "gamma1": args.gamma1,
             "gamma2": args.gamma2,
             "mode": args.mode,
-            "excluded": summary.excluded,
+            "excluded": result.excluded,
             # An undefined error bar is NaN, which standard JSON lacks.
             **{name: {**asdict(e), "std_error": None}
                if math.isnan(e.std_error) else asdict(e)
@@ -256,7 +254,7 @@ def cmd_analyze(args: argparse.Namespace) -> int:
         return EXIT_OK
 
     print(f"{len(counts)} iterations from {args.log} "
-          f"({summary.excluded} excluded for n1p = 0)")
+          f"({result.excluded} excluded for n1p = 0)")
     for name, estimate in estimates.items():
         error = ("n/a" if math.isnan(estimate.std_error)
                  else f"{estimate.std_error:.2g}")

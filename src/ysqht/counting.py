@@ -103,8 +103,9 @@ class RatioEstimate:
     """Ratio estimate r = sum(a)/sum(b) over the ``n_samples`` iterations
     of an acquisition, with its delta-method standard error
     sqrt(n/(n-1) * sum((a - r*b)**2)) / sum(b), a one-sigma interval: 0.0
-    from a single iteration, and over more NaN, undefined, where every
-    residual a - r*b is 0 (as wherever sum(a) is 0; see the README), but
+    from a single iteration, and over more NaN, undefined, where it is at
+    most 4 * 2**-52 * abs(r), the rounding error of r itself (as where every
+    residual a - r*b is 0, and wherever sum(a) is 0; see the README), but
     for p at gamma1 = 1, exact with error 0.0 as a is b by construction."""
 
     value: float
@@ -113,24 +114,17 @@ class RatioEstimate:
 
 
 @dataclass(frozen=True)
-class RatioSummary:
-    """Count ratios from one acquisition: q1/p1, p2 and q2 normalized by
-    the unit-probability count n1p, and q2/p2 formed directly as summed n2q
-    over summed n2p.  ``excluded`` is always 0, as every iteration is used;
-    it keeps the shape of the reports."""
+class AggregateResult:
+    """The seven estimates of one acquisition, in ``ESTIMATORS`` order: the
+    partitioned q1/p1, p2, q2 and q2/p2 from the clean and noisy counts
+    alone, and the aggregated p, q and q/p from the mixed counts.
+    ``excluded`` is always 0, as every iteration is used; it keeps the shape
+    of the reports."""
 
     q1_over_p1: RatioEstimate
     p2: RatioEstimate
     q2: RatioEstimate
     q2_over_p2: RatioEstimate
-    excluded: int
-
-
-@dataclass(frozen=True)
-class AggregateResult:
-    """Aggregated-hypothesis estimates after mixing clean and noisy counts;
-    ``excluded`` is always 0, as in ``RatioSummary``."""
-
     p: RatioEstimate
     q: RatioEstimate
     q_over_p: RatioEstimate
@@ -156,32 +150,36 @@ def run_acquisition(config: AcquisitionConfig) -> Counts:
     return Counts(alpha, rng.poisson(lam))
 
 
+def _mixing_picks(rng: np.random.Generator, n: int, gamma1: float,
+                  gamma2: float, out: np.ndarray | None = None) -> np.ndarray:
+    """The stochastic mixing picks of one acquisition at one gamma1: bools of
+    shape (2, n) from one ``rng.random((2, n))`` call over its n iterations.
+    Row 0 takes the clean n1p into the hypothesis-A counts (below gamma1),
+    row 1 the clean n1q into the hypothesis-B counts (below gamma2)."""
+    return np.less(rng.random((2, n)), [[gamma1], [gamma2]], out=out)
+
+
 def _estimate(
     counts: np.ndarray,
-    clean: bool,
-    gamma1: Sequence[float] = (),
-    gamma2: np.ndarray | None = None,
-    picks: np.ndarray | None = None,
+    gamma1: Sequence[float],
+    gamma2: np.ndarray,
+    picks: np.ndarray | None,
 ) -> dict[str, np.ndarray]:
-    """The estimator kernel behind ``estimate_ratios``, ``aggregate`` and
-    the simulated sweeps: P acquisitions (``counts``, int64 of shape
-    (P, n, 4)) estimated at once from all their iterations.
+    """The estimator kernel behind ``aggregate`` and the simulated sweeps: P
+    acquisitions (``counts``, int64 of shape (P, n, 4)) estimated at once
+    from all their iterations.
 
     Returns, by its name in ``ESTIMATORS``, each estimator's value and
     standard error stacked, of shape (2, rows, P): one column per
     acquisition, and one row for each estimator of n1p, n1q, n2p and n2q
-    alone (the estimates of p1, q1, p2 and q2; only when ``clean``), or one
-    row per gamma1 for each that reads the mixed counts A and B (the
-    estimates of p and q) at that gamma1 and the acquisition's weight
-    ``gamma2[i]``.  Each estimator is a ratio of sums r = sum(a)/sum(b)
-    with its delta-method standard error
-    sqrt(n/(n-1) * sum((a - r*b)**2)) / sum(b) (0.0 from one iteration, NaN
-    over more where every residual is 0 but a is not b).  In stochastic
-    mode ``picks`` holds bools of shape (len(gamma1), P, 2, n): iteration j
-    of acquisition i takes the clean n1p into A where ``picks[k, i, 0, j]``,
-    else n2p, and the clean n1q into B where ``picks[k, i, 1, j]``, else
-    n2q.  In expected mode (``picks`` None) A and B are the weighted
-    averages."""
+    alone (the estimates of p1, q1, p2 and q2), or one row per gamma1 for
+    each that reads the mixed counts A and B (the estimates of p and q) at
+    that gamma1 and the acquisition's weight ``gamma2[i]``, each estimated
+    as ``RatioEstimate`` states.  In stochastic mode ``picks`` (shape
+    (len(gamma1), P, 2, n)) holds the ``_mixing_picks`` of each gamma1 and
+    acquisition: A takes n1p where row 0 is True, else n2p, and B takes n1q
+    where row 1 is, else n2q.  In expected mode (``picks`` None) A and B
+    are the weighted averages."""
     n = counts.shape[1]
     # One C-contiguous (P, n) block per column, keyed by the probability it
     # estimates: a sum along the last axis gives each row the bits that row
@@ -196,11 +194,9 @@ def _estimate(
         )
 
     def pairs():
-        if clean:
-            yield from ((name, column[a], column[b])
-                        for name, a, b in ESTIMATORS
-                        if {a, b} <= column.keys())
-        weight = None if gamma2 is None else gamma2[:, np.newaxis]
+        yield from ((name, column[a], column[b])
+                    for name, a, b in ESTIMATORS if {a, b} <= column.keys())
+        weight = gamma2[:, np.newaxis]
         for k, g1 in enumerate(gamma1):
             if picks is None:
                 mixed = {**column, "p": g1 * n1p + (1.0 - g1) * n2p,
@@ -229,28 +225,12 @@ def _estimate(
         residual *= residual
         std_error = np.sqrt(residual.sum(axis=-1) * scale) / total_b
         if n > 1 and a is not b:
-            # Where every residual is 0 (as wherever sum(a) is 0) the delta
-            # method has no answer; 0 would claim an exact estimate.
-            std_error[std_error == 0.0] = np.nan
+            # A bar within the rounding error of r (every residual 0, or a
+            # proportional to b and r*b rounding off a) measures no spread;
+            # it would claim an exact estimate.
+            std_error[std_error <= 4 * 2.0**-52 * np.abs(value)] = np.nan
         rows.setdefault(name, []).append((value, std_error))
     return {name: np.stack(found, axis=1) for name, found in rows.items()}
-
-
-def _estimate_one(counts: Counts, *args) -> dict[str, RatioEstimate]:
-    """The kernel's estimates of one acquisition, by name."""
-    estimates = _estimate(counts.counts[np.newaxis], *args)
-    return {name: RatioEstimate(*pair.ravel().tolist(), len(counts))
-            for name, pair in estimates.items()}
-
-
-def estimate_ratios(counts: Counts) -> RatioSummary:
-    """Ratio-of-sums estimates over all iterations, normalized by n1p, by
-    the estimator kernel that the simulated sweeps run on all their grid
-    points at once.
-
-    Raises EstimationError when the summed n1p (or, for q2/p2, the summed
-    n2p) is 0."""
-    return RatioSummary(**_estimate_one(counts, True), excluded=0)
 
 
 def aggregate(
@@ -259,25 +239,33 @@ def aggregate(
     gamma2: float,
     rng: np.random.Generator | None = None,
 ) -> AggregateResult:
-    """Emulate ignorance of the preparation by mixing clean and noisy counts.
+    """The seven estimates of one acquisition: the partitioned ratios of its
+    clean and noisy counts, and the aggregated ones after mixing them to
+    emulate ignorance of the preparation.
 
-    With ``rng`` (stochastic mode), each iteration takes the clean count
-    with probability gamma, by one ``rng.random((2, n))`` call over the n
+    Each sums its counts over all iterations and divides by the summed n1p
+    (q2/p2 by the summed n2p, q/p by the summed mixed p counts).  With
+    ``rng`` (stochastic mode), each iteration takes the clean count with
+    probability gamma, by one ``rng.random((2, n))`` call over the n
     iterations: row 0 picks the hypothesis-A counts (clean below gamma1),
     row 1 the hypothesis-B counts (clean below gamma2).  Without it
     (expected mode), the deterministic weighted average
-    gamma*clean + (1-gamma)*noisy.  Both sum the mixed counts over
-    all iterations and divide by the summed n1p (q/p by the summed mixed p
-    counts); both converge to the aggregated q/p as the number of iterations
-    grows.  The simulated sweeps run the same estimator kernel on all their
-    grid points at once."""
+    gamma*clean + (1-gamma)*noisy.  Both converge to the aggregated q/p as
+    the number of iterations grows; the partitioned estimates depend on
+    neither the mode nor the weights.  The simulated sweeps run the same
+    kernel on all their grid points at once.
+
+    Raises EstimationError where one of those three denominators is 0."""
     gamma1 = _require_probability(gamma1, "gamma1")
     gamma2 = _require_probability(gamma2, "gamma2")
-    picks = (None if rng is None else
-             rng.random((1, 1, 2, len(counts))) < [[gamma1], [gamma2]])
-    return AggregateResult(**_estimate_one(
-        counts, False, (gamma1,), np.array([gamma2]), picks
-    ), excluded=0)
+    picks = (None if rng is None
+             else _mixing_picks(rng, len(counts), gamma1, gamma2)[None, None])
+    estimates = _estimate(counts.counts[np.newaxis], (gamma1,),
+                          np.array([gamma2]), picks)
+    return AggregateResult(**{
+        name: RatioEstimate(*pair.ravel().tolist(), len(counts))
+        for name, pair in estimates.items()
+    }, excluded=0)
 
 
 def point_seed(base_seed: int, index: int) -> int:
@@ -337,10 +325,10 @@ def simulate_sweep(
     value on the gamma2 axis.  The counting parameters and ``mode`` are
     checked before any acquisition runs, even on an empty grid.
 
-    All points are estimated at once by the kernel that ``estimate_ratios``
-    and ``aggregate`` run on one acquisition.  In stochastic mode the mixing
-    draws of point i and gamma1 column k are one ``random((2, iterations))``
-    call of ``default_rng(aggregation_seed(seed_i, k))``, laid out as in
+    All points are estimated at once by the kernel that ``aggregate`` runs
+    on one acquisition.  In stochastic mode the mixing draws of point i and
+    gamma1 column k are one ``random((2, iterations))`` call of
+    ``default_rng(aggregation_seed(seed_i, k))``, laid out as in
     ``aggregate``, so every point holds the bits of a re-run of that point
     through those functions."""
     base = AcquisitionConfig(sweep.theta, NoiseParams(0.0), seed, iterations,
@@ -365,10 +353,9 @@ def simulate_sweep(
         ).counts
         if picks is not None:
             for k, g1 in enumerate(sweep.gamma1_values):
-                np.less(np.random.default_rng(aggregation_seed(point, k))
-                        .random((2, iterations)), [[g1], [weight]],
-                        out=picks[k, i])
-    estimates = _estimate(counts, True, sweep.gamma1_values, gamma2, picks)
+                rng = np.random.default_rng(aggregation_seed(point, k))
+                _mixing_picks(rng, iterations, g1, weight, picks[k, i])
+    estimates = _estimate(counts, sweep.gamma1_values, gamma2, picks)
     for column in (seeds, *estimates.values()):
         column.flags.writeable = False
     return SimulatedSweep(

@@ -25,7 +25,6 @@ from ysqht import (
     delta_threshold,
     dephase,
     dephase_oracle,
-    estimate_ratios,
     gamma2_threshold,
     outcome_probabilities,
     pure_state,
@@ -213,16 +212,15 @@ def test_criterion_7_determinism_and_round_trip(tmp_path, capsys):
         theta=THETA_B, noise=NoiseParams(DELTA_FIG2), seed=7
     )
     counts = run_acquisition(config)
-    summary = estimate_ratios(counts)
     agg = aggregate(counts, 0.1, 0.8,
                     np.random.default_rng(aggregation_seed(13)))
     round_trip = (
         code == 0
-        and reported["q1_over_p1"]["value"] == summary.q1_over_p1.value
-        and reported["p2"]["value"] == summary.p2.value
-        and reported["q2"]["value"] == summary.q2.value
-        and reported["q2_over_p2"]["value"] == summary.q2_over_p2.value
-        and reported["q2_over_p2"]["std_error"] == summary.q2_over_p2.std_error
+        and reported["q1_over_p1"]["value"] == agg.q1_over_p1.value
+        and reported["p2"]["value"] == agg.p2.value
+        and reported["q2"]["value"] == agg.q2.value
+        and reported["q2_over_p2"]["value"] == agg.q2_over_p2.value
+        and reported["q2_over_p2"]["std_error"] == agg.q2_over_p2.std_error
         and reported["q_over_p"]["value"] == agg.q_over_p.value
         and reported["q_over_p"]["std_error"] == agg.q_over_p.std_error
     )

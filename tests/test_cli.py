@@ -21,7 +21,6 @@ from ysqht import (
     aggregate,
     aggregation_seed,
     delta_threshold,
-    estimate_ratios,
     gamma2_threshold,
     outcome_probabilities,
     read_count_log,
@@ -594,12 +593,11 @@ class TestAnalyze:
             theta=THETA_B, noise=NoiseParams(DELTA_FIG2), seed=7
         )
         counts = run_acquisition(config)
-        summary = estimate_ratios(counts)
         agg = aggregate(counts, 0.1, 0.8,
                         np.random.default_rng(aggregation_seed(13)))
-        assert report["q1_over_p1"]["value"] == summary.q1_over_p1.value
-        assert report["q1_over_p1"]["std_error"] == summary.q1_over_p1.std_error
-        assert report["q2_over_p2"]["value"] == summary.q2_over_p2.value
+        assert report["q1_over_p1"]["value"] == agg.q1_over_p1.value
+        assert report["q1_over_p1"]["std_error"] == agg.q1_over_p1.std_error
+        assert report["q2_over_p2"]["value"] == agg.q2_over_p2.value
         assert report["q_over_p"]["value"] == agg.q_over_p.value
         assert report["q_over_p"]["std_error"] == agg.q_over_p.std_error
         assert report["excluded"] == 0
@@ -1290,14 +1288,12 @@ def estimate_fields(estimate):
 
 def library_analysis(log, gamma1, gamma2, mode, seed):
     """The seven estimates of ``analyze`` by name, in the order of
-    ``ESTIMATORS``, and the summary they come from, computed in process."""
+    ``ESTIMATORS``, and the result they come from, computed in process."""
     _, counts = read_count_log(log)
-    summary = estimate_ratios(counts)
     rng = (np.random.default_rng(aggregation_seed(seed))
            if mode == "stochastic" else None)
-    agg = aggregate(counts, gamma1, gamma2, rng)
-    results = {**vars(summary), **vars(agg)}
-    return summary, {name: results[name] for name, _, _ in ESTIMATORS}
+    result = aggregate(counts, gamma1, gamma2, rng)
+    return result, {name: getattr(result, name) for name, _, _ in ESTIMATORS}
 
 
 class TestPinnedOutput:
@@ -1423,15 +1419,15 @@ class TestPinnedOutput:
             "analyze", str(logs[log]), "--gamma1", "0.05", "--gamma2", "0.8",
             "--mode", mode, "--seed", "13", "--json",
         ])
-        summary, estimates = library_analysis(logs[log], 0.05, 0.8, mode, 13)
+        result, estimates = library_analysis(logs[log], 0.05, 0.8, mode, 13)
         assert code == 0
-        assert summary.excluded == 0
+        assert result.excluded == 0
         assert report == {
             "log_seed": 7 if log == "plain" else 3,
             "gamma1": 0.05,
             "gamma2": 0.8,
             "mode": mode,
-            "excluded": summary.excluded,
+            "excluded": result.excluded,
             **{name: estimate_fields(estimate)
                for name, estimate in estimates.items()},
         }

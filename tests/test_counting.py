@@ -15,11 +15,9 @@ from ysqht import (
     Counts,
     EstimationError,
     NoiseParams,
-    RatioSummary,
     ScenarioParams,
     aggregate,
     aggregation_seed,
-    estimate_ratios,
     outcome_probabilities,
     point_seed,
     run_acquisition,
@@ -185,33 +183,36 @@ class TestRunAcquisition:
         assert abs(total - expected) / expected < 0.1
 
 
-class TestEstimateRatios:
+class TestPartitionedEstimates:
+    """The four estimates of the clean and noisy counts alone, which
+    ``aggregate`` gives beside the aggregated ones."""
+
     def test_clean_probe_ratio(self):
         cfg = config(noise=NoiseParams(0.0), seed=5, iterations=3000)
-        summary = estimate_ratios(run_acquisition(cfg))
-        assert abs(summary.q1_over_p1.value - Q1) <= (
-            4.0 * summary.q1_over_p1.std_error
+        result = aggregate(run_acquisition(cfg), 0.1, 0.8)
+        assert abs(result.q1_over_p1.value - Q1) <= (
+            4.0 * result.q1_over_p1.std_error
         )
 
     def test_no_noise_normalization_is_unity(self):
         cfg = config(noise=NoiseParams(0.0), seed=5)
-        summary = estimate_ratios(run_acquisition(cfg))
-        assert abs(summary.p2.value - 1.0) <= 3.0 * summary.p2.std_error
+        result = aggregate(run_acquisition(cfg), 0.1, 0.8)
+        assert abs(result.p2.value - 1.0) <= 3.0 * result.p2.std_error
 
     def test_noisy_probe_ratio(self):
         cfg = config(seed=6, iterations=4000)
-        summary = estimate_ratios(run_acquisition(cfg))
-        assert abs(summary.q2.value - Q2_FIG2) <= 4.0 * summary.q2.std_error
+        result = aggregate(run_acquisition(cfg), 0.1, 0.8)
+        assert abs(result.q2.value - Q2_FIG2) <= 4.0 * result.q2.std_error
 
     def test_derived_ratio_at_figure_point(self):
-        summary = estimate_ratios(run_acquisition(config(seed=1)))
-        assert abs(summary.q2_over_p2.value - Q2_OVER_P2_FIG2) <= (
-            3.0 * summary.q2_over_p2.std_error
+        result = aggregate(run_acquisition(config(seed=1)), 0.1, 0.8)
+        assert abs(result.q2_over_p2.value - Q2_OVER_P2_FIG2) <= (
+            3.0 * result.q2_over_p2.std_error
         )
 
     def test_two_seeds_agree_within_combined_errors(self):
-        a = estimate_ratios(run_acquisition(config(seed=1)))
-        b = estimate_ratios(run_acquisition(config(seed=2)))
+        a = aggregate(run_acquisition(config(seed=1)), 0.1, 0.8)
+        b = aggregate(run_acquisition(config(seed=2)), 0.1, 0.8)
         assert a.q2_over_p2.value != b.q2_over_p2.value
         combined = math.hypot(
             a.q2_over_p2.std_error, b.q2_over_p2.std_error
@@ -222,13 +223,13 @@ class TestEstimateRatios:
         previous_error = math.inf
         for rate in (1e3, 1e4, 1e5):
             cfg = config(noise=NoiseParams(0.0), seed=9, mean_rate=rate)
-            summary = estimate_ratios(run_acquisition(cfg))
-            assert abs(summary.p2.value - 1.0) <= max(
-                4.0 * summary.p2.std_error, 1e-6
+            result = aggregate(run_acquisition(cfg), 0.1, 0.8)
+            assert abs(result.p2.value - 1.0) <= max(
+                4.0 * result.p2.std_error, 1e-6
             )
-            assert abs(summary.p2.value - 1.0) <= 0.5 / math.sqrt(rate)
-            assert summary.p2.std_error < previous_error
-            previous_error = summary.p2.std_error
+            assert abs(result.p2.value - 1.0) <= 0.5 / math.sqrt(rate)
+            assert result.p2.std_error < previous_error
+            previous_error = result.p2.std_error
 
     def test_excludes_vanished_normalization(self):
         # Windows with n1p = 0 stay in the sums: a ratio of sums needs only
@@ -236,11 +237,10 @@ class TestEstimateRatios:
         cfg = config(noise=NoiseParams(0.0), seed=12, mean_rate=0.5)
         counts = run_acquisition(cfg)
         assert (counts.counts[:, 0] == 0).any()
-        summary = estimate_ratios(counts)
         agg = aggregate(counts, 0.5, 0.5)
-        assert summary.excluded == agg.excluded == 0
-        for est in (summary.q1_over_p1, summary.p2, summary.q2,
-                    summary.q2_over_p2, agg.p, agg.q, agg.q_over_p):
+        assert agg.excluded == 0
+        for name, _, _ in ESTIMATORS:
+            est = getattr(agg, name)
             assert est.n_samples == 200
             assert math.isfinite(est.value)
             assert math.isfinite(est.std_error) and est.std_error > 0.0
@@ -252,15 +252,15 @@ class TestEstimateRatios:
         counts = run_acquisition(AcquisitionConfig(
             0.43633, NoiseParams(0.7), 156, 20, 0.2, 1.0))
         assert counts.counts[:, 3].sum() == 0
-        summary = estimate_ratios(counts)
-        for est in (summary.q2, summary.q2_over_p2):
+        result = aggregate(counts, 0.1, 0.8)
+        for est in (result.q2, result.q2_over_p2):
             assert est.value == 0.0
             assert math.isnan(est.std_error)
-        for est in (summary.q1_over_p1, summary.p2):
+        for est in (result.q1_over_p1, result.p2):
             assert est.value > 0.0 and est.std_error > 0.0
         # A single window has no spread to measure: its error bar stays 0.
         one = Counts(counts.alpha[:1], counts.counts[:1] + [1, 0, 1, 0])
-        assert estimate_ratios(one).q2.std_error == 0.0
+        assert aggregate(one, 0.1, 0.8).q2.std_error == 0.0
 
     def test_vanishing_residuals_give_no_error_bar(self):
         # The README's n * lambda = 4 row: 20 windows at 0.2 counts, seeds
@@ -275,8 +275,8 @@ class TestEstimateRatios:
             return aggregate(acquisition(seed), gamma1, 0.8,
                              np.random.default_rng(aggregation_seed(seed)))
 
-        for est in (estimate_ratios(acquisition(36)).q2_over_p2,
-                    stochastic(120).q, stochastic(356).p):
+        for est in (stochastic(36).q2_over_p2, stochastic(120).q,
+                    stochastic(356).p):
             assert est.value == 1.0
             assert math.isnan(est.std_error)
         # Only p at gamma1 = 1 is exact: every mixed count is n1p itself.
@@ -289,21 +289,22 @@ class TestEstimateRatios:
             noise=NoiseParams(0.0), seed=4, iterations=5, mean_rate=1e-6
         )
         with pytest.raises(EstimationError, match="n1p = 0"):
-            estimate_ratios(run_acquisition(cfg))
+            aggregate(run_acquisition(cfg), 0.1, 0.8)
 
     def test_empty_records_raise(self):
+        empty = Counts(np.empty(0), np.empty((0, 4), np.int64))
         with pytest.raises(EstimationError):
-            estimate_ratios(Counts(np.empty(0), np.empty((0, 4), np.int64)))
+            aggregate(empty, 0.1, 0.8)
 
     def test_matches_per_iteration_loop(self):
         # A scalar ratio of sums in Python floats, with the delta-method
         # error of the residuals a - r*b.
         counts = run_acquisition(config(seed=1))
-        summary = estimate_ratios(counts)
+        result = aggregate(counts, 0.1, 0.8)
         rows = counts.counts.tolist()
         n = len(rows)
-        for est, k, m in ((summary.q1_over_p1, 1, 0), (summary.p2, 2, 0),
-                          (summary.q2, 3, 0), (summary.q2_over_p2, 3, 2)):
+        for est, k, m in ((result.q1_over_p1, 1, 0), (result.p2, 2, 0),
+                          (result.q2, 3, 0), (result.q2_over_p2, 3, 2)):
             total_a = sum(row[k] for row in rows)
             total_b = sum(row[m] for row in rows)
             ratio = total_a / total_b
@@ -314,17 +315,56 @@ class TestEstimateRatios:
                 math.sqrt(squares * n / (n - 1)) / total_b, rel=1e-9
             )
 
+    def test_same_in_every_mode_and_at_every_weight(self):
+        # The partitioned estimates read the clean and noisy counts alone:
+        # neither the weights nor the mixing draws touch their bits.
+        for counts in (run_acquisition(config(seed=1)),
+                       run_acquisition(AcquisitionConfig(
+                           0.43633, NoiseParams(0.7), 156, 20, 0.2, 1.0))):
+            results = [aggregate(counts, gamma1, gamma2, rng)
+                       for gamma1, gamma2 in ((0.1, 0.8), (1.0, 0.0),
+                                              (0.5, 1.0))
+                       for rng in (None, np.random.default_rng(3))]
+            for name, _, _ in ESTIMATORS[:4]:
+                first, *others = (dataclasses.astuple(getattr(r, name))
+                                  for r in results)
+                for other in others:
+                    assert np.array_equal(first, other, equal_nan=True), name
+
+    def test_rounding_level_error_bar_is_undefined(self):
+        # Two equal windows: a is proportional to b, so every residual
+        # a - r*b is 0 but for the rounding of r*b (0.28 * 25 rounds to
+        # 7.000000000000001).  A bar of that size, about 1e-17, measures no
+        # spread; only p at gamma1 = 1, where a is b, is exact.
+        counts = Counts([0.0, 0.0], [[25, 7, 1, 1]] * 2)
+        result = aggregate(counts, 0.1, 0.8)
+        for name, _, _ in ESTIMATORS:
+            assert math.isnan(getattr(result, name).std_error), name
+        assert aggregate(counts, 1.0, 0.8).p.std_error == 0.0
+
+    @pytest.mark.parametrize("seed", [26, 60, 103, 181, 224, 232, 289, 314])
+    def test_no_n2p_count_stops_every_mode(self, seed):
+        # The README's n * lambda = 4 row.  These acquisitions have no n2p
+        # count, so q2/p2 has no denominator, in either mode.  Expected mode
+        # used to give p = gamma1 exactly with a bar of about 1e-17.
+        counts = run_acquisition(AcquisitionConfig(
+            THETA_B, NoiseParams(0.7), seed, 20, 0.2, 1.0))
+        assert counts.counts[:, 0].sum() > 0
+        assert counts.counts[:, 2].sum() == 0
+        for rng in (None, np.random.default_rng(aggregation_seed(seed))):
+            with pytest.raises(EstimationError, match="denominator"):
+                aggregate(counts, 0.1, 0.8, rng)
+
 
 class TestAggregate:
     def test_degenerate_weights_reduce_to_clean_ratio(self):
         counts = run_acquisition(config(seed=1))
-        summary = estimate_ratios(counts)
         for rng in (None, np.random.default_rng(0)):
             agg = aggregate(counts, 1.0, 1.0, rng)
             assert agg.p.value == 1.0
             assert agg.p.std_error == 0.0
-            assert agg.q_over_p.value == summary.q1_over_p1.value
-            assert agg.q_over_p.std_error == summary.q1_over_p1.std_error
+            assert agg.q_over_p.value == agg.q1_over_p1.value
+            assert agg.q_over_p.std_error == agg.q1_over_p1.std_error
 
     def test_expected_mode_hits_reversal_point(self):
         cfg = config(noise=NoiseParams(0.7), seed=2)
@@ -400,18 +440,19 @@ class TestAggregate:
         # gives p = 1 and the clean q1/p1, none the noisy p2, q2 and q2/p2.
         counts = run_acquisition(config(seed=1)).counts[np.newaxis]
 
-        def values(*args):
-            return {name: pair[0].item()
-                    for name, pair in counting._estimate(counts, *args).items()}
+        def values(picks=None):
+            estimates = counting._estimate(counts, (0.3,), np.array([0.6]),
+                                           picks)
+            return {name: pair[0].item() for name, pair in estimates.items()}
 
-        clean = values(True)
+        clean = values()
         for pick, expected in [
             (True, [1.0, clean["q1_over_p1"], clean["q1_over_p1"]]),
             (False, [clean["p2"], clean["q2"], clean["q2_over_p2"]]),
         ]:
             picks = np.full((1, 1, 2, counts.shape[1]), pick)
-            assert values(False, (0.3,), np.array([0.6]), picks) == dict(
-                zip(["p", "q", "q_over_p"], expected))
+            assert values(picks) == {**clean, **dict(
+                zip(["p", "q", "q_over_p"], expected))}
 
     def test_bad_weights_rejected(self):
         counts = run_acquisition(config(seed=1))
@@ -420,27 +461,22 @@ class TestAggregate:
 
 
 class TestEstimatorTable:
-    """``ESTIMATORS`` is the one list of the estimators: the results of
-    ``estimate_ratios`` and ``aggregate`` take their fields from it."""
+    """``ESTIMATORS`` is the one list of the estimators: the result of
+    ``aggregate`` takes its fields from it."""
 
     def test_names_are_the_result_fields_in_order(self):
-        fields = [field.name for result in (RatioSummary, AggregateResult)
-                  for field in dataclasses.fields(result)
+        fields = [field.name for field in dataclasses.fields(AggregateResult)
                   if field.name != "excluded"]
         assert [name for name, _, _ in ESTIMATORS] == fields
 
-    @pytest.mark.parametrize("renamed, estimate", [
-        ("q2_over_p2", estimate_ratios),
-        ("q_over_p", lambda counts: aggregate(counts, 0.1, 0.8)),
-    ], ids=["estimate_ratios", "aggregate"])
-    def test_a_name_the_results_lack_is_refused(
-        self, monkeypatch, renamed, estimate
-    ):
+    @pytest.mark.parametrize("renamed", ["q2_over_p2", "q_over_p"],
+                             ids=["partitioned", "aggregated"])
+    def test_a_name_the_results_lack_is_refused(self, monkeypatch, renamed):
         table = tuple((f"{name}_x" if name == renamed else name, a, b)
                       for name, a, b in ESTIMATORS)
         monkeypatch.setattr(counting, "ESTIMATORS", table)
         with pytest.raises(TypeError, match=f"{renamed}_x"):
-            estimate(run_acquisition(config(seed=1)))
+            aggregate(run_acquisition(config(seed=1)), 0.1, 0.8)
 
 
 class TestCalibration:
@@ -460,14 +496,16 @@ class TestCalibration:
         pulls = {}
         for seed in range(400):
             counts = run_acquisition(config(noise=noise, seed=seed))
-            results = {"clean": estimate_ratios(counts)}
-            for mode, rng in (
-                ("stochastic", np.random.default_rng(aggregation_seed(seed))),
-                ("expected", None),
-            ):
-                results[mode] = aggregate(counts, gamma1, gamma2, rng)
-            for mode, result in results.items():
-                for name in truth.keys() & vars(result).keys():
+            stochastic = aggregate(
+                counts, gamma1, gamma2,
+                np.random.default_rng(aggregation_seed(seed)))
+            expected = aggregate(counts, gamma1, gamma2)
+            # The four partitioned estimates are the same in both modes.
+            for mode, result, rows in (("clean", expected, ESTIMATORS[:4]),
+                                       ("stochastic", stochastic,
+                                        ESTIMATORS[4:]),
+                                       ("expected", expected, ESTIMATORS[4:])):
+                for name, _, _ in rows:
                     est = getattr(result, name)
                     pulls.setdefault(f"{mode} {name}", []).append(
                         (est.value - truth[name]) / est.std_error
@@ -549,9 +587,9 @@ class TestSimulatedSweeps:
     def test_delta_sweep_point_isolated_rerun(self):
         sweep = simulate_sweep(self.delta(), 21)
         cfg = config(noise=NoiseParams(self.GRID[2]), seed=int(sweep.seeds[2]))
-        summary = estimate_ratios(run_acquisition(cfg))
-        assert summary.q2_over_p2.value == sweep.q2_over_p2[2]
-        assert summary.q2_over_p2.std_error == sweep.q2_over_p2_err[2]
+        result = aggregate(run_acquisition(cfg), 0.1, 0.8)
+        assert result.q2_over_p2.value == sweep.q2_over_p2[2]
+        assert result.q2_over_p2.std_error == sweep.q2_over_p2_err[2]
 
     def test_delta_sweep_first_column_stable_under_extra_gamma1(self):
         single = simulate_sweep(self.delta([0.1]), 21)

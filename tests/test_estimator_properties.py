@@ -14,7 +14,6 @@ from ysqht import (
     EstimationError,
     NoiseParams,
     aggregate,
-    estimate_ratios,
     run_acquisition,
 )
 from ysqht.theory import ESTIMATORS
@@ -41,9 +40,8 @@ def test_shuffled_records_give_the_same_estimates(
     shuffled = Counts(counts.alpha[order], counts.counts[order])
 
     def estimates(c):
-        results = {**vars(estimate_ratios(c)),
-                   **vars(aggregate(c, gamma1, gamma2))}
-        return [results[name] for name, _, _ in ESTIMATORS]
+        result = aggregate(c, gamma1, gamma2)
+        return [getattr(result, name) for name, _, _ in ESTIMATORS]
 
     try:
         before = estimates(counts)
