@@ -69,9 +69,8 @@ _PUBLIC = {
         "write_count_log",
         "write_sweep_csv",
     ),
-    # errors, also exported by counting and logio
+    # errors, also exported by logio
     "base": (
-        "EstimationError",
         "LogFormatError",
         "ManifestVersionError",
     ),

@@ -7,11 +7,6 @@ them loads no numpy.
 AGGREGATION_MODES = ("stochastic", "expected")
 
 
-class EstimationError(RuntimeError):
-    """An estimate has nothing to divide by: a summed n1p of 0 (as with no
-    records), or a derived ratio whose summed denominator is 0."""
-
-
 class LogFormatError(ValueError):
     """A log file line could not be parsed; carries the 1-based line number."""
 

@@ -3,9 +3,9 @@ analysis, and sweep tables.
 
 Exit codes: 0 ok (also when the reader of the output closes it early), 2 usage
 error, 3 reversal present (with --check-reversal), 4 io error, 5 corrupt log
-line, 6 incompatible manifest version, 7 no usable iterations (no
-iteration of a count log or of a simulated grid point had n1p > 0, or a
-derived ratio had a vanishing summed denominator).
+line, 6 incompatible manifest version.  A ratio whose summed denominator is
+0 is no error: it is undefined, as is an error bar the delta method cannot
+give, and reads null in JSON, n/a in text and nan in a sweep table.
 """
 
 from __future__ import annotations
@@ -25,7 +25,6 @@ from typing import Any, NoReturn, Sequence
 # that ``theory``, ``--help`` and ``--version`` start without numpy.
 from .base import (
     AGGREGATION_MODES,
-    EstimationError,
     LogFormatError,
     ManifestVersionError,
 )
@@ -52,7 +51,6 @@ EXIT_REVERSAL = 3
 EXIT_IO = 4
 EXIT_CORRUPT = 5
 EXIT_VERSION = 6
-EXIT_NO_USABLE = 7
 
 
 def _resolve_seed(value: int | None) -> int:
@@ -246,20 +244,21 @@ def cmd_analyze(args: argparse.Namespace) -> int:
             "gamma2": args.gamma2,
             "mode": args.mode,
             "excluded": result.excluded,
-            # An undefined error bar is NaN, which standard JSON lacks.
-            **{name: {**asdict(e), "std_error": None}
-               if math.isnan(e.std_error) else asdict(e)
+            # An undefined value or error bar is NaN, which standard JSON
+            # lacks.
+            **{name: {key: None if math.isnan(x) else x
+                      for key, x in asdict(e).items()}
                for name, e in estimates.items()},
         }, sort_keys=True))
         return EXIT_OK
 
-    print(f"{len(counts)} iterations from {args.log} "
-          f"({result.excluded} excluded for n1p = 0)")
-    for name, estimate in estimates.items():
-        error = ("n/a" if math.isnan(estimate.std_error)
-                 else f"{estimate.std_error:.2g}")
-        print(f"{name.replace('_over_', '/'):<12} {estimate.value:.6f} "
-              f"+- {error}")
+    def show(x: float, spec: str) -> str:
+        return "n/a" if math.isnan(x) else format(x, spec)
+
+    print(f"{len(counts)} iterations from {args.log}")
+    for name, e in estimates.items():
+        print(f"{name.replace('_over_', '/'):<12} {show(e.value, '.6f')} "
+              f"+- {show(e.std_error, '.2g')}")
     return EXIT_OK
 
 
@@ -431,7 +430,6 @@ def _build_parser() -> argparse.ArgumentParser:
 _ERROR_EXITS = {
     LogFormatError: EXIT_CORRUPT,
     ManifestVersionError: EXIT_VERSION,
-    EstimationError: EXIT_NO_USABLE,
     OSError: EXIT_IO,
     ValueError: EXIT_USAGE,
 }

@@ -16,7 +16,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .base import AGGREGATION_MODES, EstimationError
+from .base import AGGREGATION_MODES
 from .qubit import NoiseParams, _require_finite, _require_probability
 from .theory import ESTIMATORS, Sweep
 
@@ -91,6 +91,8 @@ class Counts:
             )
         if (counts < 0).any():
             raise ValueError("counts must be non-negative")
+        if not np.isfinite(alpha).all():
+            raise ValueError("alpha must be finite")
         object.__setattr__(self, "alpha", alpha)
         object.__setattr__(self, "counts", counts)
 
@@ -106,7 +108,10 @@ class RatioEstimate:
     from a single iteration, and over more NaN, undefined, where it is at
     most 4 * 2**-52 * abs(r), the rounding error of r itself (as where every
     residual a - r*b is 0, and wherever sum(a) is 0; see the README), but
-    for p at gamma1 = 1, exact with error 0.0 as a is b by construction."""
+    for p at gamma1 = 1, exact with error 0.0 as a is b by construction.
+    Where r has no finite value (sum(b) is 0, as over no iterations, or so
+    small that r overflows) it is undefined: ``value`` and ``std_error`` are
+    both NaN."""
 
     value: float
     std_error: float
@@ -175,7 +180,8 @@ def _estimate(
     alone (the estimates of p1, q1, p2 and q2), or one row per gamma1 for
     each that reads the mixed counts A and B (the estimates of p and q) at
     that gamma1 and the acquisition's weight ``gamma2[i]``, each estimated
-    as ``RatioEstimate`` states.  In stochastic mode ``picks`` (shape
+    as ``RatioEstimate`` states: NaN, value and error, where it has no
+    finite value.  In stochastic mode ``picks`` (shape
     (len(gamma1), P, 2, n)) holds the ``_mixing_picks`` of each gamma1 and
     acquisition: A takes n1p where row 0 is True, else n2p, and B takes n1q
     where row 1 is, else n2q.  In expected mode (``picks`` None) A and B
@@ -188,10 +194,6 @@ def _estimate(
         np.moveaxis(counts, -1, 0), dtype=float
     )))
     n1p, n1q, n2p, n2q = column.values()
-    if not n1p.sum(axis=-1).all():
-        raise EstimationError(
-            "every iteration had n1p = 0; nothing to normalize by"
-        )
 
     def pairs():
         yield from ((name, column[a], column[b])
@@ -215,15 +217,15 @@ def _estimate(
     # One estimator at a time, so that only one residual block is alive.
     for name, a, b in pairs():
         total_a, total_b = a.sum(axis=-1), b.sum(axis=-1)
-        if not total_b.all():
-            raise EstimationError(
-                "cannot form a derived ratio: the denominator estimate "
-                "vanished"
-            )
-        value = total_a / total_b
-        residual = a - value[:, np.newaxis] * b
-        residual *= residual
-        std_error = np.sqrt(residual.sum(axis=-1) * scale) / total_b
+        # A number with no finite value (r where sum(b) is 0, or so small
+        # that r overflows, and then its bar) is undefined: NaN, quietly.
+        with np.errstate(all="ignore"):
+            value = total_a / total_b
+            residual = a - value[:, np.newaxis] * b
+            residual *= residual
+            std_error = np.sqrt(residual.sum(axis=-1) * scale) / total_b
+        value[~np.isfinite(value)] = np.nan
+        std_error[~np.isfinite(std_error)] = np.nan
         if n > 1 and a is not b:
             # A bar within the rounding error of r (every residual 0, or a
             # proportional to b and r*b rounding off a) measures no spread;
@@ -255,7 +257,8 @@ def aggregate(
     neither the mode nor the weights.  The simulated sweeps run the same
     kernel on all their grid points at once.
 
-    Raises EstimationError where one of those three denominators is 0."""
+    An estimate with no finite value, as where its summed denominator is
+    0, is NaN, value and error; the others are still formed."""
     gamma1 = _require_probability(gamma1, "gamma1")
     gamma2 = _require_probability(gamma2, "gamma2")
     picks = (None if rng is None

@@ -120,9 +120,8 @@ def test_every_public_name_is_its_module_attribute():
             module = sys.modules[value.__module__]
             assert getattr(module, name) is value, name
     assert set(ysqht.__all__) <= set(dir(ysqht))
-    # counting and logio re-export the names the command line maps, so
-    # imports and isinstance checks through either module see one class.
-    assert ysqht.counting.EstimationError is ysqht.EstimationError
+    # logio re-exports the errors the command line maps, so imports and
+    # isinstance checks through either module see one class.
     assert ysqht.counting.AGGREGATION_MODES is cli.AGGREGATION_MODES
     assert ysqht.logio.LogFormatError is ysqht.LogFormatError
     assert ysqht.logio.ManifestVersionError is ysqht.ManifestVersionError
@@ -131,6 +130,9 @@ def test_every_public_name_is_its_module_attribute():
 def test_unknown_public_name_raises_attribute_error():
     with pytest.raises(AttributeError, match="has no attribute 'nope'"):
         ysqht.nope
+    # An undefined ratio is NaN, not an error.
+    with pytest.raises(AttributeError):
+        ysqht.EstimationError
     with pytest.raises(ImportError):
         from ysqht import nope  # noqa: F401
     assert not hasattr(ysqht, "_private")
@@ -160,15 +162,25 @@ def test_exit_codes_in_a_fresh_process(tmp_path, capsys):
         (analyze + [str(tmp_path / "missing.jsonl")], 4),
         (analyze + [str(corrupt)], 5),
         (analyze + [str(future)], 6),
-        (analyze + [str(empty)], 7),
     ]
-    for argv, code in cases:
-        result = subprocess.run(
+
+    def run(argv):
+        return subprocess.run(
             [sys.executable, "-m", "ysqht.cli", *argv], capture_output=True,
             text=True, env=FRESH_ENV, timeout=60,
         )
+
+    for argv, code in cases:
+        result = run(argv)
         assert (result.returncode, result.stdout) == (code, ""), argv
         assert result.stderr.startswith("error: "), argv
+    # A log without an n1p count is no error: every ratio over a summed
+    # count of 0 is undefined, written null.
+    result = run(analyze + [str(empty), "--json"])
+    assert (result.returncode, result.stderr) == (0, "")
+    assert json.loads(result.stdout)["q1_over_p1"] == {
+        "value": None, "std_error": None, "n_samples": 5,
+    }
 
 
 def run_main(argv, capsys, out):
@@ -813,8 +825,48 @@ class TestAnalyze:
             assert capsys.readouterr() == ("", message)
         assert not (tmp_path / "never.jsonl").exists()
 
+    @pytest.mark.parametrize("mode, q_over_p", [
+        ("stochastic", None), ("expected", 3.6),
+    ])
+    def test_no_n2p_count_reports_every_other_estimate(
+        self, tmp_path, capsys, mode, q_over_p
+    ):
+        # Three windows at one count per second: no n2p count, so q2/p2 is
+        # undefined.  In stochastic mode no mixed p count is drawn either,
+        # so q/p is too; expected mode weighs in the clean n1p.
+        log = tmp_path / "seed3.jsonl"
+        assert main([
+            "simulate", "--theta", "0.43633", "--delta-std", "0.69813",
+            "--iterations", "3", "--rate", "1", "--seed", "3",
+            "--out", str(log),
+        ]) == 0
+        capsys.readouterr()
+        argv = ["analyze", str(log), "--gamma1", "0.1", "--gamma2", "0.8",
+                "--seed", "3", "--mode", mode]
+        code, report = run_sorted_json(capsys, argv + ["--json"])
+        assert code == 0
+        assert report["q1_over_p1"]["value"] == 0.4
+        assert report["q2_over_p2"] == {
+            "value": None, "std_error": None, "n_samples": 3,
+        }
+        assert report["q_over_p"]["value"] == q_over_p
+        assert report["q2"]["value"] == 0.2
+        code, out = run_text(capsys, argv)
+        assert code == 0
+        assert "q2/p2        n/a +- n/a\n" in out
+        assert "q1/p1        0.400000 +- 0.24\n" in out
+        # A mixed p of a few times 5e-324 overflows q/p: no finite value,
+        # so null, and the output stays standard JSON.
+        code, report = run_sorted_json(
+            capsys, argv[:2] + ["--gamma1", "5e-324"] + argv[4:] + ["--json"])
+        assert code == 0
+        if mode == "expected":
+            assert report["q_over_p"]["value"] is None
+
     @pytest.mark.parametrize("mode", ["stochastic", "expected"])
-    def test_no_usable_iterations_exit_7(self, tmp_path, capsys, mode):
+    def test_no_counts_give_undefined_estimates(self, tmp_path, capsys, mode):
+        # No count at all: every estimate divides by a summed count of 0,
+        # so each value and bar is undefined, null in JSON and n/a in text.
         log = tmp_path / "empty.jsonl"
         assert main([
             "simulate", "--theta", THETA_FLAG, "--delta-std", DELTA_FLAG,
@@ -822,15 +874,19 @@ class TestAnalyze:
             "--out", str(log),
         ]) == 0
         capsys.readouterr()
-        code = main([
-            "analyze", str(log), "--gamma1", "0.1", "--gamma2", "0.8",
-            "--mode", mode, "--json",
-        ])
-        captured = capsys.readouterr()
-        assert code == 7
-        assert captured.out == ""
-        assert captured.err == (
-            "error: every iteration had n1p = 0; nothing to normalize by\n"
+        argv = ["analyze", str(log), "--gamma1", "0.1", "--gamma2", "0.8",
+                "--mode", mode]
+        code, report = run_sorted_json(capsys, argv + ["--json"])
+        assert code == 0
+        undefined = {"value": None, "std_error": None, "n_samples": 3}
+        assert {name: report[name] for name, _, _ in ESTIMATORS} == {
+            name: undefined for name, _, _ in ESTIMATORS
+        }
+        code, out = run_text(capsys, argv)
+        assert code == 0
+        assert out == f"3 iterations from {log}\n" + "".join(
+            f"{name.replace('_over_', '/'):<12} n/a +- n/a\n"
+            for name, _, _ in ESTIMATORS
         )
 
 
@@ -1063,9 +1119,10 @@ class TestSweep:
         assert not out.exists()
 
     @pytest.mark.parametrize("mode", ["stochastic", "expected"])
-    def test_no_usable_iterations_exit_7_leaves_no_file(
-        self, tmp_path, capsys, mode
-    ):
+    def test_no_counts_write_undefined_sim_cells(self, tmp_path, capsys,
+                                                 mode):
+        # No grid point draws a count: each sim_* cell divides by a summed
+        # count of 0 and reads nan, as an undefined error bar already did.
         out = tmp_path / "sim.csv"
         code = main([
             "sweep", "gamma2", "0:1:3", "--theta", THETA_FLAG,
@@ -1073,13 +1130,15 @@ class TestSweep:
             "--iterations", "3", "--rate", "0.001", "--mode", mode,
             "--out", str(out),
         ])
-        captured = capsys.readouterr()
-        assert code == 7
-        assert captured.out == ""
-        assert captured.err == (
-            "error: every iteration had n1p = 0; nothing to normalize by\n"
-        )
-        assert list(tmp_path.iterdir()) == []
+        assert code == 0
+        assert capsys.readouterr().out == ""
+        with out.open(newline="") as fh:
+            rows = list(csv.DictReader(fh))
+        assert len(rows) == 3
+        for row in rows:
+            sim = [cell for name, cell in row.items()
+                   if name.startswith("sim_")]
+            assert sim == ["nan"] * 4
 
     def test_low_rate_runs_quietly(self, tmp_path, capsys):
         # The error bars follow the summed counts, so a low rate per window
@@ -1440,7 +1499,7 @@ class TestPinnedOutput:
             "--mode", mode, "--seed", "13",
         ])
         _, estimates = library_analysis(log, 0.05, 0.8, mode, 13)
-        lines = [f"300 iterations from {log} (0 excluded for n1p = 0)"]
+        lines = [f"300 iterations from {log}"]
         for name, estimate in estimates.items():
             lines.append(f"{name.replace('_over_', '/'):<12} "
                          f"{estimate.value:.6f} "
@@ -1469,7 +1528,7 @@ q/p          0.994043 +- 0.19
         ])
         assert code == 0
         assert out == f"""\
-40 iterations from {log} (0 excluded for n1p = 0)
+40 iterations from {log}
 q1/p1        0.673913 +- 0.095
 p2           0.619565 +- 0.11
 q2           0.478261 +- 0.081
@@ -1489,7 +1548,7 @@ q2/p2        0.771930 +- 0.16
         code, out = run_text(capsys, argv)
         assert code == 0
         assert out == f"""\
-20 iterations from {log} (0 excluded for n1p = 0)
+20 iterations from {log}
 q1/p1        1.750000 +- 1.1
 p2           0.250000 +- 0.29
 q2           0.000000 +- n/a

@@ -4,6 +4,7 @@ import copy
 import dataclasses
 import math
 import re
+import warnings
 
 import numpy as np
 import pytest
@@ -13,7 +14,6 @@ from ysqht import (
     AcquisitionConfig,
     AggregateResult,
     Counts,
-    EstimationError,
     NoiseParams,
     ScenarioParams,
     aggregate,
@@ -154,6 +154,13 @@ class TestCounts:
         with pytest.raises(ValueError, match="shape"):
             Counts([0.0, 0.1], [[1, 1, 1, 1]])
 
+    @pytest.mark.parametrize("tilt", [math.nan, math.inf, -math.inf])
+    def test_rejects_non_finite_tilts(self, tilt):
+        # A count log holds finite tilts only, so Counts that could be
+        # written but not read back are refused when they are made.
+        with pytest.raises(ValueError, match="alpha must be finite"):
+            Counts([0.0, tilt], [[1, 1, 1, 1], [2, 2, 2, 2]])
+
 
 class TestRunAcquisition:
     def test_record_count_and_indexing(self):
@@ -284,17 +291,34 @@ class TestPartitionedEstimates:
                     aggregate(acquisition(356), 1.0, 0.8)):
             assert (agg.p.value, agg.p.std_error) == (1.0, 0.0)
 
-    def test_all_excluded_raises(self):
+    def test_no_counts_give_undefined_estimates(self):
+        # Every denominator sums to 0: each value and its bar are NaN.
         cfg = config(
             noise=NoiseParams(0.0), seed=4, iterations=5, mean_rate=1e-6
         )
-        with pytest.raises(EstimationError, match="n1p = 0"):
-            aggregate(run_acquisition(cfg), 0.1, 0.8)
+        counts = run_acquisition(cfg)
+        assert not counts.counts.any()
+        for rng in (None, np.random.default_rng(4)):
+            result = aggregate(counts, 0.1, 0.8, rng)
+            for name, _, _ in ESTIMATORS:
+                est = getattr(result, name)
+                assert math.isnan(est.value), name
+                assert math.isnan(est.std_error), name
+                assert est.n_samples == 5
 
-    def test_empty_records_raise(self):
+    def test_zero_iterations_give_seven_nan_estimates(self):
+        # Over no iterations every sum is 0, and the bar divides 0 by 0:
+        # both must come out NaN without a RuntimeWarning.
         empty = Counts(np.empty(0), np.empty((0, 4), np.int64))
-        with pytest.raises(EstimationError):
-            aggregate(empty, 0.1, 0.8)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for rng in (None, np.random.default_rng(0)):
+                result = aggregate(empty, 0.1, 0.8, rng)
+                for name, _, _ in ESTIMATORS:
+                    est = getattr(result, name)
+                    assert math.isnan(est.value), name
+                    assert math.isnan(est.std_error), name
+                    assert est.n_samples == 0
 
     def test_matches_per_iteration_loop(self):
         # A scalar ratio of sums in Python floats, with the delta-method
@@ -343,17 +367,27 @@ class TestPartitionedEstimates:
         assert aggregate(counts, 1.0, 0.8).p.std_error == 0.0
 
     @pytest.mark.parametrize("seed", [26, 60, 103, 181, 224, 232, 289, 314])
-    def test_no_n2p_count_stops_every_mode(self, seed):
+    def test_no_n2p_count_leaves_the_other_estimates(self, seed):
         # The README's n * lambda = 4 row.  These acquisitions have no n2p
-        # count, so q2/p2 has no denominator, in either mode.  Expected mode
-        # used to give p = gamma1 exactly with a bar of about 1e-17.
+        # count, so q2/p2 has no denominator, in either mode: it alone is
+        # undefined.  Expected mode gives p = gamma1 but for rounding, and
+        # its bar of about 1e-17 is that rounding, so undefined too.
         counts = run_acquisition(AcquisitionConfig(
             THETA_B, NoiseParams(0.7), seed, 20, 0.2, 1.0))
         assert counts.counts[:, 0].sum() > 0
         assert counts.counts[:, 2].sum() == 0
         for rng in (None, np.random.default_rng(aggregation_seed(seed))):
-            with pytest.raises(EstimationError, match="denominator"):
-                aggregate(counts, 0.1, 0.8, rng)
+            result = aggregate(counts, 0.1, 0.8, rng)
+            assert math.isnan(result.q2_over_p2.value)
+            assert math.isnan(result.q2_over_p2.std_error)
+            assert result.p2.value == 0.0
+            for est in (result.q1_over_p1, result.q2, result.q):
+                assert math.isfinite(est.value)
+        expected = aggregate(counts, 0.1, 0.8)
+        assert expected.p.value == pytest.approx(0.1, rel=1e-15)
+        assert math.isnan(expected.p.std_error)
+        assert expected.q_over_p.value > 0.0
+        assert expected.q_over_p.std_error > 0.0
 
 
 class TestAggregate:

@@ -2,7 +2,7 @@
 ``sim_*`` cell of the written table, equals, bit for bit, a re-run of its
 grid point through ``run_acquisition`` and ``aggregate`` at the point's
 parameters, and those equal the scalar ratio-of-sums estimators computed
-one acquisition at a time."""
+one acquisition at a time, NaN where a denominator sums to 0."""
 
 import csv
 import json
@@ -18,7 +18,6 @@ from hypothesis import strategies as st
 
 from ysqht import (
     AcquisitionConfig,
-    EstimationError,
     NoiseParams,
     RatioEstimate,
     aggregate,
@@ -77,24 +76,24 @@ def mixing_rng(seed, k, mode):
 def scalar_estimates(counts, gamma1, gamma2, rng, mode):
     """q2/p2 and q/p as the per-acquisition scalar code computes them: 1-D
     numpy sums over all iterations, each ratio of sums and its delta-method
-    error in Python floats."""
+    error in Python floats, both NaN where the ratio has no finite value."""
     n1p, n1q, n2p, n2q = np.ascontiguousarray(counts.counts.T, dtype=float)
-    if not n1p.sum():
-        raise EstimationError("every iteration had n1p = 0")
     n = int(n1p.size)
 
     def ratio_of_sums(a, b):
         total_a, total_b = float(a.sum()), float(b.sum())
-        if total_b == 0.0:
-            raise EstimationError("the denominator estimate vanished")
-        value = total_a / total_b
-        residual = a - value * b
-        squares = float((residual * residual).sum())
+        value = total_a / total_b if total_b else math.inf
+        if not math.isfinite(value):  # no finite ratio: undefined
+            return RatioEstimate(math.nan, math.nan, n)
+        with np.errstate(over="ignore"):
+            residual = a - value * b
+            squares = float((residual * residual).sum())
         if n == 1:
             error = 0.0
         else:
             error = math.sqrt(squares * (n / (n - 1))) / total_b
-            if error <= 4 * 2.0**-52 * abs(value):  # no spread: no error bar
+            # An overflowed bar, or one of no spread, is undefined.
+            if not error < math.inf or error <= 4 * 2.0**-52 * abs(value):
                 error = math.nan
         return RatioEstimate(value, error, n)
 
@@ -138,18 +137,12 @@ def test_sweep_columns_equal_per_point_reruns(
     axis, mode, grid, gamma1_values, gamma2, spread, seed, iterations, rate
 ):
     sweep = analytic(axis, grid, gamma1_values, gamma2, spread)
-    try:
-        reference = [
-            rerun(THETA_B, x if axis == "delta" else spread,
-                  gamma2 if axis == "delta" else x, gamma1_values, seed, i,
-                  iterations, rate, 1.0, mode)
-            for i, x in enumerate(grid)
-        ]
-    except EstimationError:
-        with pytest.raises(EstimationError):
-            simulate_sweep(sweep, seed, iterations, rate, mode=mode)
-        return
-
+    reference = [
+        rerun(THETA_B, x if axis == "delta" else spread,
+              gamma2 if axis == "delta" else x, gamma1_values, seed, i,
+              iterations, rate, 1.0, mode)
+        for i, x in enumerate(grid)
+    ]
     sim = simulate_sweep(sweep, seed, iterations, rate, mode=mode)
     assert sim.sweep is sweep
     assert (sim.mode, sim.seed, sim.iterations, sim.mean_rate,
@@ -188,10 +181,7 @@ def test_written_cells_equal_reruns_from_the_manifest(
     # fixed gamma2 or delta_std, theta and the acquisition's, and the grid
     # value of its row.
     sweep = analytic(axis, grid, gamma1_values, gamma2, spread)
-    try:
-        sim = simulate_sweep(sweep, seed, iterations, rate, window, mode)
-    except EstimationError:
-        return
+    sim = simulate_sweep(sweep, seed, iterations, rate, window, mode)
     manifest, rows = written(sim)
     assert manifest["mode"] == mode and manifest["seed"] == seed
     columns = dict(zip(rows[0], zip(*rows[1:])))
@@ -215,33 +205,45 @@ def test_written_cells_equal_reruns_from_the_manifest(
 
 @pytest.mark.parametrize("axis", ["delta", "gamma2"])
 @pytest.mark.parametrize("mode", ["stochastic", "expected"])
-def test_mid_grid_point_without_usable_iterations_raises(axis, mode):
+def test_mid_grid_point_without_n1p_leaves_the_others(axis, mode):
     grid, mid = [0.1, 0.4, 0.6, 0.9], 2
 
-    def point_counts(seed, i):
+    def point(seed, i):
         noise = grid[i] if axis == "delta" else 0.7
-        return run_acquisition(AcquisitionConfig(
-            THETA_B, NoiseParams(noise), point_seed(seed, i), 3, 1.0))
-
-    def usable(seed, i):
-        counts = point_counts(seed, i)
-        rng = mixing_rng(point_seed(seed, i), 0, mode)
         gamma2 = 0.8 if axis == "delta" else grid[i]
-        try:
-            aggregate(counts, 0.3, gamma2, rng)
-        except EstimationError:
-            return False
-        return True
+        return rerun(THETA_B, noise, gamma2, [0.3], seed, i, 3, 1.0, 1.0,
+                     mode)
 
-    # The first base seed at which the mid-grid point alone has no usable
-    # iteration.
+    def defined(seed, i):
+        _, q2, (ratio,) = point(seed, i)
+        return not math.isnan(q2.value) and not math.isnan(ratio.value)
+
+    def no_p_count(seed):
+        return not run_acquisition(AcquisitionConfig(
+            THETA_B, NoiseParams(grid[mid] if axis == "delta" else 0.7),
+            point_seed(seed, mid), 3, 1.0)).counts[:, [0, 2]].any()
+
+    # The first base seed at which the mid-grid point has neither an n1p
+    # nor an n2p count, so that its q1/p1, q2/p2 and q/p are undefined,
+    # and every other point has both of its ratios.
     for seed in range(10_000):
-        if not point_counts(seed, mid).counts[:, 0].any() and all(
-            usable(seed, i) for i in range(len(grid)) if i != mid
+        if no_p_count(seed) and all(
+            defined(seed, i) for i in range(len(grid)) if i != mid
         ):
             break
     else:
-        pytest.fail("no base seed leaves only the mid-grid point unusable")
-    with pytest.raises(EstimationError, match="every iteration had n1p = 0"):
-        simulate_sweep(analytic(axis, grid, [0.3], 0.8, 0.7), seed, 3, 1.0,
-                       mode=mode)
+        pytest.fail("no base seed leaves only the mid-grid point undefined")
+    sim = simulate_sweep(analytic(axis, grid, [0.3], 0.8, 0.7), seed, 3, 1.0,
+                         mode=mode)
+    reference = [point(seed, i) for i in range(len(grid))]
+    _, q2, (ratio,) = reference[mid]
+    assert all(map(math.isnan, (q2.value, q2.std_error, ratio.value,
+                                ratio.std_error)))
+    # The undefined point stops nothing: every point, it too, holds the
+    # bits of its re-run.
+    assert same_bits(sim.q2_over_p2, [q2.value for _, q2, _ in reference])
+    assert same_bits(sim.q2_over_p2_err,
+                     [q2.std_error for _, q2, _ in reference])
+    assert same_bits(sim.q_over_p[0], [r.value for _, _, (r,) in reference])
+    assert same_bits(sim.q_over_p_err[0],
+                     [r.std_error for _, _, (r,) in reference])
