@@ -104,11 +104,11 @@ class Counts:
 class RatioEstimate:
     """Ratio estimate r = sum(a)/sum(b) over the ``n_samples`` iterations
     of an acquisition, with its delta-method standard error
-    sqrt(n/(n-1) * sum((a - r*b)**2)) / sum(b), a one-sigma interval: 0.0
-    from a single iteration, and over more NaN, undefined, where it is at
-    most 4 * 2**-52 * abs(r), the rounding error of r itself (as where every
-    residual a - r*b is 0, and wherever sum(a) is 0; see the README), but
-    for p at gamma1 = 1, exact with error 0.0 as a is b by construction.
+    sqrt(n/(n-1) * sum((a - r*b)**2)) / sum(b), a one-sigma interval: NaN,
+    undefined, over a single iteration and where it is at most 4 * 2**-52 *
+    abs(r), the rounding error of r itself (as where every residual a - r*b
+    is 0, and wherever sum(a) is 0; see the README), but for p at gamma1 = 1
+    over more iterations, exact with error 0.0 as a is b by construction.
     Where r has no finite value (sum(b) is 0, as over no iterations, or so
     small that r overflows) it is undefined: ``value`` and ``std_error`` are
     both NaN."""
@@ -213,7 +213,7 @@ def _estimate(
                         if not {a, b} <= column.keys())
 
     rows: dict[str, list] = {}
-    scale = n / (n - 1) if n > 1 else 0.0
+    scale = n / (n - 1) if n > 1 else np.inf  # one iteration: no bar
     # One estimator at a time, so that only one residual block is alive.
     for name, a, b in pairs():
         total_a, total_b = a.sum(axis=-1), b.sum(axis=-1)
@@ -226,7 +226,7 @@ def _estimate(
             std_error = np.sqrt(residual.sum(axis=-1) * scale) / total_b
         value[~np.isfinite(value)] = np.nan
         std_error[~np.isfinite(std_error)] = np.nan
-        if n > 1 and a is not b:
+        if a is not b:
             # A bar within the rounding error of r (every residual 0, or a
             # proportional to b and r*b rounding off a) measures no spread;
             # it would claim an exact estimate.

@@ -21,13 +21,13 @@ written in place.
 A count log written to a regular file gets a companion,
 ``<log>.columns.npz``: its ``alpha`` and ``counts`` columns and the SHA-256
 of the log's bytes, digested as they are written.  The log alone is
-authoritative.  ``read_count_log`` always parses and checks the manifest
-line, and takes the records from the companion only when the log it opened
-is a regular file whose digest the companion holds, and the companion's
-columns are of the right dtypes and shapes; otherwise it parses every
-record line, the only path that raises ``LogFormatError``.  Deleting a
-companion costs only time; streams and links get none, and are never
-hashed or read twice.
+authoritative.  ``read_count_log`` reads it as bytes through one handle,
+always parses and checks the manifest line, and takes the records from the
+companion only when the log it opened is a regular file whose digest the
+companion holds, and the companion's columns are of the right dtypes and
+shapes and make a valid ``Counts``; otherwise it parses every record line,
+the only path that raises ``LogFormatError``.  Deleting a companion costs
+only time; streams and links get none, and are never hashed or read twice.
 """
 
 from __future__ import annotations
@@ -42,7 +42,7 @@ import zipfile
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
 from pathlib import Path
-from typing import Any, BinaryIO, Callable, Iterable, Iterator, TextIO
+from typing import Any, BinaryIO, Callable, Iterable, Iterator
 
 import numpy as np
 from numpy.lib import format as npy
@@ -297,15 +297,12 @@ def _columns_path(log: Path) -> Path:
     return log.with_name(log.name + COLUMNS_SUFFIX)
 
 
-def _companion_columns(
-    fh: TextIO, log: Path, iterations: int
-) -> tuple[np.ndarray, np.ndarray] | None:
-    """The alpha and counts columns of the log open in ``fh`` as its
-    companion holds them, or None unless that log is a regular file and its
-    companion is valid: it loads without pickle, its ``sha256`` is the
-    digest of the log's exact bytes, and its columns have the dtypes and
-    shapes of ``iterations`` records, finite tilts and non-negative counts.
-    ``fh`` is left where it was."""
+def _companion_counts(fh: BinaryIO, log: Path, n: int) -> Counts | None:
+    """The counts of the log open in ``fh`` as its companion holds them, or
+    None unless that log is a regular file and its companion is valid: it
+    loads without pickle, its ``sha256`` is the digest of the log's exact
+    bytes, and its columns have the dtypes and shapes of ``n`` records and
+    make a valid ``Counts``.  ``fh`` is left where it was."""
     if not stat.S_ISREG(os.fstat(fh.fileno()).st_mode):
         return None  # a stream is read once, and never hashed
     position = fh.tell()
@@ -314,22 +311,21 @@ def _companion_columns(
                 np.load(raw, allow_pickle=False) as columns:
             expected = columns["sha256"].tobytes()
             digest = hashlib.sha256()
-            fh.buffer.seek(0)
-            while block := fh.buffer.read(1 << 20):
+            fh.seek(0)
+            while block := fh.read(1 << 20):
                 digest.update(block)
             if digest.digest() != expected:
                 return None
             alpha, counts = columns["alpha"], columns["counts"]
+            if alpha.dtype == np.float64 and counts.dtype == np.int64 \
+                    and alpha.shape == (n,) and counts.shape == (n, 4):
+                return Counts(alpha, counts)
     # The log alone is authoritative: whatever is wrong with its companion
-    # (missing, truncated, not an npz, a bad member), the log is parsed.
+    # (missing, truncated, not an npz, a bad member or value), it is parsed.
     except Exception:
         return None
     finally:
         fh.seek(position)
-    if alpha.dtype == np.float64 and alpha.shape == (iterations,) \
-            and counts.dtype == np.int64 and counts.shape == (iterations, 4) \
-            and np.isfinite(alpha).all() and (counts >= 0).all():
-        return alpha, counts
     return None
 
 
@@ -377,32 +373,33 @@ def _fault(payload: Any) -> str | None:
 
 
 def _parse_chunk(
-    lines: list[str], first_line: int
+    lines: list[bytes], first_line: int
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Line numbers, i, alpha and counts of the records in ``lines``, whose
     first line is ``first_line`` of the file.  Blank lines are skipped and
-    surrounding whitespace is ignored; a bad line raises LogFormatError with
-    its number.
+    surrounding ASCII whitespace is ignored; a bad line, one that is not
+    UTF-8 too, raises LogFormatError with its number.
 
     One ``json.loads`` parses the chunk when every line begins with '{' and
     ends with '}'.  A valid record nests nothing, so when that gives one
     valid record per line, no line holds two records or half of one."""
     records = {number: text for number, line in enumerate(lines, first_line)
                if (text := line.strip())}
-    joined = "\n,".join(records.values())
+    joined = b"\n,".join(records.values())
     columns = None
     # No stripped line holds a newline, so "}\n,{" occurs only between lines.
-    if joined.startswith("{") and joined.endswith("}") \
-            and joined.count("}\n,{") == len(records) - 1:
-        try:
-            columns = _columns(json.loads("[" + joined + "]"), len(records))
+    if joined.startswith(b"{") and joined.endswith(b"}") \
+            and joined.count(b"}\n,{") == len(records) - 1:
+        try:  # a UnicodeDecodeError is a ValueError
+            columns = _columns(json.loads(f"[{joined.decode()}]"),
+                               len(records))
         except (ValueError, RecursionError):  # or nested too deep
             pass
     if columns is None:  # parse line by line to name the first bad one
         payloads = []
         for line_number, record in records.items():
             try:
-                payloads.append(json.loads(record))
+                payloads.append(json.loads(record.decode()))
             except (ValueError, RecursionError) as err:  # or nested too deep
                 raise LogFormatError(
                     line_number, f"not valid JSON: {err}"
@@ -420,13 +417,14 @@ def read_count_log(path: str | Path) -> tuple[RunManifest, Counts]:
     Raises LogFormatError (with the offending line number) on corrupt lines,
     and then on logs whose record indices ``i`` do not run 0..n-1 or whose
     record count differs from the manifest's ``iterations``; raises
-    ManifestVersionError on manifests this version cannot read."""
-    with Path(path).open() as fh:
+    ManifestVersionError on manifests this version cannot read.  A line
+    ends at a line feed, and is read as bytes that must be UTF-8."""
+    with Path(path).open("rb") as fh:
         head_line = fh.readline()
         if not head_line:
             raise LogFormatError(1, "empty file, expected a manifest line")
         try:
-            head = json.loads(head_line)
+            head = json.loads(head_line.decode())
         except (ValueError, RecursionError) as err:  # or nested too deep
             raise LogFormatError(
                 1, f"manifest is not valid JSON: {err}"
@@ -445,9 +443,9 @@ def read_count_log(path: str | Path) -> tuple[RunManifest, Counts]:
                 1, f"manifest iterations must be a positive integer, got "
                    f"{iterations!r}"
             )
-        columns = _companion_columns(fh, Path(path), iterations)
-        if columns is not None:
-            return manifest, Counts(*columns)
+        cached = _companion_counts(fh, Path(path), iterations)
+        if cached is not None:
+            return manifest, cached
         parts = [_parse_chunk([], 2)]  # so that a log of no records concatenates
         next_line = 2
         while chunk := list(itertools.islice(fh, READ_CHUNK_LINES)):

@@ -265,9 +265,15 @@ class TestPartitionedEstimates:
             assert math.isnan(est.std_error)
         for est in (result.q1_over_p1, result.p2):
             assert est.value > 0.0 and est.std_error > 0.0
-        # A single window has no spread to measure: its error bar stays 0.
+        # A single window has no spread to measure: no estimate has an error
+        # bar, in either mode, not even p at gamma1 = 1.
         one = Counts(counts.alpha[:1], counts.counts[:1] + [1, 0, 1, 0])
-        assert aggregate(one, 0.1, 0.8).q2.std_error == 0.0
+        for gamma1 in (0.1, 1.0):
+            for rng in (None, np.random.default_rng(1)):
+                result = aggregate(one, gamma1, 0.8, rng)
+                for name, _, _ in ESTIMATORS:
+                    assert math.isfinite(getattr(result, name).value)
+                    assert math.isnan(getattr(result, name).std_error)
 
     def test_vanishing_residuals_give_no_error_bar(self):
         # The README's n * lambda = 4 row: 20 windows at 0.2 counts, seeds

@@ -510,6 +510,73 @@ class TestRecordRejection:
         assert len(calls) == 1 + math.ceil(record_lines / READ_CHUNK_LINES)
 
 
+def read_through_fifo(tmp_path, data):
+    """``read_count_log`` of a FIFO down which ``data``, a few kB that the
+    pipe holds at once, is written."""
+    fifo = tmp_path / "fifo.jsonl"
+    os.mkfifo(fifo)
+    feeder = threading.Thread(target=lambda: fifo.write_bytes(data),
+                              daemon=True)
+    feeder.start()
+    try:
+        return read_count_log(fifo)
+    finally:
+        feeder.join(timeout=60)
+
+
+class TestLogBytes:
+    """A count log is read as bytes: its text must be UTF-8, and a line
+    ends at a line feed."""
+
+    @pytest.mark.parametrize("source", ["alone", "stale-companion", "fifo"])
+    @pytest.mark.parametrize("byte", [b"\x80", b"\xc3", b"\xff"])
+    def test_undecodable_record_byte_names_its_line(
+        self, tmp_path, source, byte
+    ):
+        path = tmp_path / "run.jsonl"
+        write_log(path)
+        lines = path.read_bytes().split(b"\n")
+        lines[4] = lines[4].replace(b'"n1p"', b'"n1' + byte + b'p"')
+        path.write_bytes(b"\n".join(lines))
+        if source == "alone":
+            companion_of(path).unlink()
+        assert companion_of(path).is_file() == (source != "alone")
+        with pytest.raises(LogFormatError, match="^line 5: ") as err:
+            if source == "fifo":
+                read_through_fifo(tmp_path, path.read_bytes())
+            else:
+                read_count_log(path)
+        assert err.value.line_number == 5
+
+    @pytest.mark.parametrize("via_fifo", [False, True])
+    def test_undecodable_manifest_byte_names_line_1(self, tmp_path, via_fifo):
+        path = tmp_path / "run.jsonl"
+        write_log(path)
+        data = path.read_bytes().replace(b'"ysqht"', b'"ysq\xffht"', 1)
+        path.write_bytes(data)
+        with pytest.raises(LogFormatError, match="^line 1: manifest") as err:
+            read_through_fifo(tmp_path, data) if via_fifo \
+                else read_count_log(path)
+        assert err.value.line_number == 1
+
+    def test_byte_order_mark_is_rejected_on_line_1(self, tmp_path):
+        path = tmp_path / "run.jsonl"
+        write_log(path)
+        path.write_bytes(b"\xef\xbb\xbf" + path.read_bytes())
+        with pytest.raises(LogFormatError, match="BOM") as err:
+            read_count_log(path)
+        assert err.value.line_number == 1
+
+    def test_lone_carriage_return_ends_no_line(self, tmp_path):
+        path = tmp_path / "run.jsonl"
+        write_log(path, iterations=3)
+        head, records = path.read_bytes().split(b"\n", 1)
+        path.write_bytes(head + b"\n" + records.replace(b"\n", b"\r", 1))
+        with pytest.raises(LogFormatError, match="not valid JSON") as err:
+            read_count_log(path)
+        assert err.value.line_number == 2
+
+
 class TestManifest:
     def test_json_round_trip(self):
         manifest = RunManifest(

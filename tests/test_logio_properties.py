@@ -38,12 +38,13 @@ records = st.lists(
     st.tuples(alphas, st.lists(counts, min_size=4, max_size=4)),
     min_size=1, max_size=12,
 )
-#: How a record line is rewritten: blank lines before it, whitespace before
-#: and after it, an order of its keys, and its line ending.
+#: How a record line is rewritten: blank lines before it, ASCII whitespace
+#: before and after it (each byte the reader skips), an order of its keys,
+#: and its line ending.
 layouts = st.tuples(
     st.integers(0, 2),
-    st.text(" \t", max_size=3),
-    st.text(" \t", max_size=3),
+    st.text(" \t\x0b\x0c", max_size=3),
+    st.text(" \t\x0b\x0c", max_size=3),
     st.permutations(range(len(logio.RECORD_KEYS))),
     st.sampled_from(["\n", "\r\n"]),
 )

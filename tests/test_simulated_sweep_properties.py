@@ -88,13 +88,12 @@ def scalar_estimates(counts, gamma1, gamma2, rng, mode):
         with np.errstate(over="ignore"):
             residual = a - value * b
             squares = float((residual * residual).sum())
-        if n == 1:
-            error = 0.0
-        else:
-            error = math.sqrt(squares * (n / (n - 1))) / total_b
-            # An overflowed bar, or one of no spread, is undefined.
-            if not error < math.inf or error <= 4 * 2.0**-52 * abs(value):
-                error = math.nan
+        if n == 1:  # a single iteration has no spread to measure
+            return RatioEstimate(value, math.nan, n)
+        error = math.sqrt(squares * (n / (n - 1))) / total_b
+        # An overflowed bar, or one of no spread, is undefined.
+        if not error < math.inf or error <= 4 * 2.0**-52 * abs(value):
+            error = math.nan
         return RatioEstimate(value, error, n)
 
     q2_over_p2 = ratio_of_sums(n2q, n2p)
@@ -124,7 +123,7 @@ sweep_cases = dict(
     gamma2=probability,
     spread=st.floats(0.0, 1.5),
     seed=st.integers(0, 2**64 - 1),
-    iterations=st.integers(2, 30),
+    iterations=st.integers(1, 30),
     rate=rates,
 )
 
