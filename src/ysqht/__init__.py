@@ -63,7 +63,6 @@ _PUBLIC = {
     # file formats
     "logio": (
         "RunManifest",
-        "format_record_line",
         "read_count_log",
         "sweep_table",
         "write_count_log",

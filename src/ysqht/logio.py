@@ -25,9 +25,10 @@ authoritative.  ``read_count_log`` reads it as bytes through one handle,
 always parses and checks the manifest line, and takes the records from the
 companion only when the log it opened is a regular file whose digest the
 companion holds, and the companion's columns are of the right dtypes and
-shapes and make a valid ``Counts``; otherwise it parses every record line,
-the only path that raises ``LogFormatError``.  Deleting a companion costs
-only time; streams and links get none, and are never hashed or read twice.
+shapes and make a valid ``Counts``; otherwise it parses the record lines,
+the only path that raises ``LogFormatError``, up to the first bad one.
+Deleting a companion costs only time; streams and links get none, and are
+never hashed or read twice.
 """
 
 from __future__ import annotations
@@ -240,14 +241,6 @@ def _record_block(start: int, alpha: np.ndarray, counts: np.ndarray) -> bytes:
                                                    b'"alpha": -0.0,')
 
 
-def format_record_line(index: int, alpha: float, n1p: int, n1q: int,
-                       n2p: int, n2q: int) -> str:
-    """One record as ``write_count_log`` writes it, without its newline: a
-    JSON line with the tilt at 17 significant digits."""
-    return _record_block(index, np.array([alpha], np.float64), np.array(
-        [[n1p, n1q, n2p, n2q]], np.int64))[:-1].decode()
-
-
 def write_count_log(
     path: str | Path,
     config: AcquisitionConfig,
@@ -330,11 +323,12 @@ def _companion_counts(fh: BinaryIO, log: Path, n: int) -> Counts | None:
 
 
 def _columns(
-    payloads: list[Any], n: int
-) -> tuple[np.ndarray, np.ndarray, np.ndarray] | None:
-    """i, alpha and the (n, 4) counts of ``n`` record payloads, validated
-    column by column; None unless every payload is a valid record."""
-    if len(payloads) != n or not set(map(type, payloads)) <= {dict} \
+    payloads: list[Any], start: int, stop: int
+) -> tuple[np.ndarray, np.ndarray] | None:
+    """alpha and the (n, 4) counts of the payloads of records ``start``,
+    ``start + 1``, ... of a log of ``stop``, validated column by column;
+    None unless every payload is a valid record in its place."""
+    if start + len(payloads) > stop or not set(map(type, payloads)) <= {dict} \
             or not set(map(len, payloads)) <= {len(RECORD_KEYS)}:
         return None
     try:
@@ -343,6 +337,7 @@ def _columns(
         )
     except KeyError:
         return None
+    # The types first: 1.0 == 1 and True == 1 would pass the place check.
     if not set(map(type, alpha)) <= {int, float} \
             or not set(map(type, itertools.chain(index, *counts))) <= {int}:
         return None
@@ -351,13 +346,15 @@ def _columns(
         alpha = np.array(alpha, dtype=np.float64)
     except OverflowError:
         return None
-    if (ints < 0).any() or not np.isfinite(alpha).all():
+    if (ints < 0).any() or not np.isfinite(alpha).all() or not np.array_equal(
+            ints[0], np.arange(start, start + len(payloads))):
         return None
-    return ints[0], alpha, ints[1:].T
+    return alpha, ints[1:].T
 
 
-def _fault(payload: Any) -> str | None:
-    """Why a parsed record line is not a valid record; None if it is one."""
+def _fault(payload: Any, place: int, stop: int) -> str | None:
+    """Why a parsed record line is not a valid record, the record at
+    ``place`` of a log of ``stop``; None if it is one."""
     if not isinstance(payload, dict):
         return "record line must be a JSON object"
     if set(payload) != set(RECORD_KEYS):
@@ -369,16 +366,23 @@ def _fault(payload: Any) -> str | None:
         value = payload[key]
         if type(value) is not int or not 0 <= value < 2**63:
             return f"{key} must be a non-negative 64-bit integer, got {value!r}"
+    if payload["i"] != place:
+        return (f"record index i = {payload['i']} where {place} belongs: "
+                f"records are missing, duplicated or out of order")
+    if place == stop:
+        return f"more records than the {stop} its manifest promises"
     return None
 
 
 def _parse_chunk(
-    lines: list[bytes], first_line: int
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Line numbers, i, alpha and counts of the records in ``lines``, whose
-    first line is ``first_line`` of the file.  Blank lines are skipped and
-    surrounding ASCII whitespace is ignored; a bad line, one that is not
-    UTF-8 too, raises LogFormatError with its number.
+    lines: list[bytes], first_line: int, start: int, stop: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """alpha and counts of the records in ``lines``, whose first line is
+    ``first_line`` of the file and whose first record is record ``start``
+    of a log of ``stop``.  Blank lines are skipped and surrounding ASCII
+    whitespace is ignored.  The first bad line raises LogFormatError with
+    its number: one that is not UTF-8, not one valid record, or a record
+    whose index ``i`` is not its place or that is past the ``stop``-th.
 
     One ``json.loads`` parses the chunk when every line begins with '{' and
     ends with '}'.  A valid record nests nothing, so when that gives one
@@ -391,32 +395,35 @@ def _parse_chunk(
     if joined.startswith(b"{") and joined.endswith(b"}") \
             and joined.count(b"}\n,{") == len(records) - 1:
         try:  # a UnicodeDecodeError is a ValueError
-            columns = _columns(json.loads(f"[{joined.decode()}]"),
-                               len(records))
+            payloads = json.loads(f"[{joined.decode()}]")
+            # Two records on one line give one payload more than lines.
+            if len(payloads) == len(records):
+                columns = _columns(payloads, start, stop)
         except (ValueError, RecursionError):  # or nested too deep
             pass
     if columns is None:  # parse line by line to name the first bad one
         payloads = []
-        for line_number, record in records.items():
+        for place, (line_number, record) in enumerate(records.items(), start):
             try:
                 payloads.append(json.loads(record.decode()))
             except (ValueError, RecursionError) as err:  # or nested too deep
                 raise LogFormatError(
                     line_number, f"not valid JSON: {err}"
                 ) from err
-            if (fault := _fault(payloads[-1])) is not None:
+            if (fault := _fault(payloads[-1], place, stop)) is not None:
                 raise LogFormatError(line_number, fault)
-        columns = _columns(payloads, len(records))
-    return (np.array(list(records), dtype=np.int64), *columns)
+        columns = _columns(payloads, start, stop)
+    return columns
 
 
 def read_count_log(path: str | Path) -> tuple[RunManifest, Counts]:
     """Parse a count log back into its manifest and counts, taking the
     counts from the log's companion when it is valid for the log's bytes.
 
-    Raises LogFormatError (with the offending line number) on corrupt lines,
-    and then on logs whose record indices ``i`` do not run 0..n-1 or whose
-    record count differs from the manifest's ``iterations``; raises
+    Raises LogFormatError naming the first bad line: a corrupt line, a
+    record whose index ``i`` is not its place (record k holds ``i == k``),
+    a record past the manifest's ``iterations``, or, after the last line,
+    too few records; no chunk past the bad line is read.  Raises
     ManifestVersionError on manifests this version cannot read.  A line
     ends at a line feed, and is read as bytes that must be UTF-8."""
     with Path(path).open("rb") as fh:
@@ -446,31 +453,17 @@ def read_count_log(path: str | Path) -> tuple[RunManifest, Counts]:
         cached = _companion_counts(fh, Path(path), iterations)
         if cached is not None:
             return manifest, cached
-        parts = [_parse_chunk([], 2)]  # so that a log of no records concatenates
-        next_line = 2
+        parts, n, next_line = [], 0, 2
         while chunk := list(itertools.islice(fh, READ_CHUNK_LINES)):
-            parts.append(_parse_chunk(chunk, next_line))
+            parts.append(_parse_chunk(chunk, next_line, n, iterations))
+            n += parts[-1][0].size
             next_line += len(chunk)
-    numbers, index, alpha, counts = (np.concatenate(c) for c in zip(*parts))
-
-    out_of_place = np.flatnonzero(index != np.arange(index.size))
-    if out_of_place.size:
-        k = out_of_place[0]
+    if n < iterations:
         raise LogFormatError(
-            int(numbers[k]),
-            f"record index i = {index[k]} where {k} belongs: records are "
-            f"missing, duplicated or out of order",
+            next_line,
+            f"log holds {n} records but its manifest promises {iterations}",
         )
-    if index.size != iterations:
-        line_number = (
-            int(numbers[iterations]) if index.size > iterations else next_line
-        )
-        raise LogFormatError(
-            line_number,
-            f"log holds {index.size} records but its manifest promises "
-            f"{iterations}",
-        )
-    return manifest, Counts(alpha, counts)
+    return manifest, Counts(*map(np.concatenate, zip(*parts)))
 
 
 #: Header of the swept-value column of each sweep axis.

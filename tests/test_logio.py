@@ -24,7 +24,6 @@ from ysqht import (
     NoiseParams,
     RunManifest,
     Sweep,
-    format_record_line,
     read_count_log,
     run_acquisition,
     simulate_sweep,
@@ -35,7 +34,7 @@ from ysqht import (
     write_sweep_csv,
 )
 from ysqht import logio
-from ysqht.logio import READ_CHUNK_LINES
+from ysqht.logio import READ_CHUNK_LINES, RECORD_LINE
 
 THETA_B = 5.0 * math.pi / 36.0
 
@@ -101,15 +100,17 @@ def read_both_ways(path):
 
 
 class TestRecordLines:
-    def test_alpha_survives_17_digit_round_trip(self):
+    def test_alpha_survives_17_digit_round_trip(self, tmp_path):
         rng = np.random.default_rng(1)
-        for _ in range(200):
-            alpha = float(rng.normal(0.0, 1.0) * 10.0 ** rng.integers(-8, 3))
-            parsed = json.loads(format_record_line(0, alpha, 1, 2, 3, 4))
-            assert float(parsed["alpha"]) == alpha
+        alpha = rng.normal(0.0, 1.0, 200) * 10.0 ** rng.integers(-8, 3, 200)
+        path = tmp_path / "run.jsonl"
+        write_count_log(path, make_config(iterations=alpha.size),
+                        Counts(alpha, np.ones((alpha.size, 4), np.int64)))
+        lines = path.read_text().splitlines()[1:]
+        assert [json.loads(line)["alpha"] for line in lines] == alpha.tolist()
 
     def test_line_is_flat_json(self):
-        line = format_record_line(7, -0.25, 10, 9, 8, 7)
+        line = RECORD_LINE % (7, -0.25, 10, 9, 8, 7)
         assert json.loads(line) == {
             "i": 7, "alpha": -0.25, "n1p": 10, "n1q": 9, "n2p": 8, "n2q": 7,
         }
@@ -123,15 +124,11 @@ class TestRecordLines:
         lines = path.read_text().splitlines()
         assert [json.loads(line)["alpha"] for line in lines[1:]] == alpha
         assert '"alpha": -0.0,' in lines[1] and '"alpha": 0,' in lines[2]
+        assert [math.copysign(1.0, json.loads(line)["alpha"])
+                for line in lines[1:]] == [-1.0, 1.0, -1.0, -1.0]
         loaded = read_both_ways(path)[1].alpha
         assert np.signbit(loaded).tolist() == [True, False, True, True]
         assert np.array_equal(loaded, alpha)
-
-    def test_format_record_line_writes_negative_zero_as_minus_0_0(self):
-        line = format_record_line(3, -0.0, 1, 2, 3, 4)
-        assert '"alpha": -0.0,' in line
-        assert math.copysign(1.0, json.loads(line)["alpha"]) == -1.0
-        assert '"alpha": 0,' in format_record_line(3, 0.0, 1, 2, 3, 4)
 
     def test_negative_zero_written_as_minus_0_still_reads(self, tmp_path):
         # Older writers wrote a negative zero tilt as "-0": it reads as zero.
@@ -326,11 +323,47 @@ class TestCountLogIntegrity:
     def test_extra_record_rejected(self, tmp_path):
         path = tmp_path / "run.jsonl"
         write_log(path, iterations=3)
-        with path.open("a") as handle:
-            handle.write(format_record_line(3, 0.0, 1, 1, 1, 1) + "\n")
-        with pytest.raises(LogFormatError, match="4 records") as err:
+        with path.open("ab") as handle:
+            handle.write(RECORD_LINE % (3, 0.0, 1, 1, 1, 1))
+        with pytest.raises(LogFormatError, match="than the 3 its manifest "
+                                                 "promises") as err:
             read_count_log(path)
         assert err.value.line_number == 5
+
+    def test_extra_record_is_named_before_a_later_damaged_line(
+        self, tmp_path
+    ):
+        path = tmp_path / "run.jsonl"
+        write_log(path, iterations=3)
+        with path.open("ab") as handle:
+            handle.write(RECORD_LINE % (3, 0.0, 1, 1, 1, 1) + b"{\n")
+        with pytest.raises(LogFormatError, match="than the 3 its manifest "
+                                                 "promises") as err:
+            read_count_log(path)
+        assert err.value.line_number == 5
+
+    def test_boolean_index_in_its_place_rejected(self, tmp_path):
+        # Line 3 holds record 1, and True == 1.
+        path = tmp_path / "run.jsonl"
+        write_log(path)
+        lines = path.read_text().splitlines()
+        lines[2] = set_value("i", "true")(lines[2])
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(LogFormatError, match="i must be a non-negative "
+                                                 "64-bit integer, got True"
+                           ) as err:
+            read_count_log(path)
+        assert err.value.line_number == 3
+
+    def test_two_records_joined_on_one_line_rejected(self, tmp_path):
+        path = tmp_path / "run.jsonl"
+        write_log(path)
+        lines = path.read_text().splitlines()
+        lines[3:5] = [lines[3] + ", " + lines[4]]
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(LogFormatError, match="not valid JSON") as err:
+            read_count_log(path)
+        assert err.value.line_number == 4
 
     def test_split_record_rejected(self, tmp_path):
         # Two half-records that are valid JSON only once joined by a comma.
@@ -432,6 +465,8 @@ DAMAGES = {
     "array-line": (lambda line: json.dumps(list(json.loads(line).values())),
                    "record line must be a JSON object"),
     "two-records": (lambda line: line + ", " + line, "not valid JSON"),
+    "float-index": (lambda line: re.sub(r'"i": (\d+)', r'"i": \1.0', line),
+                    "i must be a non-negative 64-bit integer"),
     "nested-object": (set_value("n1p", '{"n": 1}'),
                       "n1p must be a non-negative 64-bit integer, got {'n': 1}"),
     # Beyond the float range: no float can hold it.
@@ -488,6 +523,40 @@ class TestRecordRejection:
         with pytest.raises(LogFormatError, match=fragment) as err:
             read_count_log(path)
         assert err.value.line_number == line_number
+
+    def test_misplaced_record_is_named_before_a_later_chunk(
+        self, tmp_path, long_log_lines
+    ):
+        # Line 3 holds record 1; a damaged line follows in the next chunk.
+        lines = list(long_log_lines)
+        lines[2] = set_value("i", "0")(lines[2])
+        line_number = READ_CHUNK_LINES + 101
+        lines[line_number - 1] = DAMAGES["nan-alpha"][0](lines[line_number - 1])
+        path = tmp_path / "damaged.jsonl"
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(LogFormatError,
+                           match="i = 0 where 1 belongs") as err:
+            read_count_log(path)
+        assert err.value.line_number == 3
+
+    def test_reader_stops_at_the_chunk_of_the_first_fault(
+        self, tmp_path, monkeypatch
+    ):
+        path = tmp_path / "run.jsonl"
+        write_log(path, iterations=10)
+        companion_of(path).unlink()
+        lines = path.read_text().splitlines()
+        lines[2] = set_value("i", "0")(lines[2])
+        path.write_text("\n".join(lines) + "\n")
+        monkeypatch.setattr(logio, "READ_CHUNK_LINES", 3)
+        calls = []
+        parse = logio._parse_chunk
+        monkeypatch.setattr(logio, "_parse_chunk",
+                            lambda *args: calls.append(args) or parse(*args))
+        with pytest.raises(LogFormatError, match="i = 0 where 1") as err:
+            read_count_log(path)
+        assert err.value.line_number == 3
+        assert len(calls) == 1
 
     def test_blank_padded_and_reordered_lines_take_the_single_parse(
         self, tmp_path, monkeypatch, long_log_lines

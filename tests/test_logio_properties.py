@@ -2,8 +2,9 @@
 reader returns them unchanged, also across chunk boundaries and from lines
 that are blank, padded or have their keys in another order, the bytes
 written do not depend on the writer's chunk size, each record line written
-a chunk at a time is ``format_record_line`` of its record, and the columns
-read from a log's companion are the bits its parse gives."""
+a chunk at a time is ``RECORD_LINE`` of its record, the columns read from a
+log's companion are the bits its parse gives, and a record out of place is
+named before any damaged line after it."""
 
 import sys
 import tempfile
@@ -17,8 +18,8 @@ from hypothesis import strategies as st
 from ysqht import (
     AcquisitionConfig,
     Counts,
+    LogFormatError,
     NoiseParams,
-    format_record_line,
     read_count_log,
     write_count_log,
 )
@@ -123,7 +124,7 @@ def test_written_bytes_do_not_depend_on_the_chunk_size(rows):
 @pytest.mark.parametrize("target", ["file", "link"])
 @SETTINGS
 @given(records)
-def test_each_record_line_is_format_record_line_of_its_record(target, rows):
+def test_each_record_line_is_the_template_of_its_record(target, rows):
     # A link is a stream: it is written in place and gets no companion.
     with tempfile.TemporaryDirectory() as directory:
         if target == "link":
@@ -135,8 +136,11 @@ def test_each_record_line_is_format_record_line_of_its_record(target, rows):
         assert companion_of(path).exists() == (target == "file")
         head, *lines, end = path.read_bytes().decode().split("\n")
     assert end == ""
+    # One record at a time, with a negative zero tilt written -0.0.
     assert lines == [
-        format_record_line(i, alpha, *row) for i, (alpha, row) in
+        (logio.RECORD_LINE % (i, alpha, *row)).decode()[:-1].replace(
+            '"alpha": -0,', '"alpha": -0.0,')
+        for i, (alpha, row) in
         enumerate(zip(data.alpha.tolist(), data.counts.tolist()))
     ]
 
@@ -158,3 +162,56 @@ def test_blank_padded_and_reordered_lines_read_back_unchanged(case):
             text += blanks * end + left + line + right + end
         path.write_bytes(text.encode())
         assert_same_counts(read_back(path), data)
+
+
+@st.composite
+def misplaced_logs(draw):
+    """Rows of a log, its record lines with one record out of place (dropped,
+    duplicated, swapped with the next, or one appended past the last), the
+    index of the first line out of place, and the message it must raise."""
+    rows = draw(records)
+    n = len(rows)
+    kinds = ["duplicated", "appended"] + (["dropped", "swapped"] if n > 1
+                                          else [])
+    kind = draw(st.sampled_from(kinds))
+    j = draw(st.integers(0, n - 2 if kind in ("dropped", "swapped") else n - 1))
+    lines = [(logio.RECORD_LINE % (i, alpha, *row)).decode()[:-1]
+             for i, (alpha, row) in enumerate(rows)]
+    if kind == "dropped":  # record j + 1 stands where j belongs
+        del lines[j]
+        return rows, lines, j, f"i = {j + 1} where {j} belongs"
+    if kind == "swapped":
+        lines[j:j + 2] = lines[j + 1], lines[j]
+        return rows, lines, j, f"i = {j + 1} where {j} belongs"
+    if kind == "duplicated":
+        lines.insert(j, lines[j])
+        return rows, lines, j + 1, f"i = {j} where {j + 1} belongs"
+    lines.append((logio.RECORD_LINE % (n, 0.5, 1, 1, 1, 1)).decode()[:-1])
+    return rows, lines, n, f"than the {n} its manifest promises"
+
+
+#: Ways to damage a line, each a fault of the line alone.
+line_damages = st.sampled_from([
+    lambda line: line[:-1],
+    lambda line: line.replace('"n1q": ', '"n1q": -1'),
+    lambda line: line.replace('"alpha": ', '"alpha": NaN, "x": '),
+])
+
+
+@SETTINGS
+@given(misplaced_logs(), line_damages, st.data())
+def test_first_record_out_of_place_is_named_before_later_damage(
+    case, damage, data
+):
+    rows, lines, bad, fragment = case
+    # One damaged line after the one out of place: one of the lines that
+    # follow it, or one more line at the end.
+    k = data.draw(st.integers(bad + 1, len(lines)))
+    lines[k:k + 1] = [damage(lines[k] if k < len(lines) else lines[bad])]
+    with tempfile.TemporaryDirectory() as directory:
+        path, _ = write_log(directory, rows)
+        head = path.read_text().splitlines()[0]
+        path.write_text("\n".join([head, *lines]) + "\n")
+        with pytest.raises(LogFormatError, match=fragment) as err:
+            read_back(path)
+    assert err.value.line_number == bad + 2
