@@ -13,6 +13,13 @@ Both writers write blocks of ``READ_CHUNK_LINES`` lines, a count log's
 each formatted by one ``%`` on ``RECORD_LINE`` repeated, so the memory a
 count-log write takes does not grow with the length of the file; a sweep
 write also holds its grid's cells, which the manifest's ``grid`` reuses.
+A count log of two blocks or more is formatted by two processes when the
+writer may run on two CPUs: a forked child formats the second half of the
+blocks into a shared anonymous mapping while the writing process formats,
+hashes and writes the first half, then hashes and writes the child's
+blocks from the mapping.  The bytes are those one process writes, a
+failure in the child is raised in the writer, and the child never
+outlives the write; this needs POSIX (``os.fork``).
 A regular file is written to a new file beside it that then replaces it,
 so that a write that fails part way leaves the old file or none, never
 half of one; streams (pipes, devices, links such as ``/dev/stdout``) are
@@ -33,17 +40,22 @@ never hashed or read twice.
 
 from __future__ import annotations
 
+import contextlib
 import hashlib
 import itertools
 import json
 import math
+import mmap
 import os
+import pickle
+import signal
 import stat
+import warnings
 import zipfile
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
 from pathlib import Path
-from typing import Any, BinaryIO, Callable, Iterable, Iterator
+from typing import Any, BinaryIO, Callable, Iterable, Iterator, NoReturn
 
 import numpy as np
 from numpy.lib import format as npy
@@ -232,13 +244,103 @@ def _line_blocks(lines: Iterable[str]) -> Iterator[bytes]:
 
 def _record_block(start: int, alpha: np.ndarray, counts: np.ndarray) -> bytes:
     """The record lines of the tilts ``alpha`` and the (m, 4) ``counts``,
-    numbered from ``start``, by one ``%`` on ``RECORD_LINE * m``.  That
-    writes a negative zero tilt ``-0``, which JSON reads as the integer 0,
-    so it is rewritten ``-0.0``; no other tilt gives ``-0`` and a comma."""
+    numbered from ``start``, by one ``%`` on ``RECORD_LINE * m``, in
+    whichever of the two processes of a write formats them.  That writes a
+    negative zero tilt ``-0``, which JSON reads as the integer 0, so it is
+    rewritten ``-0.0``; no other tilt gives ``-0`` and a comma."""
     block = RECORD_LINE * alpha.size % tuple(itertools.chain.from_iterable(
         zip(itertools.count(start), alpha.tolist(), *counts.T.tolist())))
     return block if alpha.all() else block.replace(b'"alpha": -0,',
                                                    b'"alpha": -0.0,')
+
+
+def _record_blocks(counts: Counts) -> Iterator[bytes]:
+    """The record lines of ``counts``, a ``_record_block`` of
+    ``READ_CHUNK_LINES`` records at a time.  Before the first block, when
+    there are two blocks or more and this process may run on two CPUs, one
+    forked child formats the second half of the blocks into a shared
+    anonymous mapping while this process formats the first half; the
+    child's blocks are then taken from the mapping, one at a time, and an
+    exception the child raised is raised here.  The bytes are those that
+    one process writes.  However the generator ends, the child is reaped,
+    and killed first if it is still running."""
+    step = READ_CHUNK_LINES
+    starts = range(0, len(counts), step)
+
+    def block(k: int) -> bytes:
+        return _record_block(k, counts.alpha[k:k + step],
+                             counts.counts[k:k + step])
+
+    # The CPUs this process may run on; os.sched_getaffinity is Linux only.
+    cpus = getattr(os, "sched_getaffinity",
+                   lambda pid: range(os.cpu_count() or 1))(0)
+    half = len(starts) // 2
+    if half == 0 or len(cpus) < 2:
+        yield from map(block, starts)
+        return
+    # No line is longer than one of the last index, the widest %.17g tilt
+    # and the largest count.
+    widest = len(RECORD_LINE % (len(counts) - 1, -2.2250738585072014e-308,
+                                *[int(counts.counts.max())] * 4))
+    reader, writer = os.pipe()
+    with open(reader, "rb") as pipe, open(writer, "wb") as sink, \
+            mmap.mmap(-1, widest * (len(counts) - starts[half])) as shared:
+        with warnings.catch_warnings():
+            # Python 3.12 warns on a fork beside a live thread, such as the
+            # one OpenBLAS starts.  The child only formats arrays already in
+            # memory with %, writes to its own pipe and leaves by os._exit:
+            # it takes no lock that another thread can hold.
+            warnings.filterwarnings(
+                "ignore", r"This process .* is multi-threaded, use of "
+                r"fork\(\) may lead to deadlocks in the child",
+                DeprecationWarning)
+            pid = os.fork()
+        if pid == 0:
+            _format_in_child(map(block, starts[half:]), shared, sink)
+        sink.close()  # so that the pipe ends when the child closes it
+        try:
+            yield from map(block, starts[:half])
+            message = pipe.read()
+        finally:
+            if os.waitpid(pid, os.WNOHANG)[0] == 0:  # still running
+                os.kill(pid, signal.SIGKILL)
+                os.waitpid(pid, 0)
+        try:
+            reply = pickle.loads(message)
+        # Empty or cut short: the child died, or its exception would not
+        # pickle.
+        except Exception:
+            raise ChildProcessError(
+                f"the process formatting records {starts[half]} to "
+                f"{len(counts) - 1} ended without a result") from None
+        if isinstance(reply, BaseException):
+            raise reply
+        for begin, end in zip([0, *reply], reply):
+            yield shared[begin:end]
+
+
+def _format_in_child(blocks: Iterable[bytes], shared: mmap.mmap,
+                     sink: BinaryIO) -> NoReturn:
+    """The body of the child of ``_record_blocks``: write ``blocks`` one
+    after another into ``shared``, then send the pickled list of their end
+    offsets, or the exception that stopped them, down the pipe ``sink``.
+    It leaves only by ``os._exit``, never into its caller's frames, whose
+    handlers would remove the caller's files."""
+    code = 1
+    try:
+        ends = [0]
+        try:
+            for data in blocks:
+                shared[ends[-1]:ends[-1] + len(data)] = data
+                ends.append(ends[-1] + len(data))
+            reply = ends[1:]
+        except BaseException as err:  # the caller raises it
+            reply = err
+        with sink:  # os._exit flushes no buffer
+            pickle.dump(reply, sink)
+        code = 0
+    finally:
+        os._exit(code)
 
 
 def write_count_log(
@@ -250,7 +352,13 @@ def write_count_log(
     block of ``READ_CHUNK_LINES`` record lines at a time, so that the memory
     the lines take does not grow with the number of records; a regular file
     is replaced only once the whole log is written, and then gets its
-    companion ``<path>.columns.npz``, with the log's permission bits."""
+    companion ``<path>.columns.npz``, with the log's permission bits.
+
+    A log of two blocks or more is formatted by two processes (see
+    ``_record_blocks``): this one formats, hashes and writes the first half
+    of the blocks while a forked child formats the second half, which this
+    process then hashes and writes.  The bytes are those of one process;
+    the write needs POSIX (``os.fork``)."""
     if len(counts) != config.iterations:
         raise ValueError(
             f"{len(counts)} records for a run of {config.iterations} "
@@ -259,12 +367,10 @@ def write_count_log(
     manifest = manifest_for_acquisition(config)
     path = Path(path)
     digest = hashlib.sha256()
-    step = READ_CHUNK_LINES
-    blocks = (_record_block(k, counts.alpha[k:k + step],
-                            counts.counts[k:k + step])
-              for k in range(0, len(counts), step))
     head = (manifest.to_json() + "\n").encode()
-    if _write_blocks(path, itertools.chain([head], blocks), digest):
+    with contextlib.closing(_record_blocks(counts)) as blocks:
+        regular = _write_blocks(path, itertools.chain([head], blocks), digest)
+    if regular:
         _replace(_columns_path(path), path.stat().st_mode,
                  lambda fh: _write_npz(
                      fh, alpha=counts.alpha, counts=counts.counts,

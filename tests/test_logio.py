@@ -1,6 +1,7 @@
 """Tests for the count-log and sweep-table file formats."""
 
 import dataclasses
+import errno
 import hashlib
 import itertools
 import json
@@ -181,7 +182,10 @@ class TestRecordLines:
             finally:
                 tracemalloc.stop()
 
-        small, large = write_peak(10_000), write_peak(150_000)
+        # Of a log of four blocks or more, this process formats two or more
+        # and a forked child the rest; of 1e4 records, three blocks, it
+        # formats one.
+        small, large = write_peak(20_000), write_peak(150_000)
         assert large < 4e6
         assert large <= 1.2 * small
 
@@ -1072,11 +1076,13 @@ class TestCrashSafeWrites:
             path.write_text("old log\n")
         before = snapshot(tmp_path)
         # The block of records READ_CHUNK_LINES on, written after the
-        # manifest and the block of the first READ_CHUNK_LINES records.
+        # manifest and the block of the first READ_CHUNK_LINES records; of
+        # four blocks, this process formats the first two (a forked child
+        # the other two, see TestSplitWrite).
         failing = fail_on(logio._record_block, READ_CHUNK_LINES, tmp_path)
         monkeypatch.setattr(logio, "_record_block", failing)
         with pytest.raises(OSError, match="injected"):
-            write_log(path, iterations=2 * READ_CHUNK_LINES)
+            write_log(path, iterations=4 * READ_CHUNK_LINES)
         assert_failed_mid_write(failing.seen, before)
         assert snapshot(tmp_path) == before
 
@@ -1188,6 +1194,157 @@ class TestCrashSafeWrites:
         assert sorted(p.name for p in tmp_path.iterdir()) == [
             "link.jsonl", "target.jsonl",
         ]
+
+
+@pytest.fixture
+def forks(monkeypatch):
+    """The pid of each child that ``os.fork`` makes during the test."""
+    pids = []
+    fork = os.fork
+
+    def recording_fork():
+        pid = fork()
+        if pid:
+            pids.append(pid)
+        return pid
+
+    monkeypatch.setattr(os, "fork", recording_fork)
+    return pids
+
+
+def assert_reaped(pids):
+    for pid in pids:
+        with pytest.raises(ChildProcessError):
+            os.waitpid(pid, os.WNOHANG)
+
+
+def write_through_fifo(path, config, counts):
+    """The bytes ``write_count_log`` writes to a FIFO at ``path``."""
+    os.mkfifo(path)
+    received = []
+    drain = threading.Thread(
+        target=lambda: received.append(path.read_bytes()), daemon=True)
+    drain.start()
+    write_count_log(path, config, counts)
+    drain.join(timeout=60)
+    return received[0]
+
+
+class TestSplitWrite:
+    """A log of two blocks or more is formatted by two processes, this one
+    and a forked child: the bytes are those of one process, a failure in
+    either half is raised here, and no child outlives a write."""
+
+    @pytest.fixture(autouse=True)
+    def fixed_created(self, monkeypatch):
+        # The manifest's timestamp would make two writes' bytes differ.
+        manifest = logio.manifest_for_acquisition
+        monkeypatch.setattr(
+            logio, "manifest_for_acquisition",
+            lambda config: dataclasses.replace(
+                manifest(config), created="2026-01-01T00:00:00+00:00"))
+
+    @staticmethod
+    def check_bytes(tmp_path, monkeypatch, forks, n, to_fifo):
+        """A log of ``n`` records, a negative zero tilt in each half, holds
+        the lines of one ``_record_block`` over all of them; a regular file
+        and its companion are those that one process writes."""
+        config = make_config(seed=1, iterations=n)
+        counts = run_acquisition(config)
+        alpha = counts.alpha.copy()
+        alpha[[0, -1]] = -0.0
+        counts = Counts(alpha, counts.counts)
+        expected = (logio.manifest_for_acquisition(config).to_json()
+                    + "\n").encode() + logio._record_block(0, alpha,
+                                                           counts.counts)
+        assert expected.count(b'"alpha": -0.0,') == min(n, 2)
+        path = tmp_path / "run.jsonl"
+        if to_fifo:
+            assert write_through_fifo(path, config, counts) == expected
+        else:
+            write_count_log(path, config, counts)
+            assert path.read_bytes() == expected
+        assert len(forks) == (n > logio.READ_CHUNK_LINES)
+        assert_reaped(forks)
+        if not to_fifo:
+            split = companion_of(path).read_bytes()
+            monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+            write_count_log(path, config, counts)  # in this process alone
+            assert path.read_bytes() == expected
+            assert companion_of(path).read_bytes() == split
+            assert len(forks) == (n > logio.READ_CHUNK_LINES)
+
+    @pytest.mark.parametrize("to_fifo", [False, True])
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 6, 7, 10])
+    def test_split_write_gives_the_bytes_of_one_process(
+        self, tmp_path, monkeypatch, forks, n, to_fifo
+    ):
+        # Blocks of 3 records: sizes 1, B - 1, B, B + 1, 2B, 2B + 1, 3B + 1.
+        monkeypatch.setattr(logio, "READ_CHUNK_LINES", 3)
+        self.check_bytes(tmp_path, monkeypatch, forks, n, to_fifo)
+
+    @pytest.mark.parametrize("to_fifo", [False, True])
+    def test_benchmark_size_log_gives_the_bytes_of_one_process(
+        self, tmp_path, monkeypatch, forks, to_fifo
+    ):
+        self.check_bytes(tmp_path, monkeypatch, forks, 100_000, to_fifo)
+
+    @pytest.mark.parametrize("existing", [False, True])
+    @pytest.mark.parametrize("block", [1, 3])
+    def test_failure_in_either_half_is_raised_here(
+        self, tmp_path, monkeypatch, forks, block, existing
+    ):
+        # Of four blocks of 3 records, this process formats blocks 0 and 1
+        # and the child blocks 2 and 3.
+        monkeypatch.setattr(logio, "READ_CHUNK_LINES", 3)
+        path = tmp_path / "run.jsonl"
+        if existing:
+            write_log(path, seed=1, iterations=3)  # one block: no fork
+        before = snapshot(tmp_path)
+        monkeypatch.setattr(logio, "_record_block", fail_on(
+            logio._record_block, 3 * block, tmp_path))
+        with pytest.raises(OSError) as err:
+            write_log(path, seed=2, iterations=12)
+        assert type(err.value) is OSError
+        assert str(err.value) == "injected failure"
+        assert snapshot(tmp_path) == before
+        assert len(forks) == 1
+        assert_reaped(forks)
+
+    def test_child_failure_that_does_not_pickle_fails_the_write(
+        self, tmp_path, monkeypatch, forks
+    ):
+        class LocalError(Exception):  # a local class does not pickle
+            pass
+
+        def record_block(start, *args):
+            if start == 9:  # the child's second block
+                raise LocalError("no pickle")
+            return b"x\n"
+
+        monkeypatch.setattr(logio, "READ_CHUNK_LINES", 3)
+        monkeypatch.setattr(logio, "_record_block", record_block)
+        with pytest.raises(ChildProcessError,
+                           match="records 6 to 11 ended without a result"):
+            write_log(tmp_path / "run.jsonl", iterations=12)
+        assert list(tmp_path.iterdir()) == []
+        assert_reaped(forks)
+
+    def test_closed_pipe_reaps_the_child(self, monkeypatch, forks):
+        # The first block, larger than the stream's buffer, meets the
+        # closed pipe while the child may still be formatting.
+        reader, writer = os.pipe()
+        os.close(reader)
+        try:
+            with pytest.raises(BrokenPipeError) as err:
+                write_log(f"/dev/fd/{writer}",
+                          iterations=4 * READ_CHUNK_LINES)
+        finally:
+            os.close(writer)
+        # While its traceback, which holds the write's frames, is alive.
+        assert err.value.errno == errno.EPIPE
+        assert len(forks) == 1
+        assert_reaped(forks)
 
 
 def save_companion(path, **columns):
@@ -1338,8 +1495,9 @@ class TestColumnsCompanion:
         before = snapshot(tmp_path)
         failing = fail_on(logio._record_block, READ_CHUNK_LINES, tmp_path)
         monkeypatch.setattr(logio, "_record_block", failing)
+        # The second of four blocks: one this process formats.
         with pytest.raises(OSError, match="injected"):
-            write_log(path, seed=2, iterations=READ_CHUNK_LINES + 1)
+            write_log(path, seed=2, iterations=4 * READ_CHUNK_LINES)
         assert snapshot(tmp_path) == before
 
     @pytest.mark.parametrize("where", ["member", "replace"])
