@@ -13,13 +13,14 @@ Both writers write blocks of ``READ_CHUNK_LINES`` lines, a count log's
 each formatted by one ``%`` on ``RECORD_LINE`` repeated, so the memory a
 count-log write takes does not grow with the length of the file; a sweep
 write also holds its grid's cells, which the manifest's ``grid`` reuses.
-A count log of two blocks or more is formatted by two processes when the
-writer may run on two CPUs: a forked child formats the second half of the
-blocks into a shared anonymous mapping while the writing process formats,
-hashes and writes the first half, then hashes and writes the child's
-blocks from the mapping.  The bytes are those one process writes, a
-failure in the child is raised in the writer, and the child never
-outlives the write; this needs POSIX (``os.fork``).
+A count log of four blocks or more is formatted by two processes when the
+writer may run on two CPUs: a forked child formats the odd blocks and
+sends each down a pipe, while the writing process formats the even ones
+and hashes and writes every block in order.  The pipe's small buffer keeps
+the child at most about one block ahead, so this memory does not grow with
+the file either.  The bytes are those one process writes, a failure in the
+child is raised in the writer, and the child never outlives the write;
+this needs POSIX (``os.fork``).
 A regular file is written to a new file beside it that then replaces it,
 so that a write that fails part way leaves the old file or none, never
 half of one; streams (pipes, devices, links such as ``/dev/stdout``) are
@@ -45,7 +46,6 @@ import hashlib
 import itertools
 import json
 import math
-import mmap
 import os
 import pickle
 import signal
@@ -55,7 +55,7 @@ import zipfile
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
 from pathlib import Path
-from typing import Any, BinaryIO, Callable, Iterable, Iterator, NoReturn
+from typing import Any, BinaryIO, Callable, Iterable, Iterator
 
 import numpy as np
 from numpy.lib import format as npy
@@ -254,16 +254,22 @@ def _record_block(start: int, alpha: np.ndarray, counts: np.ndarray) -> bytes:
                                                    b'"alpha": -0.0,')
 
 
+#: The fewest blocks of a count log that two processes format: below it,
+#: the fork and the reaping take about as long as the child saves.
+_SPLIT_BLOCKS = 4
+
+
 def _record_blocks(counts: Counts) -> Iterator[bytes]:
     """The record lines of ``counts``, a ``_record_block`` of
-    ``READ_CHUNK_LINES`` records at a time.  Before the first block, when
-    there are two blocks or more and this process may run on two CPUs, one
-    forked child formats the second half of the blocks into a shared
-    anonymous mapping while this process formats the first half; the
-    child's blocks are then taken from the mapping, one at a time, and an
-    exception the child raised is raised here.  The bytes are those that
-    one process writes.  However the generator ends, the child is reaped,
-    and killed first if it is still running."""
+    ``READ_CHUNK_LINES`` records at a time.  When there are two blocks or
+    more and this process may run on two CPUs, a forked child formats the
+    odd blocks and sends each down a pipe, pickled, while this process
+    formats the even ones; between two of its own blocks it takes one of
+    the child's from the pipe, whose small buffer keeps the child at most
+    about one block ahead.  An exception the child raised comes down the
+    pipe in place of its block and is raised here.  The bytes are those
+    that one process writes.  However the generator ends, the child is
+    killed if it is still running, and reaped."""
     step = READ_CHUNK_LINES
     starts = range(0, len(counts), step)
 
@@ -274,73 +280,90 @@ def _record_blocks(counts: Counts) -> Iterator[bytes]:
     # The CPUs this process may run on; os.sched_getaffinity is Linux only.
     cpus = getattr(os, "sched_getaffinity",
                    lambda pid: range(os.cpu_count() or 1))(0)
-    half = len(starts) // 2
-    if half == 0 or len(cpus) < 2:
+    if len(starts) < _SPLIT_BLOCKS or len(cpus) < 2:
         yield from map(block, starts)
         return
-    # No line is longer than one of the last index, the widest %.17g tilt
-    # and the largest count.
-    widest = len(RECORD_LINE % (len(counts) - 1, -2.2250738585072014e-308,
-                                *[int(counts.counts.max())] * 4))
+    def send() -> None:
+        pipe.close()  # so that a send fails once this process is gone
+        _send_blocks(map(block, starts[1::2]), sink)
+
     reader, writer = os.pipe()
-    with open(reader, "rb") as pipe, open(writer, "wb") as sink, \
-            mmap.mmap(-1, widest * (len(counts) - starts[half])) as shared:
-        with warnings.catch_warnings():
-            # Python 3.12 warns on a fork beside a live thread, such as the
-            # one OpenBLAS starts.  The child only formats arrays already in
-            # memory with %, writes to its own pipe and leaves by os._exit:
-            # it takes no lock that another thread can hold.
-            warnings.filterwarnings(
-                "ignore", r"This process .* is multi-threaded, use of "
-                r"fork\(\) may lead to deadlocks in the child",
-                DeprecationWarning)
-            pid = os.fork()
-        if pid == 0:
-            _format_in_child(map(block, starts[half:]), shared, sink)
-        sink.close()  # so that the pipe ends when the child closes it
-        try:
-            yield from map(block, starts[:half])
-            message = pipe.read()
-        finally:
-            if os.waitpid(pid, os.WNOHANG)[0] == 0:  # still running
-                os.kill(pid, signal.SIGKILL)
-                os.waitpid(pid, 0)
-        try:
-            reply = pickle.loads(message)
-        # Empty or cut short: the child died, or its exception would not
-        # pickle.
-        except Exception:
-            raise ChildProcessError(
-                f"the process formatting records {starts[half]} to "
-                f"{len(counts) - 1} ended without a result") from None
-        if isinstance(reply, BaseException):
-            raise reply
-        for begin, end in zip([0, *reply], reply):
-            yield shared[begin:end]
+    with open(reader, "rb") as pipe, open(writer, "wb") as sink:
+        with _forked(send):
+            sink.close()  # so that the pipe ends when the child's end does
+            for k, start in enumerate(starts):
+                if k % 2 == 0:
+                    yield block(start)
+                    continue
+                try:
+                    reply = pickle.load(pipe)
+                # Empty or cut short: the child died, or its exception
+                # would not pickle.
+                except Exception:
+                    raise ChildProcessError(
+                        f"the process formatting records {start} to "
+                        f"{min(start + step, len(counts)) - 1} ended without "
+                        f"a result") from None
+                if isinstance(reply, BaseException):
+                    raise reply
+                yield reply
 
 
-def _format_in_child(blocks: Iterable[bytes], shared: mmap.mmap,
-                     sink: BinaryIO) -> NoReturn:
-    """The body of the child of ``_record_blocks``: write ``blocks`` one
-    after another into ``shared``, then send the pickled list of their end
-    offsets, or the exception that stopped them, down the pipe ``sink``.
-    It leaves only by ``os._exit``, never into its caller's frames, whose
-    handlers would remove the caller's files."""
-    code = 1
+def _send_blocks(blocks: Iterable[bytes], sink: BinaryIO) -> None:
+    """Send each of ``blocks`` down the pipe ``sink``, pickled, or, when
+    one fails, the exception instead, for the writer to raise."""
     try:
-        ends = [0]
+        for data in blocks:
+            pickle.dump(data, sink)
+            sink.flush()
+    except BaseException as err:
+        pickle.dump(err, sink)
+        sink.flush()
+
+
+#: The signals blocked from before a fork until the child is inside the
+#: ``try`` that ends it by ``os._exit``.
+_STOP_SIGNALS = {signal.SIGINT, signal.SIGTERM}
+
+
+@contextlib.contextmanager
+def _forked(body: Callable[[], object]) -> Iterator[None]:
+    """Run ``body`` in a forked child while the block runs here; when the
+    block ends, however it ends, the child is killed if it is still
+    running, and reaped.  The child never returns into its caller's frames,
+    whose handlers would remove the caller's files: it leaves only by
+    ``os._exit``, 0 once ``body`` returns.  ``SIGINT`` and ``SIGTERM`` are
+    blocked from before the fork until the child is inside the ``try`` that
+    ends it, and in this process until the ``try`` that reaps the child is
+    entered."""
+    mask = signal.pthread_sigmask(signal.SIG_BLOCK, _STOP_SIGNALS)
+    pid, code = -1, 1
+    try:
         try:
-            for data in blocks:
-                shared[ends[-1]:ends[-1] + len(data)] = data
-                ends.append(ends[-1] + len(data))
-            reply = ends[1:]
-        except BaseException as err:  # the caller raises it
-            reply = err
-        with sink:  # os._exit flushes no buffer
-            pickle.dump(reply, sink)
-        code = 0
+            with warnings.catch_warnings():
+                # Python 3.12 warns on a fork beside a live thread, such as
+                # the one OpenBLAS starts.  The child only formats arrays
+                # already in memory with %, writes to its own pipe and
+                # leaves by os._exit: it takes no lock that another thread
+                # can hold.
+                warnings.filterwarnings(
+                    "ignore", r"This process .* is multi-threaded, use of "
+                    r"fork\(\) may lead to deadlocks in the child",
+                    DeprecationWarning)
+                pid = os.fork()
+            if pid == 0:
+                signal.pthread_sigmask(signal.SIG_SETMASK, mask)
+                body()
+                code = 0
+        finally:
+            if pid == 0:
+                os._exit(code)
+            signal.pthread_sigmask(signal.SIG_SETMASK, mask)
+        yield
     finally:
-        os._exit(code)
+        if pid > 0:
+            os.kill(pid, signal.SIGKILL)  # one that has exited is a zombie
+            os.waitpid(pid, 0)
 
 
 def write_count_log(
@@ -354,11 +377,11 @@ def write_count_log(
     is replaced only once the whole log is written, and then gets its
     companion ``<path>.columns.npz``, with the log's permission bits.
 
-    A log of two blocks or more is formatted by two processes (see
-    ``_record_blocks``): this one formats, hashes and writes the first half
-    of the blocks while a forked child formats the second half, which this
-    process then hashes and writes.  The bytes are those of one process;
-    the write needs POSIX (``os.fork``)."""
+    A log of four blocks or more is formatted by two processes (see
+    ``_record_blocks``): this one formats the even blocks while a forked
+    child formats the odd ones, and this one hashes and writes them all in
+    order.  The bytes are those of one process; the write needs POSIX
+    (``os.fork``)."""
     if len(counts) != config.iterations:
         raise ValueError(
             f"{len(counts)} records for a run of {config.iterations} "

@@ -8,6 +8,7 @@ import json
 import math
 import os
 import re
+import signal
 import stat
 import sys
 import threading
@@ -182,10 +183,7 @@ class TestRecordLines:
             finally:
                 tracemalloc.stop()
 
-        # Of a log of four blocks or more, this process formats two or more
-        # and a forked child the rest; of 1e4 records, three blocks, it
-        # formats one.
-        small, large = write_peak(20_000), write_peak(150_000)
+        small, large = write_peak(10_000), write_peak(150_000)
         assert large < 4e6
         assert large <= 1.2 * small
 
@@ -1076,13 +1074,11 @@ class TestCrashSafeWrites:
             path.write_text("old log\n")
         before = snapshot(tmp_path)
         # The block of records READ_CHUNK_LINES on, written after the
-        # manifest and the block of the first READ_CHUNK_LINES records; of
-        # four blocks, this process formats the first two (a forked child
-        # the other two, see TestSplitWrite).
+        # manifest and the block of the first READ_CHUNK_LINES records.
         failing = fail_on(logio._record_block, READ_CHUNK_LINES, tmp_path)
         monkeypatch.setattr(logio, "_record_block", failing)
         with pytest.raises(OSError, match="injected"):
-            write_log(path, iterations=4 * READ_CHUNK_LINES)
+            write_log(path, iterations=2 * READ_CHUNK_LINES)
         assert_failed_mid_write(failing.seen, before)
         assert snapshot(tmp_path) == before
 
@@ -1231,9 +1227,10 @@ def write_through_fifo(path, config, counts):
 
 
 class TestSplitWrite:
-    """A log of two blocks or more is formatted by two processes, this one
-    and a forked child: the bytes are those of one process, a failure in
-    either half is raised here, and no child outlives a write."""
+    """A log of ``logio._SPLIT_BLOCKS`` blocks or more is formatted by two
+    processes, this one the even blocks and a forked child the odd ones:
+    the bytes are those of one process, a failure in either process is
+    raised here, and no child outlives a write."""
 
     @pytest.fixture(autouse=True)
     def fixed_created(self, monkeypatch):
@@ -1246,41 +1243,46 @@ class TestSplitWrite:
 
     @staticmethod
     def check_bytes(tmp_path, monkeypatch, forks, n, to_fifo):
-        """A log of ``n`` records, a negative zero tilt in each half, holds
-        the lines of one ``_record_block`` over all of them; a regular file
-        and its companion are those that one process writes."""
+        """A log of ``n`` records, a negative zero tilt in its first, second
+        and last blocks, holds the lines of one ``_record_block`` over all
+        of them; a regular file and its companion are those that one
+        process writes."""
         config = make_config(seed=1, iterations=n)
         counts = run_acquisition(config)
         alpha = counts.alpha.copy()
-        alpha[[0, -1]] = -0.0
+        zeros = {0, min(logio.READ_CHUNK_LINES, n - 1), n - 1}
+        alpha[list(zeros)] = -0.0
         counts = Counts(alpha, counts.counts)
         expected = (logio.manifest_for_acquisition(config).to_json()
                     + "\n").encode() + logio._record_block(0, alpha,
                                                            counts.counts)
-        assert expected.count(b'"alpha": -0.0,') == min(n, 2)
+        assert expected.count(b'"alpha": -0.0,') == len(zeros)
+        split = n > (logio._SPLIT_BLOCKS - 1) * logio.READ_CHUNK_LINES
         path = tmp_path / "run.jsonl"
         if to_fifo:
             assert write_through_fifo(path, config, counts) == expected
         else:
             write_count_log(path, config, counts)
             assert path.read_bytes() == expected
-        assert len(forks) == (n > logio.READ_CHUNK_LINES)
+        assert len(forks) == split
         assert_reaped(forks)
         if not to_fifo:
-            split = companion_of(path).read_bytes()
+            companion = companion_of(path).read_bytes()
             monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
             write_count_log(path, config, counts)  # in this process alone
             assert path.read_bytes() == expected
-            assert companion_of(path).read_bytes() == split
-            assert len(forks) == (n > logio.READ_CHUNK_LINES)
+            assert companion_of(path).read_bytes() == companion
+            assert len(forks) == split
 
     @pytest.mark.parametrize("to_fifo", [False, True])
-    @pytest.mark.parametrize("n", [1, 2, 3, 4, 6, 7, 10])
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 6, 7, 9, 10, 12, 13, 16])
     def test_split_write_gives_the_bytes_of_one_process(
         self, tmp_path, monkeypatch, forks, n, to_fifo
     ):
-        # Blocks of 3 records: sizes 1, B - 1, B, B + 1, 2B, 2B + 1, 3B + 1.
+        # Blocks of 3 records: sizes 1, B - 1, B, B + 1, 2B, 2B + 1, 3B,
+        # 3B + 1 (the fewest records that are split), 4B, 4B + 1, 5B + 1.
         monkeypatch.setattr(logio, "READ_CHUNK_LINES", 3)
+        assert logio._SPLIT_BLOCKS == 4
         self.check_bytes(tmp_path, monkeypatch, forks, n, to_fifo)
 
     @pytest.mark.parametrize("to_fifo", [False, True])
@@ -1290,12 +1292,12 @@ class TestSplitWrite:
         self.check_bytes(tmp_path, monkeypatch, forks, 100_000, to_fifo)
 
     @pytest.mark.parametrize("existing", [False, True])
-    @pytest.mark.parametrize("block", [1, 3])
-    def test_failure_in_either_half_is_raised_here(
+    @pytest.mark.parametrize("block", [1, 2, 3])
+    def test_failure_in_either_process_is_raised_here(
         self, tmp_path, monkeypatch, forks, block, existing
     ):
-        # Of four blocks of 3 records, this process formats blocks 0 and 1
-        # and the child blocks 2 and 3.
+        # Of four blocks of 3 records, this process formats blocks 0 and 2
+        # and the child blocks 1 and 3.
         monkeypatch.setattr(logio, "READ_CHUNK_LINES", 3)
         path = tmp_path / "run.jsonl"
         if existing:
@@ -1325,7 +1327,7 @@ class TestSplitWrite:
         monkeypatch.setattr(logio, "READ_CHUNK_LINES", 3)
         monkeypatch.setattr(logio, "_record_block", record_block)
         with pytest.raises(ChildProcessError,
-                           match="records 6 to 11 ended without a result"):
+                           match="records 9 to 11 ended without a result"):
             write_log(tmp_path / "run.jsonl", iterations=12)
         assert list(tmp_path.iterdir()) == []
         assert_reaped(forks)
@@ -1345,6 +1347,65 @@ class TestSplitWrite:
         assert err.value.errno == errno.EPIPE
         assert len(forks) == 1
         assert_reaped(forks)
+
+    @pytest.mark.parametrize("fails", [False, True])
+    def test_the_child_leaves_only_by_exit(self, tmp_path, forks, fails):
+        def body():
+            if fails:
+                raise OSError("injected failure")
+
+        parent = os.getpid()
+        marker = tmp_path / "returned into the caller's frames"
+        with logio._forked(body):
+            if os.getpid() != parent:
+                marker.touch()
+                os._exit(0)
+            # Wait for the child to end, but leave it to be reaped.
+            status = os.waitid(os.P_PID, forks[0], os.WEXITED | os.WNOWAIT)
+        assert not marker.exists()
+        assert (status.si_code, status.si_status) == (os.CLD_EXITED, fails)
+        assert_reaped(forks)
+
+    def test_interrupt_at_the_fork_stays_out_of_the_callers_frames(
+        self, tmp_path, monkeypatch
+    ):
+        # A SIGINT that reaches the child as soon as it exists, as Ctrl-C
+        # to the process group may: it must not run its handler before the
+        # child is inside the try that ends it, or the KeyboardInterrupt
+        # would unwind through the write's frames, which remove the
+        # temporary file, and on into this test.
+        parent, pids, fork = os.getpid(), [], os.fork
+        marker = tmp_path / "interrupted in the caller's frames"
+
+        def interrupted_fork():
+            pid = fork()
+            if pid:
+                pids.append(pid)
+                return pid
+            try:
+                os.kill(os.getpid(), signal.SIGINT)
+                signal.pthread_sigmask(signal.SIG_BLOCK, [])  # runs handlers
+            except KeyboardInterrupt:
+                marker.touch()
+                os._exit(1)
+            return pid
+
+        monkeypatch.setattr(os, "fork", interrupted_fork)
+        monkeypatch.setattr(logio, "READ_CHUNK_LINES", 3)
+        path = tmp_path / "run.jsonl"
+        write_log(path, seed=1, iterations=3)  # one block: no fork
+        before = snapshot(tmp_path)
+        mask = signal.pthread_sigmask(signal.SIG_BLOCK, [])
+        try:
+            with pytest.raises(ChildProcessError, match="records 3 to 5"):
+                write_log(path, seed=2, iterations=12)
+        finally:
+            if os.getpid() != parent:  # a child that got out
+                os._exit(1)
+        assert snapshot(tmp_path) == before
+        assert signal.pthread_sigmask(signal.SIG_BLOCK, []) == mask
+        assert len(pids) == 1
+        assert_reaped(pids)
 
 
 def save_companion(path, **columns):
@@ -1495,9 +1556,8 @@ class TestColumnsCompanion:
         before = snapshot(tmp_path)
         failing = fail_on(logio._record_block, READ_CHUNK_LINES, tmp_path)
         monkeypatch.setattr(logio, "_record_block", failing)
-        # The second of four blocks: one this process formats.
         with pytest.raises(OSError, match="injected"):
-            write_log(path, seed=2, iterations=4 * READ_CHUNK_LINES)
+            write_log(path, seed=2, iterations=READ_CHUNK_LINES + 1)
         assert snapshot(tmp_path) == before
 
     @pytest.mark.parametrize("where", ["member", "replace"])
