@@ -261,15 +261,16 @@ _SPLIT_BLOCKS = 4
 
 def _record_blocks(counts: Counts) -> Iterator[bytes]:
     """The record lines of ``counts``, a ``_record_block`` of
-    ``READ_CHUNK_LINES`` records at a time.  When there are two blocks or
-    more and this process may run on two CPUs, a forked child formats the
-    odd blocks and sends each down a pipe, pickled, while this process
-    formats the even ones; between two of its own blocks it takes one of
-    the child's from the pipe, whose small buffer keeps the child at most
-    about one block ahead.  An exception the child raised comes down the
-    pipe in place of its block and is raised here.  The bytes are those
-    that one process writes.  However the generator ends, the child is
-    killed if it is still running, and reaped."""
+    ``READ_CHUNK_LINES`` records at a time.  When there are
+    ``_SPLIT_BLOCKS`` blocks or more and this process may run on two CPUs,
+    a forked child formats the odd blocks and sends each down a pipe,
+    pickled, while this process formats the even ones; between two of its
+    own blocks it takes one of the child's from the pipe, whose small
+    buffer keeps the child at most about one block ahead.  An exception the
+    child raised comes down the pipe in place of its block and is raised
+    here.  The bytes are those that one process writes.  However the
+    generator ends, the child is killed if it is still running, and
+    reaped."""
     step = READ_CHUNK_LINES
     starts = range(0, len(counts), step)
 
@@ -283,9 +284,18 @@ def _record_blocks(counts: Counts) -> Iterator[bytes]:
     if len(starts) < _SPLIT_BLOCKS or len(cpus) < 2:
         yield from map(block, starts)
         return
+
     def send() -> None:
+        """The child's part: each odd block down the pipe, pickled, or the
+        exception that stopped one, for this process to raise."""
         pipe.close()  # so that a send fails once this process is gone
-        _send_blocks(map(block, starts[1::2]), sink)
+        try:
+            for start in starts[1::2]:
+                pickle.dump(block(start), sink)
+                sink.flush()
+        except BaseException as err:
+            pickle.dump(err, sink)
+            sink.flush()
 
     reader, writer = os.pipe()
     with open(reader, "rb") as pipe, open(writer, "wb") as sink:
@@ -307,18 +317,6 @@ def _record_blocks(counts: Counts) -> Iterator[bytes]:
                 if isinstance(reply, BaseException):
                     raise reply
                 yield reply
-
-
-def _send_blocks(blocks: Iterable[bytes], sink: BinaryIO) -> None:
-    """Send each of ``blocks`` down the pipe ``sink``, pickled, or, when
-    one fails, the exception instead, for the writer to raise."""
-    try:
-        for data in blocks:
-            pickle.dump(data, sink)
-            sink.flush()
-    except BaseException as err:
-        pickle.dump(err, sink)
-        sink.flush()
 
 
 #: The signals blocked from before a fork until the child is inside the

@@ -1,5 +1,6 @@
 """Tests for the count-log and sweep-table file formats."""
 
+import contextlib
 import dataclasses
 import errno
 import hashlib
@@ -10,10 +11,13 @@ import os
 import re
 import signal
 import stat
+import subprocess
 import sys
 import threading
+import time
 import tracemalloc
 import zipfile
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -1347,6 +1351,50 @@ class TestSplitWrite:
         assert err.value.errno == errno.EPIPE
         assert len(forks) == 1
         assert_reaped(forks)
+
+    @pytest.mark.skipif(not os.path.isdir("/proc/self/task"),
+                        reason="finds the child through /proc")
+    def test_child_ends_when_the_writer_is_killed(self):
+        # The writer blocks on a stdout that is never read, its child on
+        # the pipe between them.  SIGKILL leaves the writer no finally to
+        # reap the child in: the child must end by itself, as the send that
+        # has no reader left fails.
+        command = [sys.executable, "-m", "ysqht.cli", "simulate", "--theta",
+                   "0.43633", "--delta-std", "0.69813", "--iterations",
+                   "100000", "--seed", "1", "--out", "/dev/stdout"]
+        env = dict(os.environ,
+                   PYTHONPATH=str(Path(logio.__file__).parents[1]))
+
+        def forked_child(pid):  # a fork keeps its parent's command line
+            for kid in Path(f"/proc/{pid}/task/{pid}/children").read_text() \
+                    .split():
+                with contextlib.suppress(FileNotFoundError):
+                    if Path(f"/proc/{kid}/cmdline").read_bytes() \
+                            == Path(f"/proc/{pid}/cmdline").read_bytes():
+                        return int(kid)
+            return None
+
+        def running(pid):
+            try:
+                stat_line = Path(f"/proc/{pid}/stat").read_text()
+            except FileNotFoundError:
+                return False
+            return stat_line.rsplit(")", 1)[1].split()[0] != "Z"
+
+        with subprocess.Popen(command, stdout=subprocess.PIPE, env=env) \
+                as writer:
+            deadline = time.monotonic() + 60
+            while (child := forked_child(writer.pid)) is None:
+                assert time.monotonic() < deadline and writer.poll() is None
+                time.sleep(0.01)
+            writer.kill()
+        deadline = time.monotonic() + 10
+        while running(child) and time.monotonic() < deadline:
+            time.sleep(0.01)
+        ended = not running(child)
+        if not ended:
+            os.kill(child, signal.SIGKILL)
+        assert ended
 
     @pytest.mark.parametrize("fails", [False, True])
     def test_the_child_leaves_only_by_exit(self, tmp_path, forks, fails):
