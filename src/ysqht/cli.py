@@ -3,9 +3,10 @@ analysis, and sweep tables.
 
 Exit codes: 0 ok (also when the reader of the output closes it early), 2 usage
 error, 3 reversal present (with --check-reversal), 4 io error, 5 corrupt log
-line, 6 incompatible manifest version.  A ratio whose summed denominator is
-0 is no error: it is undefined, as is an error bar the delta method cannot
-give, and reads null in JSON, n/a in text and nan in a sweep table.
+line, 6 incompatible manifest version, 130 interrupted (Ctrl-C).  A ratio
+whose summed denominator is 0 is no error: it is undefined, as is an error
+bar the delta method cannot give, and reads null in JSON, n/a in text and
+nan in a sweep table.
 """
 
 from __future__ import annotations
@@ -51,6 +52,7 @@ EXIT_REVERSAL = 3
 EXIT_IO = 4
 EXIT_CORRUPT = 5
 EXIT_VERSION = 6
+EXIT_INTERRUPTED = 130
 
 
 def _resolve_seed(value: int | None) -> int:
@@ -451,6 +453,11 @@ def main(argv: Sequence[str] | None = None) -> int:
         print(f"error: {err}", file=sys.stderr)
         return next(code for kind, code in _ERROR_EXITS.items()
                     if isinstance(err, kind))
+    except KeyboardInterrupt:
+        # Raised, not returned, so that an in-process caller stops too, as
+        # on a usage error; outputs in progress are already cleaned up.
+        print("error: interrupted", file=sys.stderr)
+        raise SystemExit(EXIT_INTERRUPTED) from None
 
 
 if __name__ == "__main__":

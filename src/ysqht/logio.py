@@ -33,8 +33,9 @@ authoritative.  ``read_count_log`` reads it as bytes through one handle,
 always parses and checks the manifest line, and takes the records from the
 companion only when the log it opened is a regular file whose digest the
 companion holds, and the companion's columns are of the right dtypes and
-shapes and make a valid ``Counts``; otherwise it parses the record lines,
-the only path that raises ``LogFormatError``, up to the first bad one.
+shapes and make a valid ``Counts``; otherwise it decodes and checks the
+record lines one at a time, in file order, up to the first bad one: the
+only path that raises ``LogFormatError``.
 Deleting a companion costs only time; streams and links get none, and are
 never hashed or read twice.
 """
@@ -184,7 +185,7 @@ RECORD_LINE = (b'{"i": %d, "alpha": %.17g, "n1p": %d, "n1q": %d, '
 #: bytes.
 COLUMNS_SUFFIX = ".columns.npz"
 
-#: Record lines parsed per ``json.loads`` call by ``read_count_log``, and
+#: Record lines parsed per ``_parse_chunk`` call by ``read_count_log``, and
 #: lines formatted per write by ``write_count_log`` and ``write_sweep_csv``.
 READ_CHUNK_LINES = 4096
 
@@ -449,36 +450,6 @@ def _companion_counts(fh: BinaryIO, log: Path, n: int) -> Counts | None:
     return None
 
 
-def _columns(
-    payloads: list[Any], start: int, stop: int
-) -> tuple[np.ndarray, np.ndarray] | None:
-    """alpha and the (n, 4) counts of the payloads of records ``start``,
-    ``start + 1``, ... of a log of ``stop``, validated column by column;
-    None unless every payload is a valid record in its place."""
-    if start + len(payloads) > stop or not set(map(type, payloads)) <= {dict} \
-            or not set(map(len, payloads)) <= {len(RECORD_KEYS)}:
-        return None
-    try:
-        index, alpha, *counts = (
-            [payload[key] for payload in payloads] for key in RECORD_KEYS
-        )
-    except KeyError:
-        return None
-    # The types first: 1.0 == 1 and True == 1 would pass the place check.
-    if not set(map(type, alpha)) <= {int, float} \
-            or not set(map(type, itertools.chain(index, *counts))) <= {int}:
-        return None
-    try:
-        ints = np.array([index, *counts], dtype=np.int64)
-        alpha = np.array(alpha, dtype=np.float64)
-    except OverflowError:
-        return None
-    if (ints < 0).any() or not np.isfinite(alpha).all() or not np.array_equal(
-            ints[0], np.arange(start, start + len(payloads))):
-        return None
-    return alpha, ints[1:].T
-
-
 def _fault(payload: Any, place: int, stop: int) -> str | None:
     """Why a parsed record line is not a valid record, the record at
     ``place`` of a log of ``stop``; None if it is one."""
@@ -507,40 +478,26 @@ def _parse_chunk(
     """alpha and counts of the records in ``lines``, whose first line is
     ``first_line`` of the file and whose first record is record ``start``
     of a log of ``stop``.  Blank lines are skipped and surrounding ASCII
-    whitespace is ignored.  The first bad line raises LogFormatError with
-    its number: one that is not UTF-8, not one valid record, or a record
-    whose index ``i`` is not its place or that is past the ``stop``-th.
-
-    One ``json.loads`` parses the chunk when every line begins with '{' and
-    ends with '}'.  A valid record nests nothing, so when that gives one
-    valid record per line, no line holds two records or half of one."""
-    records = {number: text for number, line in enumerate(lines, first_line)
-               if (text := line.strip())}
-    joined = b"\n,".join(records.values())
-    columns = None
-    # No stripped line holds a newline, so "}\n,{" occurs only between lines.
-    if joined.startswith(b"{") and joined.endswith(b"}") \
-            and joined.count(b"}\n,{") == len(records) - 1:
+    whitespace is ignored; every other line is decoded and checked by
+    ``_fault`` on its own, in file order, so the first bad line raises
+    LogFormatError with its number: one that is not UTF-8, not one valid
+    record, or a record whose index ``i`` is not its place or that is past
+    the ``stop``-th."""
+    alpha, counts = [], []
+    for line_number, line in enumerate(lines, first_line):
+        if not (text := line.strip()):
+            continue
         try:  # a UnicodeDecodeError is a ValueError
-            payloads = json.loads(f"[{joined.decode()}]")
-            # Two records on one line give one payload more than lines.
-            if len(payloads) == len(records):
-                columns = _columns(payloads, start, stop)
-        except (ValueError, RecursionError):  # or nested too deep
-            pass
-    if columns is None:  # parse line by line to name the first bad one
-        payloads = []
-        for place, (line_number, record) in enumerate(records.items(), start):
-            try:
-                payloads.append(json.loads(record.decode()))
-            except (ValueError, RecursionError) as err:  # or nested too deep
-                raise LogFormatError(
-                    line_number, f"not valid JSON: {err}"
-                ) from err
-            if (fault := _fault(payloads[-1], place, stop)) is not None:
-                raise LogFormatError(line_number, fault)
-        columns = _columns(payloads, start, stop)
-    return columns
+            payload = json.loads(text.decode())
+        except (ValueError, RecursionError) as err:  # or nested too deep
+            raise LogFormatError(
+                line_number, f"not valid JSON: {err}") from err
+        if (fault := _fault(payload, start + len(alpha), stop)) is not None:
+            raise LogFormatError(line_number, fault)
+        alpha.append(payload["alpha"])
+        counts.append([payload[key] for key in RECORD_KEYS[2:]])
+    return (np.array(alpha, np.float64),
+            np.array(counts, np.int64).reshape(-1, 4))
 
 
 def read_count_log(path: str | Path) -> tuple[RunManifest, Counts]:

@@ -27,7 +27,7 @@ from ysqht import (
     point_seed,
     run_acquisition,
 )
-from ysqht import cli
+from ysqht import cli, logio
 from ysqht.theory import ESTIMATORS
 from ysqht.cli import main
 
@@ -573,6 +573,44 @@ class TestSimulate:
         assert [p.name for p in tmp_path.iterdir()] == ["run.jsonl"]
         assert read_count_log(out)[0].seed == 5
 
+    @pytest.mark.parametrize("block", [1, 2, 3])
+    def test_interrupt_exits_130_with_one_line(
+        self, tmp_path, capsys, monkeypatch, block
+    ):
+        # Blocks of 3 records split a 12-record log over two processes:
+        # this one formats blocks 0 and 2, a forked child blocks 1 and 3.
+        record_block = logio._record_block
+
+        def interrupted(start, *args):
+            if start == 3 * block:
+                raise KeyboardInterrupt
+            return record_block(start, *args)
+
+        pids = []
+        fork = os.fork
+
+        def recording_fork():
+            pid = fork()
+            if pid:
+                pids.append(pid)
+            return pid
+
+        monkeypatch.setattr(logio, "READ_CHUNK_LINES", 3)
+        monkeypatch.setattr(logio, "_record_block", interrupted)
+        monkeypatch.setattr(os, "fork", recording_fork)
+        out = tmp_path / "run.jsonl"
+        out.write_text("old log\n")
+        with pytest.raises(SystemExit) as exit:
+            main(["simulate", "--theta", THETA_FLAG, "--delta-std", DELTA_FLAG,
+                  "--iterations", "12", "--seed", "1", "--out", str(out)])
+        assert exit.value.code == 130
+        assert capsys.readouterr() == ("", "error: interrupted\n")
+        assert [p.name for p in tmp_path.iterdir()] == ["run.jsonl"]
+        assert out.read_text() == "old log\n"
+        assert len(pids) == 1
+        with pytest.raises(ChildProcessError):  # reaped
+            os.waitpid(pids[0], os.WNOHANG)
+
     def test_env_var_seed_fallback(self, tmp_path, capsys, monkeypatch):
         monkeypatch.setenv("YSQHT_SEED", "321")
         out = tmp_path / "env.jsonl"
@@ -728,6 +766,14 @@ class TestAnalyze:
         ])
         assert code == 5
         assert "line 1" in capsys.readouterr().err
+
+    def test_manifest_line_not_an_object_exit_5(self, tmp_path, capsys):
+        log = tmp_path / "run.jsonl"
+        log.write_text("[1]\n")
+        code = main(["analyze", str(log), "--gamma1", "0.1", "--gamma2",
+                     "0.8"])
+        assert (code, capsys.readouterr().err) == (
+            5, "error: line 1: manifest line must be a JSON object\n")
 
     DEEP = "[" * 100_000 + "]" * 100_000
 
@@ -1026,6 +1072,47 @@ class TestSweep:
             f"ysqht sweep {argv[0]}: error: argument range: range "
             f"'{given}' must span a finite interval")
         assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("range_, gamma1, fault", [
+        ("0:1", "0.1",
+         "argument range: range must be MIN:MAX:POINTS, got '0:1'"),
+        ("a:1:5", "0.1", "argument range: bad range 'a:1:5': could not "
+                         "convert string to float: 'a'"),
+        ("1:0:5", "0.1", "argument range: range needs MIN < MAX"),
+        ("0:1:5", "0.1,x", "argument --gamma1: expected comma-separated "
+                           "numbers, got '0.1,x'"),
+    ], ids=["two-fields", "bad-number", "reversed", "bad-gamma1-list"])
+    def test_bad_range_or_gamma1_list_exit_2(
+        self, tmp_path, capsys, range_, gamma1, fault
+    ):
+        out = tmp_path / "x.csv"
+        code, stdout, err, _ = run_main([
+            "sweep", "delta", range_, "--theta", "0.4", "--gamma1", gamma1,
+            "--gamma2", "0.8", "--out", str(out),
+        ], capsys, out)
+        assert (code, stdout) == (2, "")
+        assert err.splitlines()[-1] == f"ysqht sweep delta: error: {fault}"
+        assert list(tmp_path.iterdir()) == []
+
+    def test_delta_axis_degrees_convert_the_range(self, tmp_path, capsys):
+        out = tmp_path / "deg.csv"
+        assert main(["sweep", "delta", "10:40:4", "--degrees", "--theta",
+                     "25", "--gamma1", "0.1", "--gamma2", "0.8",
+                     "--out", str(out)]) == 0
+        manifest = json.loads((tmp_path / "deg.csv.manifest.json").read_text())
+        assert manifest["theta"] == math.radians(25)
+        assert manifest["grid"] == np.linspace(
+            math.radians(10), math.radians(40), 4).tolist()
+
+    def test_gamma2_axis_degrees_leave_the_weights(self, tmp_path, capsys):
+        out = tmp_path / "deg.csv"
+        assert main(["sweep", "gamma2", "0.2:0.8:4", "--degrees", "--theta",
+                     "25", "--delta-std", "40", "--gamma1", "0.1",
+                     "--out", str(out)]) == 0
+        manifest = json.loads((tmp_path / "deg.csv.manifest.json").read_text())
+        assert (manifest["theta"], manifest["delta_std"]) == (
+            math.radians(25), math.radians(40))
+        assert manifest["grid"] == np.linspace(0.2, 0.8, 4).tolist()
 
     def test_delta_axis_needs_gamma2(self, tmp_path, capsys):
         out = tmp_path / "x.csv"

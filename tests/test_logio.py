@@ -413,6 +413,21 @@ class TestCountLogIntegrity:
         _, loaded = read_count_log(path)
         assert_same_counts(loaded, counts)
 
+    def test_chunk_of_only_blank_lines_reads_like_clean(
+        self, tmp_path, monkeypatch
+    ):
+        # Chunks of 3 lines after the manifest: lines 5 to 7 are blank.
+        monkeypatch.setattr(logio, "READ_CHUNK_LINES", 3)
+        path = tmp_path / "run.jsonl"
+        write_log(path, iterations=10)
+        clean = read_count_log(path)
+        companion_of(path).unlink()
+        lines = path.read_text().splitlines()
+        path.write_text("\n".join(lines[:4] + [""] * 3 + lines[4:]) + "\n")
+        parsed, parses = read_counting_parses(path)
+        assert_same_bits(parsed, clean)
+        assert parses == 5
+
     def test_corrupt_line_in_later_chunk_reports_number(self, tmp_path):
         path = tmp_path / "run.jsonl"
         n = READ_CHUNK_LINES + 500
@@ -564,8 +579,8 @@ class TestRecordRejection:
         assert err.value.line_number == 3
         assert len(calls) == 1
 
-    def test_blank_padded_and_reordered_lines_take_the_single_parse(
-        self, tmp_path, monkeypatch, long_log_lines
+    def test_blank_padded_and_reordered_lines_read_across_chunks(
+        self, tmp_path, long_log_lines
     ):
         lines = list(long_log_lines)
         lines[1] = "  " + lines[1] + "\t"
@@ -574,15 +589,9 @@ class TestRecordRejection:
         lines[-5] = json.dumps(dict(reversed(list(record.items()))))
         path = tmp_path / "run.jsonl"
         path.write_text("\n".join(lines) + "\n\n")
-        record_lines = len(path.read_text().splitlines()) - 1
-        calls = []
-        loads = json.loads
-        monkeypatch.setattr(
-            logio.json, "loads", lambda text: calls.append(text) or loads(text)
-        )
-        read_count_log(path)
-        # The manifest line, then one parse per chunk.
-        assert len(calls) == 1 + math.ceil(record_lines / READ_CHUNK_LINES)
+        clean = tmp_path / "clean.jsonl"
+        clean.write_text("\n".join(long_log_lines) + "\n")
+        assert_same_bits(read_count_log(path), read_count_log(clean))
 
 
 def read_through_fifo(tmp_path, data):

@@ -21,6 +21,7 @@ from ysqht import (
     pure_state,
     tilt,
 )
+from ysqht.qubit import EPS, _clamp_probability
 
 THETA_B = 5.0 * math.pi / 36.0
 DELTA_FIG2 = 2.0 * math.pi / 9.0
@@ -280,3 +281,17 @@ class TestMix:
             b = pure_state(rng.uniform(-2.0, 2.0))
             out = mix(rng.uniform(0.0, 1.0), a, b)
             assert out.bloch_norm() <= 1.0 + 1e-12
+
+
+class TestClampProbability:
+    @pytest.mark.parametrize("p, clamped", [(-EPS / 2, 0.0),
+                                            (1.0 + EPS / 2, 1.0)])
+    def test_roundoff_is_clamped_into_the_unit_interval(self, p, clamped):
+        assert _clamp_probability(p, "born_probability") == clamped
+
+    @pytest.mark.parametrize("p", [-2 * EPS, 1.0 + 1e-9])
+    def test_larger_excursion_names_its_context(self, p):
+        with pytest.raises(ValueError) as err:
+            _clamp_probability(p, "dephase_oracle")
+        assert str(err.value) == (
+            f"dephase_oracle produced probability {p} outside [0, 1]")
