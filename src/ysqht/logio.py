@@ -34,8 +34,10 @@ always parses and checks the manifest line, and takes the records from the
 companion only when the log it opened is a regular file whose digest the
 companion holds, and the companion's columns are of the right dtypes and
 shapes and make a valid ``Counts``; otherwise it decodes and checks the
-record lines one at a time, in file order, up to the first bad one: the
-only path that raises ``LogFormatError``.
+record lines one at a time, in file order, each record straight into the
+columns, and reads no line past the first bad one, so that a stream's bad
+line is reported as it arrives: the only path that raises
+``LogFormatError``.
 Deleting a companion costs only time; streams and links get none, and are
 never hashed or read twice.
 """
@@ -185,8 +187,8 @@ RECORD_LINE = (b'{"i": %d, "alpha": %.17g, "n1p": %d, "n1q": %d, '
 #: bytes.
 COLUMNS_SUFFIX = ".columns.npz"
 
-#: Record lines parsed per ``_parse_chunk`` call by ``read_count_log``, and
-#: lines formatted per write by ``write_count_log`` and ``write_sweep_csv``.
+#: Lines formatted per write by ``write_count_log`` and ``write_sweep_csv``;
+#: ``read_count_log`` reads a count log one line at a time.
 READ_CHUNK_LINES = 4096
 
 
@@ -472,44 +474,21 @@ def _fault(payload: Any, place: int, stop: int) -> str | None:
     return None
 
 
-def _parse_chunk(
-    lines: list[bytes], first_line: int, start: int, stop: int
-) -> tuple[np.ndarray, np.ndarray]:
-    """alpha and counts of the records in ``lines``, whose first line is
-    ``first_line`` of the file and whose first record is record ``start``
-    of a log of ``stop``.  Blank lines are skipped and surrounding ASCII
-    whitespace is ignored; every other line is decoded and checked by
-    ``_fault`` on its own, in file order, so the first bad line raises
-    LogFormatError with its number: one that is not UTF-8, not one valid
-    record, or a record whose index ``i`` is not its place or that is past
-    the ``stop``-th."""
-    alpha, counts = [], []
-    for line_number, line in enumerate(lines, first_line):
-        if not (text := line.strip()):
-            continue
-        try:  # a UnicodeDecodeError is a ValueError
-            payload = json.loads(text.decode())
-        except (ValueError, RecursionError) as err:  # or nested too deep
-            raise LogFormatError(
-                line_number, f"not valid JSON: {err}") from err
-        if (fault := _fault(payload, start + len(alpha), stop)) is not None:
-            raise LogFormatError(line_number, fault)
-        alpha.append(payload["alpha"])
-        counts.append([payload[key] for key in RECORD_KEYS[2:]])
-    return (np.array(alpha, np.float64),
-            np.array(counts, np.int64).reshape(-1, 4))
-
-
 def read_count_log(path: str | Path) -> tuple[RunManifest, Counts]:
     """Parse a count log back into its manifest and counts, taking the
     counts from the log's companion when it is valid for the log's bytes.
 
-    Raises LogFormatError naming the first bad line: a corrupt line, a
-    record whose index ``i`` is not its place (record k holds ``i == k``),
-    a record past the manifest's ``iterations``, or, after the last line,
-    too few records; no chunk past the bad line is read.  Raises
-    ManifestVersionError on manifests this version cannot read.  A line
-    ends at a line feed, and is read as bytes that must be UTF-8."""
+    Otherwise the record lines are read in one pass straight into the
+    columns: blank lines are skipped and surrounding ASCII whitespace is
+    ignored, and every other line is decoded and checked by ``_fault`` on
+    its own, in file order.  Raises LogFormatError naming the first bad
+    line: one that is not UTF-8 or not one valid record, a record whose
+    index ``i`` is not its place (record k holds ``i == k``), a record past
+    the manifest's ``iterations``, or, after the last line, too few
+    records.  No line past the bad one is read, so a stream's bad line is
+    reported as it arrives.  Raises ManifestVersionError on manifests this
+    version cannot read.  A line ends at a line feed, and is read as bytes
+    that must be UTF-8."""
     with Path(path).open("rb") as fh:
         head_line = fh.readline()
         if not head_line:
@@ -537,17 +516,27 @@ def read_count_log(path: str | Path) -> tuple[RunManifest, Counts]:
         cached = _companion_counts(fh, Path(path), iterations)
         if cached is not None:
             return manifest, cached
-        parts, n, next_line = [], 0, 2
-        while chunk := list(itertools.islice(fh, READ_CHUNK_LINES)):
-            parts.append(_parse_chunk(chunk, next_line, n, iterations))
-            n += parts[-1][0].size
-            next_line += len(chunk)
-    if n < iterations:
+        from array import array  # loaded by a parse alone: it maps a library
+        alpha, counts, line_number = array("d"), array("q"), 1
+        for line_number, line in enumerate(fh, 2):
+            if not (text := line.strip()):
+                continue
+            try:  # a UnicodeDecodeError is a ValueError
+                payload = json.loads(text.decode())
+            except (ValueError, RecursionError) as err:  # or nested too deep
+                raise LogFormatError(
+                    line_number, f"not valid JSON: {err}") from err
+            if (fault := _fault(payload, len(alpha), iterations)) is not None:
+                raise LogFormatError(line_number, fault)
+            alpha.append(payload["alpha"])
+            counts.extend([payload[key] for key in RECORD_KEYS[2:]])
+    if len(alpha) < iterations:
         raise LogFormatError(
-            next_line,
-            f"log holds {n} records but its manifest promises {iterations}",
+            line_number + 1, f"log holds {len(alpha)} records but its "
+                             f"manifest promises {iterations}",
         )
-    return manifest, Counts(*map(np.concatenate, zip(*parts)))
+    return manifest, Counts(np.frombuffer(alpha),
+                            np.frombuffer(counts, np.int64).reshape(-1, 4))
 
 
 #: Header of the swept-value column of each sweep axis.

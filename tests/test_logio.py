@@ -71,13 +71,13 @@ def companion_of(path):
 
 
 def read_counting_parses(path):
-    """``read_count_log(path)`` and the number of record chunks it parsed,
+    """``read_count_log(path)`` and the number of record lines it checked,
     0 when it took the columns from the log's companion."""
     calls = []
-    parse = logio._parse_chunk
+    fault = logio._fault
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(logio, "_parse_chunk",
-                      lambda *args: calls.append(args) or parse(*args))
+        patch.setattr(logio, "_fault",
+                      lambda *args: calls.append(args) or fault(*args))
         return read_count_log(path), len(calls)
 
 
@@ -190,6 +190,21 @@ class TestRecordLines:
         small, large = write_peak(10_000), write_peak(150_000)
         assert large < 4e6
         assert large <= 1.2 * small
+
+    def test_parse_memory_is_about_that_of_its_columns(self, tmp_path):
+        # Read without a companion, the records go straight into the
+        # columns: no per-record lists, no blocks joined at the end.
+        path = tmp_path / "run.jsonl"
+        write_log(path, seed=1, iterations=50_000)
+        companion_of(path).unlink()
+        tracemalloc.start()
+        try:
+            _, counts = read_count_log(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(counts) == 50_000
+        assert peak <= 1.5 * (counts.alpha.nbytes + counts.counts.nbytes)
 
 
 class TestCountLogRoundTrip:
@@ -413,11 +428,8 @@ class TestCountLogIntegrity:
         _, loaded = read_count_log(path)
         assert_same_counts(loaded, counts)
 
-    def test_chunk_of_only_blank_lines_reads_like_clean(
-        self, tmp_path, monkeypatch
-    ):
-        # Chunks of 3 lines after the manifest: lines 5 to 7 are blank.
-        monkeypatch.setattr(logio, "READ_CHUNK_LINES", 3)
+    def test_chunk_of_only_blank_lines_reads_like_clean(self, tmp_path):
+        # Lines 5 to 7 are blank.
         path = tmp_path / "run.jsonl"
         write_log(path, iterations=10)
         clean = read_count_log(path)
@@ -426,7 +438,7 @@ class TestCountLogIntegrity:
         path.write_text("\n".join(lines[:4] + [""] * 3 + lines[4:]) + "\n")
         parsed, parses = read_counting_parses(path)
         assert_same_bits(parsed, clean)
-        assert parses == 5
+        assert parses == 10
 
     def test_corrupt_line_in_later_chunk_reports_number(self, tmp_path):
         path = tmp_path / "run.jsonl"
@@ -569,15 +581,51 @@ class TestRecordRejection:
         lines = path.read_text().splitlines()
         lines[2] = set_value("i", "0")(lines[2])
         path.write_text("\n".join(lines) + "\n")
-        monkeypatch.setattr(logio, "READ_CHUNK_LINES", 3)
         calls = []
-        parse = logio._parse_chunk
-        monkeypatch.setattr(logio, "_parse_chunk",
-                            lambda *args: calls.append(args) or parse(*args))
+        fault = logio._fault
+        monkeypatch.setattr(logio, "_fault",
+                            lambda *args: calls.append(args) or fault(*args))
         with pytest.raises(LogFormatError, match="i = 0 where 1") as err:
             read_count_log(path)
         assert err.value.line_number == 3
-        assert len(calls) == 1
+        assert [place for _, place, _ in calls] == [0, 1]
+
+    def test_bad_line_on_an_open_stream_is_reported_at_once(self, tmp_path):
+        path = tmp_path / "run.jsonl"
+        write_log(path, iterations=10)
+        head = b"".join(path.read_bytes().splitlines(keepends=True)[:3])
+        fifo = tmp_path / "live.jsonl"
+        os.mkfifo(fifo)
+        release, raised = threading.Event(), []
+
+        def write():  # the manifest, records 0 and 1 and a bad line
+            with fifo.open("wb") as out:
+                out.write(head + b'{"i": 9}\n')
+                out.flush()
+                release.wait(60)
+
+        def read():
+            try:
+                read_count_log(fifo)
+            except Exception as err:
+                raised.append(err)
+
+        writer = threading.Thread(target=write, daemon=True)
+        reader = threading.Thread(target=read, daemon=True)
+        writer.start()
+        reader.start()
+        try:
+            reader.join(timeout=5)
+            assert not reader.is_alive(), "the read waits for the writer"
+            assert writer.is_alive()
+        finally:
+            release.set()
+            writer.join(timeout=10)
+            reader.join(timeout=10)
+        [err] = raised
+        assert isinstance(err, LogFormatError)
+        assert err.line_number == 4
+        assert "record must have exactly the keys" in str(err)
 
     def test_blank_padded_and_reordered_lines_read_across_chunks(
         self, tmp_path, long_log_lines

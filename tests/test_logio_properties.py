@@ -1,6 +1,6 @@
 """Property tests of the count-log format: whatever counts are written, the
-reader returns them unchanged, also across chunk boundaries and from lines
-that are blank, padded or have their keys in another order, the bytes
+reader returns them unchanged, also from lines that are blank, padded or
+have their keys in another order, the bytes
 written do not depend on the writer's chunk size, each record line written
 a chunk at a time is ``RECORD_LINE`` of its record, the columns read from a
 log's companion are the bits its parse gives, and a record out of place is
@@ -68,12 +68,9 @@ def companion_of(path):
 
 
 def read_back(path):
-    """The counts parsed from ``path``, its companion removed, in chunks of
-    3 lines, so that a few records cross chunk boundaries."""
+    """The counts parsed from ``path``, its companion removed."""
     companion_of(path).unlink(missing_ok=True)
-    with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(logio, "READ_CHUNK_LINES", 3)
-        return read_count_log(path)[1]
+    return read_count_log(path)[1]
 
 
 def assert_same_counts(a, b):
@@ -93,7 +90,7 @@ def test_companion_gives_the_bits_of_the_parse(rows):
     with tempfile.TemporaryDirectory() as directory:
         path, data = write_log(directory, rows)
         with pytest.MonkeyPatch.context() as patch:
-            patch.setattr(logio, "_parse_chunk", None)  # must not be called
+            patch.setattr(logio, "_fault", None)  # must not be called
             manifest, cached = read_count_log(path)
         parsed = read_back(path)
         assert read_count_log(path)[0] == manifest
