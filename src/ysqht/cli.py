@@ -274,7 +274,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     lo, hi, points = args.range
     if args.axis == "delta" and args.degrees:
         lo, hi = math.radians(lo), math.radians(hi)
-    grid = np.linspace(lo, hi, points).tolist()
+    grid = np.linspace(lo, hi, points)
 
     if args.axis == "delta":
         table = sweep_delta(theta, args.gamma1, args.gamma2, grid)

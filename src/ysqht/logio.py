@@ -9,18 +9,18 @@ header names and a companion ``<name>.manifest.json``, both built by
 significant digits and CSV cells use the shortest round-trip decimal form,
 so parsing a file back reproduces the in-memory values exactly.
 
-Both writers write blocks of ``READ_CHUNK_LINES`` lines, a count log's
-each formatted by one ``%`` on ``RECORD_LINE`` repeated, so the memory a
-count-log write takes does not grow with the length of the file; a sweep
-write also holds its grid's cells, which the manifest's ``grid`` reuses.
-A count log of four blocks or more is formatted by two processes when the
-writer may run on two CPUs: a forked child formats the odd blocks and
-sends each down a pipe, while the writing process formats the even ones
-and hashes and writes every block in order.  The pipe's small buffer keeps
-the child at most about one block ahead, so this memory does not grow with
-the file either.  The bytes are those one process writes, a failure in the
-child is raised in the writer, and the child never outlives the write;
-this needs POSIX (``os.fork``).
+Both writers send their lines through one block pipeline, ``_blocks``,
+``BLOCK_LINES`` lines at a time (a count log's formatted by one ``%`` on
+``RECORD_LINE`` repeated), so a count-log write's memory does not grow
+with the file, and a sweep write holds, beside its columns, its grid's
+cells, which the manifest's ``grid`` reuses, and one block.  An output of
+four blocks or more is formatted by two processes when the writer may run
+on two CPUs: a forked child formats the odd blocks and sends each down a
+pipe, while the writer formats the even ones and writes every block in
+order; the pipe's small buffer keeps the child at most one block ahead.
+The bytes are those one process writes, a failure in the child is raised
+in the writer, and the child never outlives the write; this needs POSIX
+(``os.fork``).
 A regular file is written to a new file beside it that then replaces it,
 so that a write that fails part way leaves the old file or none, never
 half of one; streams (pipes, devices, links such as ``/dev/stdout``) are
@@ -187,9 +187,9 @@ RECORD_LINE = (b'{"i": %d, "alpha": %.17g, "n1p": %d, "n1q": %d, '
 #: bytes.
 COLUMNS_SUFFIX = ".columns.npz"
 
-#: Lines formatted per write by ``write_count_log`` and ``write_sweep_csv``;
-#: ``read_count_log`` reads a count log one line at a time.
-READ_CHUNK_LINES = 4096
+#: Lines in a block, as ``write_count_log`` and ``write_sweep_csv`` format
+#: and write them; ``read_count_log`` reads a count log a line at a time.
+BLOCK_LINES = 4096
 
 
 def _replace(path: Path, mode: int | None,
@@ -238,13 +238,6 @@ def _write_blocks(path: Path, blocks: Iterable[bytes],
     return True
 
 
-def _line_blocks(lines: Iterable[str]) -> Iterator[bytes]:
-    """``lines``, each ended by a newline, in blocks of READ_CHUNK_LINES."""
-    lines = iter(lines)
-    while chunk := list(itertools.islice(lines, READ_CHUNK_LINES)):
-        yield ("\n".join(chunk) + "\n").encode()
-
-
 def _record_block(start: int, alpha: np.ndarray, counts: np.ndarray) -> bytes:
     """The record lines of the tilts ``alpha`` and the (m, 4) ``counts``,
     numbered from ``start``, by one ``%`` on ``RECORD_LINE * m``, in
@@ -257,14 +250,14 @@ def _record_block(start: int, alpha: np.ndarray, counts: np.ndarray) -> bytes:
                                                    b'"alpha": -0.0,')
 
 
-#: The fewest blocks of a count log that two processes format: below it,
+#: The fewest blocks of an output that two processes format: below it,
 #: the fork and the reaping take about as long as the child saves.
 _SPLIT_BLOCKS = 4
 
 
-def _record_blocks(counts: Counts) -> Iterator[bytes]:
-    """The record lines of ``counts``, a ``_record_block`` of
-    ``READ_CHUNK_LINES`` records at a time.  When there are
+def _blocks(n: int, block: Callable[[int, int], bytes]) -> Iterator[bytes]:
+    """The bytes of ``n`` lines, ``block(start, stop)`` for each
+    ``BLOCK_LINES`` of them, lines ``start`` to ``stop - 1``.  When there are
     ``_SPLIT_BLOCKS`` blocks or more and this process may run on two CPUs,
     a forked child formats the odd blocks and sends each down a pipe,
     pickled, while this process formats the even ones; between two of its
@@ -274,18 +267,17 @@ def _record_blocks(counts: Counts) -> Iterator[bytes]:
     here.  The bytes are those that one process writes.  However the
     generator ends, the child is killed if it is still running, and
     reaped."""
-    step = READ_CHUNK_LINES
-    starts = range(0, len(counts), step)
+    step = BLOCK_LINES
+    starts = range(0, n, step)
 
-    def block(k: int) -> bytes:
-        return _record_block(k, counts.alpha[k:k + step],
-                             counts.counts[k:k + step])
+    def part(start: int) -> bytes:
+        return block(start, min(start + step, n))
 
     # The CPUs this process may run on; os.sched_getaffinity is Linux only.
     cpus = getattr(os, "sched_getaffinity",
                    lambda pid: range(os.cpu_count() or 1))(0)
     if len(starts) < _SPLIT_BLOCKS or len(cpus) < 2:
-        yield from map(block, starts)
+        yield from map(part, starts)
         return
 
     def send() -> None:
@@ -294,7 +286,7 @@ def _record_blocks(counts: Counts) -> Iterator[bytes]:
         pipe.close()  # so that a send fails once this process is gone
         try:
             for start in starts[1::2]:
-                pickle.dump(block(start), sink)
+                pickle.dump(part(start), sink)
                 sink.flush()
         except BaseException as err:
             pickle.dump(err, sink)
@@ -306,7 +298,7 @@ def _record_blocks(counts: Counts) -> Iterator[bytes]:
             sink.close()  # so that the pipe ends when the child's end does
             for k, start in enumerate(starts):
                 if k % 2 == 0:
-                    yield block(start)
+                    yield part(start)
                     continue
                 try:
                     reply = pickle.load(pipe)
@@ -315,7 +307,7 @@ def _record_blocks(counts: Counts) -> Iterator[bytes]:
                 except Exception:
                     raise ChildProcessError(
                         f"the process formatting records {start} to "
-                        f"{min(start + step, len(counts)) - 1} ended without "
+                        f"{min(start + step, n) - 1} ended without "
                         f"a result") from None
                 if isinstance(reply, BaseException):
                     raise reply
@@ -373,16 +365,12 @@ def write_count_log(
     counts: Counts,
 ) -> RunManifest:
     """Write ``counts`` as a count log under the manifest of ``config``, a
-    block of ``READ_CHUNK_LINES`` record lines at a time, so that the memory
+    block of ``BLOCK_LINES`` record lines at a time, so that the memory
     the lines take does not grow with the number of records; a regular file
     is replaced only once the whole log is written, and then gets its
-    companion ``<path>.columns.npz``, with the log's permission bits.
-
-    A log of four blocks or more is formatted by two processes (see
-    ``_record_blocks``): this one formats the even blocks while a forked
-    child formats the odd ones, and this one hashes and writes them all in
-    order.  The bytes are those of one process; the write needs POSIX
-    (``os.fork``)."""
+    companion ``<path>.columns.npz``, with the log's permission bits.  A
+    log of four blocks or more is formatted by two processes (see
+    ``_blocks``), with the bytes of one; the write needs POSIX."""
     if len(counts) != config.iterations:
         raise ValueError(
             f"{len(counts)} records for a run of {config.iterations} "
@@ -392,7 +380,8 @@ def write_count_log(
     path = Path(path)
     digest = hashlib.sha256()
     head = (manifest.to_json() + "\n").encode()
-    with contextlib.closing(_record_blocks(counts)) as blocks:
+    with contextlib.closing(_blocks(len(counts), lambda k, stop: _record_block(
+            k, counts.alpha[k:stop], counts.counts[k:stop]))) as blocks:
         regular = _write_blocks(path, itertools.chain([head], blocks), digest)
     if regular:
         _replace(_columns_path(path), path.stat().st_mode,
@@ -595,16 +584,23 @@ def write_sweep_csv(
     parameters and, for a ``SimulatedSweep``, its ``SIM_MANIFEST_FIELDS``;
     returns the manifest's path, or None for a stream such as a pipe or
     ``/dev/stdout`` (a link, not a file).  The table is in place before its
-    manifest is written."""
+    manifest is written.  The rows go through ``_blocks``, as a count
+    log's do, so the write holds the grid's cells and one block of rows."""
     sim = table if isinstance(table, SimulatedSweep) else None
     sweep = table if sim is None else sim.sweep
     header, columns = sweep_table(table)
     x_cells = list(_cells(sweep.x))  # for the table and the manifest
+
+    def rows(k: int, stop: int) -> bytes:
+        cells = (_cells(column[k:stop]) for column in columns[1:])
+        return ("\n".join(map(",".join, zip(x_cells[k:stop], *cells)))
+                + "\n").encode()
+
     out = Path(path)
-    if not _write_blocks(out, _line_blocks(itertools.chain(
-            [",".join(header)],
-            map(",".join, zip(x_cells, *map(_cells, columns[1:])))))):
-        return None
+    head = (",".join(header) + "\n").encode()
+    with contextlib.closing(_blocks(len(x_cells), rows)) as blocks:
+        if not _write_blocks(out, itertools.chain([head], blocks)):
+            return None
     manifest = RunManifest(
         kind=KIND_SWEEP, theta=sweep.theta, gamma1=sweep.gamma1_values,
         axis=sweep.axis, grid=(), with_sim=sim is not None,
@@ -618,5 +614,5 @@ def write_sweep_csv(
     text = manifest.to_json().replace(
         '"grid": []', f'"grid": [{", ".join(x_cells)}]', 1)
     manifest_path = out.with_name(out.name + ".manifest.json")
-    _write_blocks(manifest_path, _line_blocks([text]))
+    _write_blocks(manifest_path, [f"{text}\n".encode()])
     return manifest_path

@@ -40,7 +40,7 @@ from ysqht import (
     write_sweep_csv,
 )
 from ysqht import logio
-from ysqht.logio import READ_CHUNK_LINES, RECORD_LINE
+from ysqht.logio import BLOCK_LINES, RECORD_LINE
 
 THETA_B = 5.0 * math.pi / 36.0
 
@@ -149,25 +149,25 @@ class TestRecordLines:
     def test_negative_zero_keeps_its_sign_across_a_chunk_boundary(
         self, tmp_path
     ):
-        n = READ_CHUNK_LINES + 2
+        n = BLOCK_LINES + 2
         alpha = np.full(n, 0.5)
-        alpha[[READ_CHUNK_LINES - 1, READ_CHUNK_LINES]] = -0.0
+        alpha[[BLOCK_LINES - 1, BLOCK_LINES]] = -0.0
         path = tmp_path / "run.jsonl"
         write_count_log(path, make_config(iterations=n),
                         Counts(alpha, np.ones((n, 4), np.int64)))
         lines = path.read_text().splitlines()
-        for k in (READ_CHUNK_LINES - 1, READ_CHUNK_LINES):
+        for k in (BLOCK_LINES - 1, BLOCK_LINES):
             assert f'{{"i": {k}, "alpha": -0.0,' in lines[k + 1]
-        assert '"alpha": 0.5,' in lines[READ_CHUNK_LINES + 2]
+        assert '"alpha": 0.5,' in lines[BLOCK_LINES + 2]
         loaded = read_both_ways(path)[1].alpha
         assert np.flatnonzero(np.signbit(loaded)).tolist() == [
-            READ_CHUNK_LINES - 1, READ_CHUNK_LINES,
+            BLOCK_LINES - 1, BLOCK_LINES,
         ]
         assert np.array_equal(loaded, alpha)
 
     def test_record_bytes_pinned_across_write_chunks(self, tmp_path):
-        # 10,000 records take three write chunks; the digest is that of the
-        # record lines written in one piece, before the writes were chunked.
+        # 10,000 records take three write blocks; the digest is that of the
+        # record lines written in one piece, before the writes went in blocks.
         path = tmp_path / "run.jsonl"
         write_log(path, seed=1, iterations=10_000)
         records = path.read_bytes().split(b"\n", 1)[1]
@@ -428,7 +428,7 @@ class TestCountLogIntegrity:
         _, loaded = read_count_log(path)
         assert_same_counts(loaded, counts)
 
-    def test_chunk_of_only_blank_lines_reads_like_clean(self, tmp_path):
+    def test_run_of_only_blank_lines_reads_like_clean(self, tmp_path):
         # Lines 5 to 7 are blank.
         path = tmp_path / "run.jsonl"
         write_log(path, iterations=10)
@@ -440,9 +440,9 @@ class TestCountLogIntegrity:
         assert_same_bits(parsed, clean)
         assert parses == 10
 
-    def test_corrupt_line_in_later_chunk_reports_number(self, tmp_path):
+    def test_corrupt_line_past_the_first_block_reports_number(self, tmp_path):
         path = tmp_path / "run.jsonl"
-        n = READ_CHUNK_LINES + 500
+        n = BLOCK_LINES + 500
         write_log(path, iterations=n)
         lines = path.read_text().splitlines()
         lines[n - 10] = lines[n - 10].replace('"n1q": ', '"n1q": -')
@@ -453,7 +453,7 @@ class TestCountLogIntegrity:
 
     def test_long_log_round_trips(self, tmp_path):
         path = tmp_path / "run.jsonl"
-        _, counts = write_log(path, iterations=2 * READ_CHUNK_LINES + 7)
+        _, counts = write_log(path, iterations=2 * BLOCK_LINES + 7)
         _, loaded = read_both_ways(path)
         assert_same_counts(loaded, counts)
 
@@ -515,14 +515,14 @@ DAMAGES = {
 
 @pytest.fixture(scope="module")
 def long_log_lines(tmp_path_factory):
-    """The lines of a log two chunks long."""
+    """The lines of a log written in two blocks of ``BLOCK_LINES``."""
     path = tmp_path_factory.mktemp("log") / "run.jsonl"
-    write_log(path, iterations=READ_CHUNK_LINES + 200)
+    write_log(path, iterations=BLOCK_LINES + 200)
     return path.read_text().splitlines()
 
 
 class TestRecordRejection:
-    @pytest.mark.parametrize("line_number", [4, READ_CHUNK_LINES + 101])
+    @pytest.mark.parametrize("line_number", [4, BLOCK_LINES + 101])
     @pytest.mark.parametrize("damage", DAMAGES)
     def test_damaged_record_names_its_line(
         self, tmp_path, long_log_lines, damage, line_number
@@ -546,7 +546,7 @@ class TestRecordRejection:
         self, tmp_path, long_log_lines, key, value, fragment
     ):
         # A padded line and a blank one just before the damaged record.
-        line_number = READ_CHUNK_LINES + 101
+        line_number = BLOCK_LINES + 101
         lines = list(long_log_lines)
         lines[line_number - 3] = "  " + lines[line_number - 3] + "\t"
         lines.insert(line_number - 2, "")
@@ -557,13 +557,13 @@ class TestRecordRejection:
             read_count_log(path)
         assert err.value.line_number == line_number
 
-    def test_misplaced_record_is_named_before_a_later_chunk(
+    def test_misplaced_record_is_named_before_a_later_fault(
         self, tmp_path, long_log_lines
     ):
-        # Line 3 holds record 1; a damaged line follows in the next chunk.
+        # Line 3 holds record 1; a damaged line follows a block later.
         lines = list(long_log_lines)
         lines[2] = set_value("i", "0")(lines[2])
-        line_number = READ_CHUNK_LINES + 101
+        line_number = BLOCK_LINES + 101
         lines[line_number - 1] = DAMAGES["nan-alpha"][0](lines[line_number - 1])
         path = tmp_path / "damaged.jsonl"
         path.write_text("\n".join(lines) + "\n")
@@ -572,7 +572,7 @@ class TestRecordRejection:
             read_count_log(path)
         assert err.value.line_number == 3
 
-    def test_reader_stops_at_the_chunk_of_the_first_fault(
+    def test_reader_stops_at_the_first_fault(
         self, tmp_path, monkeypatch
     ):
         path = tmp_path / "run.jsonl"
@@ -627,7 +627,7 @@ class TestRecordRejection:
         assert err.line_number == 4
         assert "record must have exactly the keys" in str(err)
 
-    def test_blank_padded_and_reordered_lines_read_across_chunks(
+    def test_blank_padded_and_reordered_lines_read_across_blocks(
         self, tmp_path, long_log_lines
     ):
         lines = list(long_log_lines)
@@ -957,6 +957,22 @@ class TestSweepCsv:
             "0.1,0.5,0.25,-0.0,true", "0.2,0.5,1e-300,0.1,false",
         ]
 
+    def test_write_memory_is_about_that_of_the_table(self, tmp_path,
+                                                     monkeypatch):
+        # In one process the write holds the grid's cells, which the
+        # manifest reuses, and one block of rows, not every column's cells.
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+        sweep = sweep_at("gamma2", 0.6, [0.05, 0.2, 0.4],
+                         np.linspace(0.0, 1.0, 40_000))
+        path = tmp_path / "table.csv"
+        tracemalloc.start()
+        try:
+            write_sweep_csv(path, sweep)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.3 * path.stat().st_size
+
     def test_no_rows_writes_the_header(self, tmp_path):
         path = tmp_path / "table.csv"
         write_sweep_csv(path, sweep_delta(THETA_B, [0.1], 0.8, []))
@@ -1134,12 +1150,12 @@ class TestCrashSafeWrites:
         if existing:
             path.write_text("old log\n")
         before = snapshot(tmp_path)
-        # The block of records READ_CHUNK_LINES on, written after the
-        # manifest and the block of the first READ_CHUNK_LINES records.
-        failing = fail_on(logio._record_block, READ_CHUNK_LINES, tmp_path)
+        # The block of records BLOCK_LINES on, written after the
+        # manifest and the block of the first BLOCK_LINES records.
+        failing = fail_on(logio._record_block, BLOCK_LINES, tmp_path)
         monkeypatch.setattr(logio, "_record_block", failing)
         with pytest.raises(OSError, match="injected"):
-            write_log(path, iterations=2 * READ_CHUNK_LINES)
+            write_log(path, iterations=2 * BLOCK_LINES)
         assert_failed_mid_write(failing.seen, before)
         assert snapshot(tmp_path) == before
 
@@ -1166,16 +1182,16 @@ class TestCrashSafeWrites:
 
         monkeypatch.setattr(os, "replace", spy)
         path = tmp_path / "run.jsonl"
-        # The last chunk, one short line, is still buffered after the write.
-        write_log(path, iterations=READ_CHUNK_LINES + 1)
+        # The last block, one short line, is still buffered after the write.
+        write_log(path, iterations=BLOCK_LINES + 1)
         companion = tmp_path / "run.jsonl.columns.npz"
         assert sizes == [path.stat().st_size, companion.stat().st_size]
 
     @staticmethod
     def write_table(path):
-        """A table of 2 * READ_CHUNK_LINES rows, whose grid holds k and
+        """A table of 2 * BLOCK_LINES rows, whose grid holds k and
         whose q2/p2 column holds k + 0.5 in row k."""
-        grid = np.arange(2.0 * READ_CHUNK_LINES)
+        grid = np.arange(2.0 * BLOCK_LINES)
         return write_sweep_csv(path, sweep_of(grid, q2_over_p2=grid + 0.5))
 
     @pytest.mark.parametrize("existing", [False, True])
@@ -1189,7 +1205,7 @@ class TestCrashSafeWrites:
         before = snapshot(tmp_path)
         # The grid is formatted before the file is opened, and the other
         # columns as their rows are written.
-        failing = fail_on(str, repr(READ_CHUNK_LINES + 3.5), tmp_path)
+        failing = fail_on(str, repr(BLOCK_LINES + 3.5), tmp_path)
         cells = logio._cells
         monkeypatch.setattr(logio, "_cells",
                             lambda column: map(failing, cells(column)))
@@ -1227,7 +1243,7 @@ class TestCrashSafeWrites:
         with pytest.raises(OSError, match="injected"):
             self.write_table(tmp_path / "t.csv")
         table = (tmp_path / "t.csv").read_text().splitlines()
-        assert len(table) == 1 + 2 * READ_CHUNK_LINES
+        assert len(table) == 1 + 2 * BLOCK_LINES
         assert snapshot(tmp_path) == {
             "t.csv": ((tmp_path / "t.csv").read_bytes(), 0o640),
             "t.csv.manifest.json": (b"old manifest\n", 0o640),
@@ -1251,22 +1267,6 @@ class TestCrashSafeWrites:
         assert sorted(p.name for p in tmp_path.iterdir()) == [
             "link.jsonl", "target.jsonl",
         ]
-
-
-@pytest.fixture
-def forks(monkeypatch):
-    """The pid of each child that ``os.fork`` makes during the test."""
-    pids = []
-    fork = os.fork
-
-    def recording_fork():
-        pid = fork()
-        if pid:
-            pids.append(pid)
-        return pid
-
-    monkeypatch.setattr(os, "fork", recording_fork)
-    return pids
 
 
 def assert_reaped(pids):
@@ -1311,14 +1311,14 @@ class TestSplitWrite:
         config = make_config(seed=1, iterations=n)
         counts = run_acquisition(config)
         alpha = counts.alpha.copy()
-        zeros = {0, min(logio.READ_CHUNK_LINES, n - 1), n - 1}
+        zeros = {0, min(logio.BLOCK_LINES, n - 1), n - 1}
         alpha[list(zeros)] = -0.0
         counts = Counts(alpha, counts.counts)
         expected = (logio.manifest_for_acquisition(config).to_json()
                     + "\n").encode() + logio._record_block(0, alpha,
                                                            counts.counts)
         assert expected.count(b'"alpha": -0.0,') == len(zeros)
-        split = n > (logio._SPLIT_BLOCKS - 1) * logio.READ_CHUNK_LINES
+        split = n > (logio._SPLIT_BLOCKS - 1) * logio.BLOCK_LINES
         path = tmp_path / "run.jsonl"
         if to_fifo:
             assert write_through_fifo(path, config, counts) == expected
@@ -1342,7 +1342,7 @@ class TestSplitWrite:
     ):
         # Blocks of 3 records: sizes 1, B - 1, B, B + 1, 2B, 2B + 1, 3B,
         # 3B + 1 (the fewest records that are split), 4B, 4B + 1, 5B + 1.
-        monkeypatch.setattr(logio, "READ_CHUNK_LINES", 3)
+        monkeypatch.setattr(logio, "BLOCK_LINES", 3)
         assert logio._SPLIT_BLOCKS == 4
         self.check_bytes(tmp_path, monkeypatch, forks, n, to_fifo)
 
@@ -1359,7 +1359,7 @@ class TestSplitWrite:
     ):
         # Of four blocks of 3 records, this process formats blocks 0 and 2
         # and the child blocks 1 and 3.
-        monkeypatch.setattr(logio, "READ_CHUNK_LINES", 3)
+        monkeypatch.setattr(logio, "BLOCK_LINES", 3)
         path = tmp_path / "run.jsonl"
         if existing:
             write_log(path, seed=1, iterations=3)  # one block: no fork
@@ -1385,7 +1385,7 @@ class TestSplitWrite:
                 raise LocalError("no pickle")
             return b"x\n"
 
-        monkeypatch.setattr(logio, "READ_CHUNK_LINES", 3)
+        monkeypatch.setattr(logio, "BLOCK_LINES", 3)
         monkeypatch.setattr(logio, "_record_block", record_block)
         with pytest.raises(ChildProcessError,
                            match="records 9 to 11 ended without a result"):
@@ -1401,7 +1401,7 @@ class TestSplitWrite:
         try:
             with pytest.raises(BrokenPipeError) as err:
                 write_log(f"/dev/fd/{writer}",
-                          iterations=4 * READ_CHUNK_LINES)
+                          iterations=4 * BLOCK_LINES)
         finally:
             os.close(writer)
         # While its traceback, which holds the write's frames, is alive.
@@ -1496,7 +1496,7 @@ class TestSplitWrite:
             return pid
 
         monkeypatch.setattr(os, "fork", interrupted_fork)
-        monkeypatch.setattr(logio, "READ_CHUNK_LINES", 3)
+        monkeypatch.setattr(logio, "BLOCK_LINES", 3)
         path = tmp_path / "run.jsonl"
         write_log(path, seed=1, iterations=3)  # one block: no fork
         before = snapshot(tmp_path)
@@ -1659,10 +1659,10 @@ class TestColumnsCompanion:
         path = tmp_path / "run.jsonl"
         write_log(path, seed=1)
         before = snapshot(tmp_path)
-        failing = fail_on(logio._record_block, READ_CHUNK_LINES, tmp_path)
+        failing = fail_on(logio._record_block, BLOCK_LINES, tmp_path)
         monkeypatch.setattr(logio, "_record_block", failing)
         with pytest.raises(OSError, match="injected"):
-            write_log(path, seed=2, iterations=READ_CHUNK_LINES + 1)
+            write_log(path, seed=2, iterations=BLOCK_LINES + 1)
         assert snapshot(tmp_path) == before
 
     @pytest.mark.parametrize("where", ["member", "replace"])

@@ -1,8 +1,8 @@
 """Property tests of the count-log format: whatever counts are written, the
 reader returns them unchanged, also from lines that are blank, padded or
 have their keys in another order, the bytes
-written do not depend on the writer's chunk size, each record line written
-a chunk at a time is ``RECORD_LINE`` of its record, the columns read from a
+written do not depend on the writer's block size, each record line written
+a block at a time is ``RECORD_LINE`` of its record, the columns read from a
 log's companion are the bits its parse gives, and a record out of place is
 named before any damaged line after it."""
 
@@ -112,7 +112,7 @@ def test_written_bytes_do_not_depend_on_the_chunk_size(rows):
         path, _ = write_log(directory, rows)
         whole = path.read_text().splitlines()
         with pytest.MonkeyPatch.context() as patch:
-            patch.setattr(logio, "READ_CHUNK_LINES", 3)
+            patch.setattr(logio, "BLOCK_LINES", 3)
             path, _ = write_log(directory, rows)
         chunked = path.read_text().splitlines()
     assert chunked[1:] == whole[1:]
@@ -127,7 +127,7 @@ def test_each_record_line_is_the_template_of_its_record(target, rows):
         if target == "link":
             (Path(directory) / "run.jsonl").symlink_to("records.jsonl")
         with pytest.MonkeyPatch.context() as patch:
-            patch.setattr(logio, "READ_CHUNK_LINES", 3)
+            patch.setattr(logio, "BLOCK_LINES", 3)
             path, data = write_log(directory, rows)
         assert path.is_symlink() == (target == "link")
         assert companion_of(path).exists() == (target == "file")
