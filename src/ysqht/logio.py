@@ -13,14 +13,14 @@ Both writers send their lines through one block pipeline, ``_blocks``,
 ``BLOCK_LINES`` lines at a time (a count log's formatted by one ``%`` on
 ``RECORD_LINE`` repeated), so a count-log write's memory does not grow
 with the file, and a sweep write holds, beside its columns, its grid's
-cells, which the manifest's ``grid`` reuses, and one block.  An output of
-four blocks or more is formatted by two processes when the writer may run
-on two CPUs: a forked child formats the odd blocks and sends each down a
-pipe, while the writer formats the even ones and writes every block in
-order; the pipe's small buffer keeps the child at most one block ahead.
-The bytes are those one process writes, a failure in the child is raised
-in the writer, and the child never outlives the write; this needs POSIX
-(``os.fork``).
+cells, which the manifest's ``grid`` reuses, and one block.  A count log
+of four blocks or more is formatted by two processes when the writer may
+run on two CPUs: a forked child formats the odd blocks and sends each
+down a pipe, while the writer formats the even ones and writes every
+block in order; the pipe's small buffer keeps the child at most one block
+ahead.  The bytes are those one process writes, a failure in the child is
+raised in the writer, and the child never outlives the write; this needs
+POSIX (``os.fork``).  A sweep table is formatted by one process.
 A regular file is written to a new file beside it that then replaces it,
 so that a write that fails part way leaves the old file or none, never
 half of one; streams (pipes, devices, links such as ``/dev/stdout``) are
@@ -250,15 +250,23 @@ def _record_block(start: int, alpha: np.ndarray, counts: np.ndarray) -> bytes:
                                                    b'"alpha": -0.0,')
 
 
-#: The fewest blocks of an output that two processes format: below it,
+#: The fewest blocks of a count log that two processes format: below it,
 #: the fork and the reaping take about as long as the child saves.
 _SPLIT_BLOCKS = 4
 
 
-def _blocks(n: int, block: Callable[[int, int], bytes]) -> Iterator[bytes]:
-    """The bytes of ``n`` lines, ``block(start, stop)`` for each
-    ``BLOCK_LINES`` of them, lines ``start`` to ``stop - 1``.  When there are
-    ``_SPLIT_BLOCKS`` blocks or more and this process may run on two CPUs,
+def _blocks(n: int, block: Callable[[int, int], bytes],
+            which: slice = slice(None)) -> Iterator[bytes]:
+    """``block(start, stop)``, lines ``start`` to ``stop - 1`` of ``n``, for
+    each block of ``BLOCK_LINES`` lines, or for the ``which`` of them."""
+    return (block(start, min(start + BLOCK_LINES, n))
+            for start in range(0, n, BLOCK_LINES)[which])
+
+
+def _split_blocks(n: int,
+                  block: Callable[[int, int], bytes]) -> Iterator[bytes]:
+    """``_blocks(n, block)``, formatted by two processes when there are
+    ``_SPLIT_BLOCKS`` blocks or more and this process may run on two CPUs:
     a forked child formats the odd blocks and sends each down a pipe,
     pickled, while this process formats the even ones; between two of its
     own blocks it takes one of the child's from the pipe, whose small
@@ -267,17 +275,11 @@ def _blocks(n: int, block: Callable[[int, int], bytes]) -> Iterator[bytes]:
     here.  The bytes are those that one process writes.  However the
     generator ends, the child is killed if it is still running, and
     reaped."""
-    step = BLOCK_LINES
-    starts = range(0, n, step)
-
-    def part(start: int) -> bytes:
-        return block(start, min(start + step, n))
-
     # The CPUs this process may run on; os.sched_getaffinity is Linux only.
     cpus = getattr(os, "sched_getaffinity",
                    lambda pid: range(os.cpu_count() or 1))(0)
-    if len(starts) < _SPLIT_BLOCKS or len(cpus) < 2:
-        yield from map(part, starts)
+    if len(range(0, n, BLOCK_LINES)) < _SPLIT_BLOCKS or len(cpus) < 2:
+        yield from _blocks(n, block)
         return
 
     def send() -> None:
@@ -285,8 +287,8 @@ def _blocks(n: int, block: Callable[[int, int], bytes]) -> Iterator[bytes]:
         exception that stopped one, for this process to raise."""
         pipe.close()  # so that a send fails once this process is gone
         try:
-            for start in starts[1::2]:
-                pickle.dump(part(start), sink)
+            for part in _blocks(n, block, slice(1, None, 2)):
+                pickle.dump(part, sink)
                 sink.flush()
         except BaseException as err:
             pickle.dump(err, sink)
@@ -296,10 +298,9 @@ def _blocks(n: int, block: Callable[[int, int], bytes]) -> Iterator[bytes]:
     with open(reader, "rb") as pipe, open(writer, "wb") as sink:
         with _forked(send):
             sink.close()  # so that the pipe ends when the child's end does
-            for k, start in enumerate(starts):
-                if k % 2 == 0:
-                    yield part(start)
-                    continue
+            evens = _blocks(n, block, slice(0, None, 2))
+            for start in range(BLOCK_LINES, n, 2 * BLOCK_LINES):
+                yield next(evens)
                 try:
                     reply = pickle.load(pipe)
                 # Empty or cut short: the child died, or its exception
@@ -307,11 +308,12 @@ def _blocks(n: int, block: Callable[[int, int], bytes]) -> Iterator[bytes]:
                 except Exception:
                     raise ChildProcessError(
                         f"the process formatting records {start} to "
-                        f"{min(start + step, n) - 1} ended without "
+                        f"{min(start + BLOCK_LINES, n) - 1} ended without "
                         f"a result") from None
                 if isinstance(reply, BaseException):
                     raise reply
                 yield reply
+            yield from evens  # the last block, when there is an odd number
 
 
 #: The signals blocked from before a fork until the child is inside the
@@ -370,7 +372,7 @@ def write_count_log(
     is replaced only once the whole log is written, and then gets its
     companion ``<path>.columns.npz``, with the log's permission bits.  A
     log of four blocks or more is formatted by two processes (see
-    ``_blocks``), with the bytes of one; the write needs POSIX."""
+    ``_split_blocks``), with the bytes of one; the write needs POSIX."""
     if len(counts) != config.iterations:
         raise ValueError(
             f"{len(counts)} records for a run of {config.iterations} "
@@ -380,8 +382,9 @@ def write_count_log(
     path = Path(path)
     digest = hashlib.sha256()
     head = (manifest.to_json() + "\n").encode()
-    with contextlib.closing(_blocks(len(counts), lambda k, stop: _record_block(
-            k, counts.alpha[k:stop], counts.counts[k:stop]))) as blocks:
+    with contextlib.closing(_split_blocks(
+            len(counts), lambda k, stop: _record_block(
+                k, counts.alpha[k:stop], counts.counts[k:stop]))) as blocks:
         regular = _write_blocks(path, itertools.chain([head], blocks), digest)
     if regular:
         _replace(_columns_path(path), path.stat().st_mode,
@@ -598,9 +601,9 @@ def write_sweep_csv(
 
     out = Path(path)
     head = (",".join(header) + "\n").encode()
-    with contextlib.closing(_blocks(len(x_cells), rows)) as blocks:
-        if not _write_blocks(out, itertools.chain([head], blocks)):
-            return None
+    if not _write_blocks(out, itertools.chain([head],
+                                              _blocks(len(x_cells), rows))):
+        return None
     manifest = RunManifest(
         kind=KIND_SWEEP, theta=sweep.theta, gamma1=sweep.gamma1_values,
         axis=sweep.axis, grid=(), with_sim=sim is not None,

@@ -577,48 +577,30 @@ class TestSimulate:
         assert [p.name for p in tmp_path.iterdir()] == ["run.jsonl"]
         assert read_count_log(out)[0].seed == 5
 
-    @pytest.mark.parametrize("block", [1, 2, 3, "sweep"])
+    @pytest.mark.parametrize("block", [1, 2, 3])
     def test_interrupt_exits_130_with_one_line(
         self, tmp_path, capsys, monkeypatch, forks, block
     ):
-        # Blocks of 3 lines split a 12-record log, or a 12-row table, over
-        # two processes: this one formats blocks 0 and 2, a forked child
-        # blocks 1 and 3.  The interrupt comes in record block 1, 2 or 3, or
-        # in the first cells the child formats of the table.
-        parent = os.getpid()
-        record_block, cells = logio._record_block, logio._cells
+        # Blocks of 3 records split a 12-record log over two processes:
+        # this one formats blocks 0 and 2, a forked child blocks 1 and 3.
+        record_block = logio._record_block
 
         def interrupted(start, *args):
             if start == 3 * block:
                 raise KeyboardInterrupt
             return record_block(start, *args)
 
-        def interrupted_cells(column):
-            if os.getpid() != parent:
-                raise KeyboardInterrupt
-            return cells(column)
-
         monkeypatch.setattr(logio, "BLOCK_LINES", 3)
-        if block == "sweep":
-            monkeypatch.setattr(logio, "_cells", interrupted_cells)
-            out = tmp_path / "t.csv"
-            old = {out: "old table\n",
-                   tmp_path / "t.csv.manifest.json": "old manifest\n"}
-            command = ["sweep", "delta", "0:1:12", "--theta", THETA_FLAG,
-                       "--gamma1", "0.1", "--gamma2", "0.8"]
-        else:
-            monkeypatch.setattr(logio, "_record_block", interrupted)
-            out = tmp_path / "run.jsonl"
-            old = {out: "old log\n"}
-            command = ["simulate", "--theta", THETA_FLAG, "--delta-std",
-                       DELTA_FLAG, "--iterations", "12", "--seed", "1"]
-        for path, text in old.items():
-            path.write_text(text)
+        monkeypatch.setattr(logio, "_record_block", interrupted)
+        out = tmp_path / "run.jsonl"
+        out.write_text("old log\n")
         with pytest.raises(SystemExit) as exit:
-            main(command + ["--out", str(out)])
+            main(["simulate", "--theta", THETA_FLAG, "--delta-std", DELTA_FLAG,
+                  "--iterations", "12", "--seed", "1", "--out", str(out)])
         assert exit.value.code == 130
         assert capsys.readouterr() == ("", "error: interrupted\n")
-        assert {path: path.read_text() for path in tmp_path.iterdir()} == old
+        assert [p.name for p in tmp_path.iterdir()] == ["run.jsonl"]
+        assert out.read_text() == "old log\n"
         assert len(forks) == 1
         with pytest.raises(ChildProcessError):  # reaped
             os.waitpid(forks[0], os.WNOHANG)
@@ -949,23 +931,19 @@ class TestAnalyze:
 
 
 class TestSweep:
-    def test_split_figure_table_has_the_bytes_of_one_process(
+    def test_figure_table_of_many_blocks_is_written_by_one_process(
         self, tmp_path, capsys, monkeypatch, forks
     ):
-        # Blocks of 3 rows cut demo 04's 21-point weight sweep into 7, so a
-        # forked child formats blocks 1, 3 and 5.  The table must be the
-        # tracked one, and the one this process writes on one CPU alone.
+        # Blocks of 3 rows cut demo 04's 21-point weight sweep into 7, more
+        # than a count log needs to be split over two processes; a sweep
+        # table is still formatted here, block by block, as tracked.
         monkeypatch.setattr(logio, "BLOCK_LINES", 3)
-        argv = ["sweep", "gamma2", "0:1:21", "--theta", THETA_FLAG,
-                "--delta-std", DELTA_FLAG, "--gamma1", "0.05,0.4",
-                "--seed", "1", "--with-sim", "--out"]
-        assert main(argv + [str(tmp_path / "two.csv")]) == 0
-        assert len(forks) == 1
-        with pytest.raises(ChildProcessError):  # reaped
-            os.waitpid(forks[0], os.WNOHANG)
-        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
-        assert main(argv + [str(tmp_path / "one.csv")]) == 0
-        assert len(forks) == 1
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+        out = tmp_path / "t.csv"
+        assert main(["sweep", "gamma2", "0:1:21", "--theta", THETA_FLAG,
+                     "--delta-std", DELTA_FLAG, "--gamma1", "0.05,0.4",
+                     "--seed", "1", "--with-sim", "--out", str(out)]) == 0
+        assert forks == []
 
         def manifest(path):
             fields = json.loads(Path(f"{path}.manifest.json").read_text())
@@ -973,9 +951,8 @@ class TestSweep:
             return fields
 
         tracked = DEMO_OUTPUT / "ratios_vs_gamma2.csv"
-        for name in ("two.csv", "one.csv"):
-            assert (tmp_path / name).read_bytes() == tracked.read_bytes()
-            assert manifest(tmp_path / name) == manifest(tracked)
+        assert out.read_bytes() == tracked.read_bytes()
+        assert manifest(out) == manifest(tracked)
 
     def test_delta_axis_reversal_flips_at_threshold(self, tmp_path, capsys):
         out = tmp_path / "left.csv"
