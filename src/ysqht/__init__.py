@@ -9,11 +9,29 @@ whole photon-counting experiment with seeded Monte Carlo.
 
 Each public name is imported from its module on first access (PEP 562), so
 that importing the package, and using only the closed forms, loads no numpy.
+The names the command line needs before any command runs are defined here:
+the version, the errors it maps to exit codes and the aggregation modes its
+options offer; ``cli``, ``logio`` and ``counting`` import them from here.
 """
 
 import importlib
 
-from .version import __version__
+__version__ = "0.1.0"
+
+AGGREGATION_MODES = ("stochastic", "expected")
+
+
+class LogFormatError(ValueError):
+    """A log file line could not be parsed; carries the 1-based line number."""
+
+    def __init__(self, line_number: int, message: str) -> None:
+        super().__init__(f"line {line_number}: {message}")
+        self.line_number = line_number
+
+
+class ManifestVersionError(ValueError):
+    """The file's manifest schema is not supported by this tool version."""
+
 
 #: Module of each public name, by topic.
 _PUBLIC = {
@@ -68,18 +86,15 @@ _PUBLIC = {
         "write_count_log",
         "write_sweep_csv",
     ),
-    # errors, also exported by logio
-    "base": (
-        "LogFormatError",
-        "ManifestVersionError",
-    ),
 }
 
 _MODULE_OF = {
     name: module for module, names in _PUBLIC.items() for name in names
 }
 
-__all__ = ["__version__", *_MODULE_OF]
+__all__ = [
+    "__version__", "LogFormatError", "ManifestVersionError", *_MODULE_OF
+]
 
 
 def __getattr__(name: str):

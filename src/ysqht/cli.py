@@ -24,10 +24,11 @@ from typing import Any, NoReturn, Sequence
 
 # numpy, counting and logio are imported by the commands that use them, so
 # that ``theory``, ``--help`` and ``--version`` start without numpy.
-from .base import (
+from . import (
     AGGREGATION_MODES,
     LogFormatError,
     ManifestVersionError,
+    __version__,
 )
 from .qubit import NoiseParams
 from .theory import (
@@ -41,7 +42,6 @@ from .theory import (
     sweep_gamma2,
     ys_reversal,
 )
-from .version import __version__
 
 #: Built-in seed used when neither --seed nor YSQHT_SEED is given.
 DEFAULT_SEED = 12345

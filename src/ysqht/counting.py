@@ -16,7 +16,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .base import AGGREGATION_MODES
+from . import AGGREGATION_MODES
 from .qubit import NoiseParams, _require_finite, _require_probability
 from .theory import ESTIMATORS, Sweep
 

@@ -14,13 +14,14 @@ Both writers send their lines through one block pipeline, ``_blocks``,
 ``RECORD_LINE`` repeated), so a count-log write's memory does not grow
 with the file, and a sweep write holds, beside its columns, its grid's
 cells, which the manifest's ``grid`` reuses, and one block.  A count log
-of four blocks or more is formatted by two processes when the writer may
-run on two CPUs: a forked child formats the odd blocks and sends each
-down a pipe, while the writer formats the even ones and writes every
-block in order; the pipe's small buffer keeps the child at most one block
-ahead.  The bytes are those one process writes, a failure in the child is
-raised in the writer, and the child never outlives the write; this needs
-POSIX (``os.fork``).  A sweep table is formatted by one process.
+of four blocks or more is formatted by two processes when
+``os.sched_getaffinity`` (Linux) lists two CPUs or more for the writer: a
+forked child formats the odd blocks and sends each down a pipe, while the
+writer formats the even ones and writes every block in order; the pipe's
+small buffer keeps the child at most one block ahead.  The bytes are those
+one process writes, a failure in the child is raised in the writer, and
+the child never outlives the write.  Elsewhere, macOS and Windows too, one
+process writes.  A sweep table is formatted by one process.
 A regular file is written to a new file beside it that then replaces it,
 so that a write that fails part way leaves the old file or none, never
 half of one; streams (pipes, devices, links such as ``/dev/stdout``) are
@@ -63,10 +64,9 @@ from typing import Any, BinaryIO, Callable, Iterable, Iterator
 import numpy as np
 from numpy.lib import format as npy
 
-from .base import LogFormatError, ManifestVersionError
+from . import LogFormatError, ManifestVersionError, __version__
 from .counting import AcquisitionConfig, Counts, SimulatedSweep
 from .theory import Sweep
-from .version import __version__
 
 #: Version 2: count logs hold counts drawn by RNG stream 2 (see
 #: ``run_acquisition``) and sweeps use hashed mixing seeds.
@@ -266,7 +266,8 @@ def _blocks(n: int, block: Callable[[int, int], bytes],
 def _split_blocks(n: int,
                   block: Callable[[int, int], bytes]) -> Iterator[bytes]:
     """``_blocks(n, block)``, formatted by two processes when there are
-    ``_SPLIT_BLOCKS`` blocks or more and this process may run on two CPUs:
+    ``_SPLIT_BLOCKS`` blocks or more and ``os.sched_getaffinity`` lists two
+    CPUs or more for this process:
     a forked child formats the odd blocks and sends each down a pipe,
     pickled, while this process formats the even ones; between two of its
     own blocks it takes one of the child's from the pipe, whose small
@@ -275,10 +276,12 @@ def _split_blocks(n: int,
     here.  The bytes are those that one process writes.  However the
     generator ends, the child is killed if it is still running, and
     reaped."""
-    # The CPUs this process may run on; os.sched_getaffinity is Linux only.
-    cpus = getattr(os, "sched_getaffinity",
-                   lambda pid: range(os.cpu_count() or 1))(0)
-    if len(range(0, n, BLOCK_LINES)) < _SPLIT_BLOCKS or len(cpus) < 2:
+    # Split only where the split was measured: on Linux, which lists the
+    # CPUs this process may run on.  Elsewhere, macOS too, one process
+    # writes, and needs neither os.fork nor signal.pthread_sigmask.
+    if (len(range(0, n, BLOCK_LINES)) < _SPLIT_BLOCKS
+            or not hasattr(os, "sched_getaffinity")
+            or len(os.sched_getaffinity(0)) < 2):
         yield from _blocks(n, block)
         return
 
@@ -371,8 +374,8 @@ def write_count_log(
     the lines take does not grow with the number of records; a regular file
     is replaced only once the whole log is written, and then gets its
     companion ``<path>.columns.npz``, with the log's permission bits.  A
-    log of four blocks or more is formatted by two processes (see
-    ``_split_blocks``), with the bytes of one; the write needs POSIX."""
+    log of four blocks or more is formatted by two processes on Linux with
+    two CPUs (see ``_split_blocks``), with the bytes of one."""
     if len(counts) != config.iterations:
         raise ValueError(
             f"{len(counts)} records for a run of {config.iterations} "

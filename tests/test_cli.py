@@ -93,8 +93,9 @@ def fresh_probe(statement):
     ("run(['sweep', 'delta', '--help'])", ["0"]),
 ])
 def test_start_loads_no_numpy(statement, printed):
-    # theory needs only math; scipy.integrate serves only the quadrature
-    # cross-check, and would add about 50 MB and 0.6 s to every command.
+    # theory needs only math.  Nothing in the package imports scipy; the
+    # probe keeps it so, as scipy.integrate would add about 50 MB and 0.6 s
+    # to every command.
     assert fresh_probe(statement) == printed + ["[]"]
 
 

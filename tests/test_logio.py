@@ -1350,6 +1350,25 @@ class TestSplitWrite:
     ):
         self.check_bytes(tmp_path, monkeypatch, forks, 100_000, to_fifo)
 
+    def test_one_process_writes_where_cpus_are_not_listed(
+        self, tmp_path, monkeypatch, forks
+    ):
+        # Four blocks of 3 records, which Linux splits, on a system without
+        # os.sched_getaffinity (macOS), or without fork and signal masks
+        # too (Windows).
+        monkeypatch.setattr(logio, "BLOCK_LINES", 3)
+        for module, name in [(os, "sched_getaffinity"), (os, "fork"),
+                             (signal, "pthread_sigmask")]:
+            monkeypatch.delattr(module, name, raising=False)
+        config = make_config(seed=1, iterations=12)
+        counts = run_acquisition(config)
+        path = tmp_path / "run.jsonl"
+        write_count_log(path, config, counts)
+        assert path.read_bytes() == (
+            logio.manifest_for_acquisition(config).to_json() + "\n"
+        ).encode() + logio._record_block(0, counts.alpha, counts.counts)
+        assert forks == []
+
     @pytest.mark.parametrize("existing", [False, True])
     @pytest.mark.parametrize("block", [1, 2, 3])
     def test_failure_in_either_process_is_raised_here(
