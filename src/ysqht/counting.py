@@ -11,6 +11,7 @@ estimation and aggregation work on those columns.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 from typing import Sequence
 
@@ -28,6 +29,10 @@ SEED_STRIDE = 0x9E3779B97F4A7C15
 AGGREGATION_SALT = 0xD1342543DE82EF95
 
 _UINT64 = 2**64
+
+#: The largest Poisson mean numpy draws from: it keeps a count inside the
+#: 64-bit range a record line holds.
+_POISSON_MEAN_MAX = 2**63 - 1 - 10 * math.sqrt(2**63 - 1)
 
 
 def _require_seed(seed: int) -> int:
@@ -62,6 +67,13 @@ class AcquisitionConfig:
         window = _require_finite(self.window_seconds, "window_seconds")
         if rate <= 0.0 or window <= 0.0:
             raise ValueError("mean_rate and window_seconds must be positive")
+        # A window's clean count is drawn with mean rate * window.
+        if rate * window > _POISSON_MEAN_MAX:
+            raise ValueError(
+                f"mean_rate * window_seconds must be at most "
+                f"{_POISSON_MEAN_MAX:.6g}, got {rate!r} * {window!r} = "
+                f"{rate * window!r}"
+            )
 
     @property
     def expected_counts(self) -> float:

@@ -32,12 +32,12 @@ A count log written to a regular file gets a companion,
 of the log's bytes, digested as they are written.  The log alone is
 authoritative.  ``read_count_log`` reads it as bytes through one handle,
 always parses and checks the manifest line, and takes the records from the
-companion only when the log it opened is a regular file whose digest the
-companion holds, and the companion's columns are of the right dtypes and
-shapes and make a valid ``Counts``; otherwise it decodes and checks the
-record lines one at a time, in file order, each record straight into the
-columns, and reads no line past the first bad one, so that a stream's bad
-line is reported as it arrives: the only path that raises
+companion only when the log it opened and the companion are regular files,
+the companion holds the log's digest, and its columns are of the right
+dtypes and shapes and make a valid ``Counts``; otherwise it decodes and
+checks the record lines one at a time, in file order, each record straight
+into the columns, and reads no line past the first bad one, so that a
+stream's bad line is reported as it arrives: the only path that raises
 ``LogFormatError``.
 Deleting a companion costs only time; streams and links get none, and are
 never hashed or read twice.
@@ -425,21 +425,27 @@ def _companion_counts(fh: BinaryIO, log: Path, n: int) -> Counts | None:
         return None  # a stream is read once, and never hashed
     position = fh.tell()
     try:
-        with _columns_path(log).open("rb") as raw, \
-                np.load(raw, allow_pickle=False) as columns:
-            expected = columns["sha256"].tobytes()
-            digest = hashlib.sha256()
-            fh.seek(0)
-            while block := fh.read(1 << 20):
-                digest.update(block)
-            if digest.digest() != expected:
+        # O_NONBLOCK: a FIFO at the companion's path is opened without
+        # waiting for a writer, then passed over as not a regular file.
+        with open(os.open(_columns_path(log), os.O_RDONLY | os.O_NONBLOCK),
+                  "rb") as raw:
+            if not stat.S_ISREG(os.fstat(raw.fileno()).st_mode):
                 return None
-            alpha, counts = columns["alpha"], columns["counts"]
-            if alpha.dtype == np.float64 and counts.dtype == np.int64 \
-                    and alpha.shape == (n,) and counts.shape == (n, 4):
-                return Counts(alpha, counts)
+            with np.load(raw, allow_pickle=False) as columns:
+                expected = columns["sha256"].tobytes()
+                digest = hashlib.sha256()
+                fh.seek(0)
+                while block := fh.read(1 << 20):
+                    digest.update(block)
+                if digest.digest() != expected:
+                    return None
+                alpha, counts = columns["alpha"], columns["counts"]
+                if alpha.dtype == np.float64 and counts.dtype == np.int64 \
+                        and alpha.shape == (n,) and counts.shape == (n, 4):
+                    return Counts(alpha, counts)
     # The log alone is authoritative: whatever is wrong with its companion
-    # (missing, truncated, not an npz, a bad member or value), it is parsed.
+    # (missing, not a regular file, truncated, not an npz, a bad member or
+    # value), it is parsed.
     except Exception:
         return None
     finally:

@@ -366,6 +366,26 @@ class TestStreamOutputs:
         assert report["log_seed"] == 5
         assert report["q1_over_p1"]["n_samples"] + report["excluded"] == 3
 
+    def test_analyze_reads_a_log_redirected_into_stdin(self, tmp_path):
+        # /dev/stdin then opens the log file itself, which has no companion
+        # under that name, so it is parsed; expected mode draws nothing.
+        log = tmp_path / "run.jsonl"
+        assert main(self.SIMULATE[:-1] + [str(log)]) == 0
+        argv = ["--gamma1", "0.05", "--gamma2", "0.8", "--mode", "expected",
+                "--json"]
+        with log.open("rb") as stdin:
+            piped = subprocess.run(
+                self.CLI + ["analyze", "/dev/stdin", *argv], stdin=stdin,
+                capture_output=True, env=self.ENV, timeout=60,
+            )
+        direct = subprocess.run(
+            self.CLI + ["analyze", str(log), *argv], capture_output=True,
+            env=self.ENV, timeout=60,
+        )
+        assert (piped.returncode, piped.stderr) == (0, b"")
+        assert direct.returncode == 0
+        assert piped.stdout == direct.stdout
+
     def test_simulate_into_a_pipe_writes_no_companion(self, tmp_path):
         fifo = tmp_path / "run.jsonl"
         os.mkfifo(fifo)
@@ -557,6 +577,22 @@ class TestSimulate:
         monkeypatch.setattr(os, "replace", refuse)
         assert main(command + ["--out", str(tmp_path / "out")]) == 4
         assert "injected failure" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("command, got", [
+        (["simulate", "--iterations", "3", "--rate", "1e10", "--window",
+          "1e10"], "10000000000.0 * 10000000000.0 = 1e+20"),
+        (["sweep", "gamma2", "0:1:3", "--gamma1", "0.1", "--with-sim",
+          "--rate", "1e300", "--window", "1e300"], "1e+300 * 1e+300 = inf"),
+    ], ids=["simulate", "sweep"])
+    def test_mean_count_too_large_to_draw_exit_2_leaves_no_file(
+        self, tmp_path, capsys, command, got
+    ):
+        assert main(command + ["--theta", "0.43633", "--delta-std", "0.7",
+                               "--out", str(tmp_path / "out")]) == 2
+        assert capsys.readouterr() == ("", (
+            f"error: mean_rate * window_seconds must be at most 9.22337e+18, "
+            f"got {got}\n"))
         assert list(tmp_path.iterdir()) == []
 
     def test_failed_companion_write_exit_4_keeps_the_new_log(
@@ -866,21 +902,25 @@ class TestAnalyze:
             assert capsys.readouterr() == ("", message)
         assert not (tmp_path / "never.jsonl").exists()
 
+    @pytest.mark.parametrize("source", ["companion", "parse"])
     @pytest.mark.parametrize("mode, q_over_p", [
         ("stochastic", None), ("expected", 3.6),
     ])
     def test_no_n2p_count_reports_every_other_estimate(
-        self, tmp_path, capsys, mode, q_over_p
+        self, tmp_path, capsys, mode, q_over_p, source
     ):
         # Three windows at one count per second: no n2p count, so q2/p2 is
         # undefined.  In stochastic mode no mixed p count is drawn either,
-        # so q/p is too; expected mode weighs in the clean n1p.
+        # so q/p is too; expected mode weighs in the clean n1p.  Without its
+        # companion the log is parsed, as a log read from a pipe is.
         log = tmp_path / "seed3.jsonl"
         assert main([
             "simulate", "--theta", "0.43633", "--delta-std", "0.69813",
             "--iterations", "3", "--rate", "1", "--seed", "3",
             "--out", str(log),
         ]) == 0
+        if source == "parse":
+            Path(f"{log}.columns.npz").unlink()
         capsys.readouterr()
         argv = ["analyze", str(log), "--gamma1", "0.1", "--gamma2", "0.8",
                 "--seed", "3", "--mode", mode]

@@ -72,6 +72,22 @@ class TestAcquisitionConfig:
         with pytest.raises(ValueError, match="positive"):
             config(mean_rate=0.0)
 
+    def test_rejects_a_mean_count_too_large_to_draw(self):
+        # numpy draws no Poisson count of a larger mean, which keeps each
+        # count inside the 64-bit range a record line holds.
+        limit = 2**63 - 1 - 10 * math.sqrt(2**63 - 1)
+        assert len(run_acquisition(config(mean_rate=limit, iterations=1))) == 1
+        for rate, window, product in [
+            (math.nextafter(limit, math.inf), 1.0, "9.223372006484772e+18"),
+            (1e10, 1e10, "1e+20"),
+            (1e300, 1e300, "inf"),
+        ]:
+            with pytest.raises(ValueError, match=re.escape(
+                f"mean_rate * window_seconds must be at most 9.22337e+18, "
+                f"got {rate!r} * {window!r} = {product}"
+            )):
+                config(mean_rate=rate, window_seconds=window)
+
 
 class TestAcquireIteration:
     """What each iteration of run_acquisition draws."""

@@ -146,7 +146,7 @@ class TestRecordLines:
                         '"n2p": 1, "n2q": 1}\n')
         assert read_count_log(path)[1].alpha.tolist() == [0.0]
 
-    def test_negative_zero_keeps_its_sign_across_a_chunk_boundary(
+    def test_negative_zero_keeps_its_sign_across_a_block_boundary(
         self, tmp_path
     ):
         n = BLOCK_LINES + 2
@@ -165,7 +165,7 @@ class TestRecordLines:
         ]
         assert np.array_equal(loaded, alpha)
 
-    def test_record_bytes_pinned_across_write_chunks(self, tmp_path):
+    def test_record_bytes_pinned_across_write_blocks(self, tmp_path):
         # 10,000 records take three write blocks; the digest is that of the
         # record lines written in one piece, before the writes went in blocks.
         path = tmp_path / "run.jsonl"
@@ -1141,7 +1141,7 @@ class TestCrashSafeWrites:
         assert path.read_text().count("\n") == 21
 
     @pytest.mark.parametrize("existing", [False, True])
-    def test_count_log_failing_in_a_later_chunk(
+    def test_count_log_failing_in_a_later_block(
         self, tmp_path, umask, monkeypatch, existing
     ):
         path = tmp_path / "run.jsonl"
@@ -1193,7 +1193,7 @@ class TestCrashSafeWrites:
         return write_sweep_csv(path, sweep_of(grid, q2_over_p2=grid + 0.5))
 
     @pytest.mark.parametrize("existing", [False, True])
-    def test_sweep_csv_failing_in_a_later_chunk(
+    def test_sweep_csv_failing_in_a_later_block(
         self, tmp_path, umask, monkeypatch, existing
     ):
         path = tmp_path / "t.csv"
@@ -1551,6 +1551,11 @@ def other_logs_companion(path, counts):
     companion_of(other).replace(companion_of(path))
 
 
+def fifo_in_its_place(path, counts):
+    companion_of(path).unlink()
+    os.mkfifo(companion_of(path))
+
+
 def with_first(array, value):
     array = array.copy()
     array.flat[0] = value
@@ -1567,6 +1572,7 @@ COMPANION_FAULTS = {
         b"not an npz archive\n" * 20),
     "crc-damaged-member": flip_a_count,
     "another-log": other_logs_companion,
+    "fifo": fifo_in_its_place,
     "float32-alpha": lambda path, counts: save_companion(
         path, alpha=counts.alpha.astype(np.float32), counts=counts.counts),
     "big-endian-alpha": lambda path, counts: save_companion(
@@ -1606,7 +1612,16 @@ class TestColumnsCompanion:
         path = tmp_path / "run.jsonl"
         _, counts = write_log(path)
         COMPANION_FAULTS[fault](path, counts)
-        read, parses = read_counting_parses(path)
+        # Read in a thread: a read that waits on the companion fails the
+        # test instead of hanging the suite.
+        results = []
+        reader = threading.Thread(
+            target=lambda: results.append(read_counting_parses(path)),
+            daemon=True)
+        reader.start()
+        reader.join(timeout=10)
+        assert not reader.is_alive(), "the read waits on the companion"
+        [(read, parses)] = results
         assert parses > 0
         companion_of(path).unlink(missing_ok=True)
         assert_same_bits(read, read_count_log(path))

@@ -107,15 +107,15 @@ def test_written_counts_read_back_unchanged(rows):
 
 @SETTINGS
 @given(records)
-def test_written_bytes_do_not_depend_on_the_chunk_size(rows):
+def test_written_bytes_do_not_depend_on_the_block_size(rows):
     with tempfile.TemporaryDirectory() as directory:
         path, _ = write_log(directory, rows)
         whole = path.read_text().splitlines()
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(logio, "BLOCK_LINES", 3)
             path, _ = write_log(directory, rows)
-        chunked = path.read_text().splitlines()
-    assert chunked[1:] == whole[1:]
+        in_blocks = path.read_text().splitlines()
+    assert in_blocks[1:] == whole[1:]
 
 
 @pytest.mark.parametrize("target", ["file", "link"])
