@@ -3,8 +3,9 @@
 
 Each of the 200 iterations draws one Gaussian tilt alpha and four Poisson
 counts behind phase-modulator settings 0, 2*theta, -2*alpha and
-2*(theta - alpha); the run comes back as columns (one alpha array, one
-(200, 4) count array).  The phase-0 count has unit pass probability, so every
+2*(theta - alpha); the run comes back as one (200, 4) count array.  The
+tilts are not kept: the first draw of the seeded generator gives them
+again.  The phase-0 count has unit pass probability, so every
 other probability is estimated as a ratio of summed counts against it, with
 a delta-method one-sigma error bar.
 """
@@ -34,7 +35,9 @@ counts = run_acquisition(config)
 print(f"acquired {len(counts)} iterations at ~{config.expected_counts:.0f} "
       "counts per window")
 n1p, n1q, n2p, n2q = counts.counts[0]
-print(f"first iteration: alpha = {counts.alpha[0]:+.4f} rad, counts "
+# The tilts are the generator's first draw, all 200 in one call.
+alpha = np.random.default_rng(2024).normal(0.0, noise.delta_std, 200)
+print(f"first iteration: alpha = {alpha[0]:+.4f} rad, counts "
       f"{n1p}, {n1q}, {n2p}, {n2q}")
 
 analytic = outcome_probabilities(

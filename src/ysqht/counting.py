@@ -6,7 +6,8 @@ independent Poisson counts behind the phase-modulator settings 0, 2*theta,
 polarizer with probability (1 + cos(phi))/2.  The count at phase 0 has unit
 pass probability and serves as the normalization for the ratio estimates.
 The counts of a whole acquisition are held as columns (``Counts``), and
-estimation and aggregation work on those columns.
+estimation and aggregation work on those columns; the tilts, which no
+estimate reads, are drawn and dropped.
 """
 
 from __future__ import annotations
@@ -82,34 +83,28 @@ class AcquisitionConfig:
 
 @dataclass(frozen=True, eq=False)
 class Counts:
-    """Counts of one acquisition as columns: row i of ``alpha`` (float64,
-    shape (n,)) and of ``counts`` (int64, shape (n, 4), columns n1p, n1q,
-    n2p, n2q) is iteration i, its shared tilt draw and its four raw counts.
-    Compare two values with ``np.array_equal`` on their columns."""
+    """Counts of one acquisition as a column block: row i of ``counts``
+    (int64, shape (n, 4), columns n1p, n1q, n2p, n2q) holds the four raw
+    counts of iteration i.  Its tilt is not kept: no estimate reads it, and
+    ``run_acquisition`` draws it again from the seed.  Compare two values
+    with ``np.array_equal`` on their ``counts``."""
 
-    alpha: np.ndarray
     counts: np.ndarray
 
     def __post_init__(self) -> None:
-        alpha = np.asarray(self.alpha, dtype=np.float64)
         counts = np.asarray(self.counts)
         if counts.dtype.kind not in "iu":
             raise ValueError(f"counts must be integers, got {counts.dtype}")
         counts = counts.astype(np.int64, copy=False)
-        if alpha.ndim != 1 or counts.shape != (alpha.size, 4):
+        if counts.ndim != 2 or counts.shape[1] != 4:
             raise ValueError(
-                f"need alpha of shape (n,) and counts of shape (n, 4), got "
-                f"{alpha.shape} and {counts.shape}"
-            )
+                f"need counts of shape (n, 4), got {counts.shape}")
         if (counts < 0).any():
             raise ValueError("counts must be non-negative")
-        if not np.isfinite(alpha).all():
-            raise ValueError("alpha must be finite")
-        object.__setattr__(self, "alpha", alpha)
         object.__setattr__(self, "counts", counts)
 
     def __len__(self) -> int:
-        return self.alpha.size
+        return len(self.counts)
 
 
 @dataclass(frozen=True)
@@ -152,10 +147,11 @@ def run_acquisition(config: AcquisitionConfig) -> Counts:
     """All iterations of one acquisition; bitwise reproducible for a fixed
     seed.
 
-    Draw order ("RNG stream 2", count-log schema version 2): all n tilts in
-    one call, ``alpha = normal(0, delta_std, n)``, then all counts in one
-    Poisson call over the row-major (n, 4) phases 0, 2*theta, -2*alpha,
-    2*(theta - alpha)."""
+    Draw order ("RNG stream 2", count-log schema versions 2 and 3): all n
+    tilts in one call, ``alpha = normal(0, delta_std, n)``, then all counts
+    in one Poisson call over the row-major (n, 4) phases 0, 2*theta,
+    -2*alpha, 2*(theta - alpha).  The tilts are not returned: the first
+    call of ``default_rng(seed)`` gives them again."""
     rng = np.random.default_rng(config.seed)
     n = config.iterations
     alpha = rng.normal(0.0, config.noise.delta_std, n)
@@ -164,7 +160,7 @@ def run_acquisition(config: AcquisitionConfig) -> Counts:
     phases[:, 2] = -2.0 * alpha
     phases[:, 3] = 2.0 * (config.theta - alpha)
     lam = config.expected_counts * 0.5 * (1.0 + np.cos(phases))
-    return Counts(alpha, rng.poisson(lam))
+    return Counts(rng.poisson(lam))
 
 
 def _mixing_picks(rng: np.random.Generator, n: int, gamma1: float,

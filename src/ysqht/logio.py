@@ -5,38 +5,30 @@ run manifest, every following line one acquisition record; in memory the
 records are one columnar ``Counts`` value.  Sweep tables are CSV with frozen
 header names and a companion ``<name>.manifest.json``, both built by
 ``write_sweep_csv(path, table)`` from one record: a ``Sweep``, or the
-``SimulatedSweep`` that holds one.  Floats in record lines carry 17
-significant digits and CSV cells use the shortest round-trip decimal form,
-so parsing a file back reproduces the in-memory values exactly.
+``SimulatedSweep`` that holds one.  Record lines hold integers alone and
+CSV cells use the shortest round-trip decimal form, so parsing a file back
+reproduces the in-memory values exactly.
 
 Both writers send their lines through one block pipeline, ``_blocks``,
 ``BLOCK_LINES`` lines at a time (a count log's formatted by one ``%`` on
 ``RECORD_LINE`` repeated), so a count-log write's memory does not grow
 with the file, and a sweep write holds, beside its columns, its grid's
-cells, which the manifest's ``grid`` reuses, and one block.  A count log
-of four blocks or more is formatted by two processes when
-``os.sched_getaffinity`` (Linux) lists two CPUs or more for the writer: a
-forked child formats the odd blocks and sends each down a pipe, while the
-writer formats the even ones and writes every block in order; the pipe's
-small buffer keeps the child at most one block ahead.  The bytes are those
-one process writes, a failure in the child is raised in the writer, and
-the child never outlives the write.  Elsewhere, macOS and Windows too, one
-process writes.  A sweep table is formatted by one process.
+cells, which the manifest's ``grid`` reuses, and one block.
 A regular file is written to a new file beside it that then replaces it,
 so that a write that fails part way leaves the old file or none, never
 half of one; streams (pipes, devices, links such as ``/dev/stdout``) are
 written in place.
 
 A count log written to a regular file gets a companion,
-``<log>.columns.npz``: its ``alpha`` and ``counts`` columns and the SHA-256
-of the log's bytes, digested as they are written.  The log alone is
-authoritative.  ``read_count_log`` reads it as bytes through one handle,
+``<log>.columns.npz``: its ``counts`` column and the SHA-256 of the log's
+bytes, digested as they are written.  The log alone is authoritative.
+``read_count_log`` reads it as bytes through one handle,
 always parses and checks the manifest line, and takes the records from the
 companion only when the log it opened and the companion are regular files,
 the companion holds the log's digest, and its columns are of the right
 dtypes and shapes and make a valid ``Counts``; otherwise it decodes and
 checks the record lines one at a time, in file order, each record straight
-into the columns, and reads no line past the first bad one, so that a
+into the counts, and reads no line past the first bad one, so that a
 stream's bad line is reported as it arrives: the only path that raises
 ``LogFormatError``.
 Deleting a companion costs only time; streams and links get none, and are
@@ -45,16 +37,12 @@ never hashed or read twice.
 
 from __future__ import annotations
 
-import contextlib
 import hashlib
 import itertools
 import json
 import math
 import os
-import pickle
-import signal
 import stat
-import warnings
 import zipfile
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
@@ -68,12 +56,15 @@ from . import LogFormatError, ManifestVersionError, __version__
 from .counting import AcquisitionConfig, Counts, SimulatedSweep
 from .theory import Sweep
 
-#: Version 2: count logs hold counts drawn by RNG stream 2 (see
-#: ``run_acquisition``) and sweeps use hashed mixing seeds.
-SCHEMA_VERSION = 2
-#: Version 1 files have the same layout; their counts came from the older,
-#: per-iteration interleaved draws and analyse the same way.
-READABLE_SCHEMA_VERSIONS = (1, 2)
+#: Version 3: a count log's records hold counts alone, no tilt.  Version 2
+#: logs also hold each record's tilt ``alpha``; their counts were drawn by
+#: RNG stream 2 (see ``run_acquisition``), as version 3's are.  Sweeps of
+#: both versions use hashed mixing seeds.
+SCHEMA_VERSION = 3
+#: Version 1 files have version 2's layout; their counts came from the
+#: older, per-iteration interleaved draws and analyse the same way.  The
+#: tilt of a version 1 or 2 record is checked, then dropped.
+READABLE_SCHEMA_VERSIONS = (1, 2, 3)
 TOOL_NAME = "ysqht"
 
 KIND_COUNT_LOG = "count-log"
@@ -175,16 +166,17 @@ def manifest_for_acquisition(config: AcquisitionConfig) -> RunManifest:
 
 
 #: Keys of a record line, in the order they are written.
-RECORD_KEYS = ("i", "alpha", "n1p", "n1q", "n2p", "n2q")
-#: A record line, its fields in the order of ``RECORD_KEYS``; ``%.17g``
-#: gives a tilt the 17 significant digits that reproduce the double.
-RECORD_LINE = (b'{"i": %d, "alpha": %.17g, "n1p": %d, "n1q": %d, '
-               b'"n2p": %d, "n2q": %d}\n')
+RECORD_KEYS = ("i", "n1p", "n1q", "n2p", "n2q")
+#: Keys of a record line of a version 1 or 2 log, whose tilt is read and
+#: checked but not kept.
+TILTED_RECORD_KEYS = ("i", "alpha", "n1p", "n1q", "n2p", "n2q")
+#: A record line, its fields in the order of ``RECORD_KEYS``.
+RECORD_LINE = b'{"i": %d, "n1p": %d, "n1q": %d, "n2p": %d, "n2q": %d}\n'
 
 #: Suffix of the companion that ``write_count_log`` writes beside a count
 #: log that is a regular file: an npz archive, as ``np.savez`` writes one,
-#: of the log's ``alpha`` and ``counts`` columns and the SHA-256 of its
-#: bytes.
+#: of the log's ``counts`` column and the SHA-256 of its bytes.  A version
+#: 1 or 2 companion also holds an ``alpha`` column.
 COLUMNS_SUFFIX = ".columns.npz"
 
 #: Lines in a block, as ``write_count_log`` and ``write_sweep_csv`` format
@@ -238,130 +230,18 @@ def _write_blocks(path: Path, blocks: Iterable[bytes],
     return True
 
 
-def _record_block(start: int, alpha: np.ndarray, counts: np.ndarray) -> bytes:
-    """The record lines of the tilts ``alpha`` and the (m, 4) ``counts``,
-    numbered from ``start``, by one ``%`` on ``RECORD_LINE * m``, in
-    whichever of the two processes of a write formats them.  That writes a
-    negative zero tilt ``-0``, which JSON reads as the integer 0, so it is
-    rewritten ``-0.0``; no other tilt gives ``-0`` and a comma."""
-    block = RECORD_LINE * alpha.size % tuple(itertools.chain.from_iterable(
-        zip(itertools.count(start), alpha.tolist(), *counts.T.tolist())))
-    return block if alpha.all() else block.replace(b'"alpha": -0,',
-                                                   b'"alpha": -0.0,')
+def _record_block(start: int, counts: np.ndarray) -> bytes:
+    """The record lines of the (m, 4) ``counts``, numbered from ``start``,
+    by one ``%`` on ``RECORD_LINE * m``."""
+    rows = np.column_stack((np.arange(start, start + len(counts)), counts))
+    return RECORD_LINE * len(counts) % tuple(rows.ravel().tolist())
 
 
-#: The fewest blocks of a count log that two processes format: below it,
-#: the fork and the reaping take about as long as the child saves.
-_SPLIT_BLOCKS = 4
-
-
-def _blocks(n: int, block: Callable[[int, int], bytes],
-            which: slice = slice(None)) -> Iterator[bytes]:
+def _blocks(n: int, block: Callable[[int, int], bytes]) -> Iterator[bytes]:
     """``block(start, stop)``, lines ``start`` to ``stop - 1`` of ``n``, for
-    each block of ``BLOCK_LINES`` lines, or for the ``which`` of them."""
+    each block of ``BLOCK_LINES`` lines."""
     return (block(start, min(start + BLOCK_LINES, n))
-            for start in range(0, n, BLOCK_LINES)[which])
-
-
-def _split_blocks(n: int,
-                  block: Callable[[int, int], bytes]) -> Iterator[bytes]:
-    """``_blocks(n, block)``, formatted by two processes when there are
-    ``_SPLIT_BLOCKS`` blocks or more and ``os.sched_getaffinity`` lists two
-    CPUs or more for this process:
-    a forked child formats the odd blocks and sends each down a pipe,
-    pickled, while this process formats the even ones; between two of its
-    own blocks it takes one of the child's from the pipe, whose small
-    buffer keeps the child at most about one block ahead.  An exception the
-    child raised comes down the pipe in place of its block and is raised
-    here.  The bytes are those that one process writes.  However the
-    generator ends, the child is killed if it is still running, and
-    reaped."""
-    # Split only where the split was measured: on Linux, which lists the
-    # CPUs this process may run on.  Elsewhere, macOS too, one process
-    # writes, and needs neither os.fork nor signal.pthread_sigmask.
-    if (len(range(0, n, BLOCK_LINES)) < _SPLIT_BLOCKS
-            or not hasattr(os, "sched_getaffinity")
-            or len(os.sched_getaffinity(0)) < 2):
-        yield from _blocks(n, block)
-        return
-
-    def send() -> None:
-        """The child's part: each odd block down the pipe, pickled, or the
-        exception that stopped one, for this process to raise."""
-        pipe.close()  # so that a send fails once this process is gone
-        try:
-            for part in _blocks(n, block, slice(1, None, 2)):
-                pickle.dump(part, sink)
-                sink.flush()
-        except BaseException as err:
-            pickle.dump(err, sink)
-            sink.flush()
-
-    reader, writer = os.pipe()
-    with open(reader, "rb") as pipe, open(writer, "wb") as sink:
-        with _forked(send):
-            sink.close()  # so that the pipe ends when the child's end does
-            evens = _blocks(n, block, slice(0, None, 2))
-            for start in range(BLOCK_LINES, n, 2 * BLOCK_LINES):
-                yield next(evens)
-                try:
-                    reply = pickle.load(pipe)
-                # Empty or cut short: the child died, or its exception
-                # would not pickle.
-                except Exception:
-                    raise ChildProcessError(
-                        f"the process formatting records {start} to "
-                        f"{min(start + BLOCK_LINES, n) - 1} ended without "
-                        f"a result") from None
-                if isinstance(reply, BaseException):
-                    raise reply
-                yield reply
-            yield from evens  # the last block, when there is an odd number
-
-
-#: The signals blocked from before a fork until the child is inside the
-#: ``try`` that ends it by ``os._exit``.
-_STOP_SIGNALS = {signal.SIGINT, signal.SIGTERM}
-
-
-@contextlib.contextmanager
-def _forked(body: Callable[[], object]) -> Iterator[None]:
-    """Run ``body`` in a forked child while the block runs here; when the
-    block ends, however it ends, the child is killed if it is still
-    running, and reaped.  The child never returns into its caller's frames,
-    whose handlers would remove the caller's files: it leaves only by
-    ``os._exit``, 0 once ``body`` returns.  ``SIGINT`` and ``SIGTERM`` are
-    blocked from before the fork until the child is inside the ``try`` that
-    ends it, and in this process until the ``try`` that reaps the child is
-    entered."""
-    mask = signal.pthread_sigmask(signal.SIG_BLOCK, _STOP_SIGNALS)
-    pid, code = -1, 1
-    try:
-        try:
-            with warnings.catch_warnings():
-                # Python 3.12 warns on a fork beside a live thread, such as
-                # the one OpenBLAS starts.  The child only formats arrays
-                # already in memory with %, writes to its own pipe and
-                # leaves by os._exit: it takes no lock that another thread
-                # can hold.
-                warnings.filterwarnings(
-                    "ignore", r"This process .* is multi-threaded, use of "
-                    r"fork\(\) may lead to deadlocks in the child",
-                    DeprecationWarning)
-                pid = os.fork()
-            if pid == 0:
-                signal.pthread_sigmask(signal.SIG_SETMASK, mask)
-                body()
-                code = 0
-        finally:
-            if pid == 0:
-                os._exit(code)
-            signal.pthread_sigmask(signal.SIG_SETMASK, mask)
-        yield
-    finally:
-        if pid > 0:
-            os.kill(pid, signal.SIGKILL)  # one that has exited is a zombie
-            os.waitpid(pid, 0)
+            for start in range(0, n, BLOCK_LINES))
 
 
 def write_count_log(
@@ -373,9 +253,7 @@ def write_count_log(
     block of ``BLOCK_LINES`` record lines at a time, so that the memory
     the lines take does not grow with the number of records; a regular file
     is replaced only once the whole log is written, and then gets its
-    companion ``<path>.columns.npz``, with the log's permission bits.  A
-    log of four blocks or more is formatted by two processes on Linux with
-    two CPUs (see ``_split_blocks``), with the bytes of one."""
+    companion ``<path>.columns.npz``, with the log's permission bits."""
     if len(counts) != config.iterations:
         raise ValueError(
             f"{len(counts)} records for a run of {config.iterations} "
@@ -385,14 +263,12 @@ def write_count_log(
     path = Path(path)
     digest = hashlib.sha256()
     head = (manifest.to_json() + "\n").encode()
-    with contextlib.closing(_split_blocks(
-            len(counts), lambda k, stop: _record_block(
-                k, counts.alpha[k:stop], counts.counts[k:stop]))) as blocks:
-        regular = _write_blocks(path, itertools.chain([head], blocks), digest)
-    if regular:
+    blocks = _blocks(len(counts), lambda k, stop: _record_block(
+        k, counts.counts[k:stop]))
+    if _write_blocks(path, itertools.chain([head], blocks), digest):
         _replace(_columns_path(path), path.stat().st_mode,
                  lambda fh: _write_npz(
-                     fh, alpha=counts.alpha, counts=counts.counts,
+                     fh, counts=counts.counts,
                      sha256=np.frombuffer(digest.digest(), np.uint8)))
     return manifest
 
@@ -415,12 +291,15 @@ def _columns_path(log: Path) -> Path:
     return log.with_name(log.name + COLUMNS_SUFFIX)
 
 
-def _companion_counts(fh: BinaryIO, log: Path, n: int) -> Counts | None:
+def _companion_counts(fh: BinaryIO, log: Path, n: int,
+                      tilted: bool) -> Counts | None:
     """The counts of the log open in ``fh`` as its companion holds them, or
     None unless that log is a regular file and its companion is valid: it
     loads without pickle, its ``sha256`` is the digest of the log's exact
     bytes, and its columns have the dtypes and shapes of ``n`` records and
-    make a valid ``Counts``.  ``fh`` is left where it was."""
+    make a valid ``Counts``; the companion of a ``tilted`` log, one of
+    version 1 or 2, must also hold ``n`` finite float64 tilts ``alpha``.
+    ``fh`` is left where it was."""
     if not stat.S_ISREG(os.fstat(fh.fileno()).st_mode):
         return None  # a stream is read once, and never hashed
     position = fh.tell()
@@ -439,10 +318,13 @@ def _companion_counts(fh: BinaryIO, log: Path, n: int) -> Counts | None:
                     digest.update(block)
                 if digest.digest() != expected:
                     return None
-                alpha, counts = columns["alpha"], columns["counts"]
-                if alpha.dtype == np.float64 and counts.dtype == np.int64 \
-                        and alpha.shape == (n,) and counts.shape == (n, 4):
-                    return Counts(alpha, counts)
+                counts = columns["counts"]
+                tilts_valid = not tilted or (
+                    (alpha := columns["alpha"]).dtype == np.float64
+                    and alpha.shape == (n,) and np.isfinite(alpha).all())
+                if tilts_valid and counts.dtype == np.int64 \
+                        and counts.shape == (n, 4):
+                    return Counts(counts)
     # The log alone is authoritative: whatever is wrong with its companion
     # (missing, not a regular file, truncated, not an npz, a bad member or
     # value), it is parsed.
@@ -453,17 +335,19 @@ def _companion_counts(fh: BinaryIO, log: Path, n: int) -> Counts | None:
     return None
 
 
-def _fault(payload: Any, place: int, stop: int) -> str | None:
-    """Why a parsed record line is not a valid record, the record at
-    ``place`` of a log of ``stop``; None if it is one."""
+def _fault(payload: Any, place: int, stop: int,
+           keys: tuple[str, ...]) -> str | None:
+    """Why a parsed record line is not a valid record with exactly the
+    ``keys``, the record at ``place`` of a log of ``stop``; None if it is
+    one.  A tilt ``alpha``, where ``keys`` has one, must be finite."""
     if not isinstance(payload, dict):
         return "record line must be a JSON object"
-    if set(payload) != set(RECORD_KEYS):
-        return (f"record must have exactly the keys {sorted(RECORD_KEYS)}, "
+    if set(payload) != set(keys):
+        return (f"record must have exactly the keys {sorted(keys)}, "
                 f"got {sorted(payload)}")
-    if not _finite(alpha := payload["alpha"]):
+    if "alpha" in keys and not _finite(alpha := payload["alpha"]):
         return f"alpha must be finite, got {alpha!r}"
-    for key in ("i", "n1p", "n1q", "n2p", "n2q"):
+    for key in RECORD_KEYS:
         value = payload[key]
         if type(value) is not int or not 0 <= value < 2**63:
             return f"{key} must be a non-negative 64-bit integer, got {value!r}"
@@ -480,11 +364,13 @@ def read_count_log(path: str | Path) -> tuple[RunManifest, Counts]:
     counts from the log's companion when it is valid for the log's bytes.
 
     Otherwise the record lines are read in one pass straight into the
-    columns: blank lines are skipped and surrounding ASCII whitespace is
+    counts: blank lines are skipped and surrounding ASCII whitespace is
     ignored, and every other line is decoded and checked by ``_fault`` on
     its own, in file order.  Raises LogFormatError naming the first bad
     line: one that is not UTF-8 or not one valid record, a record whose
-    index ``i`` is not its place (record k holds ``i == k``), a record past
+    index ``i`` is not its place (record k holds ``i == k``), a record of a
+    version 1 or 2 log whose tilt ``alpha`` is not a finite number (it is
+    then dropped), a record past
     the manifest's ``iterations``, or, after the last line, too few
     records.  No line past the bad one is read, so a stream's bad line is
     reported as it arrives.  Raises ManifestVersionError on manifests this
@@ -514,11 +400,13 @@ def read_count_log(path: str | Path) -> tuple[RunManifest, Counts]:
                 1, f"manifest iterations must be a positive integer, got "
                    f"{iterations!r}"
             )
-        cached = _companion_counts(fh, Path(path), iterations)
+        tilted = manifest.schema_version < SCHEMA_VERSION
+        cached = _companion_counts(fh, Path(path), iterations, tilted)
         if cached is not None:
             return manifest, cached
         from array import array  # loaded by a parse alone: it maps a library
-        alpha, counts, line_number = array("d"), array("q"), 1
+        keys = TILTED_RECORD_KEYS if tilted else RECORD_KEYS
+        counts, line_number = array("q"), 1
         for line_number, line in enumerate(fh, 2):
             if not (text := line.strip()):
                 continue
@@ -527,17 +415,16 @@ def read_count_log(path: str | Path) -> tuple[RunManifest, Counts]:
             except (ValueError, RecursionError) as err:  # or nested too deep
                 raise LogFormatError(
                     line_number, f"not valid JSON: {err}") from err
-            if (fault := _fault(payload, len(alpha), iterations)) is not None:
+            fault = _fault(payload, len(counts) // 4, iterations, keys)
+            if fault is not None:
                 raise LogFormatError(line_number, fault)
-            alpha.append(payload["alpha"])
-            counts.extend([payload[key] for key in RECORD_KEYS[2:]])
-    if len(alpha) < iterations:
+            counts.extend([payload[key] for key in RECORD_KEYS[1:]])
+    if len(counts) < 4 * iterations:
         raise LogFormatError(
-            line_number + 1, f"log holds {len(alpha)} records but its "
-                             f"manifest promises {iterations}",
+            line_number + 1, f"log holds {len(counts) // 4} records but "
+                             f"its manifest promises {iterations}",
         )
-    return manifest, Counts(np.frombuffer(alpha),
-                            np.frombuffer(counts, np.int64).reshape(-1, 4))
+    return manifest, Counts(np.frombuffer(counts, np.int64).reshape(-1, 4))
 
 
 #: Header of the swept-value column of each sweep axis.

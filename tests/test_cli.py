@@ -525,7 +525,7 @@ class TestSimulate:
         head = json.loads(lines[0])
         assert head["kind"] == "count-log"
         assert head["seed"] == 7
-        assert head["schema_version"] == 2
+        assert head["schema_version"] == 3
         assert sorted(p.name for p in tmp_path.iterdir()) == [
             "run.jsonl", "run.jsonl.columns.npz",
         ]
@@ -549,7 +549,7 @@ class TestSimulate:
         ])
         assert code == 0
         record = json.loads(out.read_text().splitlines()[1])
-        assert record["alpha"] == 0.0
+        assert list(record) == ["i", "n1p", "n1q", "n2p", "n2q"]
         # both p settings sit at phase 0; only Poisson noise separates them
         lam = 1e4
         assert abs(record["n2p"] - record["n1p"]) < 6.0 * math.sqrt(2 * lam)
@@ -616,10 +616,10 @@ class TestSimulate:
 
     @pytest.mark.parametrize("block", [1, 2, 3])
     def test_interrupt_exits_130_with_one_line(
-        self, tmp_path, capsys, monkeypatch, forks, block
+        self, tmp_path, capsys, monkeypatch, block
     ):
-        # Blocks of 3 records split a 12-record log over two processes:
-        # this one formats blocks 0 and 2, a forked child blocks 1 and 3.
+        # Blocks of 3 records cut a 12-record log into four; the interrupt
+        # comes as block 1, 2 or 3 is formatted.
         record_block = logio._record_block
 
         def interrupted(start, *args):
@@ -638,9 +638,6 @@ class TestSimulate:
         assert capsys.readouterr() == ("", "error: interrupted\n")
         assert [p.name for p in tmp_path.iterdir()] == ["run.jsonl"]
         assert out.read_text() == "old log\n"
-        assert len(forks) == 1
-        with pytest.raises(ChildProcessError):  # reaped
-            os.waitpid(forks[0], os.WNOHANG)
 
     def test_env_var_seed_fallback(self, tmp_path, capsys, monkeypatch):
         monkeypatch.setenv("YSQHT_SEED", "321")
@@ -770,9 +767,9 @@ class TestAnalyze:
         assert code == 5
         assert "line 4" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("key, digits", [("alpha", 401), ("n1p", 5001)])
+    @pytest.mark.parametrize("key, digits", [("n1p", 401), ("n1p", 5001)])
     def test_huge_number_exit_5(self, tmp_path, capsys, key, digits):
-        # Too large for a float, or too many digits for the JSON parser.
+        # Too large for 64 bits, or too many digits for the JSON parser.
         log = self.write_log(tmp_path)
         lines = log.read_text().splitlines()
         lines[3] = re.sub(rf'"{key}": [^,]+', f'"{key}": 1{"0" * (digits - 1)}',
@@ -972,19 +969,16 @@ class TestAnalyze:
 
 
 class TestSweep:
-    def test_figure_table_of_many_blocks_is_written_by_one_process(
-        self, tmp_path, capsys, monkeypatch, forks
+    def test_figure_table_of_many_blocks_is_the_tracked_one(
+        self, tmp_path, capsys, monkeypatch
     ):
-        # Blocks of 3 rows cut demo 04's 21-point weight sweep into 7, more
-        # than a count log needs to be split over two processes; a sweep
-        # table is still formatted here, block by block, as tracked.
+        # Blocks of 3 rows cut demo 04's 21-point weight sweep into 7; the
+        # table, formatted block by block, is the one tracked.
         monkeypatch.setattr(logio, "BLOCK_LINES", 3)
-        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
         out = tmp_path / "t.csv"
         assert main(["sweep", "gamma2", "0:1:21", "--theta", THETA_FLAG,
                      "--delta-std", DELTA_FLAG, "--gamma1", "0.05,0.4",
                      "--seed", "1", "--with-sim", "--out", str(out)]) == 0
-        assert forks == []
 
         def manifest(path):
             fields = json.loads(Path(f"{path}.manifest.json").read_text())

@@ -36,7 +36,7 @@ def test_shuffled_records_give_the_same_estimates(
         iterations=iterations, mean_rate=rate,
     ))
     order = data.draw(st.permutations(range(iterations)))
-    shuffled = Counts(counts.alpha[order], counts.counts[order])
+    shuffled = Counts(counts.counts[order])
 
     def estimates(c):
         result = aggregate(c, gamma1, gamma2)
@@ -79,7 +79,7 @@ def test_each_value_is_its_ratio_of_sums_or_undefined(
     rows, gamma1, gamma2, stochastic, seed
 ):
     n = len(rows)
-    counts = Counts(np.zeros(n), np.array(rows, np.int64).reshape(n, 4))
+    counts = Counts(np.array(rows, np.int64).reshape(n, 4))
     column = dict(zip(("p1", "q1", "p2", "q2"),
                       np.array(counts.counts.T, dtype=float)))
     n1p, n1q, n2p, n2q = column.values()

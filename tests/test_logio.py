@@ -1,6 +1,5 @@
 """Tests for the count-log and sweep-table file formats."""
 
-import contextlib
 import dataclasses
 import errno
 import hashlib
@@ -11,10 +10,8 @@ import os
 import re
 import signal
 import stat
-import subprocess
 import sys
 import threading
-import time
 import tracemalloc
 import zipfile
 from pathlib import Path
@@ -62,7 +59,6 @@ def write_log(path, **kwargs):
 
 
 def assert_same_counts(a, b):
-    assert np.array_equal(a.alpha, b.alpha)
     assert np.array_equal(a.counts, b.counts)
 
 
@@ -82,14 +78,12 @@ def read_counting_parses(path):
 
 
 def assert_same_bits(a, b):
-    """Two ``read_count_log`` results are equal bit for bit, so that a
-    negative zero tilt differs from a positive one."""
+    """Two ``read_count_log`` results are equal bit for bit."""
     (manifest_a, counts_a), (manifest_b, counts_b) = a, b
     assert manifest_a == manifest_b
-    for x, y in [(counts_a.alpha, counts_b.alpha),
-                 (counts_a.counts, counts_b.counts)]:
-        assert (x.dtype, x.shape) == (y.dtype, y.shape)
-        assert x.tobytes() == y.tobytes()
+    x, y = counts_a.counts, counts_b.counts
+    assert (x.dtype, x.shape) == (y.dtype, y.shape)
+    assert x.tobytes() == y.tobytes()
 
 
 def read_both_ways(path):
@@ -106,74 +100,22 @@ def read_both_ways(path):
 
 
 class TestRecordLines:
-    def test_alpha_survives_17_digit_round_trip(self, tmp_path):
-        rng = np.random.default_rng(1)
-        alpha = rng.normal(0.0, 1.0, 200) * 10.0 ** rng.integers(-8, 3, 200)
-        path = tmp_path / "run.jsonl"
-        write_count_log(path, make_config(iterations=alpha.size),
-                        Counts(alpha, np.ones((alpha.size, 4), np.int64)))
-        lines = path.read_text().splitlines()[1:]
-        assert [json.loads(line)["alpha"] for line in lines] == alpha.tolist()
-
     def test_line_is_flat_json(self):
-        line = RECORD_LINE % (7, -0.25, 10, 9, 8, 7)
+        line = RECORD_LINE % (7, 10, 9, 8, 7)
         assert json.loads(line) == {
-            "i": 7, "alpha": -0.25, "n1p": 10, "n1q": 9, "n2p": 8, "n2q": 7,
+            "i": 7, "n1p": 10, "n1q": 9, "n2p": 8, "n2q": 7,
         }
-
-    def test_negative_zero_tilt_keeps_its_sign(self, tmp_path):
-        # "-0" would read back as the integer 0, a positive zero.
-        alpha = [-0.0, 0.0, -1.5, -0.0]
-        config = make_config(iterations=len(alpha))
-        path = tmp_path / "run.jsonl"
-        write_count_log(path, config, Counts(alpha, [[1, 1, 1, 1]] * 4))
-        lines = path.read_text().splitlines()
-        assert [json.loads(line)["alpha"] for line in lines[1:]] == alpha
-        assert '"alpha": -0.0,' in lines[1] and '"alpha": 0,' in lines[2]
-        assert [math.copysign(1.0, json.loads(line)["alpha"])
-                for line in lines[1:]] == [-1.0, 1.0, -1.0, -1.0]
-        loaded = read_both_ways(path)[1].alpha
-        assert np.signbit(loaded).tolist() == [True, False, True, True]
-        assert np.array_equal(loaded, alpha)
-
-    def test_negative_zero_written_as_minus_0_still_reads(self, tmp_path):
-        # Older writers wrote a negative zero tilt as "-0": it reads as zero.
-        config = make_config(iterations=1)
-        path = tmp_path / "run.jsonl"
-        manifest = logio.manifest_for_acquisition(config)
-        path.write_text(manifest.to_json() + "\n"
-                        '{"i": 0, "alpha": -0, "n1p": 1, "n1q": 1, '
-                        '"n2p": 1, "n2q": 1}\n')
-        assert read_count_log(path)[1].alpha.tolist() == [0.0]
-
-    def test_negative_zero_keeps_its_sign_across_a_block_boundary(
-        self, tmp_path
-    ):
-        n = BLOCK_LINES + 2
-        alpha = np.full(n, 0.5)
-        alpha[[BLOCK_LINES - 1, BLOCK_LINES]] = -0.0
-        path = tmp_path / "run.jsonl"
-        write_count_log(path, make_config(iterations=n),
-                        Counts(alpha, np.ones((n, 4), np.int64)))
-        lines = path.read_text().splitlines()
-        for k in (BLOCK_LINES - 1, BLOCK_LINES):
-            assert f'{{"i": {k}, "alpha": -0.0,' in lines[k + 1]
-        assert '"alpha": 0.5,' in lines[BLOCK_LINES + 2]
-        loaded = read_both_ways(path)[1].alpha
-        assert np.flatnonzero(np.signbit(loaded)).tolist() == [
-            BLOCK_LINES - 1, BLOCK_LINES,
-        ]
-        assert np.array_equal(loaded, alpha)
 
     def test_record_bytes_pinned_across_write_blocks(self, tmp_path):
         # 10,000 records take three write blocks; the digest is that of the
-        # record lines written in one piece, before the writes went in blocks.
+        # version 2 record lines written in one piece, before the writes went
+        # in blocks, with the '"alpha": <tilt>, ' of each line removed.
         path = tmp_path / "run.jsonl"
         write_log(path, seed=1, iterations=10_000)
         records = path.read_bytes().split(b"\n", 1)[1]
         assert records.count(b"\n") == 10_000
         assert hashlib.sha256(records).hexdigest() == (
-            "3315fa5114339d2cb67ab079f5263685fd5df0501f77b19a9cc96c525c0d4f21"
+            "4a9fc0875d855a14b88b4ef2d0fbb2d2a8e0070f5587f453c02aa6a51806471a"
         )
 
     def test_write_memory_does_not_grow_with_the_log(self, tmp_path):
@@ -193,7 +135,7 @@ class TestRecordLines:
 
     def test_parse_memory_is_about_that_of_its_columns(self, tmp_path):
         # Read without a companion, the records go straight into the
-        # columns: no per-record lists, no blocks joined at the end.
+        # counts: no per-record lists, no blocks joined at the end.
         path = tmp_path / "run.jsonl"
         write_log(path, seed=1, iterations=50_000)
         companion_of(path).unlink()
@@ -204,7 +146,7 @@ class TestRecordLines:
         finally:
             tracemalloc.stop()
         assert len(counts) == 50_000
-        assert peak <= 1.5 * (counts.alpha.nbytes + counts.counts.nbytes)
+        assert peak <= 1.5 * counts.counts.nbytes
 
 
 class TestCountLogRoundTrip:
@@ -213,18 +155,17 @@ class TestCountLogRoundTrip:
         config, counts = write_log(path)
         manifest, loaded = read_both_ways(path)
         assert_same_counts(loaded, counts)
-        assert manifest.schema_version == 2
+        assert manifest.schema_version == 3
         assert manifest.seed == config.seed
         assert manifest.iterations == config.iterations
         assert manifest.theta == config.theta
         assert manifest.delta_std == config.noise.delta_std
 
     def test_strided_counts_round_trip_exactly(self, tmp_path):
-        # Every other iteration of a run: columns that are views with a
-        # stride, which the companion stores as contiguous members.
+        # Every other iteration of a run: counts that are a view with a
+        # stride, which the companion stores as a contiguous member.
         config, counts = write_log(tmp_path / "full.jsonl", iterations=40)
-        strided = Counts(counts.alpha[::2], counts.counts[::2, ::-1])
-        assert not strided.alpha.flags.c_contiguous
+        strided = Counts(counts.counts[::2, ::-1])
         assert not strided.counts.flags.c_contiguous
         path = tmp_path / "run.jsonl"
         write_count_log(path, dataclasses.replace(config, iterations=20),
@@ -252,7 +193,7 @@ class TestCountLogRoundTrip:
         path = tmp_path / "run.jsonl"
         write_count_log(path, config, run_acquisition(config))
         lines = path.read_text().splitlines()
-        lines[2] = '{"i": 1, "alpha": 0.1, "n1p": -3, "n1q": 1, "n2p": 1, "n2q": 1}'
+        lines[2] = '{"i": 1, "n1p": -3, "n1q": 1, "n2p": 1, "n2q": 1}'
         path.write_text("\n".join(lines) + "\n")
         with pytest.raises(LogFormatError, match="line 3") as err:
             read_count_log(path)
@@ -263,7 +204,7 @@ class TestCountLogRoundTrip:
         path = tmp_path / "run.jsonl"
         write_count_log(path, config, run_acquisition(config))
         with path.open("a") as handle:
-            handle.write('{"i": 3, "alpha"\n')
+            handle.write('{"i": 3, "n1p"\n')
         with pytest.raises(LogFormatError, match="line 5"):
             read_count_log(path)
 
@@ -304,6 +245,19 @@ V1_LOG = """\
 """
 
 
+#: Written by the schema-2 tool (RNG stream 2) with --seed 4: the record
+#: lines carry the tilts, which are the first draw of ``default_rng(4)``.
+V2_LOG = """\
+{"created": "2026-10-21T21:15:41+00:00", "delta_std": 0.3, "iterations": 3, \
+"kind": "count-log", "mean_rate": 10000.0, "schema_version": 2, "seed": 4, \
+"theta": 0.4363323129985824, "tool": "ysqht", "version": "0.1.0", \
+"window_seconds": 1.0}
+{"i": 0, "alpha": -0.19553734578350687, "n1p": 9829, "n1q": 8182, "n2p": 9519, "n2q": 6521}
+{"i": 1, "alpha": -0.052415187697733144, "n1p": 9994, "n1q": 8180, "n2p": 10157, "n2q": 7823}
+{"i": 2, "alpha": 0.49911719741735899, "n1p": 10209, "n1q": 8098, "n2p": 7707, "n2q": 10215}
+"""
+
+
 class TestCountLogIntegrity:
     def test_reads_version_1_log(self, tmp_path):
         # Written by the schema-1 tool (RNG stream 1) with --seed 4.
@@ -312,14 +266,31 @@ class TestCountLogIntegrity:
         manifest, counts = read_count_log(path)
         assert manifest.schema_version == 1
         assert manifest.seed == 4
-        assert counts.alpha.tolist() == [
-            -0.19553734578350687, 0.072531563063055388, 0.11405672767469752,
-        ]
         assert counts.counts.tolist() == [
             [10003, 8059, 9588, 6426],
             [10153, 8196, 9843, 8791],
             [9873, 8212, 10124, 8916],
         ]
+
+    def test_reads_version_2_log_as_the_version_3_log_of_its_seed(
+        self, tmp_path
+    ):
+        path = tmp_path / "v2.jsonl"
+        path.write_text(V2_LOG)
+        manifest, counts = read_count_log(path)
+        assert manifest.schema_version == 2
+        v3 = tmp_path / "v3.jsonl"
+        _, written = write_log(v3, seed=4, iterations=3)
+        assert_same_counts(counts, written)
+        assert dataclasses.replace(manifest, created="", schema_version=3) \
+            == dataclasses.replace(read_count_log(v3)[0], created="")
+        # Each dropped tilt is drawn again from the seed, and each v3 line
+        # is its v2 line without the tilt.
+        lines = V2_LOG.splitlines()[1:]
+        assert [json.loads(line)["alpha"] for line in lines] == \
+            np.random.default_rng(4).normal(0.0, 0.3, 3).tolist()
+        assert [re.sub(r'"alpha": [^,]+, ', "", line) for line in lines] \
+            == v3.read_text().splitlines()[1:]
 
     def test_log_cut_at_line_boundary_rejected(self, tmp_path):
         path = tmp_path / "run.jsonl"
@@ -345,7 +316,7 @@ class TestCountLogIntegrity:
         path = tmp_path / "run.jsonl"
         write_log(path, iterations=3)
         with path.open("ab") as handle:
-            handle.write(RECORD_LINE % (3, 0.0, 1, 1, 1, 1))
+            handle.write(RECORD_LINE % (3, 1, 1, 1, 1))
         with pytest.raises(LogFormatError, match="than the 3 its manifest "
                                                  "promises") as err:
             read_count_log(path)
@@ -357,7 +328,7 @@ class TestCountLogIntegrity:
         path = tmp_path / "run.jsonl"
         write_log(path, iterations=3)
         with path.open("ab") as handle:
-            handle.write(RECORD_LINE % (3, 0.0, 1, 1, 1, 1) + b"{\n")
+            handle.write(RECORD_LINE % (3, 1, 1, 1, 1) + b"{\n")
         with pytest.raises(LogFormatError, match="than the 3 its manifest "
                                                  "promises") as err:
             read_count_log(path)
@@ -464,7 +435,7 @@ class TestCountLogIntegrity:
             read_count_log(path)
 
     def test_write_rejects_counts_of_another_run(self, tmp_path):
-        counts = Counts([0.0], [[1, 1, 1, 1]])
+        counts = Counts([[1, 1, 1, 1]])
         with pytest.raises(ValueError, match="iterations"):
             write_count_log(tmp_path / "x.jsonl", make_config(), counts)
         assert list(tmp_path.iterdir()) == []
@@ -484,13 +455,9 @@ DAMAGES = {
                     "n2p must be a non-negative 64-bit integer, got 7.0"),
     "count-2**63": (set_value("n2q", str(2**63)),
                     f"n2q must be a non-negative 64-bit integer, got {2**63}"),
-    "nan-alpha": (set_value("alpha", "NaN"), "alpha must be finite, got nan"),
-    "infinite-alpha": (set_value("alpha", "-Infinity"),
-                       "alpha must be finite, got -inf"),
-    "string-alpha": (set_value("alpha", '"0.5"'),
-                     "alpha must be finite, got '0.5'"),
-    "bool-alpha": (set_value("alpha", "false"),
-                   "alpha must be finite, got False"),
+    # A tilt, as a version 2 record holds, in a version 3 record.
+    "alpha-key": (lambda line: line.replace('"n1p"', '"alpha": 0.5, "n1p"'),
+                  "record must have exactly the keys"),
     "missing-key": (lambda line: re.sub(r', "n2q": \d+', "", line),
                     "record must have exactly the keys"),
     "extra-key": (lambda line: line[:-1] + ', "n3p": 1}',
@@ -502,14 +469,29 @@ DAMAGES = {
                     "i must be a non-negative 64-bit integer"),
     "nested-object": (set_value("n1p", '{"n": 1}'),
                       "n1p must be a non-negative 64-bit integer, got {'n': 1}"),
-    # Beyond the float range: no float can hold it.
-    "huge-alpha": (set_value("alpha", "1" + "0" * 400),
-                   "alpha must be finite, got 1000000000"),
     # Beyond the interpreter's limit on integer digits, where it has one.
     "huge-count": (set_value("n1p", "1" + "0" * 5000),
                    "value has 5001 digits"
                    if hasattr(sys, "set_int_max_str_digits")
                    else "n1p must be a non-negative 64-bit integer"),
+}
+
+
+#: One way to damage the tilt of a version 1 or 2 record line each, with a
+#: fragment of the message that names it.
+TILT_DAMAGES = {
+    "nan-alpha": (set_value("alpha", "NaN"), "alpha must be finite, got nan"),
+    "infinite-alpha": (set_value("alpha", "-Infinity"),
+                       "alpha must be finite, got -inf"),
+    "string-alpha": (set_value("alpha", '"0.5"'),
+                     "alpha must be finite, got '0.5'"),
+    "bool-alpha": (set_value("alpha", "false"),
+                   "alpha must be finite, got False"),
+    # Beyond the float range: no float can hold it.
+    "huge-alpha": (set_value("alpha", "1" + "0" * 400),
+                   "alpha must be finite, got 1000000000"),
+    "missing-alpha": (lambda line: re.sub(r'"alpha": [^,]+, ', "", line),
+                      "record must have exactly the keys"),
 }
 
 
@@ -564,7 +546,7 @@ class TestRecordRejection:
         lines = list(long_log_lines)
         lines[2] = set_value("i", "0")(lines[2])
         line_number = BLOCK_LINES + 101
-        lines[line_number - 1] = DAMAGES["nan-alpha"][0](lines[line_number - 1])
+        lines[line_number - 1] = DAMAGES["bool-count"][0](lines[line_number - 1])
         path = tmp_path / "damaged.jsonl"
         path.write_text("\n".join(lines) + "\n")
         with pytest.raises(LogFormatError,
@@ -588,7 +570,7 @@ class TestRecordRejection:
         with pytest.raises(LogFormatError, match="i = 0 where 1") as err:
             read_count_log(path)
         assert err.value.line_number == 3
-        assert [place for _, place, _ in calls] == [0, 1]
+        assert [args[1] for args in calls] == [0, 1]
 
     def test_bad_line_on_an_open_stream_is_reported_at_once(self, tmp_path):
         path = tmp_path / "run.jsonl"
@@ -1267,12 +1249,6 @@ class TestCrashSafeWrites:
         ]
 
 
-def assert_reaped(pids):
-    for pid in pids:
-        with pytest.raises(ChildProcessError):
-            os.waitpid(pid, os.WNOHANG)
-
-
 def write_through_fifo(path, config, counts):
     """The bytes ``write_count_log`` writes to a FIFO at ``path``."""
     os.mkfifo(path)
@@ -1285,11 +1261,10 @@ def write_through_fifo(path, config, counts):
     return received[0]
 
 
-class TestSplitWrite:
-    """A log of ``logio._SPLIT_BLOCKS`` blocks or more is formatted by two
-    processes, this one the even blocks and a forked child the odd ones:
-    the bytes are those of one process, a failure in either process is
-    raised here, and no child outlives a write."""
+class TestBlockWrite:
+    """A log is written a block of ``BLOCK_LINES`` records at a time: the
+    bytes are those of one ``_record_block`` over every record, and a
+    failure in any block is raised as it was raised."""
 
     @pytest.fixture(autouse=True)
     def fixed_created(self, monkeypatch):
@@ -1301,59 +1276,45 @@ class TestSplitWrite:
                 manifest(config), created="2026-01-01T00:00:00+00:00"))
 
     @staticmethod
-    def check_bytes(tmp_path, monkeypatch, forks, n, to_fifo):
-        """A log of ``n`` records, a negative zero tilt in its first, second
-        and last blocks, holds the lines of one ``_record_block`` over all
-        of them; a regular file and its companion are those that one
-        process writes."""
+    def check_bytes(tmp_path, n, to_fifo):
+        """A log of ``n`` records holds the lines of one ``_record_block``
+        over all of them; a regular file and its companion are the same
+        when written again."""
         config = make_config(seed=1, iterations=n)
         counts = run_acquisition(config)
-        alpha = counts.alpha.copy()
-        zeros = {0, min(logio.BLOCK_LINES, n - 1), n - 1}
-        alpha[list(zeros)] = -0.0
-        counts = Counts(alpha, counts.counts)
         expected = (logio.manifest_for_acquisition(config).to_json()
-                    + "\n").encode() + logio._record_block(0, alpha,
-                                                           counts.counts)
-        assert expected.count(b'"alpha": -0.0,') == len(zeros)
-        split = n > (logio._SPLIT_BLOCKS - 1) * logio.BLOCK_LINES
+                    + "\n").encode() + logio._record_block(0, counts.counts)
         path = tmp_path / "run.jsonl"
         if to_fifo:
             assert write_through_fifo(path, config, counts) == expected
-        else:
-            write_count_log(path, config, counts)
-            assert path.read_bytes() == expected
-        assert len(forks) == split
-        assert_reaped(forks)
-        if not to_fifo:
-            companion = companion_of(path).read_bytes()
-            monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
-            write_count_log(path, config, counts)  # in this process alone
-            assert path.read_bytes() == expected
-            assert companion_of(path).read_bytes() == companion
-            assert len(forks) == split
+            return
+        write_count_log(path, config, counts)
+        assert path.read_bytes() == expected
+        companion = companion_of(path).read_bytes()
+        write_count_log(path, config, counts)
+        assert path.read_bytes() == expected
+        assert companion_of(path).read_bytes() == companion
 
     @pytest.mark.parametrize("to_fifo", [False, True])
     @pytest.mark.parametrize("n", [1, 2, 3, 4, 6, 7, 9, 10, 12, 13, 16])
-    def test_split_write_gives_the_bytes_of_one_process(
-        self, tmp_path, monkeypatch, forks, n, to_fifo
+    def test_block_write_gives_the_bytes_of_one_block(
+        self, tmp_path, monkeypatch, n, to_fifo
     ):
         # Blocks of 3 records: sizes 1, B - 1, B, B + 1, 2B, 2B + 1, 3B,
-        # 3B + 1 (the fewest records that are split), 4B, 4B + 1, 5B + 1.
+        # 3B + 1, 4B, 4B + 1, 5B + 1.
         monkeypatch.setattr(logio, "BLOCK_LINES", 3)
-        assert logio._SPLIT_BLOCKS == 4
-        self.check_bytes(tmp_path, monkeypatch, forks, n, to_fifo)
+        self.check_bytes(tmp_path, n, to_fifo)
 
     @pytest.mark.parametrize("to_fifo", [False, True])
-    def test_benchmark_size_log_gives_the_bytes_of_one_process(
-        self, tmp_path, monkeypatch, forks, to_fifo
+    def test_benchmark_size_log_gives_the_bytes_of_one_block(
+        self, tmp_path, to_fifo
     ):
-        self.check_bytes(tmp_path, monkeypatch, forks, 100_000, to_fifo)
+        self.check_bytes(tmp_path, 100_000, to_fifo)
 
-    def test_one_process_writes_where_cpus_are_not_listed(
-        self, tmp_path, monkeypatch, forks
+    def test_write_needs_neither_fork_nor_signal_masks(
+        self, tmp_path, monkeypatch
     ):
-        # Four blocks of 3 records, which Linux splits, on a system without
+        # Four blocks of 3 records, on a system without
         # os.sched_getaffinity (macOS), or without fork and signal masks
         # too (Windows).
         monkeypatch.setattr(logio, "BLOCK_LINES", 3)
@@ -1366,20 +1327,18 @@ class TestSplitWrite:
         write_count_log(path, config, counts)
         assert path.read_bytes() == (
             logio.manifest_for_acquisition(config).to_json() + "\n"
-        ).encode() + logio._record_block(0, counts.alpha, counts.counts)
-        assert forks == []
+        ).encode() + logio._record_block(0, counts.counts)
 
     @pytest.mark.parametrize("existing", [False, True])
     @pytest.mark.parametrize("block", [1, 2, 3])
-    def test_failure_in_either_process_is_raised_here(
-        self, tmp_path, monkeypatch, forks, block, existing
+    def test_failure_in_any_block_is_raised_here(
+        self, tmp_path, monkeypatch, block, existing
     ):
-        # Of four blocks of 3 records, this process formats blocks 0 and 2
-        # and the child blocks 1 and 3.
+        # Of four blocks of 3 records, the failure is in block 1, 2 or 3.
         monkeypatch.setattr(logio, "BLOCK_LINES", 3)
         path = tmp_path / "run.jsonl"
         if existing:
-            write_log(path, seed=1, iterations=3)  # one block: no fork
+            write_log(path, seed=1, iterations=3)
         before = snapshot(tmp_path)
         monkeypatch.setattr(logio, "_record_block", fail_on(
             logio._record_block, 3 * block, tmp_path))
@@ -1388,31 +1347,27 @@ class TestSplitWrite:
         assert type(err.value) is OSError
         assert str(err.value) == "injected failure"
         assert snapshot(tmp_path) == before
-        assert len(forks) == 1
-        assert_reaped(forks)
 
-    def test_child_failure_that_does_not_pickle_fails_the_write(
-        self, tmp_path, monkeypatch, forks
+    def test_failure_of_a_local_class_is_raised_as_itself(
+        self, tmp_path, monkeypatch
     ):
-        class LocalError(Exception):  # a local class does not pickle
+        class LocalError(Exception):
             pass
 
         def record_block(start, *args):
-            if start == 9:  # the child's second block
-                raise LocalError("no pickle")
+            if start == 9:  # the fourth block
+                raise LocalError("local")
             return b"x\n"
 
         monkeypatch.setattr(logio, "BLOCK_LINES", 3)
         monkeypatch.setattr(logio, "_record_block", record_block)
-        with pytest.raises(ChildProcessError,
-                           match="records 9 to 11 ended without a result"):
+        with pytest.raises(LocalError, match="local"):
             write_log(tmp_path / "run.jsonl", iterations=12)
         assert list(tmp_path.iterdir()) == []
-        assert_reaped(forks)
 
-    def test_closed_pipe_reaps_the_child(self, monkeypatch, forks):
+    def test_closed_pipe_raises_a_broken_pipe(self):
         # The first block, larger than the stream's buffer, meets the
-        # closed pipe while the child may still be formatting.
+        # closed pipe.
         reader, writer = os.pipe()
         os.close(reader)
         try:
@@ -1421,113 +1376,7 @@ class TestSplitWrite:
                           iterations=4 * BLOCK_LINES)
         finally:
             os.close(writer)
-        # While its traceback, which holds the write's frames, is alive.
         assert err.value.errno == errno.EPIPE
-        assert len(forks) == 1
-        assert_reaped(forks)
-
-    @pytest.mark.skipif(not os.path.isdir("/proc/self/task"),
-                        reason="finds the child through /proc")
-    def test_child_ends_when_the_writer_is_killed(self):
-        # The writer blocks on a stdout that is never read, its child on
-        # the pipe between them.  SIGKILL leaves the writer no finally to
-        # reap the child in: the child must end by itself, as the send that
-        # has no reader left fails.
-        command = [sys.executable, "-m", "ysqht.cli", "simulate", "--theta",
-                   "0.43633", "--delta-std", "0.69813", "--iterations",
-                   "100000", "--seed", "1", "--out", "/dev/stdout"]
-        env = dict(os.environ,
-                   PYTHONPATH=str(Path(logio.__file__).parents[1]))
-
-        def forked_child(pid):  # a fork keeps its parent's command line
-            for kid in Path(f"/proc/{pid}/task/{pid}/children").read_text() \
-                    .split():
-                with contextlib.suppress(FileNotFoundError):
-                    if Path(f"/proc/{kid}/cmdline").read_bytes() \
-                            == Path(f"/proc/{pid}/cmdline").read_bytes():
-                        return int(kid)
-            return None
-
-        def running(pid):
-            try:
-                stat_line = Path(f"/proc/{pid}/stat").read_text()
-            except FileNotFoundError:
-                return False
-            return stat_line.rsplit(")", 1)[1].split()[0] != "Z"
-
-        with subprocess.Popen(command, stdout=subprocess.PIPE, env=env) \
-                as writer:
-            deadline = time.monotonic() + 60
-            while (child := forked_child(writer.pid)) is None:
-                assert time.monotonic() < deadline and writer.poll() is None
-                time.sleep(0.01)
-            writer.kill()
-        deadline = time.monotonic() + 10
-        while running(child) and time.monotonic() < deadline:
-            time.sleep(0.01)
-        ended = not running(child)
-        if not ended:
-            os.kill(child, signal.SIGKILL)
-        assert ended
-
-    @pytest.mark.parametrize("fails", [False, True])
-    def test_the_child_leaves_only_by_exit(self, tmp_path, forks, fails):
-        def body():
-            if fails:
-                raise OSError("injected failure")
-
-        parent = os.getpid()
-        marker = tmp_path / "returned into the caller's frames"
-        with logio._forked(body):
-            if os.getpid() != parent:
-                marker.touch()
-                os._exit(0)
-            # Wait for the child to end, but leave it to be reaped.
-            status = os.waitid(os.P_PID, forks[0], os.WEXITED | os.WNOWAIT)
-        assert not marker.exists()
-        assert (status.si_code, status.si_status) == (os.CLD_EXITED, fails)
-        assert_reaped(forks)
-
-    def test_interrupt_at_the_fork_stays_out_of_the_callers_frames(
-        self, tmp_path, monkeypatch
-    ):
-        # A SIGINT that reaches the child as soon as it exists, as Ctrl-C
-        # to the process group may: it must not run its handler before the
-        # child is inside the try that ends it, or the KeyboardInterrupt
-        # would unwind through the write's frames, which remove the
-        # temporary file, and on into this test.
-        parent, pids, fork = os.getpid(), [], os.fork
-        marker = tmp_path / "interrupted in the caller's frames"
-
-        def interrupted_fork():
-            pid = fork()
-            if pid:
-                pids.append(pid)
-                return pid
-            try:
-                os.kill(os.getpid(), signal.SIGINT)
-                signal.pthread_sigmask(signal.SIG_BLOCK, [])  # runs handlers
-            except KeyboardInterrupt:
-                marker.touch()
-                os._exit(1)
-            return pid
-
-        monkeypatch.setattr(os, "fork", interrupted_fork)
-        monkeypatch.setattr(logio, "BLOCK_LINES", 3)
-        path = tmp_path / "run.jsonl"
-        write_log(path, seed=1, iterations=3)  # one block: no fork
-        before = snapshot(tmp_path)
-        mask = signal.pthread_sigmask(signal.SIG_BLOCK, [])
-        try:
-            with pytest.raises(ChildProcessError, match="records 3 to 5"):
-                write_log(path, seed=2, iterations=12)
-        finally:
-            if os.getpid() != parent:  # a child that got out
-                os._exit(1)
-        assert snapshot(tmp_path) == before
-        assert signal.pthread_sigmask(signal.SIG_BLOCK, []) == mask
-        assert len(pids) == 1
-        assert_reaped(pids)
 
 
 def save_companion(path, **columns):
@@ -1573,22 +1422,17 @@ COMPANION_FAULTS = {
     "crc-damaged-member": flip_a_count,
     "another-log": other_logs_companion,
     "fifo": fifo_in_its_place,
-    "float32-alpha": lambda path, counts: save_companion(
-        path, alpha=counts.alpha.astype(np.float32), counts=counts.counts),
-    "big-endian-alpha": lambda path, counts: save_companion(
-        path, alpha=counts.alpha.astype(">f8"), counts=counts.counts),
     "int32-counts": lambda path, counts: save_companion(
-        path, alpha=counts.alpha, counts=counts.counts.astype(np.int32)),
+        path, counts=counts.counts.astype(np.int32)),
     "transposed-counts": lambda path, counts: save_companion(
-        path, alpha=counts.alpha, counts=counts.counts.T.copy()),
-    "short-columns": lambda path, counts: save_companion(
-        path, alpha=counts.alpha[:-1], counts=counts.counts[:-1]),
-    "object-alpha": lambda path, counts: save_companion(
-        path, alpha=counts.alpha.astype(object), counts=counts.counts),
-    "nan-alpha": lambda path, counts: save_companion(
-        path, alpha=with_first(counts.alpha, np.nan), counts=counts.counts),
+        path, counts=counts.counts.T.copy()),
+    "short-counts": lambda path, counts: save_companion(
+        path, counts=counts.counts[:-1]),
+    "object-counts": lambda path, counts: save_companion(
+        path, counts=counts.counts.astype(object)),
     "negative-count": lambda path, counts: save_companion(
-        path, alpha=counts.alpha, counts=with_first(counts.counts, -1)),
+        path, counts=with_first(counts.counts, -1)),
+    "no-counts": lambda path, counts: save_companion(path),
 }
 
 
@@ -1601,11 +1445,10 @@ class TestColumnsCompanion:
         path = tmp_path / "run.jsonl"
         _, counts = write_log(path)
         with np.load(companion_of(path), allow_pickle=False) as columns:
-            assert sorted(columns.files) == ["alpha", "counts", "sha256"]
+            assert sorted(columns.files) == ["counts", "sha256"]
             assert columns["sha256"].tobytes() == hashlib.sha256(
                 path.read_bytes()).digest()
-            assert_same_counts(Counts(columns["alpha"], columns["counts"]),
-                               counts)
+            assert_same_counts(Counts(columns["counts"]), counts)
 
     @pytest.mark.parametrize("fault", COMPANION_FAULTS)
     def test_faulty_companion_falls_back_to_the_parse(self, tmp_path, fault):
@@ -1627,7 +1470,7 @@ class TestColumnsCompanion:
         assert_same_bits(read, read_count_log(path))
         assert_same_counts(read[1], counts)
 
-    @pytest.mark.parametrize("damage", ["nan-alpha", "missing-key",
+    @pytest.mark.parametrize("damage", ["alpha-key", "missing-key",
                                         "two-records", "count-2**63"])
     def test_damaged_log_beside_a_stale_companion_is_rejected(
         self, tmp_path, damage
@@ -1740,3 +1583,109 @@ class TestColumnsCompanion:
         path.chmod(0o600)
         write_log(path)
         assert mode_of(companion_of(path)) == 0o600
+
+
+#: The record line of a version 1 or 2 log, with its tilt.
+TILTED_RECORD_LINE = (b'{"i": %d, "alpha": %.17g, "n1p": %d, "n1q": %d, '
+                      b'"n2p": %d, "n2q": %d}\n')
+
+
+def write_tilted_log(path, version=2, companion=True, **kwargs):
+    """Write the run of ``make_config(**kwargs)`` at ``path`` as a version
+    1 or 2 log, as the tool of that version wrote it: each record with its
+    tilt, the first draw of the run's seed, and, with ``companion``, the
+    companion that holds the tilts too.  Returns the counts and tilts."""
+    config = make_config(**kwargs)
+    counts = run_acquisition(config)
+    alpha = np.random.default_rng(config.seed).normal(
+        0.0, config.noise.delta_std, config.iterations)
+    manifest = dataclasses.replace(logio.manifest_for_acquisition(config),
+                                   schema_version=version)
+    path.write_bytes((manifest.to_json() + "\n").encode() + b"".join(
+        TILTED_RECORD_LINE % (i, a, *row) for i, (a, row) in
+        enumerate(zip(alpha.tolist(), counts.counts.tolist()))))
+    if companion:
+        save_companion(path, alpha=alpha, counts=counts.counts)
+    return counts, alpha
+
+
+#: Each fault of a version 1 or 2 companion's tilts beside an intact log,
+#: made from the log's path, counts and tilts.
+TILTED_COMPANION_FAULTS = {
+    "float32-alpha": lambda path, counts, alpha: save_companion(
+        path, alpha=alpha.astype(np.float32), counts=counts.counts),
+    "big-endian-alpha": lambda path, counts, alpha: save_companion(
+        path, alpha=alpha.astype(">f8"), counts=counts.counts),
+    "short-alpha": lambda path, counts, alpha: save_companion(
+        path, alpha=alpha[:-1], counts=counts.counts),
+    "object-alpha": lambda path, counts, alpha: save_companion(
+        path, alpha=alpha.astype(object), counts=counts.counts),
+    "nan-alpha": lambda path, counts, alpha: save_companion(
+        path, alpha=with_first(alpha, np.nan), counts=counts.counts),
+    "no-alpha": lambda path, counts, alpha: save_companion(
+        path, counts=counts.counts),
+}
+
+
+@pytest.mark.parametrize("version", [1, 2])
+class TestTiltedLogs:
+    """A log of version 1 or 2 holds each record's tilt: it is checked, then
+    dropped, from the log or from the companion that holds it too."""
+
+    def test_reads_the_counts_of_the_version_3_log_of_its_seed(
+        self, tmp_path, version
+    ):
+        path = tmp_path / "v2.jsonl"
+        counts, _ = write_tilted_log(path, version, iterations=BLOCK_LINES + 5)
+        (manifest, cached), parses = read_counting_parses(path)
+        assert parses == 0
+        assert manifest.schema_version == version
+        companion_of(path).unlink()
+        (_, parsed), parses = read_counting_parses(path)
+        assert parses == BLOCK_LINES + 5
+        _, written = write_log(tmp_path / "v3.jsonl",
+                               iterations=BLOCK_LINES + 5)
+        for loaded in (cached, parsed):
+            assert_same_counts(loaded, written)
+            assert_same_counts(loaded, counts)
+
+    @pytest.mark.parametrize("fault", TILTED_COMPANION_FAULTS)
+    def test_faulty_tilts_in_the_companion_fall_back_to_the_parse(
+        self, tmp_path, version, fault
+    ):
+        path = tmp_path / "v2.jsonl"
+        counts, alpha = write_tilted_log(path, version, companion=False)
+        TILTED_COMPANION_FAULTS[fault](path, counts, alpha)
+        (_, loaded), parses = read_counting_parses(path)
+        assert parses == len(counts)
+        assert_same_counts(loaded, counts)
+
+    @pytest.mark.parametrize("line_number", [4, 21])
+    @pytest.mark.parametrize("damage", TILT_DAMAGES)
+    def test_damaged_tilt_names_its_line(
+        self, tmp_path, version, damage, line_number
+    ):
+        path = tmp_path / "v2.jsonl"
+        write_tilted_log(path, version)
+        transform, fragment = TILT_DAMAGES[damage]
+        lines = path.read_text().splitlines()
+        lines[line_number - 1] = transform(lines[line_number - 1])
+        path.write_text("\n".join(lines) + "\n")
+        assert companion_of(path).is_file()
+        for _ in ("beside its stale companion", "alone"):
+            with pytest.raises(LogFormatError) as err:
+                read_count_log(path)
+            assert err.value.line_number == line_number
+            assert fragment in str(err.value)
+            companion_of(path).unlink(missing_ok=True)
+
+    @pytest.mark.parametrize("zero", ["-0.0", "-0", "0"])
+    def test_zero_tilts_read(self, tmp_path, version, zero):
+        # A writer before version 3 wrote a negative zero tilt as -0.0, and
+        # an older one as -0, which JSON reads as the integer 0.
+        path = tmp_path / "v2.jsonl"
+        counts, _ = write_tilted_log(path, version, companion=False)
+        lines = path.read_text().splitlines()
+        lines[1] = set_value("alpha", zero)(lines[1])
+        path.write_text("\n".join(lines) + "\n")
+        assert_same_counts(read_count_log(path)[1], counts)

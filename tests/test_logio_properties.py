@@ -2,10 +2,12 @@
 reader returns them unchanged, also from lines that are blank, padded or
 have their keys in another order, the bytes
 written do not depend on the writer's block size, each record line written
-a block at a time is ``RECORD_LINE`` of its record, the columns read from a
-log's companion are the bits its parse gives, and a record out of place is
-named before any damaged line after it."""
+a block at a time is ``RECORD_LINE`` of its record, the counts read from a
+log's companion are the bits its parse gives, a record out of place is
+named before any damaged line after it, and a version 2 log, whatever its
+finite tilts, reads as the counts its records hold."""
 
+import dataclasses
 import sys
 import tempfile
 from pathlib import Path
@@ -35,10 +37,8 @@ alphas = st.one_of(
                      -sys.float_info.max]),
 )
 counts = st.integers(0, 2**63 - 1)
-records = st.lists(
-    st.tuples(alphas, st.lists(counts, min_size=4, max_size=4)),
-    min_size=1, max_size=12,
-)
+records = st.lists(st.lists(counts, min_size=4, max_size=4),
+                   min_size=1, max_size=12)
 #: How a record line is rewritten: blank lines before it, ASCII whitespace
 #: before and after it (each byte the reader skips), an order of its keys,
 #: and its line ending.
@@ -51,13 +51,16 @@ layouts = st.tuples(
 )
 
 
+def config_of(n):
+    return AcquisitionConfig(
+        theta=0.4, noise=NoiseParams(0.3), seed=1, iterations=n)
+
+
 def write_log(directory, rows):
-    """Write ``rows`` of (alpha, counts) as a count log; returns its path and
+    """Write ``rows`` of four counts as a count log; returns its path and
     the counts."""
-    data = Counts([alpha for alpha, _ in rows], [c for _, c in rows])
-    config = AcquisitionConfig(
-        theta=0.4, noise=NoiseParams(0.3), seed=1, iterations=len(data)
-    )
+    data = Counts(rows)
+    config = config_of(len(data))
     path = Path(directory) / "run.jsonl"
     write_count_log(path, config, data)
     return path, data
@@ -74,14 +77,12 @@ def read_back(path):
 
 
 def assert_same_counts(a, b):
-    assert np.array_equal(a.alpha, b.alpha)
     assert np.array_equal(a.counts, b.counts)
 
 
 def bits(counts):
-    """The columns of ``counts`` as bytes, which tell -0.0 from 0.0."""
-    return (counts.alpha.dtype, counts.alpha.tobytes(), counts.counts.dtype,
-            counts.counts.shape, counts.counts.tobytes())
+    """The counts of ``counts``, their type and shape as bytes."""
+    return (counts.counts.dtype, counts.counts.shape, counts.counts.tobytes())
 
 
 @SETTINGS
@@ -133,13 +134,8 @@ def test_each_record_line_is_the_template_of_its_record(target, rows):
         assert companion_of(path).exists() == (target == "file")
         head, *lines, end = path.read_bytes().decode().split("\n")
     assert end == ""
-    # One record at a time, with a negative zero tilt written -0.0.
-    assert lines == [
-        (logio.RECORD_LINE % (i, alpha, *row)).decode()[:-1].replace(
-            '"alpha": -0,', '"alpha": -0.0,')
-        for i, (alpha, row) in
-        enumerate(zip(data.alpha.tolist(), data.counts.tolist()))
-    ]
+    assert lines == [(logio.RECORD_LINE % (i, *row)).decode()[:-1]
+                     for i, row in enumerate(data.counts.tolist())]
 
 
 @SETTINGS
@@ -172,8 +168,8 @@ def misplaced_logs(draw):
                                           else [])
     kind = draw(st.sampled_from(kinds))
     j = draw(st.integers(0, n - 2 if kind in ("dropped", "swapped") else n - 1))
-    lines = [(logio.RECORD_LINE % (i, alpha, *row)).decode()[:-1]
-             for i, (alpha, row) in enumerate(rows)]
+    lines = [(logio.RECORD_LINE % (i, *row)).decode()[:-1]
+             for i, row in enumerate(rows)]
     if kind == "dropped":  # record j + 1 stands where j belongs
         del lines[j]
         return rows, lines, j, f"i = {j + 1} where {j} belongs"
@@ -183,7 +179,7 @@ def misplaced_logs(draw):
     if kind == "duplicated":
         lines.insert(j, lines[j])
         return rows, lines, j + 1, f"i = {j} where {j + 1} belongs"
-    lines.append((logio.RECORD_LINE % (n, 0.5, 1, 1, 1, 1)).decode()[:-1])
+    lines.append((logio.RECORD_LINE % (n, 1, 1, 1, 1)).decode()[:-1])
     return rows, lines, n, f"than the {n} its manifest promises"
 
 
@@ -191,7 +187,7 @@ def misplaced_logs(draw):
 line_damages = st.sampled_from([
     lambda line: line[:-1],
     lambda line: line.replace('"n1q": ', '"n1q": -1'),
-    lambda line: line.replace('"alpha": ', '"alpha": NaN, "x": '),
+    lambda line: line.replace('"n1p": ', '"alpha": 0.5, "n1p": '),
 ])
 
 
@@ -212,3 +208,25 @@ def test_first_record_out_of_place_is_named_before_later_damage(
         with pytest.raises(LogFormatError, match=fragment) as err:
             read_back(path)
     assert err.value.line_number == bad + 2
+
+
+@SETTINGS
+@given(st.lists(st.tuples(alphas, st.lists(counts, min_size=4, max_size=4)),
+                min_size=1, max_size=12))
+def test_version_2_log_reads_as_its_counts(rows):
+    # A version 2 record holds a tilt, written with %.17g as that version
+    # wrote it (a negative zero as -0.0); it is checked and dropped.
+    data = Counts([c for _, c in rows])
+    manifest = dataclasses.replace(
+        logio.manifest_for_acquisition(config_of(len(data))),
+        schema_version=2)
+    lines = [
+        (b'{"i": %d, "alpha": %.17g, "n1p": %d, "n1q": %d, "n2p": %d, '
+         b'"n2q": %d}' % (i, alpha, *row)).replace(b'"alpha": -0,',
+                                                  b'"alpha": -0.0,')
+        for i, (alpha, row) in enumerate(rows)]
+    with tempfile.TemporaryDirectory() as directory:
+        path = Path(directory) / "v2.jsonl"
+        path.write_bytes(b"\n".join([manifest.to_json().encode(), *lines])
+                         + b"\n")
+        assert bits(read_count_log(path)[1]) == bits(data)
