@@ -34,7 +34,7 @@ config = AcquisitionConfig(
 counts = run_acquisition(config)
 print(f"acquired {len(counts)} iterations at ~{config.expected_counts:.0f} "
       "counts per window")
-n1p, n1q, n2p, n2q = counts.counts[0]
+n1p, n1q, n2p, n2q = counts[0]
 # The tilts are the generator's first draw, all 200 in one call.
 alpha = np.random.default_rng(2024).normal(0.0, noise.delta_std, 200)
 print(f"first iteration: alpha = {alpha[0]:+.4f} rad, counts "

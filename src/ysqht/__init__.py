@@ -69,7 +69,6 @@ _PUBLIC = {
     "counting": (
         "AcquisitionConfig",
         "AggregateResult",
-        "Counts",
         "RatioEstimate",
         "SimulatedSweep",
         "aggregate",

@@ -5,8 +5,9 @@ independent Poisson counts behind the phase-modulator settings 0, 2*theta,
 -2*alpha, and 2*(theta - alpha); a photon passes the final 45-degree
 polarizer with probability (1 + cos(phi))/2.  The count at phase 0 has unit
 pass probability and serves as the normalization for the ratio estimates.
-The counts of a whole acquisition are held as columns (``Counts``), and
-estimation and aggregation work on those columns; the tilts, which no
+The counts of a whole acquisition are one int64 array of shape (n, 4), a
+row per iteration and a column per setting (n1p, n1q, n2p, n2q), and
+estimation and aggregation work on its columns; the tilts, which no
 estimate reads, are drawn and dropped.
 """
 
@@ -81,30 +82,19 @@ class AcquisitionConfig:
         return self.mean_rate * self.window_seconds
 
 
-@dataclass(frozen=True, eq=False)
-class Counts:
-    """Counts of one acquisition as a column block: row i of ``counts``
-    (int64, shape (n, 4), columns n1p, n1q, n2p, n2q) holds the four raw
-    counts of iteration i.  Its tilt is not kept: no estimate reads it, and
-    ``run_acquisition`` draws it again from the seed.  Compare two values
-    with ``np.array_equal`` on their ``counts``."""
-
-    counts: np.ndarray
-
-    def __post_init__(self) -> None:
-        counts = np.asarray(self.counts)
-        if counts.dtype.kind not in "iu":
-            raise ValueError(f"counts must be integers, got {counts.dtype}")
-        counts = counts.astype(np.int64, copy=False)
-        if counts.ndim != 2 or counts.shape[1] != 4:
-            raise ValueError(
-                f"need counts of shape (n, 4), got {counts.shape}")
-        if (counts < 0).any():
-            raise ValueError("counts must be non-negative")
-        object.__setattr__(self, "counts", counts)
-
-    def __len__(self) -> int:
-        return len(self.counts)
+def _checked_counts(counts: np.ndarray) -> np.ndarray:
+    """Counts from outside the program as int64 of shape (n, 4), columns
+    n1p, n1q, n2p, n2q; ValueError unless they are integers of that shape,
+    none negative."""
+    counts = np.asarray(counts)
+    if counts.dtype.kind not in "iu":
+        raise ValueError(f"counts must be integers, got {counts.dtype}")
+    counts = counts.astype(np.int64, copy=False)
+    if counts.ndim != 2 or counts.shape[1] != 4:
+        raise ValueError(f"need counts of shape (n, 4), got {counts.shape}")
+    if (counts < 0).any():
+        raise ValueError("counts must be non-negative")
+    return counts
 
 
 @dataclass(frozen=True)
@@ -143,8 +133,9 @@ class AggregateResult:
     excluded: int
 
 
-def run_acquisition(config: AcquisitionConfig) -> Counts:
-    """All iterations of one acquisition; bitwise reproducible for a fixed
+def run_acquisition(config: AcquisitionConfig) -> np.ndarray:
+    """The counts of all iterations of one acquisition, int64 of shape
+    (n, 4), columns n1p, n1q, n2p, n2q; bitwise reproducible for a fixed
     seed.
 
     Draw order ("RNG stream 2", count-log schema versions 2 and 3): all n
@@ -159,8 +150,11 @@ def run_acquisition(config: AcquisitionConfig) -> Counts:
     phases[:, 1] = 2.0 * config.theta
     phases[:, 2] = -2.0 * alpha
     phases[:, 3] = 2.0 * (config.theta - alpha)
-    lam = config.expected_counts * 0.5 * (1.0 + np.cos(phases))
-    return Counts(rng.poisson(lam))
+    del alpha  # the draw holds only the means, formed in place, and counts
+    np.cos(phases, out=phases)
+    phases += 1.0
+    phases *= config.expected_counts * 0.5
+    return rng.poisson(phases)
 
 
 def _mixing_picks(rng: np.random.Generator, n: int, gamma1: float,
@@ -244,14 +238,15 @@ def _estimate(
 
 
 def aggregate(
-    counts: Counts,
+    counts: np.ndarray,
     gamma1: float,
     gamma2: float,
     rng: np.random.Generator | None = None,
 ) -> AggregateResult:
     """The seven estimates of one acquisition: the partitioned ratios of its
     clean and noisy counts, and the aggregated ones after mixing them to
-    emulate ignorance of the preparation.
+    emulate ignorance of the preparation, from ``counts`` of shape (n, 4),
+    integers none negative (others raise ValueError).
 
     Each sums its counts over all iterations and divides by the summed n1p
     (q2/p2 by the summed n2p, q/p by the summed mixed p counts).  With
@@ -269,9 +264,10 @@ def aggregate(
     0, is NaN, value and error; the others are still formed."""
     gamma1 = _require_probability(gamma1, "gamma1")
     gamma2 = _require_probability(gamma2, "gamma2")
+    counts = _checked_counts(counts)
     picks = (None if rng is None
              else _mixing_picks(rng, len(counts), gamma1, gamma2)[None, None])
-    estimates = _estimate(counts.counts[np.newaxis], (gamma1,),
+    estimates = _estimate(counts[np.newaxis], (gamma1,),
                           np.array([gamma2]), picks)
     return AggregateResult(**{
         name: RatioEstimate(*pair.ravel().tolist(), len(counts))
@@ -360,8 +356,7 @@ def simulate_sweep(
     for i, (std, point, weight) in enumerate(zip(
             delta_std.tolist(), seeds.tolist(), gamma2.tolist())):
         counts[i] = run_acquisition(
-            replace(base, noise=NoiseParams(std), seed=point)
-        ).counts
+            replace(base, noise=NoiseParams(std), seed=point))
         if picks is not None:
             for k, g1 in enumerate(sweep.gamma1_values):
                 rng = np.random.default_rng(aggregation_seed(point, k))

@@ -2,8 +2,8 @@
 
 Count logs are JSON lines (streamable, append-safe): the first line is the
 run manifest, every following line one acquisition record; in memory the
-records are one columnar ``Counts`` value.  Sweep tables are CSV with frozen
-header names and a companion ``<name>.manifest.json``, both built by
+records are one int64 array of shape (n, 4).  Sweep tables are CSV with
+frozen header names and a companion ``<name>.manifest.json``, both built by
 ``write_sweep_csv(path, table)`` from one record: a ``Sweep``, or the
 ``SimulatedSweep`` that holds one.  Record lines hold integers alone and
 CSV cells use the shortest round-trip decimal form, so parsing a file back
@@ -23,10 +23,11 @@ A count log written to a regular file gets a companion,
 ``<log>.columns.npz``: its ``counts`` column and the SHA-256 of the log's
 bytes, digested as they are written.  The log alone is authoritative.
 ``read_count_log`` reads it as bytes through one handle,
-always parses and checks the manifest line, and takes the records from the
-companion only when the log it opened and the companion are regular files,
-the companion holds the log's digest, and its columns are of the right
-dtypes and shapes and make a valid ``Counts``; otherwise it decodes and
+always parses and checks the manifest line, and takes the records of a
+version 3 log from the companion only when the log it opened and the
+companion are regular files, the companion holds the log's digest, and its
+counts are int64 of the manifest's shape, none negative; otherwise, and
+always for a log of version 1 or 2, it decodes and
 checks the record lines one at a time, in file order, each record straight
 into the counts, and reads no line past the first bad one, so that a
 stream's bad line is reported as it arrives: the only path that raises
@@ -53,7 +54,7 @@ import numpy as np
 from numpy.lib import format as npy
 
 from . import LogFormatError, ManifestVersionError, __version__
-from .counting import AcquisitionConfig, Counts, SimulatedSweep
+from .counting import AcquisitionConfig, SimulatedSweep, _checked_counts
 from .theory import Sweep
 
 #: Version 3: a count log's records hold counts alone, no tilt.  Version 2
@@ -175,8 +176,8 @@ RECORD_LINE = b'{"i": %d, "n1p": %d, "n1q": %d, "n2p": %d, "n2q": %d}\n'
 
 #: Suffix of the companion that ``write_count_log`` writes beside a count
 #: log that is a regular file: an npz archive, as ``np.savez`` writes one,
-#: of the log's ``counts`` column and the SHA-256 of its bytes.  A version
-#: 1 or 2 companion also holds an ``alpha`` column.
+#: of the log's ``counts`` column and the SHA-256 of its bytes.  Only a
+#: version 3 log's companion is read.
 COLUMNS_SUFFIX = ".columns.npz"
 
 #: Lines in a block, as ``write_count_log`` and ``write_sweep_csv`` format
@@ -247,13 +248,15 @@ def _blocks(n: int, block: Callable[[int, int], bytes]) -> Iterator[bytes]:
 def write_count_log(
     path: str | Path,
     config: AcquisitionConfig,
-    counts: Counts,
+    counts: np.ndarray,
 ) -> RunManifest:
-    """Write ``counts`` as a count log under the manifest of ``config``, a
+    """Write ``counts``, checked as ``aggregate`` checks them and of the
+    run's iterations, as a count log under the manifest of ``config``, a
     block of ``BLOCK_LINES`` record lines at a time, so that the memory
     the lines take does not grow with the number of records; a regular file
     is replaced only once the whole log is written, and then gets its
     companion ``<path>.columns.npz``, with the log's permission bits."""
+    counts = _checked_counts(counts)
     if len(counts) != config.iterations:
         raise ValueError(
             f"{len(counts)} records for a run of {config.iterations} "
@@ -264,11 +267,11 @@ def write_count_log(
     digest = hashlib.sha256()
     head = (manifest.to_json() + "\n").encode()
     blocks = _blocks(len(counts), lambda k, stop: _record_block(
-        k, counts.counts[k:stop]))
+        k, counts[k:stop]))
     if _write_blocks(path, itertools.chain([head], blocks), digest):
         _replace(_columns_path(path), path.stat().st_mode,
                  lambda fh: _write_npz(
-                     fh, counts=counts.counts,
+                     fh, counts=counts,
                      sha256=np.frombuffer(digest.digest(), np.uint8)))
     return manifest
 
@@ -291,15 +294,12 @@ def _columns_path(log: Path) -> Path:
     return log.with_name(log.name + COLUMNS_SUFFIX)
 
 
-def _companion_counts(fh: BinaryIO, log: Path, n: int,
-                      tilted: bool) -> Counts | None:
+def _companion_counts(fh: BinaryIO, log: Path, n: int) -> np.ndarray | None:
     """The counts of the log open in ``fh`` as its companion holds them, or
     None unless that log is a regular file and its companion is valid: it
     loads without pickle, its ``sha256`` is the digest of the log's exact
-    bytes, and its columns have the dtypes and shapes of ``n`` records and
-    make a valid ``Counts``; the companion of a ``tilted`` log, one of
-    version 1 or 2, must also hold ``n`` finite float64 tilts ``alpha``.
-    ``fh`` is left where it was."""
+    bytes, and its ``counts`` are int64, as they are written, and pass
+    ``_checked_counts`` with ``n`` rows.  ``fh`` is left where it was."""
     if not stat.S_ISREG(os.fstat(fh.fileno()).st_mode):
         return None  # a stream is read once, and never hashed
     position = fh.tell()
@@ -319,12 +319,8 @@ def _companion_counts(fh: BinaryIO, log: Path, n: int,
                 if digest.digest() != expected:
                     return None
                 counts = columns["counts"]
-                tilts_valid = not tilted or (
-                    (alpha := columns["alpha"]).dtype == np.float64
-                    and alpha.shape == (n,) and np.isfinite(alpha).all())
-                if tilts_valid and counts.dtype == np.int64 \
-                        and counts.shape == (n, 4):
-                    return Counts(counts)
+                if counts.dtype == np.int64 and len(counts) == n:
+                    return _checked_counts(counts)
     # The log alone is authoritative: whatever is wrong with its companion
     # (missing, not a regular file, truncated, not an npz, a bad member or
     # value), it is parsed.
@@ -359,18 +355,19 @@ def _fault(payload: Any, place: int, stop: int,
     return None
 
 
-def read_count_log(path: str | Path) -> tuple[RunManifest, Counts]:
-    """Parse a count log back into its manifest and counts, taking the
-    counts from the log's companion when it is valid for the log's bytes.
+def read_count_log(path: str | Path) -> tuple[RunManifest, np.ndarray]:
+    """Parse a count log back into its manifest and counts, int64 of shape
+    (n, 4), taking the counts of a version 3 log from its companion when it
+    is valid for the log's bytes.
 
-    Otherwise the record lines are read in one pass straight into the
-    counts: blank lines are skipped and surrounding ASCII whitespace is
-    ignored, and every other line is decoded and checked by ``_fault`` on
-    its own, in file order.  Raises LogFormatError naming the first bad
-    line: one that is not UTF-8 or not one valid record, a record whose
-    index ``i`` is not its place (record k holds ``i == k``), a record of a
-    version 1 or 2 log whose tilt ``alpha`` is not a finite number (it is
-    then dropped), a record past
+    Otherwise, and always for a log of version 1 or 2, the record lines
+    are read in one pass straight into the counts: blank lines are skipped
+    and surrounding ASCII whitespace is ignored, and every other line is
+    decoded and checked by ``_fault`` on its own, in file order.  Raises
+    LogFormatError naming the first bad line: one that is not UTF-8 or not
+    one valid record, a record whose index ``i`` is not its place (record k
+    holds ``i == k``), a record of a version 1 or 2 log whose tilt
+    ``alpha`` is not a finite number (it is then dropped), a record past
     the manifest's ``iterations``, or, after the last line, too few
     records.  No line past the bad one is read, so a stream's bad line is
     reported as it arrives.  Raises ManifestVersionError on manifests this
@@ -401,8 +398,8 @@ def read_count_log(path: str | Path) -> tuple[RunManifest, Counts]:
                    f"{iterations!r}"
             )
         tilted = manifest.schema_version < SCHEMA_VERSION
-        cached = _companion_counts(fh, Path(path), iterations, tilted)
-        if cached is not None:
+        if not tilted and (cached := _companion_counts(
+                fh, Path(path), iterations)) is not None:
             return manifest, cached
         from array import array  # loaded by a parse alone: it maps a library
         keys = TILTED_RECORD_KEYS if tilted else RECORD_KEYS
@@ -424,7 +421,7 @@ def read_count_log(path: str | Path) -> tuple[RunManifest, Counts]:
             line_number + 1, f"log holds {len(counts) // 4} records but "
                              f"its manifest promises {iterations}",
         )
-    return manifest, Counts(np.frombuffer(counts, np.int64).reshape(-1, 4))
+    return manifest, np.frombuffer(counts, np.int64).reshape(-1, 4)
 
 
 #: Header of the swept-value column of each sweep axis.

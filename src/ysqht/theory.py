@@ -93,7 +93,8 @@ ESTIMATORS = (
 
 @dataclass(frozen=True)
 class YsVerdict:
-    """Verdict of the aggregation-reversal test at one parameter point.
+    """Verdict of the aggregation-reversal test at one parameter point, or,
+    its fields bool arrays, at many.
 
     ``reversal`` is true exactly when both partitions favor A while the
     aggregated counts favor B."""
@@ -102,13 +103,16 @@ class YsVerdict:
     noisy_favors_a: bool
     aggregated_favors_b: bool
 
+    @classmethod
+    def of(cls, o: OutcomeProbabilities) -> "YsVerdict":
+        """The strict test on ``o``: p1 > q1, p2 > q2, and q > p, on each
+        point where ``o`` holds arrays."""
+        return cls(o.p1 > o.q1, o.p2 > o.q2, o.q > o.p)
+
     @property
     def reversal(self) -> bool:
-        return (
-            self.clean_favors_a
-            and self.noisy_favors_a
-            and self.aggregated_favors_b
-        )
+        return (self.clean_favors_a & self.noisy_favors_a
+                & self.aggregated_favors_b)
 
 
 def outcome_probabilities(params: ScenarioParams) -> OutcomeProbabilities:
@@ -143,8 +147,7 @@ def _closed_forms(
 
 def ys_reversal(params: ScenarioParams) -> YsVerdict:
     """Strict-inequality reversal test: p1 > q1, p2 > q2, and q > p."""
-    o = outcome_probabilities(params)
-    return YsVerdict(o.p1 > o.q1, o.p2 > o.q2, o.q > o.p)
+    return YsVerdict.of(outcome_probabilities(params))
 
 
 @dataclass(frozen=True)
@@ -328,9 +331,7 @@ def _sweep(
     ratio = {name: getattr(o, a) / getattr(o, b) for name, a, b in ESTIMATORS}
     # broadcast_to also makes the columns read-only views.
     shape = (len(gamma1_values), grid.size)
-    reversal = np.broadcast_to(
-        (o.p1 > o.q1) & (o.p2 > o.q2) & (o.q > o.p), shape
-    )
+    reversal = np.broadcast_to(YsVerdict.of(o).reversal, shape)
     return Sweep(
         axis, theta, fixed, gamma1_values, grid, ratio["q1_over_p1"],
         np.broadcast_to(ratio["q2_over_p2"], grid.shape),

@@ -4,6 +4,7 @@ import copy
 import dataclasses
 import math
 import re
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -13,7 +14,6 @@ from ysqht import counting
 from ysqht import (
     AcquisitionConfig,
     AggregateResult,
-    Counts,
     NoiseParams,
     ScenarioParams,
     aggregate,
@@ -25,6 +25,7 @@ from ysqht import (
     sweep_delta,
     sweep_gamma2,
     sweep_table,
+    write_count_log,
     write_sweep_csv,
 )
 from ysqht.theory import ESTIMATORS
@@ -81,7 +82,7 @@ class TestSampleAlpha:
         cfg = config(noise=NoiseParams(0.0), seed=0)
         counts, tilts = drawn_tilts(cfg)
         assert (tilts == 0.0).all()
-        assert np.array_equal(counts.counts, run_acquisition(cfg).counts)
+        assert np.array_equal(counts, run_acquisition(cfg))
 
     def test_moments_match_spread(self, drawn_tilts):
         cfg = config(noise=NoiseParams(0.5), seed=101, iterations=100_000)
@@ -148,13 +149,13 @@ class TestAcquireIteration:
             lambda phi: round(lam * 0.5 * (1.0 + math.cos(phi)))
         )
         assert rng.normal_sizes == [7]
-        assert np.array_equal(counts.counts[:, 0], np.full(7, round(lam)))
+        assert np.array_equal(counts[:, 0], np.full(7, round(lam)))
         assert np.array_equal(
-            counts.counts[:, 1],
+            counts[:, 1],
             np.full(7, round(lam * 0.5 * (1.0 + math.cos(2 * THETA_B)))),
         )
-        assert np.array_equal(counts.counts[:, 2], rate(-2 * alpha))
-        assert np.array_equal(counts.counts[:, 3], rate(2 * (THETA_B - alpha)))
+        assert np.array_equal(counts[:, 2], rate(-2 * alpha))
+        assert np.array_equal(counts[:, 3], rate(2 * (THETA_B - alpha)))
 
     def test_stream_2_draw_order(self):
         # All tilts in one normal call, then all counts in one Poisson call
@@ -168,7 +169,7 @@ class TestAcquireIteration:
             2 * (THETA_B - alpha),
         ])
         lam = cfg.expected_counts * 0.5 * (1.0 + np.cos(phases))
-        assert np.array_equal(counts.counts, rng.poisson(lam))
+        assert np.array_equal(counts, rng.poisson(lam))
 
     @pytest.mark.parametrize("seed, spread, n", [
         (1, DELTA_FIG2, 200), (2024, 0.0, 7), (2**64 - 1, 1.5, 1),
@@ -189,61 +190,96 @@ class TestAcquireIteration:
         phases = np.stack([np.zeros(n), 2 * theta, -2 * alpha,
                            2 * (theta - alpha)], axis=1)
         again = rng.poisson(cfg.expected_counts * 0.5 * (1.0 + np.cos(phases)))
-        assert again.dtype == counts.counts.dtype
-        assert again.tobytes() == counts.counts.tobytes()
+        assert again.dtype == counts.dtype
+        assert again.tobytes() == counts.tobytes()
 
     def test_no_noise_no_tilt_all_counts_equal_rate(self):
         n = 300
         cfg = config(theta=0.0, noise=NoiseParams(0.0), seed=8, iterations=n)
         lam = cfg.expected_counts
-        totals = run_acquisition(cfg).counts.sum(axis=0)
+        totals = run_acquisition(cfg).sum(axis=0)
         # all four settings sit at phase 0, so each total is Poisson(n*lam)
         for total in totals:
             assert abs(total - n * lam) < 6.0 * math.sqrt(n * lam)
 
 
-class TestCounts:
-    def test_columns_and_length(self):
-        counts = Counts([[1, 2, 3, 4], [5, 6, 7, 8]])
-        assert len(counts) == 2
-        assert counts.counts.dtype == np.int64
-        assert [field.name for field in dataclasses.fields(Counts)] == [
-            "counts"]
+#: Counts that are not those of an acquisition, each with a fragment of the
+#: ValueError that rejects them.
+BAD_COUNTS = {
+    "float": (np.full((2, 4), 1.5), "integers"),
+    "negative": (np.array([[1, 1, 1, 1], [1, -1, 1, 1]]), "non-negative"),
+    "above-int64": (np.full((2, 4), 2**63, np.uint64), "non-negative"),
+    "flat": (np.ones(8, np.int64), "shape"),
+    "three-columns": (np.ones((2, 3), np.int64), "shape"),
+    "five-columns": (np.ones((2, 5), np.int64), "shape"),
+    "three-axes": (np.ones((1, 2, 4), np.int64), "shape"),
+}
 
-    def test_rejects_negative_counts(self):
-        with pytest.raises(ValueError, match="non-negative"):
-            Counts([[1, -1, 1, 1]])
+#: The entry points of counts from outside the program, each called on
+#: counts and a path in an empty directory.
+ENTRY_POINTS = {
+    "aggregate": lambda counts, path: aggregate(counts, 0.1, 0.8),
+    "write_count_log": lambda counts, path: write_count_log(
+        path, config(iterations=2), counts),
+}
 
-    def test_rejects_non_integer_counts(self):
-        with pytest.raises(ValueError, match="integers"):
-            Counts([[1.5, 1.0, 1.0, 1.0]])
 
-    @pytest.mark.parametrize("shape", [(4,), (2, 3), (2, 5), (1, 2, 4)])
-    def test_rejects_other_shapes(self, shape):
-        with pytest.raises(ValueError, match="shape"):
-            Counts(np.ones(shape, np.int64))
+class TestCheckedCounts:
+    """Counts from outside the program are checked where they come in."""
+
+    @pytest.mark.parametrize("bad", BAD_COUNTS)
+    @pytest.mark.parametrize("entry", ENTRY_POINTS)
+    def test_rejects_counts_no_acquisition_gives(
+        self, tmp_path, entry, bad
+    ):
+        counts, fragment = BAD_COUNTS[bad]
+        with pytest.raises(ValueError, match=fragment):
+            ENTRY_POINTS[entry](counts, tmp_path / "run.jsonl")
+        assert list(tmp_path.iterdir()) == []  # no log, no companion
+
+    @pytest.mark.parametrize("dtype", [np.int32, np.uint16, np.uint64])
+    def test_integer_counts_of_any_type_read_as_int64(self, tmp_path, dtype):
+        counts = run_acquisition(config(iterations=2, mean_rate=100.0))
+        assert aggregate(counts.astype(dtype), 0.1, 0.8) == aggregate(
+            counts, 0.1, 0.8)
+        for name, data in (("int64", counts), ("other", counts.astype(dtype))):
+            write_count_log(tmp_path / name, config(iterations=2), data)
+        assert (tmp_path / "int64").read_bytes().split(b"\n")[1:] == (
+            tmp_path / "other").read_bytes().split(b"\n")[1:]
 
 
 class TestRunAcquisition:
     def test_record_count_and_indexing(self):
         counts = run_acquisition(config(iterations=50))
-        assert len(counts) == 50
-        assert counts.counts.shape == (50, 4)
+        assert counts.dtype == np.int64
+        assert counts.shape == (50, 4)
+
+    def test_holds_only_the_means_and_the_counts_at_its_peak(self):
+        # The Poisson means are formed in the phases' own array, and the
+        # tilts are dropped before the draw.
+        run_acquisition(config(iterations=10))  # numpy's first-call caches
+        tracemalloc.start()
+        try:
+            counts = run_acquisition(config(iterations=100_000))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2.1 * counts.nbytes
 
     def test_bitwise_reproducible(self):
         a = run_acquisition(config())
         b = run_acquisition(config())
-        assert np.array_equal(a.counts, b.counts)
+        assert np.array_equal(a, b)
 
     def test_different_seeds_differ(self):
         a = run_acquisition(config(seed=1))
         b = run_acquisition(config(seed=2))
-        assert not np.array_equal(a.counts, b.counts)
+        assert not np.array_equal(a, b)
 
     def test_count_bookkeeping(self):
         counts = run_acquisition(config(seed=3))
         lam = 1e4
-        total = counts.counts.sum()
+        total = counts.sum()
         # mean probabilities: 1, q1, p2, q2
         expected = 200 * lam * (1.0 + Q1 + 0.6886384754772271 + Q2_FIG2)
         assert abs(total - expected) / expected < 0.1
@@ -302,7 +338,7 @@ class TestPartitionedEstimates:
         # a summed n1p above 0.
         cfg = config(noise=NoiseParams(0.0), seed=12, mean_rate=0.5)
         counts = run_acquisition(cfg)
-        assert (counts.counts[:, 0] == 0).any()
+        assert (counts[:, 0] == 0).any()
         agg = aggregate(counts, 0.5, 0.5)
         assert agg.excluded == 0
         for name, _, _ in ESTIMATORS:
@@ -317,7 +353,7 @@ class TestPartitionedEstimates:
         # error bar of 0 would claim an exact estimate.
         counts = run_acquisition(AcquisitionConfig(
             0.43633, NoiseParams(0.7), 156, 20, 0.2, 1.0))
-        assert counts.counts[:, 3].sum() == 0
+        assert counts[:, 3].sum() == 0
         result = aggregate(counts, 0.1, 0.8)
         for est in (result.q2, result.q2_over_p2):
             assert est.value == 0.0
@@ -326,7 +362,7 @@ class TestPartitionedEstimates:
             assert est.value > 0.0 and est.std_error > 0.0
         # A single window has no spread to measure: no estimate has an error
         # bar, in either mode, not even p at gamma1 = 1.
-        one = Counts(counts.counts[:1] + [1, 0, 1, 0])
+        one = counts[:1] + [1, 0, 1, 0]
         for gamma1 in (0.1, 1.0):
             for rng in (None, np.random.default_rng(1)):
                 result = aggregate(one, gamma1, 0.8, rng)
@@ -362,7 +398,7 @@ class TestPartitionedEstimates:
             noise=NoiseParams(0.0), seed=4, iterations=5, mean_rate=1e-6
         )
         counts = run_acquisition(cfg)
-        assert not counts.counts.any()
+        assert not counts.any()
         for rng in (None, np.random.default_rng(4)):
             result = aggregate(counts, 0.1, 0.8, rng)
             for name, _, _ in ESTIMATORS:
@@ -374,7 +410,7 @@ class TestPartitionedEstimates:
     def test_zero_iterations_give_seven_nan_estimates(self):
         # Over no iterations every sum is 0, and the bar divides 0 by 0:
         # both must come out NaN without a RuntimeWarning.
-        empty = Counts(np.empty((0, 4), np.int64))
+        empty = np.empty((0, 4), np.int64)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             for rng in (None, np.random.default_rng(0)):
@@ -390,7 +426,7 @@ class TestPartitionedEstimates:
         # error of the residuals a - r*b.
         counts = run_acquisition(config(seed=1))
         result = aggregate(counts, 0.1, 0.8)
-        rows = counts.counts.tolist()
+        rows = counts.tolist()
         n = len(rows)
         for est, k, m in ((result.q1_over_p1, 1, 0), (result.p2, 2, 0),
                           (result.q2, 3, 0), (result.q2_over_p2, 3, 2)):
@@ -425,7 +461,7 @@ class TestPartitionedEstimates:
         # a - r*b is 0 but for the rounding of r*b (0.28 * 25 rounds to
         # 7.000000000000001).  A bar of that size, about 1e-17, measures no
         # spread; only p at gamma1 = 1, where a is b, is exact.
-        counts = Counts([[25, 7, 1, 1]] * 2)
+        counts = np.array([[25, 7, 1, 1]] * 2)
         result = aggregate(counts, 0.1, 0.8)
         for name, _, _ in ESTIMATORS:
             assert math.isnan(getattr(result, name).std_error), name
@@ -439,8 +475,8 @@ class TestPartitionedEstimates:
         # its bar of about 1e-17 is that rounding, so undefined too.
         counts = run_acquisition(AcquisitionConfig(
             THETA_B, NoiseParams(0.7), seed, 20, 0.2, 1.0))
-        assert counts.counts[:, 0].sum() > 0
-        assert counts.counts[:, 2].sum() == 0
+        assert counts[:, 0].sum() > 0
+        assert counts[:, 2].sum() == 0
         for rng in (None, np.random.default_rng(aggregation_seed(seed))):
             result = aggregate(counts, 0.1, 0.8, rng)
             assert math.isnan(result.q2_over_p2.value)
@@ -522,7 +558,7 @@ class TestAggregate:
         # gamma1, row 1 the clean n1q for B below gamma2.  The sums are of
         # whole numbers below 2**53, so any summation order gives these bits.
         counts = run_acquisition(config(seed=1))
-        n1p, n1q, n2p, n2q = counts.counts.T.astype(float)
+        n1p, n1q, n2p, n2q = counts.T.astype(float)
         rng = np.random.default_rng(5)
         twin = copy.deepcopy(rng)
         u = twin.random((2, len(counts)))
@@ -537,7 +573,7 @@ class TestAggregate:
     def test_kernel_takes_picks_built_by_hand(self):
         # The picks alone choose the counts, whatever the weights: all clean
         # gives p = 1 and the clean q1/p1, none the noisy p2, q2 and q2/p2.
-        counts = run_acquisition(config(seed=1)).counts[np.newaxis]
+        counts = run_acquisition(config(seed=1))[np.newaxis]
 
         def values(picks=None):
             estimates = counting._estimate(counts, (0.3,), np.array([0.6]),

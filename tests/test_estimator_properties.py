@@ -10,7 +10,6 @@ from hypothesis import strategies as st
 
 from ysqht import (
     AcquisitionConfig,
-    Counts,
     NoiseParams,
     aggregate,
     run_acquisition,
@@ -36,7 +35,7 @@ def test_shuffled_records_give_the_same_estimates(
         iterations=iterations, mean_rate=rate,
     ))
     order = data.draw(st.permutations(range(iterations)))
-    shuffled = Counts(counts.counts[order])
+    shuffled = counts[order]
 
     def estimates(c):
         result = aggregate(c, gamma1, gamma2)
@@ -79,9 +78,9 @@ def test_each_value_is_its_ratio_of_sums_or_undefined(
     rows, gamma1, gamma2, stochastic, seed
 ):
     n = len(rows)
-    counts = Counts(np.array(rows, np.int64).reshape(n, 4))
+    counts = np.array(rows, np.int64).reshape(n, 4)
     column = dict(zip(("p1", "q1", "p2", "q2"),
-                      np.array(counts.counts.T, dtype=float)))
+                      np.array(counts.T, dtype=float)))
     n1p, n1q, n2p, n2q = column.values()
     if stochastic:
         picks = np.random.default_rng(seed).random((2, n)) < [[gamma1],

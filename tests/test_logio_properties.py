@@ -19,7 +19,6 @@ from hypothesis import strategies as st
 
 from ysqht import (
     AcquisitionConfig,
-    Counts,
     LogFormatError,
     NoiseParams,
     read_count_log,
@@ -59,7 +58,7 @@ def config_of(n):
 def write_log(directory, rows):
     """Write ``rows`` of four counts as a count log; returns its path and
     the counts."""
-    data = Counts(rows)
+    data = np.array(rows, np.int64)
     config = config_of(len(data))
     path = Path(directory) / "run.jsonl"
     write_count_log(path, config, data)
@@ -77,12 +76,12 @@ def read_back(path):
 
 
 def assert_same_counts(a, b):
-    assert np.array_equal(a.counts, b.counts)
+    assert np.array_equal(a, b)
 
 
 def bits(counts):
     """The counts of ``counts``, their type and shape as bytes."""
-    return (counts.counts.dtype, counts.counts.shape, counts.counts.tobytes())
+    return (counts.dtype, counts.shape, counts.tobytes())
 
 
 @SETTINGS
@@ -135,7 +134,7 @@ def test_each_record_line_is_the_template_of_its_record(target, rows):
         head, *lines, end = path.read_bytes().decode().split("\n")
     assert end == ""
     assert lines == [(logio.RECORD_LINE % (i, *row)).decode()[:-1]
-                     for i, row in enumerate(data.counts.tolist())]
+                     for i, row in enumerate(data.tolist())]
 
 
 @SETTINGS
@@ -216,7 +215,7 @@ def test_first_record_out_of_place_is_named_before_later_damage(
 def test_version_2_log_reads_as_its_counts(rows):
     # A version 2 record holds a tilt, written with %.17g as that version
     # wrote it (a negative zero as -0.0); it is checked and dropped.
-    data = Counts([c for _, c in rows])
+    data = np.array([c for _, c in rows], np.int64)
     manifest = dataclasses.replace(
         logio.manifest_for_acquisition(config_of(len(data))),
         schema_version=2)

@@ -77,7 +77,7 @@ def scalar_estimates(counts, gamma1, gamma2, rng, mode):
     """q2/p2 and q/p as the per-acquisition scalar code computes them: 1-D
     numpy sums over all iterations, each ratio of sums and its delta-method
     error in Python floats, both NaN where the ratio has no finite value."""
-    n1p, n1q, n2p, n2q = np.ascontiguousarray(counts.counts.T, dtype=float)
+    n1p, n1q, n2p, n2q = np.ascontiguousarray(counts.T, dtype=float)
     n = int(n1p.size)
 
     def ratio_of_sums(a, b):
@@ -220,7 +220,7 @@ def test_mid_grid_point_without_n1p_leaves_the_others(axis, mode):
     def no_p_count(seed):
         return not run_acquisition(AcquisitionConfig(
             THETA_B, NoiseParams(grid[mid] if axis == "delta" else 0.7),
-            point_seed(seed, mid), 3, 1.0)).counts[:, [0, 2]].any()
+            point_seed(seed, mid), 3, 1.0))[:, [0, 2]].any()
 
     # The first base seed at which the mid-grid point has neither an n1p
     # nor an n2p count, so that its q1/p1, q2/p2 and q/p are undefined,

@@ -1,5 +1,6 @@
 """Tests for the closed forms, the reversal predicate, and the thresholds."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -8,7 +9,9 @@ import pytest
 from ysqht import (
     Analyzer,
     NoiseParams,
+    OutcomeProbabilities,
     ScenarioParams,
+    YsVerdict,
     born_probability,
     delta_threshold,
     dephase,
@@ -182,6 +185,19 @@ class TestYsReversal:
         assert v.reversal == (
             v.clean_favors_a and v.noisy_favors_a and v.aggregated_favors_b
         )
+
+    def test_verdict_of_arrays_is_the_verdict_of_each_point(self):
+        # One row per point: the reversal, then each inequality a tie, so
+        # that the strict test finds no reversal there.
+        rows = [(1.0, 0.8, 0.9, 0.7, 0.7, 0.8), (1.0, 1.0, 0.9, 0.7, 0.7, 0.8),
+                (1.0, 0.8, 0.7, 0.7, 0.7, 0.8), (1.0, 0.8, 0.9, 0.7, 0.8, 0.8)]
+        verdict = YsVerdict.of(OutcomeProbabilities(*np.array(rows).T))
+        assert verdict.reversal.tolist() == [True, False, False, False]
+        for i, row in enumerate(rows):
+            point = YsVerdict.of(OutcomeProbabilities(*row))
+            assert point.reversal is verdict.reversal[i].item()
+            assert dataclasses.astuple(point) == tuple(
+                column[i].item() for column in dataclasses.astuple(verdict))
 
 
 class TestGamma2Threshold:
